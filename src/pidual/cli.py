@@ -122,6 +122,10 @@ def _detection_outputs(out: Path, model, ds, methods: list[str]) -> dict[str, fl
     return aucs
 
 
+# The per-trial scores every report lists, in report order.
+_SCORE_FIELDS = ("best_epoch", "best_noisy_val_acc", "clean_test_at_best", "clean_test_final")
+
+
 def _trial_doc(t: TrialOutcome) -> dict:
     return {
         "index": t.index,
@@ -130,9 +134,7 @@ def _trial_doc(t: TrialOutcome) -> dict:
         "status": t.status,
         "error": t.error,
         "best_epoch": t.best_epoch,
-        "best_noisy_val_acc": _float_or_none(t.best_noisy_val_acc),
-        "clean_test_at_best": _float_or_none(t.clean_test_at_best),
-        "clean_test_final": _float_or_none(t.clean_test_final),
+        **{k: _float_or_none(getattr(t, k)) for k in _SCORE_FIELDS[1:]},
     }
 
 
@@ -156,18 +158,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         result, ds_used = run_trial(ds, sel_model_cfg, sel_cfg)
     else:
         result, ds_used = run_trial(ds, cfg.model, cfg.train)
-        rec = result.record
-        selected = TrialOutcome(
-            index=0,
-            params={},
-            seed=cfg.train.seed,
-            status="ok",
-            best_epoch=result.best_epoch,
-            best_noisy_val_acc=float(rec.noisy_val_acc[result.best_epoch]),
-            clean_test_at_best=float(rec.clean_test_acc[result.best_epoch]),
-            clean_test_final=float(rec.clean_test_acc[-1]),
-            record=rec,
-        )
+        selected = TrialOutcome.from_result(0, {}, cfg.train.seed, result)
         trials = [selected]
         result.record.to_csv(out / "trial_000_record.csv")
 
@@ -314,25 +305,18 @@ ABLATION_VARIANTS = (
 )
 
 
-def run_ablation(cfg: ExperimentConfig, ds) -> list[dict]:
-    """Train every ablation variant under a shared seed and protocol."""
+def run_ablation(cfg: ExperimentConfig, ds) -> list[tuple[str, TrialOutcome]]:
+    """Train every ablation variant under a shared seed and protocol.
+
+    Returns (variant, outcome) pairs, best clean-test accuracy first.
+    """
     results = []
-    for name, flag_over, strip in ABLATION_VARIANTS:
+    for index, (name, flag_over, strip) in enumerate(ABLATION_VARIANTS):
         model_cfg = replace(cfg.model, flags=replace(cfg.model.flags, **flag_over))
         variant_ds = data_mod.strip_pi(ds) if strip else ds
         result, _ = run_trial(variant_ds, model_cfg, cfg.train)
-        rec = result.record
-        results.append(
-            {
-                "variant": name,
-                "best_epoch": result.best_epoch,
-                "best_noisy_val_acc": float(rec.noisy_val_acc[result.best_epoch]),
-                "clean_test_at_best": float(rec.clean_test_acc[result.best_epoch]),
-                "clean_test_final": float(rec.clean_test_acc[-1]),
-                "record": rec,
-            }
-        )
-    results.sort(key=lambda r: (-r["clean_test_at_best"], r["variant"]))
+        results.append((name, TrialOutcome.from_result(index, flag_over, cfg.train.seed, result)))
+    results.sort(key=lambda r: (-r[1].clean_test_at_best, r[0]))
     return results
 
 
@@ -345,36 +329,25 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     with (out / "ablation.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("rank", "variant", "best_epoch", "best_noisy_val_acc",
-             "clean_test_at_best", "clean_test_final")
-        )
-        for rank, row in enumerate(results, start=1):
-            writer.writerow(
-                (
-                    rank,
-                    row["variant"],
-                    row["best_epoch"],
-                    repr(row["best_noisy_val_acc"]),
-                    repr(row["clean_test_at_best"]),
-                    repr(row["clean_test_final"]),
-                )
-            )
-    for row in results:
-        row["record"].to_csv(out / f"ablation_{row['variant']}_record.csv")
+        writer.writerow(("rank", "variant", *_SCORE_FIELDS))
+        for rank, (name, t) in enumerate(results, start=1):
+            writer.writerow((rank, name, *(repr(getattr(t, k)) for k in _SCORE_FIELDS)))
+    for name, t in results:
+        t.record.to_csv(out / f"ablation_{name}_record.csv")
     summary = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "variants": [
-            {k: v for k, v in row.items() if k != "record"} for row in results
+            {"variant": name, **{k: getattr(t, k) for k in _SCORE_FIELDS}}
+            for name, t in results
         ],
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
     _write_json(out / "summary.json", summary)
-    for rank, row in enumerate(results, start=1):
+    for rank, (name, t) in enumerate(results, start=1):
         print(
-            f"{rank}. {row['variant']}: clean_test={row['clean_test_at_best']:.4f} "
-            f"(final {row['clean_test_final']:.4f})"
+            f"{rank}. {name}: clean_test={t.clean_test_at_best:.4f} "
+            f"(final {t.clean_test_final:.4f})"
         )
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,9 @@ import numpy as np
 from . import nn_core
 from .errors import ContractError, DataFormatError, ShapeError
 from .nn_core import (
+    IDENTITY,
+    RELU,
+    SIGMOID,
     Gradients,
     MlpParams,
     Tape,
@@ -67,13 +70,23 @@ def ce_baseline_flags() -> AblationFlags:
     return AblationFlags(use_gate=False, use_noise_net=False)
 
 
+# The component roster: every per-component mapping (parameters, gradients,
+# optimizer states, checkpoint entries) is keyed by these names, in this
+# order. ``gate_trunk`` exists only when the gate has its own first layer.
+COMPONENTS = ("prediction", "pi_trunk", "noise_head", "gate_head", "gate_trunk")
+# Everything but the prediction network reads the PI; training can exempt
+# these from weight decay.
+PI_COMPONENTS = COMPONENTS[1:]
+
+
 @dataclass
 class PiDualModel:
     """Parameter bundle for the three sub-networks.
 
     The noise network is ``noise_head`` stacked on ``pi_trunk``; the gate is
     ``gate_head`` stacked on the shared ``pi_trunk`` (or on its own
-    ``gate_trunk`` when ``share_first_layer`` is off).
+    ``gate_trunk`` when ``share_first_layer`` is off). The fields up to
+    ``gate_trunk`` are the components, in ``COMPONENTS`` order.
     """
 
     prediction: MlpParams
@@ -91,22 +104,9 @@ class PiDualModel:
         return copy.deepcopy(self)
 
     def components(self) -> dict[str, MlpParams]:
-        comps = {
-            "prediction": self.prediction,
-            "pi_trunk": self.pi_trunk,
-            "noise_head": self.noise_head,
-            "gate_head": self.gate_head,
-        }
-        if self.gate_trunk is not None:
-            comps["gate_trunk"] = self.gate_trunk
-        return comps
-
-    def pi_net_names(self) -> list[str]:
-        """Components belonging to the noise/gate side (weight-decay exemption)."""
-        names = ["pi_trunk", "noise_head", "gate_head"]
-        if self.gate_trunk is not None:
-            names.append("gate_trunk")
-        return names
+        """The present components by roster name, in roster order."""
+        nets = {name: getattr(self, name) for name in COMPONENTS}
+        return {name: net for name, net in nets.items() if net is not None}
 
 
 def build_model(
@@ -121,27 +121,19 @@ def build_model(
 ) -> PiDualModel:
     flags = flags or AblationFlags()
     noise_in = pi_dim + (feature_dim if flags.noise_input == NOISE_INPUT_PI_AND_X else 0)
-    pred_dims = [feature_dim, *pred_hidden, num_classes]
-    pred_acts = [nn_core.RELU] * len(pred_hidden) + [nn_core.IDENTITY]
-    prediction = init_mlp(pred_dims, pred_acts, derive_seed(seed, "prediction"))
-    pi_trunk = init_mlp([noise_in, pi_width], [nn_core.RELU], derive_seed(seed, "pi_trunk"))
-    noise_head = init_mlp(
-        [pi_width, pi_width, num_classes],
-        [nn_core.RELU, nn_core.IDENTITY],
-        derive_seed(seed, "noise_head"),
+    shapes = (  # (layer sizes, activations) per component, in roster order
+        ([feature_dim, *pred_hidden, num_classes], [RELU] * len(pred_hidden) + [IDENTITY]),
+        ([noise_in, pi_width], [RELU]),
+        ([pi_width, pi_width, num_classes], [RELU, IDENTITY]),
+        ([pi_width, pi_width, 1], [RELU, SIGMOID]),
+        None if share_first_layer else ([noise_in, pi_width], [RELU]),
     )
-    gate_head = init_mlp(
-        [pi_width, pi_width, 1], [nn_core.RELU, nn_core.SIGMOID], derive_seed(seed, "gate_head")
-    )
-    gate_trunk = None
-    if not share_first_layer:
-        gate_trunk = init_mlp([noise_in, pi_width], [nn_core.RELU], derive_seed(seed, "gate_trunk"))
+    nets = {
+        name: None if shape is None else init_mlp(*shape, derive_seed(seed, name))
+        for name, shape in zip(COMPONENTS, shapes)
+    }
     return PiDualModel(
-        prediction=prediction,
-        pi_trunk=pi_trunk,
-        noise_head=noise_head,
-        gate_head=gate_head,
-        gate_trunk=gate_trunk,
+        **nets,
         flags=flags,
         share_first_layer=share_first_layer,
         feature_dim=feature_dim,
@@ -191,32 +183,40 @@ class ModelTape:
     mixed: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass
-class ModelGradients:
-    """Mean-over-batch loss gradients, one buffer per sub-network component."""
-
-    prediction: Gradients
-    pi_trunk: Gradients
-    noise_head: Gradients
-    gate_head: Gradients
-    gate_trunk: Gradients | None
-
-    def by_name(self) -> dict[str, Gradients]:
-        out = {
-            "prediction": self.prediction,
-            "pi_trunk": self.pi_trunk,
-            "noise_head": self.noise_head,
-            "gate_head": self.gate_head,
-        }
-        if self.gate_trunk is not None:
-            out["gate_trunk"] = self.gate_trunk
-        return out
+def _as_batch(v: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(v, dtype=np.float64))
 
 
-def _noise_input(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if model.flags.noise_input == NOISE_INPUT_PI_AND_X:
-        return np.hstack([a, x])
-    return a
+def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> ModelTape:
+    """Noise and gate paths of the training forward pass, on a fresh tape.
+
+    The only code that wires the PI side: trunk sharing, the ``pi_and_x``
+    input and the ablation zeros. ``forward_train`` adds the prediction
+    network and the mix; ``noise_logits`` and ``gate_values`` read it alone.
+    """
+    x, a = _as_batch(x), _as_batch(a)
+    if x.shape[0] != a.shape[0]:
+        raise ShapeError("feature and PI batches must have the same length")
+    flags = model.flags
+    tape = ModelTape(model=model, batch_size=x.shape[0])
+    pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
+
+    trunk_out = None
+    if flags.use_noise_net or (flags.use_gate and model.share_first_layer):
+        trunk_out, tape.trunk_tape = mlp_forward(model.pi_trunk, pi_in)
+
+    if flags.use_noise_net:
+        tape.noise_logits, tape.noise_tape = mlp_forward(model.noise_head, trunk_out)
+    else:
+        tape.noise_logits = np.zeros((x.shape[0], model.num_classes))
+
+    if flags.use_gate:
+        gate_in = trunk_out
+        if not model.share_first_layer:
+            gate_in, tape.gate_trunk_tape = mlp_forward(model.gate_trunk, pi_in)
+        gate_col, tape.gate_tape = mlp_forward(model.gate_head, gate_in)
+        tape.gate = gate_col[:, 0]
+    return tape
 
 
 def forward_train(
@@ -226,40 +226,13 @@ def forward_train(
 
     Returns (combined, gate, tape). ``combined`` holds logits, except in the
     probability-space variant where it holds the mixed class probabilities.
-    ``gate`` is None when the gating network is ablated.
+    ``gate`` is None when the gating network is ablated. The tape also keeps
+    the raw prediction and noise logits.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if x.shape[0] != a.shape[0]:
-        raise ShapeError("feature and PI batches must have the same length")
+    tape = _forward_pi_side(model, x, a)
+    tape.pred_logits, tape.pred_tape = mlp_forward(model.prediction, _as_batch(x))
     flags = model.flags
-    tape = ModelTape(model=model, batch_size=x.shape[0])
-
-    tape.pred_logits, tape.pred_tape = mlp_forward(model.prediction, x)
-    f = tape.pred_logits
-
-    trunk_out = None
-    need_trunk = flags.use_noise_net or (flags.use_gate and model.share_first_layer)
-    if need_trunk:
-        trunk_out, tape.trunk_tape = mlp_forward(model.pi_trunk, _noise_input(model, x, a))
-
-    if flags.use_noise_net:
-        tape.noise_logits, tape.noise_tape = mlp_forward(model.noise_head, trunk_out)
-    else:
-        tape.noise_logits = np.zeros_like(f)
-    eps = tape.noise_logits
-
-    g = None
-    if flags.use_gate:
-        if model.share_first_layer:
-            gate_in = trunk_out
-        else:
-            gate_in, tape.gate_trunk_tape = mlp_forward(
-                model.gate_trunk, _noise_input(model, x, a)
-            )
-        gate_col, tape.gate_tape = mlp_forward(model.gate_head, gate_in)
-        g = gate_col[:, 0]
-        tape.gate = g
+    f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
 
     if not flags.use_gate:
         combined = f + eps
@@ -283,11 +256,15 @@ def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
     return float(losses.mean())
 
 
-def backward_train(model: PiDualModel, tape: ModelTape, labels: np.ndarray) -> ModelGradients:
+def backward_train(
+    model: PiDualModel, tape: ModelTape, labels: np.ndarray
+) -> dict[str, Gradients]:
     """Exact gradients of the mean combined-output cross-entropy.
 
     Includes the gate path d/dg[(1-g)f + g*eps] = eps - f, and accumulates
     the shared first layer's gradient from both the noise and gate paths.
+    Returns one buffer per component, keyed like ``model.components()``;
+    components on an ablated path get zero gradients.
     """
     if tape.model is not model:
         raise ContractError("tape was produced by a different model")
@@ -344,13 +321,8 @@ def backward_train(model: PiDualModel, tape: ModelTape, labels: np.ndarray) -> M
     if tape.trunk_tape is not None:
         grads_trunk, _ = mlp_backward(model.pi_trunk, tape.trunk_tape, d_trunk_out)
 
-    return ModelGradients(grads_pred, grads_trunk, grads_noise, grads_gate, grads_gate_trunk)
-
-
-def forward_infer(model: PiDualModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities from the prediction network alone (no PI)."""
-    logits, _ = mlp_forward(model.prediction, np.asarray(x, dtype=np.float64))
-    return softmax(logits)
+    in_roster_order = (grads_pred, grads_trunk, grads_noise, grads_gate, grads_gate_trunk)
+    return {name: g for name, g in zip(COMPONENTS, in_roster_order) if g is not None}
 
 
 def prediction_logits(model: PiDualModel, x: np.ndarray) -> np.ndarray:
@@ -358,29 +330,21 @@ def prediction_logits(model: PiDualModel, x: np.ndarray) -> np.ndarray:
     return logits
 
 
+def forward_infer(model: PiDualModel, x: np.ndarray) -> np.ndarray:
+    """Class probabilities from the prediction network alone (no PI)."""
+    return softmax(prediction_logits(model, x))
+
+
 def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Raw (un-gated) noise-network logits; zeros when that path is ablated."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if not model.flags.use_noise_net:
-        return np.zeros((a.shape[0], model.num_classes))
-    trunk_out, _ = mlp_forward(model.pi_trunk, _noise_input(model, x, a))
-    out, _ = mlp_forward(model.noise_head, trunk_out)
-    return out
+    return _forward_pi_side(model, x, a).noise_logits
 
 
 def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-sample gate outputs in (0, 1)."""
     if not model.flags.use_gate:
         raise ContractError("this model variant has no gating network")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if model.share_first_layer:
-        gate_in, _ = mlp_forward(model.pi_trunk, _noise_input(model, x, a))
-    else:
-        gate_in, _ = mlp_forward(model.gate_trunk, _noise_input(model, x, a))
-    out, _ = mlp_forward(model.gate_head, gate_in)
-    return out[:, 0]
+    return _forward_pi_side(model, x, a).gate
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +382,8 @@ def save_checkpoint(model: PiDualModel, path: str | Path) -> None:
         "pi_dim": model.pi_dim,
         "num_classes": model.num_classes,
         "share_first_layer": model.share_first_layer,
-        "flags": {
-            "use_gate": model.flags.use_gate,
-            "use_noise_net": model.flags.use_noise_net,
-            "gate_space": model.flags.gate_space,
-            "noise_input": model.flags.noise_input,
-        },
-        "prediction": _net_to_json(model.prediction),
-        "pi_trunk": _net_to_json(model.pi_trunk),
-        "noise_head": _net_to_json(model.noise_head),
-        "gate_head": _net_to_json(model.gate_head),
-        "gate_trunk": _net_to_json(model.gate_trunk),
+        "flags": asdict(model.flags),
+        **{name: _net_to_json(getattr(model, name)) for name in COMPONENTS},
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -440,16 +395,14 @@ def load_checkpoint(path: str | Path) -> PiDualModel:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
     if doc.get("format") != _CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {_CHECKPOINT_FORMAT} file")
-    flags = AblationFlags(**doc["flags"])
-    return PiDualModel(
-        prediction=_net_from_json(doc["prediction"]),
-        pi_trunk=_net_from_json(doc["pi_trunk"]),
-        noise_head=_net_from_json(doc["noise_head"]),
-        gate_head=_net_from_json(doc["gate_head"]),
-        gate_trunk=_net_from_json(doc["gate_trunk"]),
-        flags=flags,
-        share_first_layer=doc["share_first_layer"],
-        feature_dim=doc["feature_dim"],
-        pi_dim=doc["pi_dim"],
-        num_classes=doc["num_classes"],
-    )
+    try:
+        return PiDualModel(
+            **{name: _net_from_json(doc[name]) for name in COMPONENTS},
+            flags=AblationFlags(**doc["flags"]),
+            share_first_layer=doc["share_first_layer"],
+            feature_dim=doc["feature_dim"],
+            pi_dim=doc["pi_dim"],
+            num_classes=doc["num_classes"],
+        )
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from exc

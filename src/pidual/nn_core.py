@@ -95,13 +95,6 @@ class Gradients:
             [np.zeros_like(b) for b in params.biases],
         )
 
-    def add_(self, other: "Gradients") -> "Gradients":
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += b
-        return self
-
 
 def init_mlp(dims: list[int], activations: list[str], seed: int) -> MlpParams:
     """He-style fan-in scaled Gaussian weights, zero biases.

@@ -29,7 +29,6 @@ from .seeding import derive_seed
 
 HEAD_COMBINED = "combined"
 HEAD_PREDICTION = "prediction"
-HEAD_NOISE = "noise"
 
 
 @dataclass
@@ -143,8 +142,6 @@ def evaluate(
         raise ContractError(f"unknown label kind {on_labels!r}")
     if head == HEAD_PREDICTION:
         scores = model_mod.prediction_logits(model, x)
-    elif head == HEAD_NOISE:
-        scores = model_mod.noise_logits(model, x, a)
     elif head == HEAD_COMBINED:
         scores, _, _ = model_mod.forward_train(model, x, a)
     else:
@@ -162,6 +159,23 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     if mask.sum() == 0:
         return math.nan
     return float(values[mask].mean())
+
+
+def _train_subset_metrics(
+    model: PiDualModel, x: np.ndarray, a: np.ndarray, y: np.ndarray, wrong: np.ndarray
+) -> dict[str, float]:
+    """The clean/wrong train-subset columns of the record from one forward pass."""
+    combined, gate, tape = model_mod.forward_train(model, x, a)
+    clean = ~wrong
+    heads = {"train": combined, "pred": tape.pred_logits, "noise": tape.noise_logits}
+    row = {}
+    for head, scores in heads.items():
+        row[f"{head}_acc_clean"] = _masked_acc(scores, y, clean)
+        row[f"{head}_acc_wrong"] = _masked_acc(scores, y, wrong)
+    if gate is not None:
+        row["mean_gate_clean"] = _masked_mean(gate, clean)
+        row["mean_gate_wrong"] = _masked_mean(gate, wrong)
+    return row
 
 
 def train(
@@ -201,7 +215,7 @@ def train(
         )
         for name, comp in model.components().items()
     }
-    exempt = set(model.pi_net_names()) if cfg.exempt_pi_nets_from_wd else set()
+    exempt = set(model_mod.PI_COMPONENTS) if cfg.exempt_pi_nets_from_wd else set()
 
     has_val = ds.split_indices(data_mod.SPLIT_NOISY_VAL).size > 0
     has_clean = ds.has_clean_labels
@@ -224,32 +238,20 @@ def train(
             loss = model_mod.training_loss(tape, y_tr[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-            grads = model_mod.backward_train(model, tape, y_tr[idx]).by_name()
+            grads = model_mod.backward_train(model, tape, y_tr[idx])
             for name, comp in model.components().items():
                 sgd_step(comp, grads[name], states[name], epoch, name in exempt)
 
-        noisy_val = evaluate(model, ds, data_mod.SPLIT_NOISY_VAL) if has_val else math.nan
         row = {c: math.nan for c in RECORD_COLUMNS[1:]}
+        if collect_metrics and has_clean:
+            # one train-split pass; its tape is freed before the val and test passes
+            row.update(_train_subset_metrics(model, x_tr, a_tr, y_tr, wrong_train))
+        noisy_val = evaluate(model, ds, data_mod.SPLIT_NOISY_VAL) if has_val else math.nan
         row["noisy_val_acc"] = noisy_val
-        if collect_metrics:
-            if has_clean:
-                combined, gate, _ = model_mod.forward_train(model, x_tr, a_tr)
-                pred = model_mod.prediction_logits(model, x_tr)
-                noise = model_mod.noise_logits(model, x_tr, a_tr)
-                clean_mask = ~wrong_train
-                row["train_acc_clean"] = _masked_acc(combined, y_tr, clean_mask)
-                row["train_acc_wrong"] = _masked_acc(combined, y_tr, wrong_train)
-                row["pred_acc_clean"] = _masked_acc(pred, y_tr, clean_mask)
-                row["pred_acc_wrong"] = _masked_acc(pred, y_tr, wrong_train)
-                row["noise_acc_clean"] = _masked_acc(noise, y_tr, clean_mask)
-                row["noise_acc_wrong"] = _masked_acc(noise, y_tr, wrong_train)
-                if model.flags.use_gate:
-                    row["mean_gate_clean"] = _masked_mean(gate, clean_mask)
-                    row["mean_gate_wrong"] = _masked_mean(gate, wrong_train)
-            if has_clean and has_test:
-                row["clean_test_acc"] = evaluate(
-                    model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", HEAD_PREDICTION
-                )
+        if collect_metrics and has_clean and has_test:
+            row["clean_test_acc"] = evaluate(
+                model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", HEAD_PREDICTION
+            )
         for col, value in row.items():
             columns[col].append(value)
 
@@ -319,6 +321,22 @@ class TrialOutcome:
     clean_test_final: float = math.nan
     record: TrainRecord | None = None
 
+    @staticmethod
+    def from_result(index: int, params: dict, seed: int, result: TrainResult) -> "TrialOutcome":
+        """The outcome of a trial that trained, scored at its best epoch."""
+        rec = result.record
+        return TrialOutcome(
+            index,
+            params,
+            seed,
+            status="ok",
+            best_epoch=result.best_epoch,
+            best_noisy_val_acc=float(rec.noisy_val_acc[result.best_epoch]),
+            clean_test_at_best=float(rec.clean_test_acc[result.best_epoch]),
+            clean_test_final=float(rec.clean_test_acc[-1]),
+            record=rec,
+        )
+
 
 def apply_grid_point(
     base_cfg: TrainConfig, model_cfg: ModelConfig, params: dict
@@ -365,18 +383,7 @@ def _run_grid_point(
         result, _ = run_trial(ds, mcfg, cfg)
     except Exception as exc:  # trial failures must not abort siblings
         return TrialOutcome(index, params, seed, status="failed", error=str(exc))
-    rec = result.record
-    return TrialOutcome(
-        index,
-        params,
-        seed,
-        status="ok",
-        best_epoch=result.best_epoch,
-        best_noisy_val_acc=float(rec.noisy_val_acc[result.best_epoch]),
-        clean_test_at_best=float(rec.clean_test_acc[result.best_epoch]),
-        clean_test_final=float(rec.clean_test_acc[-1]),
-        record=rec,
-    )
+    return TrialOutcome.from_result(index, params, seed, result)
 
 
 def run_grid(

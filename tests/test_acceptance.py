@@ -153,7 +153,7 @@ def test_criterion_gradient_suite():
             return training_loss(tape, labels)
 
         _, _, tape = forward_train(model, x, a)
-        analytic = backward_train(model, tape, labels).by_name()
+        analytic = backward_train(model, tape, labels)
         for name, net in model.components().items():
             fd = finite_difference(loss, net.weights + net.biases)
             pairs = zip(analytic[name].d_weights + analytic[name].d_biases, fd)

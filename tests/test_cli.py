@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pidual
 from pidual.cli import main
 from pidual.config import load_experiment_config
 from pidual.data import load_csv
+from pidual.model import build_model, save_checkpoint
 from pidual.errors import ConfigError
 from pidual.training import TrainRecord
 
@@ -164,6 +169,31 @@ def test_detect_cli_and_missing_clean_labels(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("missing", ["flags", "gate_head"])
+def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
+    cfg_path, out = write_config(tmp_path)
+    main(["gen", "--config", str(cfg_path)])
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(build_model(4, 3, 3, pred_hidden=(4,), pi_width=4), ckpt)
+    doc = json.loads(ckpt.read_text())
+    del doc[missing]
+    ckpt.write_text(json.dumps(doc))
+    src = str(Path(pidual.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pidual", "detect",
+            "--checkpoint", str(ckpt),
+            "--data", str(out / "dataset.csv"),
+            "--out", str(tmp_path / "det"),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and missing in proc.stderr
 
 
 def test_risk_closed_form_only(tmp_path):

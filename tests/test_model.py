@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from pidual import nn_core
 from pidual.errors import ContractError, ShapeError
 from pidual.model import (
+    COMPONENTS,
     AblationFlags,
     GATE_SPACE_LOGIT,
     GATE_SPACE_PROBABILITY,
@@ -126,9 +128,9 @@ def test_frozen_gate_gradients_match_plain_ce():
     ce = small_model(flags=ce_baseline_flags(), seed=2)
     _, _, ce_tape = forward_train(ce, x, a)
     ce_grads = backward_train(ce, ce_tape, labels)
-    for g1, g2 in zip(grads.prediction.d_weights, ce_grads.prediction.d_weights):
+    for g1, g2 in zip(grads["prediction"].d_weights, ce_grads["prediction"].d_weights):
         assert np.array_equal(g1, g2)
-    assert all(np.all(g == 0) for g in grads.noise_head.d_weights)
+    assert all(np.all(g == 0) for g in grads["noise_head"].d_weights)
 
 
 def test_saturated_correct_labels_give_vanishing_gradients():
@@ -144,7 +146,8 @@ def test_saturated_correct_labels_give_vanishing_gradients():
     labels = np.zeros(3, dtype=int)
     _, _, tape = forward_train(model, x, a)
     grads = backward_train(model, tape, labels)
-    total = sum(float(np.abs(g).sum()) for g in grads.prediction.d_weights + grads.prediction.d_biases)
+    pred = grads["prediction"]
+    total = sum(float(np.abs(g).sum()) for g in pred.d_weights + pred.d_biases)
     assert total < 1e-10
 
 
@@ -184,7 +187,7 @@ def test_gradients_match_finite_differences_all_flags(use_gate, use_noise, space
     analytic = backward_train(model, tape, labels)
 
     for name, net in model.components().items():
-        grads = analytic.by_name()[name]
+        grads = analytic[name]
         fd = finite_difference(
             lambda: model_loss(model, x, a, labels), net.weights + net.biases
         )
@@ -197,11 +200,11 @@ def test_shared_first_layer_sums_both_paths():
     model = small_model(seed=11)
     x, a, labels = rng_batch(model, seed=12)
     _, _, tape = forward_train(model, x, a)
-    full = backward_train(model, tape, labels).pi_trunk.d_weights[0].copy()
+    full = backward_train(model, tape, labels)["pi_trunk"].d_weights[0].copy()
 
     model.flags = AblationFlags(use_gate=False)
     _, _, tape_n = forward_train(model, x, a)
-    noise_only = backward_train(model, tape_n, labels).pi_trunk.d_weights[0].copy()
+    noise_only = backward_train(model, tape_n, labels)["pi_trunk"].d_weights[0].copy()
     assert not np.allclose(full, noise_only)
 
 
@@ -249,6 +252,9 @@ def test_checkpoint_round_trip(tmp_path):
         path = tmp_path / f"ckpt_{share}.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
+        again = tmp_path / f"ckpt_{share}_again.json"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
         for name, net in model.components().items():
             other = loaded.components()[name]
             assert net.equals(other)
@@ -259,3 +265,9 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(
             model_loss(model, x, a, labels), model_loss(loaded, x, a, labels)
         )
+        doc = json.loads(path.read_text())
+        _, _, tape = forward_train(model, x, a)
+        grads = backward_train(model, tape, labels)
+        stored = {name for name in COMPONENTS if doc[name] is not None}
+        assert set(model.components()) == stored == set(grads)
+        assert ("gate_trunk" in stored) == (not share)

@@ -5,11 +5,17 @@ from pidual import data as data_mod
 from pidual.data import PiDataset, SynthConfig, generate_synthetic, split_dataset
 from pidual.errors import ConfigError, ContractError
 from pidual.model import (
+    GATE_SPACE_PROBABILITY,
+    NOISE_INPUT_PI_AND_X,
     AblationFlags,
     MlpParams,
     ModelConfig,
     build_model,
     ce_baseline_flags,
+    forward_train,
+    gate_values,
+    noise_logits,
+    prediction_logits,
 )
 from pidual import nn_core
 from pidual.training import (
@@ -96,6 +102,43 @@ def test_early_stopping_selects_argmax_val_epoch():
     # re-evaluating the snapshot reproduces the recorded clean-test accuracy
     acc = evaluate(result.best_model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
     assert acc == rec.clean_test_acc[result.best_epoch]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        AblationFlags(),
+        AblationFlags(use_gate=False),
+        AblationFlags(use_noise_net=False),
+        AblationFlags(gate_space=GATE_SPACE_PROBABILITY),
+        AblationFlags(noise_input=NOISE_INPUT_PI_AND_X),
+    ],
+    ids=["default", "no_gate", "no_noise_net", "probability", "pi_and_x"],
+)
+def test_record_train_columns_match_separate_heads(flags):
+    # the record's train-subset columns come from one forward pass per epoch;
+    # recomputing each head on its own must give the same numbers exactly
+    ds = tiny_dataset(seed=7)
+    result = train(tiny_model(ds, flags=flags, seed=3), ds, tiny_cfg(epochs=2))
+    model = result.final_model
+    x, a, y = ds.train_arrays()
+    wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
+    combined, _, _ = forward_train(model, x, a)
+    heads = {
+        "train": combined,
+        "pred": prediction_logits(model, x),
+        "noise": noise_logits(model, x, a),
+    }
+    expected = {}
+    for head, scores in heads.items():
+        hits = scores.argmax(axis=1) == y
+        expected[f"{head}_acc_clean"] = hits[~wrong].mean()
+        expected[f"{head}_acc_wrong"] = hits[wrong].mean()
+    gate = gate_values(model, x, a) if flags.use_gate else np.full(y.shape, np.nan)
+    expected["mean_gate_clean"] = gate[~wrong].mean()
+    expected["mean_gate_wrong"] = gate[wrong].mean()
+    for col, value in expected.items():
+        assert np.array_equal(getattr(result.record, col)[-1], value, equal_nan=True), col
 
 
 def constant_predictor(ds, cls):
