@@ -210,6 +210,17 @@ def cmd_detect(args: argparse.Namespace) -> int:
     for method in methods:
         if method not in ("confidence", "gate"):
             raise ConfigError(f"unknown detection method {method!r}")
+    if ds.feature_dim != model.feature_dim:
+        raise DataFormatError(
+            f"dataset has {ds.feature_dim} feature columns, the checkpoint expects "
+            f"{model.feature_dim}"
+        )
+    if "gate" in methods and ds.pi_dim != model.pi_dim:
+        raise DataFormatError(
+            f"dataset has {ds.pi_dim} PI columns, the checkpoint expects {model.pi_dim}: "
+            "the random-PI block that `train` appends is not in the dataset, and the "
+            "checkpoint does not record it"
+        )
     aucs = _detection_outputs(out, model, ds, methods)
     for method, auc in aucs.items():
         print(f"{method} AUC: {auc:.4f}")

@@ -74,7 +74,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "sweep": "none",
         "sweep_values": "",
     },
-    "output": {"directory": "runs/out", "formats": "csv,json,svg"},
+    "output": {"directory": "runs/out"},
 }
 
 _GRID_AXIS_TYPES = {
@@ -146,7 +146,6 @@ class ExperimentConfig:
     detection_methods: list[str]
     risk: RiskSection
     output_dir: str
-    output_formats: list[str]
     effective: dict = field(repr=False, default_factory=dict)
 
     def config_hash(self) -> str:
@@ -301,7 +300,6 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         detection_methods=methods,
         risk=risk_section,
         output_dir=osec["directory"],
-        output_formats=[f.strip() for f in osec["formats"].split(",") if f.strip()],
         effective=merged,
     )
 

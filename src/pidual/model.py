@@ -22,9 +22,8 @@ features too.
 """
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +70,12 @@ def ce_baseline_flags() -> AblationFlags:
 
 
 # The component roster: every per-component mapping (parameters, gradients,
-# optimizer states, checkpoint entries) is keyed by these names, in this
-# order. ``gate_trunk`` exists only when the gate has its own first layer.
+# checkpoint entries) is keyed by these names, and the flat parameter vector
+# is laid out in this order. ``gate_trunk`` exists only when the gate has its
+# own first layer. Everything after ``prediction`` reads the PI and can be
+# exempt from weight decay, so the decayed parameters are one prefix of the
+# vector.
 COMPONENTS = ("prediction", "pi_trunk", "noise_head", "gate_head", "gate_trunk")
-# Everything but the prediction network reads the PI; training can exempt
-# these from weight decay.
-PI_COMPONENTS = COMPONENTS[1:]
 
 
 @dataclass
@@ -87,6 +86,12 @@ class PiDualModel:
     ``gate_head`` stacked on the shared ``pi_trunk`` (or on its own
     ``gate_trunk`` when ``share_first_layer`` is off). The fields up to
     ``gate_trunk`` are the components, in ``COMPONENTS`` order.
+
+    All parameters live in ``params``, one contiguous vector in roster order
+    (see ``nn_core.flatten``); every component tensor is a view of it, so one
+    optimizer step on ``params`` updates every component. Construction and
+    assigning a component copy the given tensors into a fresh vector; use
+    ``copy()``, not ``copy.deepcopy``, which copies each view on its own.
     """
 
     prediction: MlpParams
@@ -99,9 +104,27 @@ class PiDualModel:
     feature_dim: int = 0
     pi_dim: int = 0
     num_classes: int = 0
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._bind(nn_core.flatten(self.components()))
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name in COMPONENTS and "params" in self.__dict__:
+            self.__post_init__()
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make ``params`` the vector and rebind every component to views of it."""
+        nets = self.components()
+        for name, (weights, biases) in nn_core.tensor_views(params, nets).items():
+            net = MlpParams(weights, biases, list(nets[name].activations))
+            object.__setattr__(self, name, net)
+        object.__setattr__(self, "params", params)
 
     def copy(self) -> "PiDualModel":
-        return copy.deepcopy(self)
+        """An independent model: a copy of the vector with components viewing it."""
+        return replace(self, flags=replace(self.flags))
 
     def components(self) -> dict[str, MlpParams]:
         """The present components by roster name, in roster order."""
@@ -170,11 +193,8 @@ class ModelTape:
 
     model: PiDualModel = field(repr=False)
     batch_size: int = 0
-    pred_tape: Tape | None = field(default=None, repr=False)
-    trunk_tape: Tape | None = field(default=None, repr=False)
-    noise_tape: Tape | None = field(default=None, repr=False)
-    gate_trunk_tape: Tape | None = field(default=None, repr=False)
-    gate_tape: Tape | None = field(default=None, repr=False)
+    # one tape per component that ran, keyed by roster name
+    tapes: dict[str, Tape] = field(default_factory=dict, repr=False)
     pred_logits: np.ndarray | None = field(default=None, repr=False)
     noise_logits: np.ndarray | None = field(default=None, repr=False)
     gate: np.ndarray | None = field(default=None, repr=False)
@@ -203,18 +223,18 @@ def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> ModelT
 
     trunk_out = None
     if flags.use_noise_net or (flags.use_gate and model.share_first_layer):
-        trunk_out, tape.trunk_tape = mlp_forward(model.pi_trunk, pi_in)
+        trunk_out, tape.tapes["pi_trunk"] = mlp_forward(model.pi_trunk, pi_in)
 
     if flags.use_noise_net:
-        tape.noise_logits, tape.noise_tape = mlp_forward(model.noise_head, trunk_out)
+        tape.noise_logits, tape.tapes["noise_head"] = mlp_forward(model.noise_head, trunk_out)
     else:
         tape.noise_logits = np.zeros((x.shape[0], model.num_classes))
 
     if flags.use_gate:
         gate_in = trunk_out
         if not model.share_first_layer:
-            gate_in, tape.gate_trunk_tape = mlp_forward(model.gate_trunk, pi_in)
-        gate_col, tape.gate_tape = mlp_forward(model.gate_head, gate_in)
+            gate_in, tape.tapes["gate_trunk"] = mlp_forward(model.gate_trunk, pi_in)
+        gate_col, tape.tapes["gate_head"] = mlp_forward(model.gate_head, gate_in)
         tape.gate = gate_col[:, 0]
     return tape
 
@@ -230,7 +250,7 @@ def forward_train(
     the raw prediction and noise logits.
     """
     tape = _forward_pi_side(model, x, a)
-    tape.pred_logits, tape.pred_tape = mlp_forward(model.prediction, _as_batch(x))
+    tape.pred_logits, tape.tapes["prediction"] = mlp_forward(model.prediction, _as_batch(x))
     flags = model.flags
     f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
 
@@ -257,14 +277,16 @@ def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
 
 
 def backward_train(
-    model: PiDualModel, tape: ModelTape, labels: np.ndarray
+    model: PiDualModel, tape: ModelTape, labels: np.ndarray, out: np.ndarray | None = None
 ) -> dict[str, Gradients]:
     """Exact gradients of the mean combined-output cross-entropy.
 
     Includes the gate path d/dg[(1-g)f + g*eps] = eps - f, and accumulates
     the shared first layer's gradient from both the noise and gate paths.
     Returns one buffer per component, keyed like ``model.components()``;
-    components on an ablated path get zero gradients.
+    components on an ablated path get zero gradients. The buffers are views
+    of one gradient vector laid out like ``model.params``: ``out`` when it is
+    given, else a new one.
     """
     if tape.model is not model:
         raise ContractError("tape was produced by a different model")
@@ -297,32 +319,28 @@ def backward_train(
         d_noise_out = p_e * (dpe - (p_e * dpe).sum(axis=1, keepdims=True))
         d_gate_out = coef * (p_e[rows, labels] - p_f[rows, labels])
 
-    grads_pred, _ = mlp_backward(model.prediction, tape.pred_tape, d_pred)
+    nets, tapes = model.components(), tape.tapes
+    vector = np.empty_like(model.params) if out is None else out
+    grads = {name: Gradients(*views) for name, views in nn_core.tensor_views(vector, nets).items()}
+    if tapes.keys() != grads.keys():
+        vector.fill(0.0)  # ablated components keep these zeros; the rest is overwritten below
 
-    trunk_width = model.pi_trunk.out_dim
-    d_trunk_out = np.zeros((b, trunk_width))
-    grads_noise = Gradients.zeros_like(model.noise_head)
-    if flags.use_noise_net:
-        grads_noise, dh = mlp_backward(model.noise_head, tape.noise_tape, d_noise_out)
-        d_trunk_out += dh
+    def backprop(name: str, upstream: np.ndarray) -> np.ndarray:
+        return mlp_backward(nets[name], tapes[name], upstream, grads[name])[1]
 
-    grads_gate = Gradients.zeros_like(model.gate_head)
-    grads_gate_trunk = (
-        Gradients.zeros_like(model.gate_trunk) if model.gate_trunk is not None else None
-    )
-    if flags.use_gate:
-        grads_gate, d_gate_in = mlp_backward(model.gate_head, tape.gate_tape, d_gate_out[:, None])
+    backprop("prediction", d_pred)
+    d_trunk_out = np.zeros((b, model.pi_trunk.out_dim))
+    if "noise_head" in tapes:
+        d_trunk_out += backprop("noise_head", d_noise_out)
+    if "gate_head" in tapes:
+        d_gate_in = backprop("gate_head", d_gate_out[:, None])
         if model.share_first_layer:
             d_trunk_out += d_gate_in
         else:
-            grads_gate_trunk, _ = mlp_backward(model.gate_trunk, tape.gate_trunk_tape, d_gate_in)
-
-    grads_trunk = Gradients.zeros_like(model.pi_trunk)
-    if tape.trunk_tape is not None:
-        grads_trunk, _ = mlp_backward(model.pi_trunk, tape.trunk_tape, d_trunk_out)
-
-    in_roster_order = (grads_pred, grads_trunk, grads_noise, grads_gate, grads_gate_trunk)
-    return {name: g for name, g in zip(COMPONENTS, in_roster_order) if g is not None}
+            backprop("gate_trunk", d_gate_in)
+    if "pi_trunk" in tapes:
+        backprop("pi_trunk", d_trunk_out)
+    return grads
 
 
 def prediction_logits(model: PiDualModel, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ per-sample upstream gradients already divided by the batch size.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,15 +63,9 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
     @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
+    def size(self) -> int:
+        """Number of scalar parameters."""
+        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def equals(self, other: "MlpParams") -> bool:
         """Exact (bitwise) equality of all weight and bias tensors."""
@@ -87,13 +80,6 @@ class Gradients:
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
-
-    @staticmethod
-    def zeros_like(params: MlpParams) -> "Gradients":
-        return Gradients(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
 
 
 def init_mlp(dims: list[int], activations: list[str], seed: int) -> MlpParams:
@@ -124,11 +110,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Tape:
-    """Activation cache binding one forward pass to its parameters."""
+    """Activation cache binding one forward pass to its parameters.
+
+    ``outputs[0]`` is the (promoted) input and ``outputs[k + 1]`` layer k's
+    activated output; backward needs nothing else, because the ReLU mask and
+    the sigmoid derivative are both functions of the output.
+    """
 
     params: MlpParams = field(repr=False)
-    layer_inputs: list[np.ndarray] = field(repr=False)
-    pre_activations: list[np.ndarray] = field(repr=False)
+    outputs: list[np.ndarray] = field(repr=False)
     squeezed: bool = False
 
 
@@ -142,54 +132,57 @@ def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Forward pass; returns (output, tape) where the tape suffices for backward."""
+    """Forward pass; returns (output, tape) where the tape suffices for backward.
+
+    Each layer allocates one array: the bias and the ReLU are applied in place.
+    """
     h, squeezed = _promote(x)
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input dim {h.shape[1]} != first-layer in-dim {params.in_dim}")
-    inputs, pre_acts = [], []
+    outputs = [h]
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        inputs.append(h)
-        z = h @ w.T + b
-        pre_acts.append(z)
+        h = h @ w.T
+        h += b
         if act == RELU:
-            h = np.maximum(z, 0.0)
+            np.maximum(h, 0.0, out=h)
         elif act == SIGMOID:
-            h = sigmoid(z)
-        else:
-            h = z
-    tape = Tape(params, inputs, pre_acts, squeezed)
-    return (h[0] if squeezed else h), tape
+            h = sigmoid(h)
+        outputs.append(h)
+    return (h[0] if squeezed else h), Tape(params, outputs, squeezed)
 
 
 def mlp_backward(
-    params: MlpParams, tape: Tape, upstream: np.ndarray
+    params: MlpParams, tape: Tape, upstream: np.ndarray, out: Gradients | None = None
 ) -> tuple[Gradients, np.ndarray]:
     """Exact reverse-mode gradients of ``sum(output * upstream)``.
 
-    Returns (parameter gradients, gradient w.r.t. the forward input).
+    Returns (parameter gradients, gradient w.r.t. the forward input). The
+    parameter gradients are written into ``out`` when it is given.
     """
     if tape.params is not params:
         raise ContractError("tape was produced by a different parameter set")
     d, promoted = _promote(upstream)
     if promoted != tape.squeezed:
         raise ContractError("upstream batch shape does not match the forward pass")
-    if d.shape != (tape.layer_inputs[0].shape[0], params.out_dim):
+    if d.shape != (tape.outputs[0].shape[0], params.out_dim):
         raise ShapeError(f"upstream shape {d.shape} does not match network output")
-    grads = Gradients.zeros_like(params)
-    for k in range(params.num_layers - 1, -1, -1):
-        z = tape.pre_activations[k]
+    if out is None:
+        out = Gradients(
+            [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
+        )
+    for k in reversed(range(len(params.weights))):
+        h = tape.outputs[k + 1]
         act = params.activations[k]
         if act == RELU:
-            dz = d * (z > 0)
+            dz = d * (h > 0)
         elif act == SIGMOID:
-            s = sigmoid(z)
-            dz = d * s * (1.0 - s)
+            dz = d * h * (1.0 - h)
         else:
             dz = d
-        grads.d_weights[k][...] = dz.T @ tape.layer_inputs[k]
-        grads.d_biases[k][...] = dz.sum(axis=0)
+        np.matmul(dz.T, tape.outputs[k], out=out.d_weights[k])
+        np.sum(dz, axis=0, out=out.d_biases[k])
         d = dz @ params.weights[k]
-    return grads, (d[0] if tape.squeezed else d)
+    return out, (d[0] if tape.squeezed else d)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -200,24 +193,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_ce(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one logit vector against a class index.
-
-    Returns (loss, dlogits) with dlogits = softmax(logits) - onehot(label).
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ShapeError("logits must be a non-empty vector")
-    if not 0 <= label < logits.size:
-        raise ShapeError(f"label {label} out of range for {logits.size} classes")
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
-    loss = float(log_z - shifted[label])
-    dlogits = np.exp(shifted - log_z)
-    dlogits[label] -= 1.0
-    return loss, dlogits
 
 
 def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,29 +212,66 @@ def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
     return losses, dlogits
 
 
+# ---------------------------------------------------------------------------
+# Flat parameter vectors: several named nets whose tensors are views of one
+# contiguous float64 vector, laid out net by net, layer by layer, weight
+# before bias. One optimizer step then updates every tensor at once.
+# ---------------------------------------------------------------------------
+
+
+def _slots(nets: dict[str, MlpParams]):
+    """(net name, layer, "weight"/"bias", shape, start, stop) of each tensor, in vector order."""
+    start = 0
+    for name, net in nets.items():
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            for kind, t in (("weight", w), ("bias", b)):
+                yield name, k, kind, t.shape, start, start + t.size
+                start += t.size
+
+
+def flatten(nets: dict[str, MlpParams]) -> np.ndarray:
+    """A new vector holding a copy of every tensor of ``nets``, in vector order."""
+    return np.concatenate(
+        [t.ravel() for net in nets.values() for wb in zip(net.weights, net.biases) for t in wb]
+    )
+
+
+def tensor_views(
+    vector: np.ndarray, nets: dict[str, MlpParams]
+) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """(weights, biases) views of ``vector`` per net, shaped like the tensors of ``nets``."""
+    if vector.shape != (sum(net.size for net in nets.values()),):
+        raise ShapeError(f"a vector of shape {vector.shape} does not match the nets' tensors")
+    views: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {name: ([], []) for name in nets}
+    for name, _, kind, shape, start, stop in _slots(nets):
+        weights, biases = views[name]
+        (weights if kind == "weight" else biases).append(vector[start:stop].reshape(shape))
+    return views
+
+
+def locate(nets: dict[str, MlpParams], index: int) -> str:
+    """Names the tensor of ``nets`` that holds entry ``index`` of their vector."""
+    return next(f"{n} layer {k} {kind}" for n, k, kind, _, _, stop in _slots(nets) if index < stop)
+
+
 @dataclass
 class OptimizerState:
-    """SGD state: Nesterov velocities plus the step schedule.
+    """SGD state for one flat parameter vector: Nesterov velocity plus the schedule.
 
     The learning rate at epoch e is ``base_lr * decay_factor ** k`` where k
     counts the entries of ``decay_epochs`` with value <= e.
     """
 
-    velocities_w: list[np.ndarray]
-    velocities_b: list[np.ndarray]
-    step: int
+    velocity: np.ndarray
     base_lr: float
     momentum: float
     weight_decay: float
     decay_epochs: list[int]
     decay_factor: float
 
-    def copy(self) -> "OptimizerState":
-        return copy.deepcopy(self)
-
 
 def init_optimizer(
-    params: MlpParams,
+    params: np.ndarray,
     base_lr: float,
     momentum: float = 0.9,
     weight_decay: float = 0.0,
@@ -271,14 +283,8 @@ def init_optimizer(
     if not 0 < decay_factor <= 1:
         raise ConfigError("decay factor must be in (0, 1]")
     return OptimizerState(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        step=0,
-        base_lr=float(base_lr),
-        momentum=float(momentum),
-        weight_decay=float(weight_decay),
-        decay_epochs=sorted(decay_epochs or []),
-        decay_factor=float(decay_factor),
+        np.zeros_like(params), float(base_lr), float(momentum), float(weight_decay),
+        sorted(decay_epochs or []), float(decay_factor),
     )
 
 
@@ -288,36 +294,31 @@ def current_lr(state: OptimizerState, epoch: int) -> float:
 
 
 def sgd_step(
-    params: MlpParams,
-    grads: Gradients,
-    state: OptimizerState,
-    epoch: int,
-    decay_exempt: bool = False,
+    params: np.ndarray, grads: np.ndarray, state: OptimizerState, epoch: int,
+    decayed: int | None = None, layout: dict[str, MlpParams] | None = None,
 ) -> None:
-    """One in-place Nesterov update: v <- mu*v - lr*g; p <- p + mu*v - lr*g.
+    """One in-place Nesterov update of a flat vector: v <- mu*v - lr*g; p <- p + mu*v - lr*g.
 
-    Weight decay is added to the gradient (g <- g + wd*p) unless
-    ``decay_exempt``. With zero velocity history, lr=0 or zero gradients and
-    zero decay leave the parameters unchanged.
+    Weight decay is added to the gradient (g <- g + wd*p) on the first
+    ``decayed`` entries only (all of them when None). ``layout`` (nets whose
+    tensors are views of ``params``) is read only to name the tensor of a
+    non-finite gradient. With zero velocity history, lr=0 or zero gradients
+    and zero decay leave the parameters unchanged.
     """
-    lr = current_lr(state, epoch)
-    mu = state.momentum
-    wd = 0.0 if decay_exempt else state.weight_decay
-    tensors = (
-        list(zip(params.weights, grads.d_weights, state.velocities_w))
-        + list(zip(params.biases, grads.d_biases, state.velocities_b))
-    )
-    for idx, (p, g, v) in enumerate(tensors):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.isfinite(g).all():
-            n = params.num_layers
-            kind = "weight" if idx < n else "bias"
-            raise NumericError(f"non-finite gradient in layer {idx % n} {kind}")
-        if wd != 0.0:
-            g = g + wd * p
-        v *= mu
-        v -= lr * g
-        p += mu * v
-        p -= lr * g
-    state.step += 1
+    if grads.shape != params.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        where = locate(layout, index) if layout else f"entry {index}"
+        raise NumericError(f"non-finite gradient in {where}")
+    wd = state.weight_decay
+    update = grads.copy()
+    if wd != 0.0:
+        update[:decayed] += wd * params[:decayed]
+    update *= current_lr(state, epoch)
+    v = state.velocity
+    v *= state.momentum
+    v -= update
+    params += state.momentum * v
+    params -= update

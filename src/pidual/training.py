@@ -14,7 +14,7 @@ import concurrent.futures
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,21 +60,6 @@ class TrainConfig:
             raise ConfigError("random_pi_length must be >= 0")
 
 
-RECORD_COLUMNS = (
-    "epoch",
-    "train_acc_clean",
-    "train_acc_wrong",
-    "pred_acc_clean",
-    "pred_acc_wrong",
-    "noise_acc_clean",
-    "noise_acc_wrong",
-    "noisy_val_acc",
-    "clean_test_acc",
-    "mean_gate_clean",
-    "mean_gate_wrong",
-)
-
-
 @dataclass
 class TrainRecord:
     """Per-epoch metric table; every field is a float array of equal length."""
@@ -117,6 +102,10 @@ class TrainRecord:
         return TrainRecord(**cols)
 
 
+# The record CSV's header: the epoch, then the TrainRecord fields in order.
+RECORD_COLUMNS = ("epoch", *(f.name for f in fields(TrainRecord)))
+
+
 @dataclass
 class TrainResult:
     best_model: PiDualModel
@@ -149,12 +138,6 @@ def evaluate(
     return float((scores.argmax(axis=1) == labels).mean())
 
 
-def _masked_acc(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    if mask.sum() == 0:
-        return math.nan
-    return float((scores.argmax(axis=1)[mask] == labels[mask]).mean())
-
-
 def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     if mask.sum() == 0:
         return math.nan
@@ -166,15 +149,14 @@ def _train_subset_metrics(
 ) -> dict[str, float]:
     """The clean/wrong train-subset columns of the record from one forward pass."""
     combined, gate, tape = model_mod.forward_train(model, x, a)
-    clean = ~wrong
     heads = {"train": combined, "pred": tape.pred_logits, "noise": tape.noise_logits}
+    hits = {head: scores.argmax(axis=1) == y for head, scores in heads.items()}
     row = {}
-    for head, scores in heads.items():
-        row[f"{head}_acc_clean"] = _masked_acc(scores, y, clean)
-        row[f"{head}_acc_wrong"] = _masked_acc(scores, y, wrong)
-    if gate is not None:
-        row["mean_gate_clean"] = _masked_mean(gate, clean)
-        row["mean_gate_wrong"] = _masked_mean(gate, wrong)
+    for subset, mask in (("clean", ~wrong), ("wrong", wrong)):
+        for head, hit in hits.items():
+            row[f"{head}_acc_{subset}"] = _masked_mean(hit, mask)
+        if gate is not None:
+            row[f"mean_gate_{subset}"] = _masked_mean(gate, mask)
     return row
 
 
@@ -204,18 +186,14 @@ def train(
         )
 
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-    states = {
-        name: init_optimizer(
-            comp,
-            cfg.base_lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            decay_epochs=cfg.decay_epochs,
-            decay_factor=cfg.decay_factor,
-        )
-        for name, comp in model.components().items()
-    }
-    exempt = set(model_mod.PI_COMPONENTS) if cfg.exempt_pi_nets_from_wd else set()
+    state = init_optimizer(
+        model.params, cfg.base_lr, cfg.momentum, cfg.weight_decay, cfg.decay_epochs,
+        cfg.decay_factor,
+    )
+    # the PI components follow the prediction net in the vector (model.COMPONENTS)
+    decayed = model.prediction.size if cfg.exempt_pi_nets_from_wd else model.params.size
+    nets = model.components()
+    grads = np.empty_like(model.params)
 
     has_val = ds.split_indices(data_mod.SPLIT_NOISY_VAL).size > 0
     has_clean = ds.has_clean_labels
@@ -238,9 +216,8 @@ def train(
             loss = model_mod.training_loss(tape, y_tr[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-            grads = model_mod.backward_train(model, tape, y_tr[idx])
-            for name, comp in model.components().items():
-                sgd_step(comp, grads[name], states[name], epoch, name in exempt)
+            model_mod.backward_train(model, tape, y_tr[idx], out=grads)
+            sgd_step(model.params, grads, state, epoch, decayed, layout=nets)
 
         row = {c: math.nan for c in RECORD_COLUMNS[1:]}
         if collect_metrics and has_clean:

@@ -1,3 +1,4 @@
+import pidual  # noqa: F401  (first: numpy must load under the package's BLAS thread default)
 import numpy as np
 
 

@@ -147,9 +147,9 @@ def test_detect_cli_and_missing_clean_labels(tmp_path):
         ]
     )
     # the checkpoint was trained with random PI appended, the raw dataset
-    # lacks those columns: confidence works (prediction net only), gate needs
-    # the training-time PI, so regenerate with matching width instead
-    assert code in (0, 3)
+    # lacks those columns: gate needs the training-time PI, so detect rejects
+    # the input before scoring
+    assert code == 4
 
     stripped = out / "noclean.csv"
     ds = load_csv(out / "dataset.csv")
@@ -171,6 +171,15 @@ def test_detect_cli_and_missing_clean_labels(tmp_path):
     assert code == 2
 
 
+def run_module(args, env_updates=None, drop=()):
+    """``python -m`` in a fresh interpreter that imports pidual from this checkout."""
+    src = str(Path(pidual.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(env_updates or {})
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("missing", ["flags", "gate_head"])
 def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
     cfg_path, out = write_config(tmp_path)
@@ -180,20 +189,52 @@ def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
     doc = json.loads(ckpt.read_text())
     del doc[missing]
     ckpt.write_text(json.dumps(doc))
-    src = str(Path(pidual.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
+    proc = run_module(
         [
-            sys.executable, "-m", "pidual", "detect",
+            "-m", "pidual", "detect",
             "--checkpoint", str(ckpt),
             "--data", str(out / "dataset.csv"),
             "--out", str(tmp_path / "det"),
-        ],
-        capture_output=True, text=True, env=env,
+        ]
     )
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and missing in proc.stderr
+
+
+def test_detect_rejects_dataset_without_the_random_pi_block(tmp_path):
+    # gen's dataset lacks the random-PI columns that train appended before fitting
+    cfg_path, out = write_config(tmp_path)
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "train")]) == 0
+    proc = run_module(
+        [
+            "-m", "pidual", "detect", "--methods", "gate",
+            "--checkpoint", str(tmp_path / "train" / "best_checkpoint.json"),
+            "--data", str(out / "dataset.csv"),
+            "--out", str(tmp_path / "det"),
+        ]
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    pi_dim = load_csv(out / "dataset.csv").pi_dim  # random_pi_length is 2
+    assert f"{pi_dim} PI columns, the checkpoint expects {pi_dim + 2}" in proc.stderr
+    assert "random-PI" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "preset,expected",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "2"}, "unset")],
+)
+def test_blas_thread_default(preset, expected):
+    proc = run_module(
+        ["-c", "import os, pidual; print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))"],
+        env_updates=preset,
+        drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 def test_risk_closed_form_only(tmp_path):

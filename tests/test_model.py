@@ -271,3 +271,25 @@ def test_checkpoint_round_trip(tmp_path):
         stored = {name for name in COMPONENTS if doc[name] is not None}
         assert set(model.components()) == stored == set(grads)
         assert ("gate_trunk" in stored) == (not share)
+
+
+def test_copy_owns_its_vector_and_views_it():
+    model = small_model(share=False, seed=6)
+    before = model.params.copy()
+    twin = model.copy()
+    twin.params += 1.0
+    assert np.array_equal(model.params, before)
+    assert np.array_equal(twin.prediction.weights[0], model.prediction.weights[0] + 1.0)
+    for net in twin.components().values():
+        for t in net.weights + net.biases:
+            assert np.shares_memory(t, twin.params)
+            assert not np.shares_memory(t, model.params)
+
+
+def test_assigning_a_component_repacks_the_vector():
+    model = small_model(d=2, k=2)
+    model.prediction = MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY])
+    assert model.params.size == sum(net.size for net in model.components().values())
+    assert np.array_equal(model.params[:6], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    model.params[:4] = 0.0
+    assert np.all(model.prediction.weights[0] == 0.0)

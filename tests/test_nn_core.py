@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from pidual import nn_core
 from pidual.errors import ConfigError, ContractError, NumericError, ShapeError
+from pidual.model import build_model
 from pidual.nn_core import (
-    Gradients,
     MlpParams,
     init_mlp,
     init_optimizer,
@@ -16,11 +17,29 @@ from pidual.nn_core import (
     mlp_forward,
     sgd_step,
     softmax,
-    softmax_ce,
     softmax_ce_batch,
 )
 
 from conftest import finite_difference, rel_err
+
+
+def softmax_ce(logits, label):
+    """Cross-entropy of one logit vector against a class index: the oracle
+    for ``softmax_ce_batch``.
+
+    Returns (loss, dlogits) with dlogits = softmax(logits) - onehot(label).
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 1 or logits.size == 0:
+        raise ShapeError("logits must be a non-empty vector")
+    if not 0 <= label < logits.size:
+        raise ShapeError(f"label {label} out of range for {logits.size} classes")
+    shifted = logits - logits.max()
+    log_z = np.log(np.exp(shifted).sum())
+    loss = float(log_z - shifted[label])
+    dlogits = np.exp(shifted - log_z)
+    dlogits[label] -= 1.0
+    return loss, dlogits
 
 
 def identity_net(dim):
@@ -174,29 +193,33 @@ def test_softmax_properties(logits, shift):
     assert abs(base - shifted) < 1e-9
 
 
+def scalar_net():
+    """A 1x1 identity layer with weight 1 and bias 0, flattened to [1.0, 0.0]."""
+    net = MlpParams([np.array([[1.0]])], [np.zeros(1)], [nn_core.IDENTITY])
+    return nn_core.flatten({"net": net})
+
+
 def test_sgd_zero_grads_noop():
-    net = init_mlp([2, 3], [nn_core.IDENTITY], seed=0)
-    before = net.copy()
-    state = init_optimizer(net, base_lr=0.1, momentum=0.9, weight_decay=0.0)
-    sgd_step(net, Gradients.zeros_like(net), state, epoch=0)
-    assert net.equals(before)
+    params = nn_core.flatten({"net": init_mlp([2, 3], [nn_core.IDENTITY], seed=0)})
+    before = params.copy()
+    state = init_optimizer(params, base_lr=0.1, momentum=0.9, weight_decay=0.0)
+    sgd_step(params, np.zeros_like(params), state, epoch=0)
+    assert np.array_equal(params, before)
 
 
 def test_sgd_zero_lr_noop():
-    net = init_mlp([2, 3], [nn_core.IDENTITY], seed=0)
-    before = net.copy()
-    state = init_optimizer(net, base_lr=0.0, momentum=0.9, weight_decay=1e-2)
-    grads = Gradients([np.ones((3, 2))], [np.ones(3)])
-    sgd_step(net, grads, state, epoch=0)
-    assert net.equals(before)
+    params = nn_core.flatten({"net": init_mlp([2, 3], [nn_core.IDENTITY], seed=0)})
+    before = params.copy()
+    state = init_optimizer(params, base_lr=0.0, momentum=0.9, weight_decay=1e-2)
+    sgd_step(params, np.ones_like(params), state, epoch=0)
+    assert np.array_equal(params, before)
 
 
 def test_sgd_plain_scalar_step():
-    net = MlpParams([np.array([[1.0]])], [np.zeros(1)], [nn_core.IDENTITY])
-    state = init_optimizer(net, base_lr=0.1, momentum=0.0, weight_decay=0.0)
-    grads = Gradients([np.array([[1.0]])], [np.zeros(1)])
-    sgd_step(net, grads, state, epoch=0)
-    assert abs(net.weights[0][0, 0] - 0.9) < 1e-15
+    params = scalar_net()
+    state = init_optimizer(params, base_lr=0.1, momentum=0.0, weight_decay=0.0)
+    sgd_step(params, np.array([1.0, 0.0]), state, epoch=0)
+    assert abs(params[0] - 0.9) < 1e-15
 
 
 def test_sgd_nesterov_matches_scalar_oracle():
@@ -211,28 +234,27 @@ def test_sgd_nesterov_matches_scalar_oracle():
         w = w + mu * v - lr * g
         expected.append(w)
 
-    net = MlpParams([np.array([[1.0]])], [np.zeros(1)], [nn_core.IDENTITY])
-    state = init_optimizer(net, base_lr=lr, momentum=mu, weight_decay=0.0)
+    params = scalar_net()
+    state = init_optimizer(params, base_lr=lr, momentum=mu, weight_decay=0.0)
     for step in range(2):
-        grads = Gradients([net.weights[0].copy()], [np.zeros(1)])
-        sgd_step(net, grads, state, epoch=0)
-        assert abs(net.weights[0][0, 0] - expected[step]) < 1e-15
+        sgd_step(params, np.array([params[0], 0.0]), state, epoch=0)
+        assert abs(params[0] - expected[step]) < 1e-15
 
 
 def test_sgd_weight_decay_and_exemption():
-    net = MlpParams([np.array([[1.0]])], [np.zeros(1)], [nn_core.IDENTITY])
-    state = init_optimizer(net, base_lr=0.1, momentum=0.0, weight_decay=0.5)
-    sgd_step(net, Gradients([np.zeros((1, 1))], [np.zeros(1)]), state, epoch=0)
-    assert abs(net.weights[0][0, 0] - 0.95) < 1e-15  # decayed by lr*wd*w
-    exempt_net = MlpParams([np.array([[1.0]])], [np.zeros(1)], [nn_core.IDENTITY])
-    state2 = init_optimizer(exempt_net, base_lr=0.1, momentum=0.0, weight_decay=0.5)
-    sgd_step(exempt_net, Gradients([np.zeros((1, 1))], [np.zeros(1)]), state2, epoch=0, decay_exempt=True)
-    assert exempt_net.weights[0][0, 0] == 1.0
+    params = scalar_net()
+    state = init_optimizer(params, base_lr=0.1, momentum=0.0, weight_decay=0.5)
+    sgd_step(params, np.zeros(2), state, epoch=0)
+    assert abs(params[0] - 0.95) < 1e-15  # decayed by lr*wd*w
+    exempt = scalar_net()
+    state2 = init_optimizer(exempt, base_lr=0.1, momentum=0.0, weight_decay=0.5)
+    sgd_step(exempt, np.zeros(2), state2, epoch=0, decayed=0)
+    assert exempt[0] == 1.0
 
 
 def test_sgd_step_schedule():
-    net = init_mlp([1, 1], [nn_core.IDENTITY], seed=0)
-    state = init_optimizer(net, base_lr=1.0, decay_epochs=[3, 6], decay_factor=0.2)
+    params = nn_core.flatten({"net": init_mlp([1, 1], [nn_core.IDENTITY], seed=0)})
+    state = init_optimizer(params, base_lr=1.0, decay_epochs=[3, 6], decay_factor=0.2)
     assert nn_core.current_lr(state, 0) == 1.0
     assert nn_core.current_lr(state, 2) == 1.0
     assert abs(nn_core.current_lr(state, 3) - 0.2) < 1e-15
@@ -241,14 +263,64 @@ def test_sgd_step_schedule():
 
 def test_sgd_nonfinite_gradient_reports_tensor():
     net = init_mlp([2, 2], [nn_core.IDENTITY], seed=0)
-    state = init_optimizer(net, base_lr=0.1)
-    grads = Gradients.zeros_like(net)
-    grads.d_weights[0][0, 0] = np.nan
-    with pytest.raises(NumericError, match="layer 0 weight"):
-        sgd_step(net, grads, state, epoch=0)
+    params = nn_core.flatten({"net": net})
+    state = init_optimizer(params, base_lr=0.1)
+    grads = np.zeros_like(params)
+    grads[0] = np.nan
+    with pytest.raises(NumericError, match="net layer 0 weight"):
+        sgd_step(params, grads, state, epoch=0, layout={"net": net})
 
 
 def test_negative_lr_rejected():
-    net = init_mlp([2, 2], [nn_core.IDENTITY], seed=0)
+    params = nn_core.flatten({"net": init_mlp([2, 2], [nn_core.IDENTITY], seed=0)})
     with pytest.raises(ConfigError):
-        init_optimizer(net, base_lr=-0.1)
+        init_optimizer(params, base_lr=-0.1)
+
+
+def per_tensor_nesterov(p, g, v, lr, mu, wd):
+    """The per-tensor update, one tensor at a time, as the flat step must reproduce it."""
+    if wd != 0.0:
+        g = g + wd * p
+    v *= mu
+    v -= lr * g
+    p += mu * v
+    p -= lr * g
+
+
+def test_flat_step_matches_per_tensor_nesterov_bitwise():
+    model = build_model(3, 4, 3, pred_hidden=(6, 5), pi_width=5, share_first_layer=False, seed=9)
+    nets = {name: copy.deepcopy(net) for name, net in model.components().items()}
+    velocities = {
+        name: [np.zeros_like(t) for t in net.weights + net.biases] for name, net in nets.items()
+    }
+    lr, mu, wd = 0.05, 0.9, 1e-2
+    state = init_optimizer(model.params, lr, momentum=mu, weight_decay=wd)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        grads = rng.standard_normal(model.params.shape)
+        views = nn_core.tensor_views(grads, nets)
+        for name, net in nets.items():
+            decay = wd if name == "prediction" else 0.0  # the PI components are exempt
+            tensors = net.weights + net.biases
+            grad_tensors = views[name][0] + views[name][1]
+            for p, g, v in zip(tensors, grad_tensors, velocities[name]):
+                per_tensor_nesterov(p, g, v, lr, mu, decay)
+        sgd_step(model.params, grads, state, epoch=0, decayed=model.prediction.size)
+    for name, net in model.components().items():
+        assert net.equals(nets[name])
+
+
+@pytest.mark.parametrize(
+    "name,layer,kind",
+    [("prediction", 1, "weight"), ("noise_head", 1, "bias"), ("gate_head", 0, "weight")],
+)
+def test_flat_step_names_the_nonfinite_tensor(name, layer, kind):
+    model = build_model(3, 4, 3, pred_hidden=(6, 5), pi_width=5, seed=2)
+    before = model.params.copy()
+    grads = np.zeros_like(model.params)
+    weights, biases = nn_core.tensor_views(grads, model.components())[name]
+    (weights if kind == "weight" else biases)[layer].flat[-1] = np.nan
+    state = init_optimizer(model.params, base_lr=0.1)
+    with pytest.raises(NumericError, match=f"{name} layer {layer} {kind}"):
+        sgd_step(model.params, grads, state, epoch=0, layout=model.components())
+    assert np.array_equal(model.params, before)

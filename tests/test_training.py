@@ -64,10 +64,9 @@ def test_zero_epochs_rejected():
 def test_zero_lr_leaves_parameters_unchanged():
     ds = tiny_dataset()
     model = tiny_model(ds)
-    before = {name: net.copy() for name, net in model.components().items()}
+    before = model.params.copy()
     result = train(model, ds, tiny_cfg(epochs=1, base_lr=0.0))
-    for name, net in model.components().items():
-        assert net.equals(before[name])
+    assert np.array_equal(model.params, before)
     assert len(result.record) == 1
 
 
