@@ -30,13 +30,11 @@ from .detection import DetectionReport, confidence_scores, detect, gate_scores, 
 from .linear_risk import (
     LinearRiskSetup,
     RiskBreakdown,
-    closed_form_risk_ols,
-    closed_form_risk_pidual,
+    closed_form_risk,
     compare_risks,
     make_setup,
+    masked_fit,
     monte_carlo_risk,
-    ols_fit,
-    pidual_fit,
 )
 from .model import (
     AblationFlags,

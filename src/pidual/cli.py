@@ -233,57 +233,44 @@ def cmd_risk(args: argparse.Namespace) -> int:
     r = cfg.risk
     base_seed = derive_seed(cfg.seed, "risk")
 
-    def one_row(setup_id: str, setup, fit_mask) -> list[str]:
-        comparison = risk_mod.compare_risks(setup, fit_mask)
-        mc_ols = mc_pi = None
-        if r.resamples > 0:
-            mc_ols = risk_mod.monte_carlo_risk(
-                setup, risk_mod.ESTIMATOR_OLS, r.resamples, derive_seed(base_seed, setup_id, "ols")
-            )
-            mc_pi = risk_mod.monte_carlo_risk(
-                setup,
-                risk_mod.ESTIMATOR_PIDUAL,
-                r.resamples,
-                derive_seed(base_seed, setup_id, "pidual"),
-                fit_mask=fit_mask,
-            )
-        return risk_mod.risk_row(setup_id, setup, comparison, mc_ols, mc_pi)
+    def make_setup(n_clean=r.n_clean, sigma=r.sigma, seed=base_seed):
+        return risk_mod.make_setup(
+            r.n, r.d, r.m, n_clean, sigma, seed, r.coef_scale, r.pi_coef_scale
+        )
+
+    # one (setup_id, sweep value, setup, fit mask) per sweep point
+    points = []
+    if r.sweep == "none":
+        setup = make_setup()
+        points.append(("base", 0.0, setup, setup.clean_mask))
+    elif r.sweep == "corruption":
+        setup = make_setup()
+        for flips in r.sweep_values:
+            seed = derive_seed(base_seed, "corrupt", flips)
+            mask = risk_mod.corrupt_mask(setup.clean_mask, flips, seed)
+            points.append((f"corrupt_{flips}", flips, setup, mask))
+    elif r.sweep == "n2":
+        for n2 in r.sweep_values:
+            setup = make_setup(n_clean=r.n - n2, seed=derive_seed(base_seed, "n2", n2))
+            points.append((f"n2_{n2}", n2, setup, setup.clean_mask))
+    else:  # sigma sweep over a fixed design
+        for sigma in r.sweep_values:
+            setup = make_setup(sigma=sigma)
+            points.append((f"sigma_{sigma:g}", sigma, setup, setup.clean_mask))
 
     rows = []
-    sweep_points: list[float] = []
-    if r.sweep == "none":
-        setup = risk_mod.make_setup(
-            r.n, r.d, r.m, r.n_clean, r.sigma, base_seed, r.coef_scale, r.pi_coef_scale
-        )
-        rows.append(one_row("base", setup, setup.clean_mask))
-        sweep_points = [0.0]
-    elif r.sweep == "corruption":
-        setup = risk_mod.make_setup(
-            r.n, r.d, r.m, r.n_clean, r.sigma, base_seed, r.coef_scale, r.pi_coef_scale
-        )
-        for value in r.sweep_values:
-            flips = int(value)
-            mask = risk_mod.corrupt_mask(
-                setup.clean_mask, flips, derive_seed(base_seed, "corrupt", flips)
-            )
-            rows.append(one_row(f"corrupt_{flips}", setup, mask))
-            sweep_points.append(flips)
-    elif r.sweep == "n2":
-        for value in r.sweep_values:
-            n2 = int(value)
-            setup = risk_mod.make_setup(
-                r.n, r.d, r.m, r.n - n2, r.sigma, derive_seed(base_seed, "n2", n2),
-                r.coef_scale, r.pi_coef_scale,
-            )
-            rows.append(one_row(f"n2_{n2}", setup, setup.clean_mask))
-            sweep_points.append(n2)
-    else:  # sigma sweep over a fixed design
-        for value in r.sweep_values:
-            setup = risk_mod.make_setup(
-                r.n, r.d, r.m, r.n_clean, value, base_seed, r.coef_scale, r.pi_coef_scale
-            )
-            rows.append(one_row(f"sigma_{value:g}", setup, setup.clean_mask))
-            sweep_points.append(value)
+    for setup_id, _, setup, fit_mask in points:
+        comparison = risk_mod.compare_risks(setup, fit_mask)
+        mc = [None, None]
+        if r.resamples > 0:
+            mc = [
+                risk_mod.monte_carlo_risk(
+                    setup, mask, r.resamples, derive_seed(base_seed, setup_id, name)
+                )
+                for name, mask in (("ols", setup.all_rows), ("pidual", fit_mask))
+            ]
+        rows.append(risk_mod.risk_row(setup_id, setup, comparison, *mc))
+    sweep_points = [value for _, value, _, _ in points]
 
     risk_mod.write_risk_csv(out / "risk.csv", rows)
     cols = {name: i for i, name in enumerate(risk_mod.RISK_CSV_COLUMNS)}

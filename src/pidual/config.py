@@ -20,7 +20,7 @@ from .data import SynthConfig
 from .errors import ConfigError
 from .model import AblationFlags, ModelConfig
 from .seeding import derive_seed
-from .training import GridSpec, TrainConfig
+from .training import GRID_AXES, GridSpec, TrainConfig
 
 _DEFAULTS: dict[str, dict[str, str]] = {
     "experiment": {"seed": "0"},
@@ -77,24 +77,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     "output": {"directory": "runs/out"},
 }
 
-_GRID_AXIS_TYPES = {
-    "base_lr": float,
-    "weight_decay": float,
-    "momentum": float,
-    "decay_factor": float,
-    "epochs": int,
-    "batch_size": int,
-    "random_pi_length": int,
-    "pi_width": int,
-    "use_gate": "bool",
-    "use_noise_net": "bool",
-    "share_first_layer": "bool",
-    "exempt_pi_nets_from_wd": "bool",
-    "gate_space": str,
-    "noise_input": str,
-}
-
-
 def _parse_bool(raw: str, where: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -133,7 +115,7 @@ class RiskSection:
     pi_coef_scale: float
     resamples: int
     sweep: str
-    sweep_values: list[float]
+    sweep_values: list[float] | list[int]  # ints for the corruption and n2 sweeps
 
 
 @dataclass
@@ -250,19 +232,14 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         if "grid" in merged and any(merged.get("grid", {})):
             axes = {}
             for axis, raw in merged["grid"].items():
-                if axis not in _GRID_AXIS_TYPES:
-                    raise ConfigError(f"grid.{axis}: unknown axis")
-                kind = _GRID_AXIS_TYPES[axis]
-                if kind == "bool":
-                    axes[axis] = [
-                        _parse_bool(v, f"grid.{axis}")
-                        for v in raw.split(",")
-                        if v.strip()
-                    ]
-                elif kind is str:
-                    axes[axis] = [v.strip() for v in raw.split(",") if v.strip()]
+                where = f"grid.{axis}"
+                if axis not in GRID_AXES:
+                    raise ConfigError(f"{where}: unknown axis")
+                cast = GRID_AXES[axis]
+                if cast is bool:
+                    axes[axis] = [_parse_bool(v, where) for v in _parse_list(raw, str, where)]
                 else:
-                    axes[axis] = _parse_list(raw, kind, f"grid.{axis}")
+                    axes[axis] = _parse_list(raw, cast, where)
             grid = GridSpec(axes)
             grid.validate()
 
@@ -270,6 +247,20 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         sweep = rsec["sweep"].strip().lower()
         if sweep not in ("none", "corruption", "n2", "sigma"):
             raise ConfigError(f"risk.sweep: unknown sweep {sweep!r}")
+        sweep_values = _parse_list(rsec["sweep_values"], float, "risk.sweep_values")
+        if sweep != "none" and not sweep_values:
+            raise ConfigError(f"risk.sweep_values: the {sweep} sweep needs at least one value")
+        if sweep in ("corruption", "n2"):
+            # counts: flipped mask entries, noisy rows
+            if not all(v >= 0 and v.is_integer() for v in sweep_values):
+                raise ConfigError(
+                    f"risk.sweep_values: the {sweep} sweep takes non-negative integers, "
+                    f"got {rsec['sweep_values'].strip()!r}"
+                )
+            sweep_values = [int(v) for v in sweep_values]
+        resamples = int(rsec["resamples"])
+        if resamples < 0:
+            raise ConfigError(f"risk.resamples: must be >= 0 (0 = closed form only), got {resamples}")
         risk_section = RiskSection(
             n=int(rsec["n"]),
             d=int(rsec["d"]),
@@ -278,9 +269,9 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
             sigma=float(rsec["sigma"]),
             coef_scale=float(rsec["coef_scale"]),
             pi_coef_scale=float(rsec["pi_coef_scale"]),
-            resamples=int(rsec["resamples"]),
+            resamples=resamples,
             sweep=sweep,
-            sweep_values=_parse_list(rsec["sweep_values"], float, "risk.sweep_values"),
+            sweep_values=sweep_values,
         )
 
         osec = merged["output"]

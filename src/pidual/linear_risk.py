@@ -9,11 +9,15 @@ mean squared error on fresh clean targets, with the design held fixed:
 
     R(theta) = (1/n1) * ||clean_mask * X @ (theta - feature_coef)||^2 + sigma^2
 
-where n1 counts the clean rows. Both estimators admit closed-form expected
-risks (a bias term driven by the gap X@feature_coef - A@pi_coef, a variance
-trace term, and the irreducible sigma^2); ``monte_carlo_risk`` estimates the
-same expectation by resampling the training noise and refitting, which is the
-independent oracle the closed forms are checked against.
+where n1 counts the clean rows. There is one estimator, the masked gated
+fit: rows selected by a fit mask go to the feature path, the rest to the PI
+path. OLS is the special case whose mask selects every row
+(``LinearRiskSetup.all_rows``), which leaves the PI path empty. The estimator
+admits a closed-form expected risk (a bias term driven by the gap
+X@feature_coef - A@pi_coef, a variance trace term, and the irreducible
+sigma^2); ``monte_carlo_risk`` estimates the same expectation by resampling the
+training noise and refitting, which is the independent oracle the closed form
+is checked against.
 
 All solves go through factorizations (SVD least squares / dense solve) with a
 condition guard of 1e10 on the Gram matrices; explicit inverses are never
@@ -32,9 +36,8 @@ from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
 _MC_CHUNK = 4096
-
-ESTIMATOR_OLS = "ols"
-ESTIMATOR_PIDUAL = "pidual"
+_MIN_SINGULAR = 1e-6  # floor on the smallest singular value of a drawn design
+_MAX_TRIES = 5  # draws before an exactly rank-deficient design is an error
 
 
 @dataclass
@@ -65,8 +68,10 @@ class LinearRiskSetup:
         """Per-row gap between the feature-path and PI-path contributions."""
         return self.features @ self.feature_coef - self.pi @ self.pi_coef
 
-    def clean_targets(self) -> np.ndarray:
-        return self.clean_mask * (self.features @ self.feature_coef)
+    @property
+    def all_rows(self) -> np.ndarray:
+        """The fit mask that puts every row on the feature path: fitting with it is OLS."""
+        return np.ones(self.n, dtype=bool)
 
     def noiseless_targets(self) -> np.ndarray:
         return self.clean_mask * (self.features @ self.feature_coef) + (
@@ -95,8 +100,6 @@ class RiskComparison:
     pidual_preferred: bool
     trace_ols: float
     trace_pidual: float
-    trace_ols_heuristic: float  # d * n1 / n, reported only as a diagnostic
-    trace_pidual_heuristic: float  # d * n1 / n_selected
 
 
 def make_setup(
@@ -108,8 +111,6 @@ def make_setup(
     seed: int,
     coef_scale: float = 1.0,
     pi_coef_scale: float = 1.0,
-    min_singular: float = 1e-6,
-    max_tries: int = 5,
 ) -> LinearRiskSetup:
     """Standard-Gaussian designs, rescaled to meet a minimum-singular-value
     floor (retried when a draw is exactly rank-deficient)."""
@@ -123,13 +124,13 @@ def make_setup(
     designs = []
     for cols in (d, m):
         mat = None
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             cand = rng.standard_normal((n, cols))
             smin = np.linalg.svd(cand, compute_uv=False)[-1]
             if smin <= 0:
                 continue
-            if smin < min_singular:
-                cand = cand * (min_singular / smin)
+            if smin < _MIN_SINGULAR:
+                cand = cand * (_MIN_SINGULAR / smin)
             mat = cand
             break
         if mat is None:
@@ -217,16 +218,11 @@ def projected_features(setup: LinearRiskSetup, fit_mask: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Estimators.
+# The estimator.
 # ---------------------------------------------------------------------------
 
 
-def ols_fit(setup: LinearRiskSetup, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients on the full feature design, ignoring PI."""
-    return _lstsq_guarded(setup.features, np.asarray(y, dtype=np.float64), "feature design")
-
-
-def pidual_fit(setup: LinearRiskSetup, y: np.ndarray, fit_mask: np.ndarray) -> np.ndarray:
+def masked_fit(setup: LinearRiskSetup, y: np.ndarray, fit_mask: np.ndarray) -> np.ndarray:
     """Feature coefficients of the jointly-fit masked model.
 
     Rows selected by ``fit_mask`` go to the feature path, the rest to the PI
@@ -236,21 +232,8 @@ def pidual_fit(setup: LinearRiskSetup, y: np.ndarray, fit_mask: np.ndarray) -> n
     return _lstsq_guarded(x_proj, np.asarray(y, dtype=np.float64), "projected feature design")
 
 
-def _fit_batch(
-    setup: LinearRiskSetup, targets: np.ndarray, estimator: str, fit_mask: np.ndarray | None
-) -> np.ndarray:
-    if estimator == ESTIMATOR_OLS:
-        return _lstsq_guarded(setup.features, targets, "feature design")
-    if estimator == ESTIMATOR_PIDUAL:
-        if fit_mask is None:
-            raise ConfigError("the gated estimator requires a fit mask")
-        x_proj = projected_features(setup, fit_mask)
-        return _lstsq_guarded(x_proj, targets, "projected feature design")
-    raise ConfigError(f"unknown estimator {estimator!r}")
-
-
 # ---------------------------------------------------------------------------
-# Closed-form expected risks.
+# Closed-form expected risk.
 # ---------------------------------------------------------------------------
 
 
@@ -261,27 +244,12 @@ def _trace_solve(gram: np.ndarray, gram_clean: np.ndarray, what: str) -> float:
     return float(np.trace(np.linalg.solve(gram, gram_clean)))
 
 
-def closed_form_risk_ols(setup: LinearRiskSetup) -> RiskBreakdown:
-    """Expected OLS risk: projection-leakage bias + variance trace + sigma^2."""
-    x = setup.features
-    n1 = setup.n_clean
-    gram = x.T @ x
-    x_clean = x * setup.clean_mask[:, None]
-    gram_clean = x_clean.T @ x_clean
-    noisy_gap = (~setup.clean_mask) * setup.contribution_gap
-    # clean_mask * Pi_x * noisy_gap, with Pi_x applied via a guarded solve
-    proj = x @ _lstsq_guarded(x, noisy_gap, "feature design")
-    bias_vec = setup.clean_mask * proj
-    bias = float(bias_vec @ bias_vec) / n1
-    variance = setup.noise_std**2 / n1 * _trace_solve(gram, gram_clean, "feature Gram")
-    return RiskBreakdown(bias, variance, setup.noise_std**2)
-
-
-def closed_form_risk_pidual(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskBreakdown:
-    """Expected risk of the gated estimator under an arbitrary fit mask.
+def closed_form_risk(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskBreakdown:
+    """Expected risk of the masked estimator: bias + variance trace + sigma^2.
 
     The bias scales only with the disagreements between the fit mask and the
-    true clean mask.
+    true clean mask; with ``setup.all_rows`` it is the OLS projection leakage
+    of the noisy rows' gap.
     """
     x = setup.features
     n1 = setup.n_clean
@@ -303,18 +271,15 @@ def closed_form_risk_pidual(setup: LinearRiskSetup, fit_mask: np.ndarray) -> Ris
 
 
 def monte_carlo_risk_stats(
-    setup: LinearRiskSetup,
-    estimator: str,
-    resamples: int,
-    seed: int,
-    fit_mask: np.ndarray | None = None,
+    setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
 ) -> tuple[float, float]:
-    """(mean risk, standard error) over fresh training-noise draws.
+    """(mean risk, standard error) of the masked estimator over fresh
+    training-noise draws.
 
-    Each draw refits the estimator on resampled targets and scores the clean
-    rows; the expectation over fresh evaluation noise enters analytically as
-    +sigma^2. Draws are generated in fixed chunks with derived substreams, so
-    the result is independent of any parallel execution order.
+    Each draw refits on resampled targets and scores the clean rows; the
+    expectation over fresh evaluation noise enters analytically as +sigma^2.
+    Draws are generated in fixed chunks with derived substreams, so the result
+    is independent of any parallel execution order.
     """
     if resamples < 1:
         raise ConfigError("resamples must be >= 1")
@@ -325,19 +290,20 @@ def monte_carlo_risk_stats(
     risks = []
     done = 0
     chunk_index = 0
-    while done < resamples:
-        size = min(_MC_CHUNK, resamples - done)
-        rng = np.random.default_rng(derive_seed(seed, "chunk", chunk_index))
-        noise = setup.noise_std * rng.standard_normal((setup.n, size))
-        targets = base[:, None] + noise
-        try:
-            coefs = _fit_batch(setup, targets, estimator, fit_mask)
-        except NumericError as exc:
-            raise NumericError(f"estimator failed on draws [{done}, {done + size}): {exc}") from exc
-        residual = clean_x @ coefs - clean_fit[:, None]
-        risks.append((residual**2).sum(axis=0) / n1)
-        done += size
-        chunk_index += 1
+    try:
+        design = projected_features(setup, fit_mask)
+        while done < resamples:
+            size = min(_MC_CHUNK, resamples - done)
+            rng = np.random.default_rng(derive_seed(seed, "chunk", chunk_index))
+            noise = setup.noise_std * rng.standard_normal((setup.n, size))
+            targets = base[:, None] + noise
+            coefs = _lstsq_guarded(design, targets, "projected feature design")
+            residual = clean_x @ coefs - clean_fit[:, None]
+            risks.append((residual**2).sum(axis=0) / n1)
+            done += size
+            chunk_index += 1
+    except NumericError as exc:
+        raise NumericError(f"estimator failed on draws [{done}, {resamples}): {exc}") from exc
     risk_draws = np.concatenate(risks) + setup.noise_std**2
     mean = float(risk_draws.mean())
     stderr = (
@@ -347,22 +313,17 @@ def monte_carlo_risk_stats(
 
 
 def monte_carlo_risk(
-    setup: LinearRiskSetup,
-    estimator: str,
-    resamples: int,
-    seed: int,
-    fit_mask: np.ndarray | None = None,
+    setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
 ) -> float:
-    return monte_carlo_risk_stats(setup, estimator, resamples, seed, fit_mask)[0]
+    return monte_carlo_risk_stats(setup, fit_mask, resamples, seed)[0]
 
 
 def compare_risks(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskComparison:
-    """Closed-form risks of both estimators plus the preference flag."""
-    ols = closed_form_risk_ols(setup)
-    gated = closed_form_risk_pidual(setup, fit_mask)
+    """Closed-form risks of OLS (``setup.all_rows``) and of ``fit_mask``, plus
+    the preference flag."""
+    ols = closed_form_risk(setup, setup.all_rows)
+    gated = closed_form_risk(setup, fit_mask)
     n1 = setup.n_clean
-    d = setup.features.shape[1]
-    n_selected = int(np.asarray(fit_mask, dtype=bool).sum())
     sigma2 = setup.noise_std**2
     trace_ols = ols.variance_term * n1 / sigma2 if sigma2 > 0 else float("nan")
     trace_gated = gated.variance_term * n1 / sigma2 if sigma2 > 0 else float("nan")
@@ -372,8 +333,6 @@ def compare_risks(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskCompariso
         pidual_preferred=ols.total > gated.total,
         trace_ols=trace_ols,
         trace_pidual=trace_gated,
-        trace_ols_heuristic=d * n1 / setup.n,
-        trace_pidual_heuristic=d * n1 / n_selected if n_selected else float("nan"),
     )
 
 

@@ -23,7 +23,7 @@ from . import data as data_mod
 from . import model as model_mod
 from .data import PiDataset, RandomPiSpec, augment_random_pi
 from .errors import ConfigError, ContractError, NumericError
-from .model import ModelConfig, PiDualModel
+from .model import AblationFlags, ModelConfig, PiDualModel
 from .nn_core import init_optimizer, sgd_step
 from .seeding import derive_seed
 
@@ -248,18 +248,25 @@ def train(
 # Trials and grid search.
 # ---------------------------------------------------------------------------
 
-_TRAIN_AXES = {
-    "epochs",
-    "batch_size",
-    "base_lr",
-    "decay_factor",
-    "momentum",
-    "weight_decay",
-    "random_pi_length",
-    "exempt_pi_nets_from_wd",
+# The grid axes and the type of their values. Each names a field of exactly one
+# of TrainConfig, ModelConfig and AblationFlags, which apply_grid_point
+# overrides.
+GRID_AXES = {
+    "base_lr": float,
+    "weight_decay": float,
+    "momentum": float,
+    "decay_factor": float,
+    "epochs": int,
+    "batch_size": int,
+    "random_pi_length": int,
+    "exempt_pi_nets_from_wd": bool,
+    "pi_width": int,
+    "share_first_layer": bool,
+    "use_gate": bool,
+    "use_noise_net": bool,
+    "gate_space": str,
+    "noise_input": str,
 }
-_MODEL_AXES = {"pi_width", "share_first_layer"}
-_FLAG_AXES = {"use_gate", "use_noise_net", "gate_space", "noise_input"}
 
 
 @dataclass
@@ -272,7 +279,7 @@ class GridSpec:
         if not self.axes:
             raise ConfigError("grid must have at least one axis")
         for name, values in self.axes.items():
-            if name not in _TRAIN_AXES | _MODEL_AXES | _FLAG_AXES:
+            if name not in GRID_AXES:
                 raise ConfigError(f"unknown grid axis {name!r}")
             if not values:
                 raise ConfigError(f"grid axis {name!r} has no candidate values")
@@ -318,14 +325,13 @@ class TrialOutcome:
 def apply_grid_point(
     base_cfg: TrainConfig, model_cfg: ModelConfig, params: dict
 ) -> tuple[TrainConfig, ModelConfig]:
-    cfg_over = {k: v for k, v in params.items() if k in _TRAIN_AXES}
-    cfg = replace(base_cfg, **cfg_over)
-    model_over = {k: v for k, v in params.items() if k in _MODEL_AXES}
-    flag_over = {k: v for k, v in params.items() if k in _FLAG_AXES}
-    mcfg = replace(model_cfg, **model_over)
-    if flag_over:
-        mcfg = replace(mcfg, flags=replace(mcfg.flags, **flag_over))
-    return cfg, mcfg
+    def over(cls) -> dict:
+        names = {f.name for f in fields(cls)}
+        return {k: v for k, v in params.items() if k in names}
+
+    cfg = replace(base_cfg, **over(TrainConfig))
+    flags = replace(model_cfg.flags, **over(AblationFlags))
+    return cfg, replace(model_cfg, flags=flags, **over(ModelConfig))
 
 
 def run_trial(

@@ -18,17 +18,13 @@ import pytest
 from pidual.data import SynthConfig, generate_synthetic, split_dataset, strip_pi
 from pidual.detection import detect, roc_auc
 from pidual.linear_risk import (
-    ESTIMATOR_OLS,
-    ESTIMATOR_PIDUAL,
-    closed_form_risk_ols,
-    closed_form_risk_pidual,
+    closed_form_risk,
     corrupt_mask,
     make_setup,
     masked_designs,
+    masked_fit,
     monte_carlo_risk_stats,
-    ols_fit,
     pi_projector,
-    pidual_fit,
     projected_features,
 )
 from pidual.model import (
@@ -183,12 +179,10 @@ def test_criterion_risk_exactness():
     for i in range(20):
         setup = make_setup(200, 8, 8, 120, 1.0, seed=1000 + i, pi_coef_scale=3.0)
         mask = corrupt_mask(setup.clean_mask, i % 6, seed=i)
-        closed_ols = closed_form_risk_ols(setup).total
-        closed_pi = closed_form_risk_pidual(setup, mask).total
-        mc_ols, se_ols = monte_carlo_risk_stats(setup, ESTIMATOR_OLS, 50_000, seed=4000 + i)
-        mc_pi, se_pi = monte_carlo_risk_stats(
-            setup, ESTIMATOR_PIDUAL, 50_000, seed=4500 + i, fit_mask=mask
-        )
+        closed_ols = closed_form_risk(setup, setup.all_rows).total
+        closed_pi = closed_form_risk(setup, mask).total
+        mc_ols, se_ols = monte_carlo_risk_stats(setup, setup.all_rows, 50_000, seed=4000 + i)
+        mc_pi, se_pi = monte_carlo_risk_stats(setup, mask, 50_000, seed=4500 + i)
         z_ols = abs(mc_ols - closed_ols) / se_ols
         z_pi = abs(mc_pi - closed_pi) / se_pi
         worst_z = max(worst_z, z_ols, z_pi)
@@ -197,9 +191,9 @@ def test_criterion_risk_exactness():
 
     # zero-bias certificates
     all_clean = make_setup(150, 6, 6, 150, 1.0, seed=77)
-    assert closed_form_risk_ols(all_clean).bias_term <= 1e-10
+    assert closed_form_risk(all_clean, all_clean.all_rows).bias_term <= 1e-10
     mixed = make_setup(150, 6, 6, 90, 1.0, seed=78, pi_coef_scale=3.0)
-    assert closed_form_risk_pidual(mixed, mixed.clean_mask).bias_term <= 1e-10
+    assert closed_form_risk(mixed, mixed.clean_mask).bias_term <= 1e-10
 
     # projector idempotence and left-inverse identity
     proj = pi_projector(mixed, mixed.clean_mask)
@@ -230,7 +224,7 @@ def test_criterion_estimator_oracles():
         setup = make_setup(80, 5, 6, 45, 1.0, seed=200 + i)
         y = setup.sample_targets(np.random.default_rng(300 + i))
         mask = corrupt_mask(setup.clean_mask, 5, seed=i)
-        fitted = pidual_fit(setup, y, mask)
+        fitted = masked_fit(setup, y, mask)
         x_bar, a_bar = masked_designs(setup, mask)
         design = np.hstack([x_bar, a_bar])
         joint = np.linalg.solve(design.T @ design, design.T @ y)[:5]
@@ -238,7 +232,7 @@ def test_criterion_estimator_oracles():
     assert worst_joint < 1e-8
 
     noiseless = make_setup(80, 5, 4, 80, 0.0, seed=55)
-    recovered = ols_fit(noiseless, noiseless.noiseless_targets())
+    recovered = masked_fit(noiseless, noiseless.noiseless_targets(), noiseless.all_rows)
     ols_err = float(np.max(np.abs(recovered - noiseless.feature_coef)))
     assert ols_err < 1e-8
     report(

@@ -272,6 +272,31 @@ def test_risk_monte_carlo_within_tolerance(tmp_path):
     assert abs(closed - mc) / closed < 0.1
 
 
+@pytest.mark.parametrize(
+    "risk,field",
+    [
+        pytest.param({"sweep": "n2", "sweep_values": ""}, "risk.sweep_values", id="n2-empty"),
+        pytest.param(
+            {"sweep": "corruption", "sweep_values": ""}, "risk.sweep_values", id="corruption-empty"
+        ),
+        pytest.param(
+            {"sweep": "corruption", "sweep_values": "2.5,2"},
+            "risk.sweep_values",
+            id="corruption-fractional",
+        ),
+        pytest.param({"sweep": "n2", "sweep_values": "-4"}, "risk.sweep_values", id="n2-negative"),
+        pytest.param({"resamples": "-5"}, "risk.resamples", id="negative-resamples"),
+    ],
+)
+def test_risk_rejects_malformed_sweep(tmp_path, risk, field):
+    cfg_path, out = write_config(tmp_path, overrides={"risk": risk})
+    proc = run_module(["-m", "pidual", "risk", "--config", str(cfg_path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and field in proc.stderr
+    assert not (out / "risk.csv").exists()
+
+
 def test_ablate_smoke(tmp_path):
     cfg_path, out = write_config(tmp_path)
     assert main(["ablate", "--config", str(cfg_path)]) == 0
@@ -317,6 +342,16 @@ def test_seed_override_changes_streams(tmp_path):
     cfg_b = load_experiment_config(cfg_path, seed_override=99)
     assert cfg_a.seed != cfg_b.seed
     assert cfg_a.train.seed != cfg_b.train.seed
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini")),
+    ids=lambda p: p.name,
+)
+def test_shipped_config_loads(path):
+    cfg = load_experiment_config(path)
+    if cfg.grid is not None:
+        cfg.grid.validate()
 
 
 def test_unknown_config_key_rejected(tmp_path):

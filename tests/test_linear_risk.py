@@ -3,20 +3,16 @@ import pytest
 
 from pidual.errors import NumericError, SetupError
 from pidual.linear_risk import (
-    ESTIMATOR_OLS,
-    ESTIMATOR_PIDUAL,
     LinearRiskSetup,
-    closed_form_risk_ols,
-    closed_form_risk_pidual,
+    closed_form_risk,
     compare_risks,
     corrupt_mask,
     make_setup,
     masked_designs,
+    masked_fit,
     monte_carlo_risk,
     monte_carlo_risk_stats,
-    ols_fit,
     pi_projector,
-    pidual_fit,
     projected_features,
 )
 
@@ -54,19 +50,19 @@ def test_make_setup_underdetermined_rejected():
 def test_ols_recovers_noiseless_all_clean():
     s = make_setup(60, 5, 4, 60, 0.0, seed=3)
     y = s.noiseless_targets()
-    w = ols_fit(s, y)
+    w = masked_fit(s, y, s.all_rows)
     assert np.max(np.abs(w - s.feature_coef)) < 1e-8
 
 
 def test_ols_zero_targets():
     s = make_setup(30, 3, 2, 20, 1.0, seed=4)
-    assert np.allclose(ols_fit(s, np.zeros(30)), 0.0)
+    assert np.allclose(masked_fit(s, np.zeros(30), s.all_rows), 0.0)
 
 
 def test_ols_matches_normal_equations_oracle():
     s = make_setup(25, 2, 2, 15, 1.0, seed=5)
     y = s.sample_targets(np.random.default_rng(0))
-    w = ols_fit(s, y)
+    w = masked_fit(s, y, s.all_rows)
     x = s.features
     oracle = np.linalg.solve(x.T @ x, x.T @ y)  # LU route, not SVD
     assert np.max(np.abs(w - oracle)) < 1e-10
@@ -75,15 +71,15 @@ def test_ols_matches_normal_equations_oracle():
 def test_pidual_recovers_with_true_mask_no_noise():
     s = make_setup(80, 5, 4, 50, 0.0, seed=6)
     y = s.noiseless_targets()
-    w = pidual_fit(s, y, s.clean_mask)
+    w = masked_fit(s, y, s.clean_mask)
     assert np.max(np.abs(w - s.feature_coef)) < 1e-8
 
 
 def test_pidual_with_full_mask_reduces_to_ols():
     s = make_setup(40, 4, 3, 25, 1.0, seed=7)
     y = s.sample_targets(np.random.default_rng(1))
-    full = np.ones(s.n, dtype=bool)
-    assert np.max(np.abs(pidual_fit(s, y, full) - ols_fit(s, y))) < 1e-10
+    ols = np.linalg.lstsq(s.features, y, rcond=None)[0]
+    assert np.array_equal(masked_fit(s, y, s.all_rows), ols)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -92,7 +88,7 @@ def test_pidual_matches_joint_lstsq_oracle(seed):
     rng = np.random.default_rng(100 + seed)
     y = s.sample_targets(rng)
     mask = corrupt_mask(s.clean_mask, 6, seed=seed)
-    w = pidual_fit(s, y, mask)
+    w = masked_fit(s, y, mask)
     oracle = joint_lstsq_oracle(s, y, mask)
     assert np.max(np.abs(w - oracle)) < 1e-8
 
@@ -101,7 +97,7 @@ def test_pidual_rank_deficient_mask_rejected():
     s = make_setup(30, 3, 5, 28, 1.0, seed=8)
     # only 2 noisy rows but 5 PI columns: masked PI block cannot be full rank
     with pytest.raises(NumericError):
-        pidual_fit(s, np.zeros(30), s.clean_mask)
+        masked_fit(s, np.zeros(30), s.clean_mask)
 
 
 def test_projector_identities():
@@ -120,7 +116,7 @@ def test_projector_identities():
 
 def test_ols_risk_zero_bias_when_all_clean():
     s = make_setup(40, 3, 3, 40, 0.7, seed=10)
-    risk = closed_form_risk_ols(s)
+    risk = closed_form_risk(s, s.all_rows)
     assert risk.bias_term <= 1e-10
     assert risk.irreducible == pytest.approx(0.49)
     assert risk.total == risk.bias_term + risk.variance_term + risk.irreducible
@@ -136,18 +132,18 @@ def test_ols_risk_single_point_symbolic_case():
         clean_mask=np.array([True]),
         noise_std=1.0,
     )
-    risk = closed_form_risk_ols(s)
+    risk = closed_form_risk(s, s.all_rows)
     assert risk.bias_term == pytest.approx(0.0, abs=1e-12)
     assert risk.variance_term == pytest.approx(1.0, abs=1e-12)
     assert risk.irreducible == 1.0
     assert risk.total == pytest.approx(2.0, abs=1e-12)
-    mc, se = monte_carlo_risk_stats(s, ESTIMATOR_OLS, resamples=50_000, seed=1)
+    mc, se = monte_carlo_risk_stats(s, s.all_rows, resamples=50_000, seed=1)
     assert abs(mc - 2.0) < 3.0 * se
 
 
 def test_ols_bias_scales_quadratically_with_gap():
     s = make_setup(50, 3, 3, 30, 1.0, seed=11)
-    base = closed_form_risk_ols(s).bias_term
+    base = closed_form_risk(s, s.all_rows).bias_term
     scaled = LinearRiskSetup(
         features=s.features,
         pi=s.pi,
@@ -156,21 +152,23 @@ def test_ols_bias_scales_quadratically_with_gap():
         clean_mask=s.clean_mask,
         noise_std=s.noise_std,
     )
-    assert closed_form_risk_ols(scaled).bias_term == pytest.approx(9.0 * base, rel=1e-10)
+    assert closed_form_risk(scaled, scaled.all_rows).bias_term == pytest.approx(
+        9.0 * base, rel=1e-10
+    )
 
 
 def test_pidual_risk_zero_bias_with_true_mask():
     s = make_setup(60, 4, 4, 35, 1.0, seed=12)
-    risk = closed_form_risk_pidual(s, s.clean_mask)
+    risk = closed_form_risk(s, s.clean_mask)
     assert risk.bias_term <= 1e-10
 
 
 def test_single_flip_changes_bias_and_variance_consistently():
     s = make_setup(60, 4, 4, 35, 1.0, seed=13)
-    base = closed_form_risk_pidual(s, s.clean_mask)
+    base = closed_form_risk(s, s.clean_mask)
     flipped_mask = s.clean_mask.copy()
     flipped_mask[0] = False  # route one clean row to the PI path
-    flipped = closed_form_risk_pidual(s, flipped_mask)
+    flipped = closed_form_risk(s, flipped_mask)
     assert flipped.bias_term > base.bias_term
     assert flipped.irreducible == base.irreducible
     assert flipped.total == flipped.bias_term + flipped.variance_term + flipped.irreducible
@@ -178,27 +176,23 @@ def test_single_flip_changes_bias_and_variance_consistently():
 
 def test_monte_carlo_zero_noise_zero_bias():
     s = make_setup(50, 4, 3, 30, 0.0, seed=14)
-    risk = monte_carlo_risk(s, ESTIMATOR_PIDUAL, resamples=3, seed=0, fit_mask=s.clean_mask)
+    risk = monte_carlo_risk(s, s.clean_mask, resamples=3, seed=0)
     assert abs(risk) < 1e-18
 
 
 def test_monte_carlo_deterministic():
     s = make_setup(50, 4, 3, 30, 1.0, seed=15)
-    r1 = monte_carlo_risk(s, ESTIMATOR_OLS, resamples=1, seed=5)
-    r2 = monte_carlo_risk(s, ESTIMATOR_OLS, resamples=1, seed=5)
+    r1 = monte_carlo_risk(s, s.all_rows, resamples=1, seed=5)
+    r2 = monte_carlo_risk(s, s.all_rows, resamples=1, seed=5)
     assert r1 == r2
 
 
-@pytest.mark.parametrize("estimator", [ESTIMATOR_OLS, ESTIMATOR_PIDUAL])
+@pytest.mark.parametrize("estimator", ["ols", "pidual"])
 def test_monte_carlo_agrees_with_closed_form(estimator):
     s = make_setup(100, 5, 5, 60, 1.0, seed=16, pi_coef_scale=3.0)
-    mask = corrupt_mask(s.clean_mask, 4, seed=2)
-    if estimator == ESTIMATOR_OLS:
-        closed = closed_form_risk_ols(s).total
-        mc, se = monte_carlo_risk_stats(s, estimator, resamples=20_000, seed=3)
-    else:
-        closed = closed_form_risk_pidual(s, mask).total
-        mc, se = monte_carlo_risk_stats(s, estimator, resamples=20_000, seed=3, fit_mask=mask)
+    mask = s.all_rows if estimator == "ols" else corrupt_mask(s.clean_mask, 4, seed=2)
+    closed = closed_form_risk(s, mask).total
+    mc, se = monte_carlo_risk_stats(s, mask, resamples=20_000, seed=3)
     assert abs(mc - closed) < 3.0 * se
 
 
@@ -236,7 +230,7 @@ def test_bias_grows_with_corruption_on_average():
         total = 0.0
         for t in range(trials):
             mask = corrupt_mask(s.clean_mask, flips, seed=1000 * flips + t)
-            total += closed_form_risk_pidual(s, mask).bias_term
+            total += closed_form_risk(s, mask).bias_term
         return total / trials
 
     assert mean_bias(1) < mean_bias(4) < mean_bias(8)
@@ -246,4 +240,4 @@ def test_monte_carlo_propagates_estimator_failure_with_draw_range():
     s = make_setup(30, 3, 5, 28, 1.0, seed=20)
     # only 2 noisy rows for 5 PI columns: the gated estimator cannot be fit
     with pytest.raises(NumericError, match=r"draws \[0, "):
-        monte_carlo_risk(s, ESTIMATOR_PIDUAL, resamples=10, seed=0, fit_mask=s.clean_mask)
+        monte_carlo_risk(s, s.clean_mask, resamples=10, seed=0)

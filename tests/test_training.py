@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from pidual.model import (
 )
 from pidual import nn_core
 from pidual.training import (
+    GRID_AXES,
     GridSpec,
     TrainConfig,
     TrainRecord,
+    apply_grid_point,
     evaluate,
     run_grid,
     run_trial,
@@ -324,6 +328,16 @@ def test_grid_reruns_identically_and_failures_are_marked():
 def test_grid_rejects_unknown_axis():
     with pytest.raises(ConfigError):
         GridSpec({"learning": [1]}).validate()
+
+
+def test_grid_axes_each_name_one_config_field():
+    owners = [{f.name for f in fields(cls)} for cls in (TrainConfig, ModelConfig, AblationFlags)]
+    for axis in GRID_AXES:
+        assert sum(axis in names for names in owners) == 1, axis
+    cfg, mcfg = apply_grid_point(
+        TrainConfig(), ModelConfig(), {"base_lr": 0.3, "pi_width": 5, "use_gate": False}
+    )
+    assert (cfg.base_lr, mcfg.pi_width, mcfg.flags.use_gate) == (0.3, 5, False)
 
 
 def test_grid_parallel_matches_serial():
