@@ -140,6 +140,8 @@ def _trial_doc(t: TrialOutcome) -> dict:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_experiment_config(args.config, args.seed)
     out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
@@ -363,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override the top-level seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
     p_gen = sub.add_parser("gen", help="generate a dataset CSV + metadata sidecar")
     common(p_gen)
@@ -371,6 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a single trial or a grid")
     common(p_train)
+    p_train.add_argument(
+        "--workers", type=int, default=1, help="parallel grid-trial processes (>= 1)"
+    )
     p_train.set_defaults(func=cmd_train)
 
     p_detect = sub.add_parser("detect", help="score wrong-label detection on a train split")

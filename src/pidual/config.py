@@ -248,6 +248,11 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         if sweep not in ("none", "corruption", "n2", "sigma"):
             raise ConfigError(f"risk.sweep: unknown sweep {sweep!r}")
         sweep_values = _parse_list(rsec["sweep_values"], float, "risk.sweep_values")
+        if sweep == "none" and sweep_values:
+            raise ConfigError(
+                "risk.sweep_values: sweep = none takes no values, "
+                f"got {rsec['sweep_values'].strip()!r}"
+            )
         if sweep != "none" and not sweep_values:
             raise ConfigError(f"risk.sweep_values: the {sweep} sweep needs at least one value")
         if sweep in ("corruption", "n2"):

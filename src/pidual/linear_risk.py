@@ -19,9 +19,10 @@ sigma^2); ``monte_carlo_risk`` estimates the same expectation by resampling the
 training noise and refitting, which is the independent oracle the closed form
 is checked against.
 
-All solves go through factorizations (SVD least squares / dense solve) with a
-condition guard of 1e10 on the Gram matrices; explicit inverses are never
-formed.
+The fits and closed forms solve through factorizations (SVD least squares /
+dense solve); the Monte-Carlo oracle forms one SVD pseudo-inverse of the
+projected design per call and applies it to every chunk of draws as a matmul.
+Every route carries a condition guard of 1e10 on the Gram matrices.
 """
 from __future__ import annotations
 
@@ -165,15 +166,34 @@ def corrupt_mask(mask: np.ndarray, flips: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lstsq_guarded(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Least-squares solve with full-rank and condition checks."""
-    sol, _, rank, svals = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < design.shape[1]:
-        raise NumericError(f"{what} is rank-deficient (rank {rank} < {design.shape[1]})")
+def _check_singular_values(svals: np.ndarray, shape: tuple[int, int], what: str) -> None:
+    """Full-rank and Gram-condition checks on a design's singular values.
+
+    The rank counts the values above ``lstsq``'s default cutoff,
+    eps * max(n, d) times the largest one.
+    """
+    cutoff = np.finfo(np.float64).eps * max(shape) * svals[0]
+    rank = int((svals > cutoff).sum())
+    if rank < shape[1]:
+        raise NumericError(f"{what} is rank-deficient (rank {rank} < {shape[1]})")
     cond_gram = (svals[0] / svals[-1]) ** 2
     if cond_gram > COND_LIMIT:
         raise NumericError(f"{what} Gram matrix condition {cond_gram:.2e} exceeds {COND_LIMIT:.0e}")
+
+
+def _lstsq_guarded(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Least-squares solve with full-rank and condition checks."""
+    sol, _, _, svals = np.linalg.lstsq(design, rhs, rcond=None)
+    _check_singular_values(svals, design.shape, what)
     return sol
+
+
+def _pinv_guarded(design: np.ndarray, what: str) -> np.ndarray:
+    """The (d, n) pseudo-inverse of a full-column-rank design, from one SVD,
+    with the checks of ``_lstsq_guarded``."""
+    u, svals, vt = np.linalg.svd(design, full_matrices=False)
+    _check_singular_values(svals, design.shape, what)
+    return (vt.T / svals) @ u.T
 
 
 def masked_designs(
@@ -291,13 +311,16 @@ def monte_carlo_risk_stats(
     done = 0
     chunk_index = 0
     try:
-        design = projected_features(setup, fit_mask)
+        # the fit is linear in the targets: factor the design once, and each
+        # chunk's refit is one matmul
+        solver = _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
         while done < resamples:
             size = min(_MC_CHUNK, resamples - done)
             rng = np.random.default_rng(derive_seed(seed, "chunk", chunk_index))
-            noise = setup.noise_std * rng.standard_normal((setup.n, size))
-            targets = base[:, None] + noise
-            coefs = _lstsq_guarded(design, targets, "projected feature design")
+            targets = rng.standard_normal((setup.n, size))
+            targets *= setup.noise_std
+            targets += base[:, None]
+            coefs = solver @ targets
             residual = clean_x @ coefs - clean_fit[:, None]
             risks.append((residual**2).sum(axis=0) / n1)
             done += size

@@ -380,13 +380,16 @@ def run_grid(
 
     Returns outcomes ranked by best noisy-validation accuracy (failed trials
     last); trials are independent and run in parallel when ``workers > 1``.
+    The pool never outnumbers the trials: a process pool forks every worker
+    at its first submit, whether or not a job is left for it.
     """
     grid.validate()
     jobs = [
         (i, params, ds, base_cfg, model_cfg) for i, params in enumerate(grid.points())
     ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(jobs))
+    if pool_size > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_run_grid_point, jobs))
     else:
         outcomes = [_run_grid_point(job) for job in jobs]

@@ -286,6 +286,9 @@ def test_risk_monte_carlo_within_tolerance(tmp_path):
         ),
         pytest.param({"sweep": "n2", "sweep_values": "-4"}, "risk.sweep_values", id="n2-negative"),
         pytest.param({"resamples": "-5"}, "risk.resamples", id="negative-resamples"),
+        pytest.param(
+            {"sweep": "none", "sweep_values": "0,2"}, "risk.sweep_values", id="none-with-values"
+        ),
     ],
 )
 def test_risk_rejects_malformed_sweep(tmp_path, risk, field):
@@ -295,6 +298,26 @@ def test_risk_rejects_malformed_sweep(tmp_path, risk, field):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and field in proc.stderr
     assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_train_rejects_workers_below_one(tmp_path, workers):
+    cfg_path, out = write_config(tmp_path)
+    proc = run_module(["-m", "pidual", "train", "--config", str(cfg_path), "--workers", workers])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "--workers" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "risk", "ablate"])
+def test_only_train_offers_workers(tmp_path, command, capsys):
+    cfg_path, out = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_smoke(tmp_path):

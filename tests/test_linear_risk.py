@@ -15,6 +15,7 @@ from pidual.linear_risk import (
     pi_projector,
     projected_features,
 )
+from pidual.seeding import derive_seed
 
 
 def joint_lstsq_oracle(setup, y, fit_mask):
@@ -241,3 +242,33 @@ def test_monte_carlo_propagates_estimator_failure_with_draw_range():
     # only 2 noisy rows for 5 PI columns: the gated estimator cannot be fit
     with pytest.raises(NumericError, match=r"draws \[0, "):
         monte_carlo_risk(s, s.clean_mask, resamples=10, seed=0)
+
+
+@pytest.mark.parametrize("which", ["ols", "corrupted"])
+def test_monte_carlo_matches_chunkwise_lstsq_refit(which):
+    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
+    mask = s.all_rows if which == "ols" else corrupt_mask(s.clean_mask, 5, seed=4)
+    resamples, seed = 5000, 9  # a full 4096-draw chunk and a partial one
+    design = projected_features(s, mask)
+    clean_x = s.features[s.clean_mask]
+    risks = []
+    for index, start in enumerate(range(0, resamples, 4096)):
+        rng = np.random.default_rng(derive_seed(seed, "chunk", index))
+        noise = s.noise_std * rng.standard_normal((s.n, min(4096, resamples - start)))
+        coefs = np.linalg.lstsq(design, s.noiseless_targets()[:, None] + noise, rcond=None)[0]
+        residual = clean_x @ (coefs - s.feature_coef[:, None])
+        risks.append((residual**2).sum(axis=0) / s.n_clean)
+    draws = np.concatenate(risks) + s.noise_std**2
+    mean, stderr = monte_carlo_risk_stats(s, mask, resamples, seed)
+    assert mean == pytest.approx(draws.mean(), rel=1e-12)
+    assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(resamples), rel=1e-12)
+
+
+def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
+    s = make_setup(50, 3, 3, 30, 1.0, seed=22)
+    features = s.features.copy()
+    features[:, 0] *= 1e6  # Gram condition of order 1e12
+    bad = LinearRiskSetup(features, s.pi, s.feature_coef, s.pi_coef, s.clean_mask, s.noise_std)
+    with pytest.raises(NumericError, match=r"condition .* exceeds") as exc:
+        monte_carlo_risk(bad, bad.all_rows, resamples=10, seed=0)
+    assert "draws [0, 10)" in str(exc.value)

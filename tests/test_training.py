@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import fields
 
 import numpy as np
@@ -351,6 +352,35 @@ def test_grid_parallel_matches_serial():
     for a, b in zip(serial, parallel):
         assert a.best_noisy_val_acc == b.best_noisy_val_acc
         assert np.array_equal(a.record.noisy_val_acc, b.record.noisy_val_acc)
+
+
+def test_grid_pool_never_outnumbers_trials(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs jobs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    ds = tiny_dataset(n=150, seed=17)
+    cfg = tiny_cfg(epochs=1)
+    model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8)
+    outcomes = run_grid(GridSpec({"base_lr": [0.1, 0.02]}), ds, cfg, model_cfg, workers=64)
+    assert sizes == [2]
+    assert [t.status for t in outcomes] == ["ok", "ok"]
+    run_grid(GridSpec({"base_lr": [0.1]}), ds, cfg, model_cfg, workers=64)
+    assert sizes == [2]  # one trial runs in this process, with no pool
 
 
 def test_nonfinite_loss_aborts_with_diagnostics():
