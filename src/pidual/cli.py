@@ -143,6 +143,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_experiment_config(args.config, args.seed)
+    if cfg.grid is None and args.workers > 1:
+        raise ConfigError(
+            f"--workers {args.workers} runs grid trials in parallel, but the config has no [grid]"
+        )
     out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
 
@@ -352,8 +356,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage block.
+
+    The subcommand parsers are built with this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"usage error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pidual",
         description="Noisy-label training with privileged information: data "
         "generation, gated dual-network training, wrong-label detection, and "
@@ -373,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a single trial or a grid")
     common(p_train)
     p_train.add_argument(
-        "--workers", type=int, default=1, help="parallel grid-trial processes (>= 1)"
+        "--workers", type=int, default=1,
+        help="parallel grid-trial processes (>= 1; above 1 needs a [grid])",
     )
     p_train.set_defaults(func=cmd_train)
 

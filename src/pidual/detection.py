@@ -74,14 +74,14 @@ def roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
         raise ContractError("no negative samples: AUC undefined")
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
+    # tie group k spans sorted positions first[k]..last[k]; `!=` keeps equal
+    # infinities together, which a difference (inf - inf = nan) would split
+    breaks = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    first = np.concatenate(([0], breaks))
+    last = np.concatenate((breaks, [scores.size])) - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks
-        i = j + 1
+    # the average of the group's 1-based ranks
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = ranks[positives].sum()
     u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))

@@ -170,6 +170,9 @@ def train(
 
     Returns the snapshot at the best noisy-validation epoch (ties -> earliest),
     the final model and the per-epoch record. Deterministic given the seed.
+    One worker thread evaluates each epoch's snapshot while the next epoch
+    trains; it is joined before this returns or raises, and an exception it
+    raises is raised here.
     """
     cfg.validate()
     x_tr, a_tr, y_tr = ds.train_arrays()
@@ -202,43 +205,59 @@ def train(
         ds.wrong_mask_of(data_mod.SPLIT_TRAIN) if (has_clean and collect_metrics) else None
     )
 
+    def epoch_row(snap: PiDualModel) -> dict[str, float]:
+        row = {c: math.nan for c in RECORD_COLUMNS[1:]}
+        if wrong_train is not None:
+            # one train-split pass; its tape is freed before the val and test passes
+            row.update(_train_subset_metrics(snap, x_tr, a_tr, y_tr, wrong_train))
+        if has_val:
+            row["noisy_val_acc"] = evaluate(snap, ds, data_mod.SPLIT_NOISY_VAL)
+        if collect_metrics and has_clean and has_test:
+            row["clean_test_acc"] = evaluate(
+                snap, ds, data_mod.SPLIT_CLEAN_TEST, "clean", HEAD_PREDICTION
+            )
+        return row
+
     n = x_tr.shape[0]
     columns: dict[str, list[float]] = {c: [] for c in RECORD_COLUMNS[1:]}
     best_acc = -math.inf
     best_epoch = -1
     best_model: PiDualModel | None = None
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            _, _, tape = model_mod.forward_train(model, x_tr[idx], a_tr[idx])
-            loss = model_mod.training_loss(tape, y_tr[idx])
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-            model_mod.backward_train(model, tape, y_tr[idx], out=grads)
-            sgd_step(model.params, grads, state, epoch, decayed, layout=nets)
-
-        row = {c: math.nan for c in RECORD_COLUMNS[1:]}
-        if collect_metrics and has_clean:
-            # one train-split pass; its tape is freed before the val and test passes
-            row.update(_train_subset_metrics(model, x_tr, a_tr, y_tr, wrong_train))
-        noisy_val = evaluate(model, ds, data_mod.SPLIT_NOISY_VAL) if has_val else math.nan
-        row["noisy_val_acc"] = noisy_val
-        if collect_metrics and has_clean and has_test:
-            row["clean_test_acc"] = evaluate(
-                model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", HEAD_PREDICTION
-            )
+    def resolve(epoch: int, snap: PiDualModel, future: concurrent.futures.Future) -> None:
+        nonlocal best_acc, best_epoch, best_model
+        row = future.result()
         for col, value in row.items():
             columns[col].append(value)
-
-        if has_val and noisy_val > best_acc:
-            best_acc = noisy_val
+        if has_val and row["noisy_val_acc"] > best_acc:
+            best_acc = row["noisy_val_acc"]
             best_epoch = epoch
-            best_model = model.copy()
+            best_model = snap
+
+    # Epoch e is evaluated on its own snapshot in a second thread while this one
+    # runs the steps of epoch e + 1; evaluation is BLAS work on whole splits,
+    # which releases the GIL, and the steps are Python-bound.
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = perm[start : start + cfg.batch_size]
+                _, _, tape = model_mod.forward_train(model, x_tr[idx], a_tr[idx])
+                loss = model_mod.training_loss(tape, y_tr[idx])
+                if not math.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
+                model_mod.backward_train(model, tape, y_tr[idx], out=grads)
+                sgd_step(model.params, grads, state, epoch, decayed, layout=nets)
+
+            if pending is not None:
+                resolve(*pending)
+            snap = model.copy()
+            pending = (epoch, snap, pool.submit(epoch_row, snap))
+        resolve(*pending)
 
     if best_model is None:
-        best_model = model.copy()
+        best_model = snap
         best_epoch = cfg.epochs - 1
     record = TrainRecord(**{c: np.asarray(v) for c, v in columns.items()})
     return TrainResult(best_model, model, record, best_epoch)

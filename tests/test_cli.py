@@ -320,6 +320,36 @@ def test_only_train_offers_workers(tmp_path, command, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["risk", "--workers", "2"],
+        ["train", "--workers", "abc"],
+        ["train", "--no-such-flag"],
+    ],
+    ids=["flag-of-another-command", "workers-not-an-int", "unknown-flag"],
+)
+def test_usage_error_is_one_line(tmp_path, args):
+    cfg_path, out = write_config(tmp_path)
+    proc = run_module(["-m", "pidual", args[0], "--config", str(cfg_path), *args[1:]])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("usage error: ")
+    assert "usage:" not in proc.stderr and args[1] in proc.stderr
+    assert not out.exists()
+
+
+def test_train_rejects_workers_without_a_grid(tmp_path):
+    cfg_path, out = write_config(tmp_path)
+    proc = run_module(["-m", "pidual", "train", "--config", str(cfg_path), "--workers", "2"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("config error: ")
+    assert "--workers" in proc.stderr and "[grid]" in proc.stderr
+    assert not out.exists()
+    grid_cfg, _ = write_config(tmp_path, {"grid": {"base_lr": "0.1"}}, name="grid.ini")
+    assert main(["train", "--config", str(grid_cfg), "--workers", "2"]) == 0
+
+
 def test_ablate_smoke(tmp_path):
     cfg_path, out = write_config(tmp_path)
     assert main(["ablate", "--config", str(cfg_path)]) == 0

@@ -110,6 +110,45 @@ def brute_force_auc(scores, positives):
     return wins / (len(pos) * len(neg))
 
 
+def loop_rank_auc(scores, positives):
+    """The rank-sum AUC with a Python loop over every score: the oracle for
+    the vectorised tie grouping in ``roc_auc``."""
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks
+        i = j + 1
+    n_pos = int(positives.sum())
+    n_neg = positives.size - n_pos
+    u_stat = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u_stat / (n_pos * n_neg))
+
+
+@pytest.mark.parametrize(
+    "make_scores",
+    [
+        lambda rng, n: rng.random(n),
+        lambda rng, n: np.round(rng.random(n), 1),
+        lambda rng, n: rng.integers(0, 3, n).astype(np.float64),
+        lambda rng, n: np.full(n, 0.25),
+        lambda rng, n: rng.choice([-np.inf, 0.0, np.inf], n),
+    ],
+    ids=["continuous", "tenths", "three_values", "all_tied", "infinities"],
+)
+@pytest.mark.parametrize("n", [2, 3, 97, 2880])
+def test_roc_auc_equals_loop_oracle_exactly(make_scores, n):
+    rng = np.random.default_rng(n)
+    scores = make_scores(rng, n)
+    positives = rng.random(n) < 0.4
+    positives[0], positives[-1] = True, False
+    assert roc_auc(scores, positives) == loop_rank_auc(scores, positives)
+
+
 def test_roc_auc_matches_pair_counting_example():
     scores = np.array([0.6, 0.4, 0.5, 0.3])
     positives = np.array([True, False, True, False])
@@ -127,6 +166,7 @@ def test_roc_auc_equals_pair_counting_on_random_instances(seed):
         positives[0] = True
         positives[-1] = False
     assert roc_auc(scores, positives) == pytest.approx(brute_force_auc(scores, positives), abs=1e-12)
+    assert roc_auc(scores, positives) == loop_rank_auc(scores, positives)
 
 
 @settings(max_examples=40, deadline=None)

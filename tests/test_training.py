@@ -1,12 +1,15 @@
 import concurrent.futures
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pidual import data as data_mod
+from pidual import training
 from pidual.data import PiDataset, SynthConfig, generate_synthetic, split_dataset
-from pidual.errors import ConfigError, ContractError
+from pidual.errors import ConfigError, ContractError, NumericError
 from pidual.model import (
     GATE_SPACE_PROBABILITY,
     NOISE_INPUT_PI_AND_X,
@@ -23,6 +26,7 @@ from pidual.model import (
 from pidual import nn_core
 from pidual.training import (
     GRID_AXES,
+    RECORD_COLUMNS,
     GridSpec,
     TrainConfig,
     TrainRecord,
@@ -108,17 +112,17 @@ def test_early_stopping_selects_argmax_val_epoch():
     assert acc == rec.clean_test_acc[result.best_epoch]
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        AblationFlags(),
-        AblationFlags(use_gate=False),
-        AblationFlags(use_noise_net=False),
-        AblationFlags(gate_space=GATE_SPACE_PROBABILITY),
-        AblationFlags(noise_input=NOISE_INPUT_PI_AND_X),
-    ],
-    ids=["default", "no_gate", "no_noise_net", "probability", "pi_and_x"],
-)
+ABLATION_FLAG_SETS = [
+    AblationFlags(),
+    AblationFlags(use_gate=False),
+    AblationFlags(use_noise_net=False),
+    AblationFlags(gate_space=GATE_SPACE_PROBABILITY),
+    AblationFlags(noise_input=NOISE_INPUT_PI_AND_X),
+]
+ABLATION_FLAG_IDS = ["default", "no_gate", "no_noise_net", "probability", "pi_and_x"]
+
+
+@pytest.mark.parametrize("flags", ABLATION_FLAG_SETS, ids=ABLATION_FLAG_IDS)
 def test_record_train_columns_match_separate_heads(flags):
     # the record's train-subset columns come from one forward pass per epoch;
     # recomputing each head on its own must give the same numbers exactly
@@ -143,6 +147,85 @@ def test_record_train_columns_match_separate_heads(flags):
     expected["mean_gate_wrong"] = gate[wrong].mean()
     for col, value in expected.items():
         assert np.array_equal(getattr(result.record, col)[-1], value, equal_nan=True), col
+
+
+@pytest.mark.parametrize("flags", ABLATION_FLAG_SETS, ids=ABLATION_FLAG_IDS)
+def test_returned_models_reproduce_their_record_rows(flags):
+    # each epoch is scored on a snapshot in another thread; the models train
+    # returns must be the very parameters those rows were scored on
+    ds = tiny_dataset(n=400, noise=0.3, seed=19)
+    result = train(tiny_model(ds, flags=flags, seed=5), ds, tiny_cfg(epochs=5))
+    rec = result.record
+    for model, epoch in ((result.best_model, result.best_epoch), (result.final_model, -1)):
+        assert evaluate(model, ds, data_mod.SPLIT_NOISY_VAL) == rec.noisy_val_acc[epoch]
+        assert (
+            evaluate(model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
+            == rec.clean_test_acc[epoch]
+        )
+
+
+def test_collect_metrics_does_not_change_fitting_or_selection():
+    ds = tiny_dataset(n=400, noise=0.3, seed=20)
+    full = train(tiny_model(ds, seed=6), ds, tiny_cfg(epochs=5), collect_metrics=True)
+    lean = train(tiny_model(ds, seed=6), ds, tiny_cfg(epochs=5), collect_metrics=False)
+    assert lean.best_epoch == full.best_epoch
+    assert np.array_equal(lean.record.noisy_val_acc, full.record.noisy_val_acc)
+    assert np.array_equal(lean.final_model.params, full.final_model.params)
+    assert np.array_equal(lean.best_model.params, full.best_model.params)
+    assert np.isnan(lean.record.clean_test_acc).all()
+
+
+def test_evaluation_failure_raises_in_caller_and_joins_the_thread(monkeypatch):
+    ds = tiny_dataset(seed=21)
+    calls = []
+    real_evaluate = training.evaluate
+
+    def failing_evaluate(model, ds, split, *args, **kwargs):
+        if split == data_mod.SPLIT_NOISY_VAL:
+            calls.append(split)
+            if len(calls) == 3:  # the noisy-val pass of epoch 2
+                raise NumericError("evaluation failed at epoch 2")
+        return real_evaluate(model, ds, split, *args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", failing_evaluate)
+    threads_before = threading.active_count()
+    with pytest.raises(NumericError, match="^evaluation failed at epoch 2$"):
+        train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=6))
+    assert threading.active_count() == threads_before
+    assert len(calls) == 3  # no epoch after the failing one was evaluated
+
+
+def test_concurrent_trains_under_a_short_switch_interval_match_serial():
+    # three trainings at once, each with its evaluation thread, on two cores and
+    # with the interpreter switching threads every 10 us: evaluating the live
+    # model instead of its snapshot, or state shared between calls, would
+    # change a record or a returned model
+    ds = tiny_dataset(n=300, noise=0.3, seed=22)
+    cfg = tiny_cfg(epochs=4)
+    reference = train(tiny_model(ds, seed=7), ds, cfg)
+    results = [None] * 3
+
+    def run(i):
+        results[i] = train(tiny_model(ds, seed=7), ds, cfg)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for result in results:
+        for col in RECORD_COLUMNS[1:]:
+            expected = getattr(reference.record, col)
+            assert np.array_equal(getattr(result.record, col), expected, equal_nan=True), col
+        assert result.best_epoch == reference.best_epoch
+        assert np.array_equal(result.best_model.params, reference.best_model.params)
+        assert np.array_equal(result.final_model.params, reference.final_model.params)
 
 
 def constant_predictor(ds, cls):
