@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,15 @@ from .errors import (
     ShapeError,
 )
 from .seeding import derive_seed
-from .training import TrialOutcome, apply_grid_point, run_grid, run_trial
+from .training import (
+    ABLATION_VARIANTS,
+    TrialJob,
+    TrialOutcome,
+    ablation_jobs,
+    run_grid,
+    run_trial,  # noqa: F401  (perfbench/trace_main.py wraps cli.run_trial by name)
+    run_trials,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,30 +157,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
 
-    trials: list[TrialOutcome]
     if cfg.grid is not None:
         trials = run_grid(cfg.grid, ds, cfg.train, cfg.model, workers=args.workers)
-        for t in trials:
-            if t.record is not None:
-                t.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
-        winners = [t for t in trials if t.status == "ok"]
-        if not winners:
-            raise NumericError("every grid trial failed")
-        selected = winners[0]
-        sel_cfg, sel_model_cfg = _apply_selected(cfg, selected)
-        result, ds_used = run_trial(ds, sel_model_cfg, sel_cfg)
     else:
-        result, ds_used = run_trial(ds, cfg.model, cfg.train)
-        selected = TrialOutcome.from_result(0, {}, cfg.train.seed, result)
-        trials = [selected]
-        result.record.to_csv(out / "trial_000_record.csv")
+        trials = run_trials([TrialJob(0, {}, cfg.train.seed, ds, cfg.train, cfg.model)])
+    for t in trials:
+        if t.record is not None:
+            t.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
+    winners = [t for t in trials if t.status == "ok"]
+    if not winners:
+        raise NumericError("every grid trial failed" if cfg.grid is not None else trials[0].error)
+    selected = winners[0]
+    record, epoch = selected.record, selected.model_epoch
 
-    chosen_model = result.best_model if cfg.train.early_stopping else result.final_model
-    model_mod.save_checkpoint(chosen_model, out / "best_checkpoint.json")
-    _dynamics_plot(out, "selected", result.record)
+    model_mod.save_checkpoint(selected.model, out / "best_checkpoint.json")
+    _dynamics_plot(out, "selected", record)
     aucs: dict[str, float] = {}
-    if ds_used.has_clean_labels:
-        aucs = _detection_outputs(out, chosen_model, ds_used, cfg.detection_methods)
+    if ds.has_clean_labels:
+        ds_used = data_mod.augment_random_pi(ds, selected.random_pi)
+        aucs = _detection_outputs(out, selected.model, ds_used, cfg.detection_methods)
 
     summary = {
         "config_hash": cfg.config_hash(),
@@ -185,22 +187,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
         "trials": [_trial_doc(t) for t in trials],
         "selected_trial": selected.index,
-        "selected_epoch": selected.best_epoch if cfg.train.early_stopping else len(result.record) - 1,
+        "selected_epoch": epoch,
         "early_stopping": cfg.train.early_stopping,
         "detection_auc": aucs,
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
     _write_json(out / "summary.json", summary)
     print(
-        f"selected trial {selected.index}: noisy_val={selected.best_noisy_val_acc:.4f} "
-        f"clean_test={selected.clean_test_at_best:.4f} (epoch {selected.best_epoch})"
+        f"selected trial {selected.index}: noisy_val={record.noisy_val_acc[epoch]:.4f} "
+        f"clean_test={record.clean_test_acc[epoch]:.4f} (epoch {epoch})"
     )
     return EXIT_OK
-
-
-def _apply_selected(cfg: ExperimentConfig, trial: TrialOutcome):
-    sel_cfg, sel_model_cfg = apply_grid_point(cfg.train, cfg.model, trial.params)
-    return replace(sel_cfg, seed=trial.seed), sel_model_cfg
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -211,8 +208,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
             "dataset has no clean_label column: detection AUC needs ground truth"
         )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for method in methods:
         if method not in ("confidence", "gate"):
             raise ConfigError(f"unknown detection method {method!r}")
@@ -227,6 +222,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
             "the random-PI block that `train` appends is not in the dataset, and the "
             "checkpoint does not record it"
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     aucs = _detection_outputs(out, model, ds, methods)
     for method, auc in aucs.items():
         print(f"{method} AUC: {auc:.4f}")
@@ -298,38 +295,20 @@ def cmd_risk(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-ABLATION_VARIANTS = (
-    ("cross_entropy", {"use_gate": False, "use_noise_net": False}, False),
-    ("pidual_full", {}, False),
-    ("no_gating", {"use_gate": False}, False),
-    ("no_noise_net", {"use_noise_net": False}, False),
-    ("gate_prob_space", {"gate_space": model_mod.GATE_SPACE_PROBABILITY}, False),
-    ("only_random_pi", {}, True),
-    ("noise_with_features", {"noise_input": model_mod.NOISE_INPUT_PI_AND_X}, False),
-)
-
-
-def run_ablation(cfg: ExperimentConfig, ds) -> list[tuple[str, TrialOutcome]]:
-    """Train every ablation variant under a shared seed and protocol.
-
-    Returns (variant, outcome) pairs, best clean-test accuracy first.
-    """
-    results = []
-    for index, (name, flag_over, strip) in enumerate(ABLATION_VARIANTS):
-        model_cfg = replace(cfg.model, flags=replace(cfg.model.flags, **flag_over))
-        variant_ds = data_mod.strip_pi(ds) if strip else ds
-        result, _ = run_trial(variant_ds, model_cfg, cfg.train)
-        results.append((name, TrialOutcome.from_result(index, flag_over, cfg.train.seed, result)))
-    results.sort(key=lambda r: (-r[1].clean_test_at_best, r[0]))
-    return results
-
-
 def cmd_ablate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = load_experiment_config(args.config, args.seed)
     out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
-    results = run_ablation(cfg, ds)
+    outcomes = run_trials(ablation_jobs(ds, cfg.train, cfg.model))
+    failed = [t for t in outcomes if t.status != "ok"]
+    if failed:
+        name = ABLATION_VARIANTS[failed[0].index][0]
+        raise NumericError(f"ablation variant {name} failed: {failed[0].error}")
+    results = sorted(
+        ((ABLATION_VARIANTS[t.index][0], t) for t in outcomes),
+        key=lambda r: (-r[1].clean_test_at_best, r[0]),
+    )
 
     with (out / "ablation.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -227,6 +227,7 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
             early_stopping=_parse_bool(tsec["early_stopping"], "train.early_stopping"),
             seed=derive_seed(seed, "train"),
         )
+        train_cfg.validate()
 
         grid = None
         if "grid" in merged and any(merged.get("grid", {})):

@@ -90,8 +90,9 @@ class PiDualModel:
     All parameters live in ``params``, one contiguous vector in roster order
     (see ``nn_core.flatten``); every component tensor is a view of it, so one
     optimizer step on ``params`` updates every component. Construction and
-    assigning a component copy the given tensors into a fresh vector; use
-    ``copy()``, not ``copy.deepcopy``, which copies each view on its own.
+    assigning a component copy the given tensors into a fresh vector.
+    Unpickling (and so ``copy.deepcopy``) rebinds the components to the
+    restored vector; ``copy()`` is the cheap way to an independent model.
     """
 
     prediction: MlpParams
@@ -113,6 +114,11 @@ class PiDualModel:
         super().__setattr__(name, value)
         if name in COMPONENTS and "params" in self.__dict__:
             self.__post_init__()
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle restores each view as its own array: make them views again
+        self.__dict__.update(state)
+        self._bind(self.params)
 
     def _bind(self, params: np.ndarray) -> None:
         """Make ``params`` the vector and rebind every component to views of it."""

@@ -1,6 +1,7 @@
 """Training protocol: minibatch SGD with step decay, per-epoch metric
 capture on the clean/wrong train subsets, early stopping at the best
-noisy-validation epoch, and a grid-search runner.
+noisy-validation epoch, and one trial runner for single trials, grids and
+ablations.
 
 Model selection never touches clean labels: the noisy validation accuracy is
 the combined training-time output scored against the held-out noisy labels.
@@ -264,7 +265,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Trials and grid search.
+# Trials: single runs, grids and ablations.
 # ---------------------------------------------------------------------------
 
 # The grid axes and the type of their values. Each names a field of exactly one
@@ -312,6 +313,23 @@ class GridSpec:
 
 
 @dataclass
+class TrialJob:
+    """One trial: ``params`` override the base configs (``apply_grid_point``)
+    and the trial trains on ``ds`` under ``seed``.
+
+    The overrides are applied when the job runs, so a point with an invalid
+    value becomes a failed trial instead of aborting its siblings.
+    """
+
+    index: int
+    params: dict
+    seed: int
+    ds: PiDataset
+    cfg: TrainConfig
+    model_cfg: ModelConfig
+
+
+@dataclass
 class TrialOutcome:
     index: int
     params: dict
@@ -323,22 +341,12 @@ class TrialOutcome:
     clean_test_at_best: float = math.nan
     clean_test_final: float = math.nan
     record: TrainRecord | None = None
-
-    @staticmethod
-    def from_result(index: int, params: dict, seed: int, result: TrainResult) -> "TrialOutcome":
-        """The outcome of a trial that trained, scored at its best epoch."""
-        rec = result.record
-        return TrialOutcome(
-            index,
-            params,
-            seed,
-            status="ok",
-            best_epoch=result.best_epoch,
-            best_noisy_val_acc=float(rec.noisy_val_acc[result.best_epoch]),
-            clean_test_at_best=float(rec.clean_test_acc[result.best_epoch]),
-            clean_test_final=float(rec.clean_test_acc[-1]),
-            record=rec,
-        )
+    # The model the trial keeps and its epoch: the best-epoch snapshot under
+    # early stopping, else the final model.
+    model: PiDualModel | None = None
+    model_epoch: int = -1
+    # augment_random_pi(job.ds, random_pi) is the data the model was trained on.
+    random_pi: RandomPiSpec | None = None
 
 
 def apply_grid_point(
@@ -353,39 +361,66 @@ def apply_grid_point(
     return cfg, replace(model_cfg, flags=flags, **over(ModelConfig))
 
 
+def _random_pi(cfg: TrainConfig) -> RandomPiSpec:
+    return RandomPiSpec(cfg.random_pi_length, derive_seed(cfg.seed, "random_pi"))
+
+
 def run_trial(
-    ds: PiDataset,
-    model_cfg: ModelConfig,
-    cfg: TrainConfig,
-    collect_metrics: bool = True,
+    ds: PiDataset, model_cfg: ModelConfig, cfg: TrainConfig
 ) -> tuple[TrainResult, PiDataset]:
     """Augment the PI with the trial's random identifiers, build, train.
 
     Returns the result together with the augmented dataset (detection needs
     the same PI the model was trained on).
     """
-    cfg.validate()
-    ds_aug = augment_random_pi(
-        ds, RandomPiSpec(cfg.random_pi_length, derive_seed(cfg.seed, "random_pi"))
-    )
+    ds_aug = augment_random_pi(ds, _random_pi(cfg))
     model = model_cfg.build(
         ds_aug.feature_dim, ds_aug.pi_dim, ds_aug.num_classes, derive_seed(cfg.seed, "init")
     )
-    return train(model, ds_aug, cfg, collect_metrics=collect_metrics), ds_aug
+    return train(model, ds_aug, cfg), ds_aug
 
 
-def _run_grid_point(
-    args: tuple[int, dict, PiDataset, TrainConfig, ModelConfig]
-) -> TrialOutcome:
-    index, params, ds, base_cfg, model_cfg = args
-    seed = derive_seed(base_cfg.seed, "trial", index)
+def _run_job(job: TrialJob) -> TrialOutcome:
+    """Train one job; a failure is recorded in the outcome, not raised."""
     try:
-        cfg, mcfg = apply_grid_point(base_cfg, model_cfg, params)
-        cfg = replace(cfg, seed=seed)
-        result, _ = run_trial(ds, mcfg, cfg)
+        cfg, model_cfg = apply_grid_point(job.cfg, job.model_cfg, job.params)
+        cfg = replace(cfg, seed=job.seed)
+        result, _ = run_trial(job.ds, model_cfg, cfg)
     except Exception as exc:  # trial failures must not abort siblings
-        return TrialOutcome(index, params, seed, status="failed", error=str(exc))
-    return TrialOutcome.from_result(index, params, seed, result)
+        return TrialOutcome(job.index, job.params, job.seed, status="failed", error=str(exc))
+    rec, best = result.record, result.best_epoch
+    if cfg.early_stopping:
+        model, model_epoch = result.best_model, best
+    else:
+        model, model_epoch = result.final_model, len(rec) - 1
+    return TrialOutcome(
+        job.index,
+        job.params,
+        job.seed,
+        status="ok",
+        best_epoch=best,
+        best_noisy_val_acc=float(rec.noisy_val_acc[best]),
+        clean_test_at_best=float(rec.clean_test_acc[best]),
+        clean_test_final=float(rec.clean_test_acc[-1]),
+        record=rec,
+        model=model,
+        model_epoch=model_epoch,
+        random_pi=_random_pi(cfg),
+    )
+
+
+def run_trials(jobs: list[TrialJob], workers: int = 1) -> list[TrialOutcome]:
+    """One outcome per job, in job order.
+
+    Jobs are independent and run in a process pool when ``workers > 1``. The
+    pool never outnumbers the jobs: a process pool forks every worker at its
+    first submit, whether or not a job is left for it.
+    """
+    pool_size = min(workers, len(jobs))
+    if pool_size > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+            return list(pool.map(_run_job, jobs))
+    return [_run_job(job) for job in jobs]
 
 
 def run_grid(
@@ -395,23 +430,17 @@ def run_grid(
     model_cfg: ModelConfig,
     workers: int = 1,
 ) -> list[TrialOutcome]:
-    """One train per grid point with a derived per-trial seed.
+    """One trial per grid point with a derived per-trial seed.
 
     Returns outcomes ranked by best noisy-validation accuracy (failed trials
-    last); trials are independent and run in parallel when ``workers > 1``.
-    The pool never outnumbers the trials: a process pool forks every worker
-    at its first submit, whether or not a job is left for it.
+    last).
     """
     grid.validate()
     jobs = [
-        (i, params, ds, base_cfg, model_cfg) for i, params in enumerate(grid.points())
+        TrialJob(i, params, derive_seed(base_cfg.seed, "trial", i), ds, base_cfg, model_cfg)
+        for i, params in enumerate(grid.points())
     ]
-    pool_size = min(workers, len(jobs))
-    if pool_size > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(_run_grid_point, jobs))
-    else:
-        outcomes = [_run_grid_point(job) for job in jobs]
+    outcomes = run_trials(jobs, workers)
     outcomes.sort(
         key=lambda t: (
             t.status != "ok",
@@ -420,3 +449,25 @@ def run_grid(
         )
     )
     return outcomes
+
+
+# The ablation table: (variant, overrides, train on the random PI alone). The
+# overrides are grid axes, so apply_grid_point routes them to AblationFlags.
+ABLATION_VARIANTS = (
+    ("cross_entropy", {"use_gate": False, "use_noise_net": False}, False),
+    ("pidual_full", {}, False),
+    ("no_gating", {"use_gate": False}, False),
+    ("no_noise_net", {"use_noise_net": False}, False),
+    ("gate_prob_space", {"gate_space": model_mod.GATE_SPACE_PROBABILITY}, False),
+    ("only_random_pi", {}, True),
+    ("noise_with_features", {"noise_input": model_mod.NOISE_INPUT_PI_AND_X}, False),
+)
+
+
+def ablation_jobs(ds: PiDataset, cfg: TrainConfig, model_cfg: ModelConfig) -> list[TrialJob]:
+    """One job per ABLATION_VARIANTS row, in table order, all under ``cfg.seed``."""
+    stripped = data_mod.strip_pi(ds)
+    return [
+        TrialJob(i, over, cfg.seed, stripped if strip else ds, cfg, model_cfg)
+        for i, (_, over, strip) in enumerate(ABLATION_VARIANTS)
+    ]

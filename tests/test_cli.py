@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import pidual
+from pidual import training
 from pidual.cli import main
-from pidual.config import load_experiment_config
-from pidual.data import load_csv
-from pidual.model import build_model, save_checkpoint
+from pidual.config import build_dataset, load_experiment_config
+from pidual.data import SPLIT_CLEAN_TEST, load_csv
+from pidual.model import build_model, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError
-from pidual.training import TrainRecord
+from pidual.training import TrainRecord, evaluate
 
 BASE_SECTIONS = {
     "experiment": {"seed": "11"},
@@ -119,6 +120,41 @@ def test_train_grid_and_summary_winner(tmp_path):
     assert summary["selected_trial"] == summary["trials"][0]["index"]
 
 
+def test_grid_trains_each_point_once_and_saves_the_winner(tmp_path, monkeypatch):
+    calls = []
+    real_train = training.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train", counting_train)
+    cfg_path, out = write_config(tmp_path, overrides={"grid": {"base_lr": "0.1,0.02"}})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 2
+    winner = json.loads((out / "summary.json").read_text())["trials"][0]
+    ds = build_dataset(load_experiment_config(cfg_path))
+    model = load_checkpoint(out / "best_checkpoint.json")
+    acc = evaluate(model, ds, SPLIT_CLEAN_TEST, "clean", "prediction")
+    assert acc == winner["clean_test_at_best"]
+
+
+def test_train_without_early_stopping_reports_the_saved_model(tmp_path, capsys):
+    cfg_path, out = write_config(
+        tmp_path, overrides={"train": {"epochs": "4", "early_stopping": "false"}}
+    )
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    printed = capsys.readouterr().out.strip()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["selected_epoch"] == 3
+    assert printed.endswith("(epoch 3)")
+    ds = build_dataset(load_experiment_config(cfg_path))
+    model = load_checkpoint(out / "best_checkpoint.json")
+    acc = evaluate(model, ds, SPLIT_CLEAN_TEST, "clean", "prediction")
+    assert f"clean_test={acc:.4f} " in printed
+    assert acc == TrainRecord.from_csv(out / "trial_000_record.csv").clean_test_acc[3]
+
+
 def test_train_rerun_metrics_identical(tmp_path):
     cfg_path, out = write_config(tmp_path)
     main(["train", "--config", str(cfg_path)])
@@ -178,6 +214,31 @@ def run_module(args, env_updates=None, drop=()):
     env.update(env_updates or {})
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_config_errors_leave_no_output_directory(tmp_path):
+    cfg_path, out = write_config(tmp_path, overrides={"train": {"epochs": "0"}})
+    proc = run_module(["-m", "pidual", "train", "--config", str(cfg_path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: epochs must be >= 1\n"
+    assert not out.exists()
+
+    good_cfg, good_out = write_config(tmp_path, name="good.ini", out=tmp_path / "good")
+    assert main(["gen", "--config", str(good_cfg)]) == 0
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(build_model(4, 3, 3, pred_hidden=(4,), pi_width=4), ckpt)
+    det_out = tmp_path / "det"
+    proc = run_module(
+        [
+            "-m", "pidual", "detect", "--methods", "confidence,entropy",
+            "--checkpoint", str(ckpt),
+            "--data", str(good_out / "dataset.csv"),
+            "--out", str(det_out),
+        ]
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: unknown detection method 'entropy'\n"
+    assert not det_out.exists()
 
 
 @pytest.mark.parametrize("missing", ["flags", "gate_head"])
@@ -414,7 +475,7 @@ def test_unknown_config_key_rejected(tmp_path):
         load_experiment_config(path)
 
 
-def test_exit_code_numeric_failure(tmp_path):
+def test_exit_code_numeric_failure(tmp_path, capsys):
     cfg_path, out = write_config(tmp_path)
     main(["gen", "--config", str(cfg_path)])
     text = (out / "dataset.csv").read_text().splitlines()
@@ -430,7 +491,14 @@ def test_exit_code_numeric_failure(tmp_path):
                             "test_fraction": "0.2"}},
         name="csv.ini",
     )
+    capsys.readouterr()
     assert main(["train", "--config", str(csv_cfg)]) == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite loss at epoch 0, batch 3\n"
+    assert main(["ablate", "--config", str(csv_cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: ablation variant cross_entropy failed: "
+        "non-finite loss at epoch 0, batch 3\n"
+    )
 
 
 def test_risk_csv_parses_back(tmp_path):

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -293,3 +295,17 @@ def test_assigning_a_component_repacks_the_vector():
     assert np.array_equal(model.params[:6], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     model.params[:4] = 0.0
     assert np.all(model.prediction.weights[0] == 0.0)
+
+
+@pytest.mark.parametrize("restore", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+def test_unpickled_components_view_the_restored_vector(restore):
+    model = small_model(share=False, seed=7)
+    twin = restore(model)
+    assert np.array_equal(twin.params, model.params)
+    assert not np.shares_memory(twin.params, model.params)
+    for name, net in twin.components().items():
+        assert net.equals(model.components()[name])
+        for t in net.weights + net.biases:
+            assert np.shares_memory(t, twin.params)
+    twin.params[:] = 0.0
+    assert np.all(twin.gate_trunk.weights[0] == 0.0)

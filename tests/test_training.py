@@ -1,7 +1,7 @@
 import concurrent.futures
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -409,6 +409,30 @@ def test_grid_reruns_identically_and_failures_are_marked():
     assert first[0].seed == second[0].seed
 
 
+@pytest.mark.parametrize("early_stopping", [True, False])
+def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
+    ds = tiny_dataset(n=300, seed=19)
+    cfg = tiny_cfg(epochs=4, random_pi_length=3, early_stopping=early_stopping)
+    model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8)
+    jobs = [
+        training.TrialJob(i, params, 7 + i, ds, cfg, model_cfg)
+        for i, params in enumerate(({"gate_space": "nonsense"}, {}))
+    ]
+    failed, ok = training.run_trials(jobs)
+    assert (failed.index, failed.status, failed.model) == (0, "failed", None)
+    assert "nonsense" in failed.error
+    assert (ok.index, ok.seed, ok.status) == (1, 8, "ok")
+    assert ok.model_epoch == (ok.best_epoch if early_stopping else cfg.epochs - 1)
+    # the spec rebuilds the very PI the trial trained on
+    ds_aug = data_mod.augment_random_pi(ds, ok.random_pi)
+    _, trained_on = run_trial(ds, model_cfg, replace(cfg, seed=8))
+    assert np.array_equal(ds_aug.pi, trained_on.pi)
+    row = ok.model_epoch
+    assert evaluate(ok.model, ds_aug, data_mod.SPLIT_NOISY_VAL) == ok.record.noisy_val_acc[row]
+    clean = evaluate(ok.model, ds_aug, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
+    assert clean == ok.record.clean_test_acc[row]
+
+
 def test_grid_rejects_unknown_axis():
     with pytest.raises(ConfigError):
         GridSpec({"learning": [1]}).validate()
@@ -435,6 +459,12 @@ def test_grid_parallel_matches_serial():
     for a, b in zip(serial, parallel):
         assert a.best_noisy_val_acc == b.best_noisy_val_acc
         assert np.array_equal(a.record.noisy_val_acc, b.record.noisy_val_acc)
+        # the model came back from a worker process pickled: its views are rebound
+        assert np.array_equal(a.model.params, b.model.params)
+        for name, net in b.model.components().items():
+            assert net.equals(a.model.components()[name])
+            for t in net.weights + net.biases:
+                assert np.shares_memory(t, b.model.params)
 
 
 def test_grid_pool_never_outnumbers_trials(monkeypatch):
