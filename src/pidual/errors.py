@@ -31,3 +31,7 @@ class DataFormatError(PiDualError):
 
 class SetupError(PiDualError):
     """A random setup could not be constructed within the retry budget."""
+
+
+class EvaluationError(PiDualError):
+    """The evaluation process died, or raised an error that could not be sent back."""

@@ -91,8 +91,9 @@ class PiDualModel:
     (see ``nn_core.flatten``); every component tensor is a view of it, so one
     optimizer step on ``params`` updates every component. Construction and
     assigning a component copy the given tensors into a fresh vector.
-    Unpickling (and so ``copy.deepcopy``) rebinds the components to the
-    restored vector; ``copy()`` is the cheap way to an independent model.
+    A pickle holds the vector and only the layer shapes of the components;
+    unpickling (and so ``copy.deepcopy``) rebinds the components to the
+    restored vector. ``copy()`` is the cheap way to an independent model.
     """
 
     prediction: MlpParams
@@ -115,8 +116,23 @@ class PiDualModel:
         if name in COMPONENTS and "params" in self.__dict__:
             self.__post_init__()
 
+    def __getstate__(self) -> dict:
+        # the component tensors are views of ``params``: pickle their shapes only
+        state = dict(self.__dict__)
+        for name, net in self.components().items():
+            state[name] = ([w.shape for w in net.weights], list(net.activations))
+        return state
+
     def __setstate__(self, state: dict) -> None:
-        # pickle restores each view as its own array: make them views again
+        for name in COMPONENTS:
+            if state[name] is not None:
+                # zero-stride stand-ins that carry the shapes until _bind makes the views
+                shapes, activations = state[name]
+                state[name] = MlpParams(
+                    [np.broadcast_to(0.0, shape) for shape in shapes],
+                    [np.broadcast_to(0.0, shape[:1]) for shape in shapes],
+                    activations,
+                )
         self.__dict__.update(state)
         self._bind(self.params)
 
@@ -136,6 +152,22 @@ class PiDualModel:
         """The present components by roster name, in roster order."""
         nets = {name: getattr(self, name) for name in COMPONENTS}
         return {name: net for name, net in nets.items() if net is not None}
+
+
+@dataclass
+class GradientBuffer:
+    """A gradient vector laid out like a model's ``params`` and, per component,
+    ``Gradients`` views of it: build it once with ``gradient_buffer`` and let
+    every ``backward_train`` of that model write into it."""
+
+    vector: np.ndarray
+    grads: dict[str, Gradients]
+
+
+def gradient_buffer(model: PiDualModel) -> GradientBuffer:
+    vector = np.empty_like(model.params)
+    views = nn_core.tensor_views(vector, model.components())
+    return GradientBuffer(vector, {name: Gradients(*v) for name, v in views.items()})
 
 
 def build_model(
@@ -207,6 +239,9 @@ class ModelTape:
     pred_probs: np.ndarray | None = field(default=None, repr=False)
     noise_probs: np.ndarray | None = field(default=None, repr=False)
     mixed: np.ndarray | None = field(default=None, repr=False)
+    # the labels training_loss scored and the softmax-CE gradient it computed
+    ce_labels: np.ndarray | None = field(default=None, repr=False)
+    ce_grad: np.ndarray | None = field(default=None, repr=False)
 
 
 def _as_batch(v: np.ndarray) -> np.ndarray:
@@ -273,26 +308,38 @@ def forward_train(
 
 
 def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the combined output against the noisy labels."""
+    """Mean cross-entropy of the combined output against the noisy labels.
+
+    Keeps the loss's gradient on the tape, for ``backward_train`` on the same
+    labels.
+    """
     labels = np.asarray(labels)
     if tape.model.flags.use_gate and tape.model.flags.gate_space == GATE_SPACE_PROBABILITY:
         rows = np.arange(labels.shape[0])
         return float(-np.log(tape.mixed[rows, labels]).mean())
-    losses, _ = nn_core.softmax_ce_batch(tape.mixed, labels)
+    losses, tape.ce_grad = nn_core.softmax_ce_batch(tape.mixed, labels)
+    tape.ce_labels = labels.copy()
     return float(losses.mean())
 
 
+def _ce_grad(tape: ModelTape, labels: np.ndarray) -> np.ndarray:
+    """The softmax-CE gradient of the mixed logits: training_loss's, if it scored these labels."""
+    if tape.ce_labels is not None and np.array_equal(tape.ce_labels, labels):
+        return tape.ce_grad
+    return nn_core.softmax_ce_batch(tape.mixed, labels)[1]
+
+
 def backward_train(
-    model: PiDualModel, tape: ModelTape, labels: np.ndarray, out: np.ndarray | None = None
+    model: PiDualModel, tape: ModelTape, labels: np.ndarray, out: GradientBuffer | None = None
 ) -> dict[str, Gradients]:
     """Exact gradients of the mean combined-output cross-entropy.
 
     Includes the gate path d/dg[(1-g)f + g*eps] = eps - f, and accumulates
     the shared first layer's gradient from both the noise and gate paths.
     Returns one buffer per component, keyed like ``model.components()``;
-    components on an ablated path get zero gradients. The buffers are views
-    of one gradient vector laid out like ``model.params``: ``out`` when it is
-    given, else a new one.
+    components on an ablated path get zero gradients. The buffers are the
+    views of ``out`` (see ``gradient_buffer``) when it is given, else of a
+    new gradient vector.
     """
     if tape.model is not model:
         raise ContractError("tape was produced by a different model")
@@ -305,12 +352,10 @@ def backward_train(
     rows = np.arange(b)
 
     if not flags.use_gate:
-        _, dlogits = nn_core.softmax_ce_batch(tape.mixed, labels)
-        u = dlogits / b
+        u = _ce_grad(tape, labels) / b
         d_pred, d_noise_out, d_gate_out = u, u, None
     elif flags.gate_space == GATE_SPACE_LOGIT:
-        _, dlogits = nn_core.softmax_ce_batch(tape.mixed, labels)
-        u = dlogits / b
+        u = _ce_grad(tape, labels) / b
         d_pred = (1.0 - g)[:, None] * u
         d_noise_out = g[:, None] * u
         d_gate_out = ((eps - f) * u).sum(axis=1)
@@ -326,15 +371,19 @@ def backward_train(
         d_gate_out = coef * (p_e[rows, labels] - p_f[rows, labels])
 
     nets, tapes = model.components(), tape.tapes
-    vector = np.empty_like(model.params) if out is None else out
-    grads = {name: Gradients(*views) for name, views in nn_core.tensor_views(vector, nets).items()}
+    if out is None:
+        out = gradient_buffer(model)
+    elif out.grads.keys() != nets.keys() or out.vector.shape != model.params.shape:
+        raise ContractError("gradient buffer was built for a different model")
+    grads = out.grads
     if tapes.keys() != grads.keys():
-        vector.fill(0.0)  # ablated components keep these zeros; the rest is overwritten below
+        out.vector.fill(0.0)  # ablated components keep these zeros; the rest is overwritten below
 
-    def backprop(name: str, upstream: np.ndarray) -> np.ndarray:
-        return mlp_backward(nets[name], tapes[name], upstream, grads[name])[1]
+    def backprop(name: str, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        return mlp_backward(nets[name], tapes[name], upstream, grads[name], input_grad)[1]
 
-    backprop("prediction", d_pred)
+    # the first layers of prediction, pi_trunk and gate_trunk read data: no input gradient
+    backprop("prediction", d_pred, input_grad=False)
     d_trunk_out = np.zeros((b, model.pi_trunk.out_dim))
     if "noise_head" in tapes:
         d_trunk_out += backprop("noise_head", d_noise_out)
@@ -343,9 +392,9 @@ def backward_train(
         if model.share_first_layer:
             d_trunk_out += d_gate_in
         else:
-            backprop("gate_trunk", d_gate_in)
+            backprop("gate_trunk", d_gate_in, input_grad=False)
     if "pi_trunk" in tapes:
-        backprop("pi_trunk", d_trunk_out)
+        backprop("pi_trunk", d_trunk_out, input_grad=False)
     return grads
 
 

@@ -99,13 +99,14 @@ def init_mlp(dims: list[int], activations: list[str], seed: int) -> MlpParams:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function; underflows to exactly 0/1 at extremes."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function; underflows to exactly 0/1 at extremes.
+
+    ``1 / (1 + exp(-x))`` where x >= 0 and ``exp(x) / (1 + exp(x))`` elsewhere,
+    computed on the whole array: ``minimum(x, -x)`` is -|x| and keeps a nan's
+    sign, so every element, nan included, gets the bits of the per-branch form.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -152,12 +153,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
 
 
 def mlp_backward(
-    params: MlpParams, tape: Tape, upstream: np.ndarray, out: Gradients | None = None
-) -> tuple[Gradients, np.ndarray]:
+    params: MlpParams,
+    tape: Tape,
+    upstream: np.ndarray,
+    out: Gradients | None = None,
+    input_grad: bool = True,
+) -> tuple[Gradients, np.ndarray | None]:
     """Exact reverse-mode gradients of ``sum(output * upstream)``.
 
     Returns (parameter gradients, gradient w.r.t. the forward input). The
-    parameter gradients are written into ``out`` when it is given.
+    parameter gradients are written into ``out`` when it is given. With
+    ``input_grad=False`` the input gradient is not computed and is None.
     """
     if tape.params is not params:
         raise ContractError("tape was produced by a different parameter set")
@@ -181,7 +187,11 @@ def mlp_backward(
             dz = d
         np.matmul(dz.T, tape.outputs[k], out=out.d_weights[k])
         np.sum(dz, axis=0, out=out.d_biases[k])
-        d = dz @ params.weights[k]
+        if k == 0 and not input_grad:
+            return out, None
+        w = params.weights[k]
+        # one output unit: the product has a single term, so broadcasting is exact
+        d = dz * w if w.shape[0] == 1 else dz @ w
     return out, (d[0] if tape.squeezed else d)
 
 

@@ -15,6 +15,7 @@ import concurrent.futures
 import csv
 import itertools
 import math
+import pickle
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import data as data_mod
 from . import model as model_mod
 from .data import PiDataset, RandomPiSpec, augment_random_pi
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, EvaluationError, NumericError
 from .model import AblationFlags, ModelConfig, PiDualModel
 from .nn_core import init_optimizer, sgd_step
 from .seeding import derive_seed
@@ -161,6 +162,92 @@ def _train_subset_metrics(
     return row
 
 
+class _EvaluationProcess:
+    """A forked child that scores one epoch's parameters at a time.
+
+    Through the fork the child inherits ``template``, a model to score on, and
+    ``score``. Each request is a parameter vector, which the child writes into
+    ``template.params`` in place; each reply is ``score(template)`` or the
+    exception it raised. An empty request stops the child.
+
+    The start method is fork, not spawn, so that the splits and the scoring
+    closure reach the child without being pickled. A fork copies only the
+    calling thread, so a caller that trains from several threads at once
+    relies on no other thread holding, at the fork, a lock the child needs.
+    """
+
+    # seconds the child gets to exit after the stop request before it is killed
+    STOP_GRACE_S = 10.0
+
+    def __init__(self, template: PiDualModel, score) -> None:
+        # imported here: multiprocessing adds about 16 ms to `import pidual`,
+        # which the commands that train nothing (gen, detect, risk) would pay
+        import multiprocessing.connection
+
+        self._wait = multiprocessing.connection.wait
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(target=self._serve, args=(child_conn, template, score))
+        self._proc.start()
+        child_conn.close()
+
+    def _serve(self, conn, template: PiDualModel, score) -> None:
+        import signal
+
+        self._conn.close()  # so the parent's exit reads as EOF here
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        while conn.recv_bytes_into(template.params):
+            try:
+                reply = (True, score(template))
+            except Exception as exc:
+                reply = (False, _sendable(exc))
+            conn.send(reply)
+
+    def submit(self, params: np.ndarray) -> None:
+        self._conn.send_bytes(params)
+
+    def result(self) -> dict[str, float]:
+        """The reply to the request in flight; raises what the child raised."""
+        ready = self._wait([self._conn, self._proc.sentinel])
+        try:
+            if self._conn not in ready:
+                raise EOFError
+            ok, value = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise EvaluationError(
+                f"the evaluation process exited with code {self._proc.exitcode}"
+            ) from None
+        if ok:
+            return value
+        if isinstance(value, BaseException):
+            raise value
+        raise EvaluationError(value)
+
+    def __enter__(self) -> "_EvaluationProcess":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._conn.send_bytes(b"")
+        except OSError:  # the child is gone
+            pass
+        self._proc.join(self.STOP_GRACE_S)
+        if self._proc.is_alive():
+            self._proc.kill()
+            self._proc.join()
+        self._conn.close()
+
+
+def _sendable(exc: Exception) -> Exception | str:
+    """``exc`` if it survives a pickle round trip, else its class name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return f"{type(exc).__name__}: {exc}"
+    return exc
+
+
 def train(
     model: PiDualModel,
     ds: PiDataset,
@@ -171,9 +258,10 @@ def train(
 
     Returns the snapshot at the best noisy-validation epoch (ties -> earliest),
     the final model and the per-epoch record. Deterministic given the seed.
-    One worker thread evaluates each epoch's snapshot while the next epoch
-    trains; it is joined before this returns or raises, and an exception it
-    raises is raised here.
+    A forked child process scores each epoch's snapshot while the next epoch
+    trains; it is reaped before this returns or raises, an exception it raises
+    is raised here, and its death raises ``EvaluationError``. Needs the fork
+    start method (Linux).
     """
     cfg.validate()
     x_tr, a_tr, y_tr = ds.train_arrays()
@@ -197,7 +285,7 @@ def train(
     # the PI components follow the prediction net in the vector (model.COMPONENTS)
     decayed = model.prediction.size if cfg.exempt_pi_nets_from_wd else model.params.size
     nets = model.components()
-    grads = np.empty_like(model.params)
+    grads = model_mod.gradient_buffer(model)
 
     has_val = ds.split_indices(data_mod.SPLIT_NOISY_VAL).size > 0
     has_clean = ds.has_clean_labels
@@ -225,9 +313,9 @@ def train(
     best_epoch = -1
     best_model: PiDualModel | None = None
 
-    def resolve(epoch: int, snap: PiDualModel, future: concurrent.futures.Future) -> None:
+    def resolve(epoch: int, snap: PiDualModel) -> None:
         nonlocal best_acc, best_epoch, best_model
-        row = future.result()
+        row = evaluator.result()
         for col, value in row.items():
             columns[col].append(value)
         if has_val and row["noisy_val_acc"] > best_acc:
@@ -235,26 +323,28 @@ def train(
             best_epoch = epoch
             best_model = snap
 
-    # Epoch e is evaluated on its own snapshot in a second thread while this one
-    # runs the steps of epoch e + 1; evaluation is BLAS work on whole splits,
-    # which releases the GIL, and the steps are Python-bound.
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+    # Epoch e is scored on a copy of its parameters in a child process while
+    # this one runs the steps of epoch e + 1, so the steps alone are the
+    # critical path; the snapshot itself stays here for best_model.
+    with _EvaluationProcess(model.copy(), epoch_row) as evaluator:
         pending = None
         for epoch in range(cfg.epochs):
             perm = rng.permutation(n)
             for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
                 idx = perm[start : start + cfg.batch_size]
+                y = y_tr[idx]
                 _, _, tape = model_mod.forward_train(model, x_tr[idx], a_tr[idx])
-                loss = model_mod.training_loss(tape, y_tr[idx])
+                loss = model_mod.training_loss(tape, y)
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-                model_mod.backward_train(model, tape, y_tr[idx], out=grads)
-                sgd_step(model.params, grads, state, epoch, decayed, layout=nets)
+                model_mod.backward_train(model, tape, y, out=grads)
+                sgd_step(model.params, grads.vector, state, epoch, decayed, layout=nets)
 
             if pending is not None:
                 resolve(*pending)
             snap = model.copy()
-            pending = (epoch, snap, pool.submit(epoch_row, snap))
+            evaluator.submit(snap.params)
+            pending = (epoch, snap)
         resolve(*pending)
 
     if best_model is None:

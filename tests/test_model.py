@@ -23,11 +23,13 @@ from pidual.model import (
     forward_infer,
     forward_train,
     gate_values,
+    gradient_buffer,
     load_checkpoint,
     save_checkpoint,
     training_loss,
 )
 from pidual.nn_core import MlpParams
+from pidual.training import ABLATION_VARIANTS
 
 from conftest import finite_difference, rel_err
 
@@ -309,3 +311,75 @@ def test_unpickled_components_view_the_restored_vector(restore):
             assert np.shares_memory(t, twin.params)
     twin.params[:] = 0.0
     assert np.all(twin.gate_trunk.weights[0] == 0.0)
+
+
+def test_pickle_holds_the_parameter_vector_once():
+    # the benchmark widths: 8 features, 4 classes, 128-128 prediction net, PI width 64
+    model = build_model(8, 24, 4, pred_hidden=(128, 128), pi_width=64, share_first_layer=False)
+    assert len(pickle.dumps(model)) < 1.1 * model.params.nbytes
+
+
+@pytest.mark.parametrize("share", [True, False])
+@pytest.mark.parametrize("restore", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+def test_restored_model_equals_the_original(restore, share):
+    model = small_model(flags=AblationFlags(gate_space=GATE_SPACE_PROBABILITY), share=share)
+    twin = restore(model)
+    for attr in ("flags", "share_first_layer", "feature_dim", "pi_dim", "num_classes"):
+        assert getattr(twin, attr) == getattr(model, attr), attr
+    assert np.array_equal(twin.params, model.params)
+    assert twin.components().keys() == model.components().keys()
+    for name, net in twin.components().items():
+        assert net.equals(model.components()[name])
+        assert net.activations == model.components()[name].activations
+        for t in net.weights + net.biases:
+            assert np.shares_memory(t, twin.params)
+            assert not np.shares_memory(t, model.params)
+
+
+def ablation_models():
+    for name, overrides, _ in ABLATION_VARIANTS:
+        for share in (True, False):
+            flags = AblationFlags(**overrides)
+            yield pytest.param(flags, share, id=f"{name}-{'shared' if share else 'own'}")
+
+
+def grad_bytes(grads):
+    return {
+        name: [t.tobytes() for t in g.d_weights + g.d_biases] for name, g in grads.items()
+    }
+
+
+@pytest.mark.parametrize("flags,share", ablation_models())
+def test_backward_with_loss_gradient_and_bound_views_equals_a_fresh_call(flags, share):
+    model = small_model(flags=flags, share=share, seed=17)
+    jitter_biases(model, seed=18)
+    x, a, labels = rng_batch(model, n=9, seed=19)
+
+    _, _, fresh_tape = forward_train(model, x, a)
+    fresh = backward_train(model, fresh_tape, labels)
+
+    buffer = gradient_buffer(model)
+    buffer.vector.fill(np.nan)  # stale contents must be overwritten or zeroed
+    for _ in range(2):  # the second call reuses the buffer
+        _, _, tape = forward_train(model, x, a)
+        training_loss(tape, labels)
+        lean = backward_train(model, tape, labels, out=buffer)
+        assert lean is buffer.grads
+        assert grad_bytes(lean) == grad_bytes(fresh)
+
+    # other labels than the loss scored: the gradient is recomputed for them
+    other = (labels + 1) % model.num_classes
+    _, _, tape = forward_train(model, x, a)
+    training_loss(tape, labels)
+    _, _, other_tape = forward_train(model, x, a)
+    assert grad_bytes(backward_train(model, tape, other, out=buffer)) == grad_bytes(
+        backward_train(model, other_tape, other)
+    )
+
+
+def test_gradient_buffer_of_another_model_is_rejected():
+    model = small_model(seed=1)
+    x, a, labels = rng_batch(model)
+    _, _, tape = forward_train(model, x, a)
+    with pytest.raises(ContractError):
+        backward_train(model, tape, labels, out=gradient_buffer(small_model(share=False)))

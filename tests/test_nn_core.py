@@ -324,3 +324,51 @@ def test_flat_step_names_the_nonfinite_tensor(name, layer, kind):
     with pytest.raises(NumericError, match=f"{name} layer {layer} {kind}"):
         sgd_step(model.params, grads, state, epoch=0, layout=model.components())
     assert np.array_equal(model.params, before)
+
+
+def masked_sigmoid(x):
+    """The per-branch logistic: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_formula():
+    edges = [0.0, 1e-300, 1.0, 36.0, 745.0, np.inf, np.nan]
+    x = np.array(edges + [-v for v in edges])
+    x = np.concatenate([x, np.random.default_rng(5).standard_normal(1000) * 30])
+    assert nn_core.sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+    col = x[:, None]  # the gate head's (batch, 1) pre-activations
+    assert nn_core.sigmoid(col).tobytes() == masked_sigmoid(col).tobytes()
+
+
+@pytest.mark.parametrize("dims", [[4, 6, 3], [5, 7, 1], [3, 1]])
+def test_backward_without_input_gradient_keeps_the_parameter_gradients(dims):
+    acts = [nn_core.RELU] * (len(dims) - 2) + [nn_core.SIGMOID]
+    net = init_mlp(dims, acts, seed=len(dims))
+    rng = np.random.default_rng(9)
+    _, tape = mlp_forward(net, rng.standard_normal((16, dims[0])))
+    upstream = rng.standard_normal((16, dims[-1]))
+    full, dx = mlp_backward(net, tape, upstream)
+    lean, none = mlp_backward(net, tape, upstream, input_grad=False)
+    assert dx.shape == (16, dims[0]) and none is None
+    for a, b in zip(full.d_weights + full.d_biases, lean.d_weights + lean.d_biases):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_single_output_input_gradient_is_bitwise_the_matmul():
+    rng = np.random.default_rng(10)
+    dz = rng.standard_normal((128, 1)) * 10.0 ** rng.integers(-300, 300, (128, 1))
+    w = rng.standard_normal((1, 64))
+    assert (dz * w).tobytes() == (dz @ w).tobytes()
+    # mlp_backward's input gradient through a sigmoid output unit, against the
+    # matmul form of the same chain
+    net = init_mlp([64, 1], [nn_core.SIGMOID], seed=11)
+    x = rng.standard_normal((128, 64))
+    out, tape = mlp_forward(net, x)
+    u = rng.standard_normal((128, 1))
+    _, dx = mlp_backward(net, tape, u)
+    assert dx.tobytes() == ((u * out * (1.0 - out)) @ net.weights[0]).tobytes()

@@ -1,4 +1,6 @@
 import concurrent.futures
+import multiprocessing
+import os
 import sys
 import threading
 from dataclasses import fields, replace
@@ -9,7 +11,7 @@ import pytest
 from pidual import data as data_mod
 from pidual import training
 from pidual.data import PiDataset, SynthConfig, generate_synthetic, split_dataset
-from pidual.errors import ConfigError, ContractError, NumericError
+from pidual.errors import ConfigError, ContractError, EvaluationError, NumericError
 from pidual.model import (
     GATE_SPACE_PROBABILITY,
     NOISE_INPUT_PI_AND_X,
@@ -151,8 +153,8 @@ def test_record_train_columns_match_separate_heads(flags):
 
 @pytest.mark.parametrize("flags", ABLATION_FLAG_SETS, ids=ABLATION_FLAG_IDS)
 def test_returned_models_reproduce_their_record_rows(flags):
-    # each epoch is scored on a snapshot in another thread; the models train
-    # returns must be the very parameters those rows were scored on
+    # each epoch is scored on a copy of its snapshot in another process; the
+    # models train returns must be the very parameters those rows were scored on
     ds = tiny_dataset(n=400, noise=0.3, seed=19)
     result = train(tiny_model(ds, flags=flags, seed=5), ds, tiny_cfg(epochs=5))
     rec = result.record
@@ -175,31 +177,89 @@ def test_collect_metrics_does_not_change_fitting_or_selection():
     assert np.isnan(lean.record.clean_test_acc).all()
 
 
-def test_evaluation_failure_raises_in_caller_and_joins_the_thread(monkeypatch):
-    ds = tiny_dataset(seed=21)
-    calls = []
+def patch_noisy_val_evaluation(monkeypatch, tmp_path, on_call):
+    """Make ``training.evaluate`` log its noisy-val passes to a file and call
+    ``on_call(n)`` with the running count; returns a reader of the count.
+
+    The patched function runs in the evaluation process, so the count goes
+    through a file, not through this process's memory.
+    """
+    log = tmp_path / "noisy_val_calls"
     real_evaluate = training.evaluate
 
-    def failing_evaluate(model, ds, split, *args, **kwargs):
+    def patched(model, ds, split, *args, **kwargs):
         if split == data_mod.SPLIT_NOISY_VAL:
-            calls.append(split)
-            if len(calls) == 3:  # the noisy-val pass of epoch 2
-                raise NumericError("evaluation failed at epoch 2")
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write("call\n")
+            on_call(len(log.read_text(encoding="utf-8").splitlines()))
         return real_evaluate(model, ds, split, *args, **kwargs)
 
-    monkeypatch.setattr(training, "evaluate", failing_evaluate)
-    threads_before = threading.active_count()
+    monkeypatch.setattr(training, "evaluate", patched)
+    return lambda: len(log.read_text(encoding="utf-8").splitlines())
+
+
+def test_evaluation_failure_raises_in_caller_and_reaps_the_process(monkeypatch, tmp_path):
+    def fail_at_epoch_2(calls):
+        if calls == 3:
+            raise NumericError("evaluation failed at epoch 2")
+
+    ds = tiny_dataset(seed=21)
+    calls = patch_noisy_val_evaluation(monkeypatch, tmp_path, fail_at_epoch_2)
     with pytest.raises(NumericError, match="^evaluation failed at epoch 2$"):
         train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=6))
-    assert threading.active_count() == threads_before
-    assert len(calls) == 3  # no epoch after the failing one was evaluated
+    assert multiprocessing.active_children() == []
+    assert calls() == 3  # no epoch after the failing one was evaluated
+
+
+class UnpicklableError(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
+def test_unpicklable_evaluation_error_arrives_as_its_class_name_and_message(
+    monkeypatch, tmp_path
+):
+    def fail(calls):
+        raise UnpicklableError("no pickle for this one")
+
+    ds = tiny_dataset(seed=21)
+    patch_noisy_val_evaluation(monkeypatch, tmp_path, fail)
+    with pytest.raises(EvaluationError, match="^UnpicklableError: no pickle for this one$"):
+        train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=3))
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_evaluation_process_raises_instead_of_hanging(monkeypatch, tmp_path):
+    def die_at_epoch_2(calls):
+        if calls == 3:
+            os._exit(1)
+
+    ds = tiny_dataset(seed=21)
+    patch_noisy_val_evaluation(monkeypatch, tmp_path, die_at_epoch_2)
+    raised = []
+
+    def run():
+        try:
+            train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=6))
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)  # a hung train must not block exit
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "train hung on a dead evaluation process"
+    assert len(raised) == 1 and isinstance(raised[0], EvaluationError)
+    assert str(raised[0]) == "the evaluation process exited with code 1"
+    assert multiprocessing.active_children() == []
 
 
 def test_concurrent_trains_under_a_short_switch_interval_match_serial():
-    # three trainings at once, each with its evaluation thread, on two cores and
-    # with the interpreter switching threads every 10 us: evaluating the live
-    # model instead of its snapshot, or state shared between calls, would
-    # change a record or a returned model
+    # three trainings at once, each forking its evaluation process from a
+    # process with four threads, on two cores and with the interpreter
+    # switching threads every 10 us: evaluating the live model instead of its
+    # snapshot, state shared between calls, or a child forked while another
+    # thread holds a lock would change a record or a returned model, or hang
     ds = tiny_dataset(n=300, noise=0.3, seed=22)
     cfg = tiny_cfg(epochs=4)
     reference = train(tiny_model(ds, seed=7), ds, cfg)
