@@ -22,6 +22,7 @@ features too.
 """
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn_core
-from .errors import ContractError, DataFormatError, ShapeError
+from .errors import ContractError, DataFormatError, PiDualError, ShapeError
 from .nn_core import (
     IDENTITY,
     RELU,
@@ -58,6 +59,8 @@ class AblationFlags:
     noise_input: str = NOISE_INPUT_PI
 
     def __post_init__(self) -> None:
+        if type(self.use_gate) is not bool or type(self.use_noise_net) is not bool:
+            raise ContractError("use_gate and use_noise_net must be booleans")
         if self.gate_space not in (GATE_SPACE_LOGIT, GATE_SPACE_PROBABILITY):
             raise ContractError(f"unknown gate space {self.gate_space!r}")
         if self.noise_input not in (NOISE_INPUT_PI, NOISE_INPUT_PI_AND_X):
@@ -90,10 +93,11 @@ class PiDualModel:
     All parameters live in ``params``, one contiguous vector in roster order
     (see ``nn_core.flatten``); every component tensor is a view of it, so one
     optimizer step on ``params`` updates every component. Construction and
-    assigning a component copy the given tensors into a fresh vector.
-    A pickle holds the vector and only the layer shapes of the components;
-    unpickling (and so ``copy.deepcopy``) rebinds the components to the
-    restored vector. ``copy()`` is the cheap way to an independent model.
+    assigning a component check that each component reads and emits the
+    widths its place needs, then copy the given tensors into a fresh vector.
+    A pickle, like a checkpoint, holds the layout (``_layout``) and the
+    vector; unpickling (and so ``copy.deepcopy``) rebuilds the model with
+    ``_restore``. ``copy()`` is the cheap way to an independent model.
     """
 
     prediction: MlpParams
@@ -109,40 +113,41 @@ class PiDualModel:
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._bind(nn_core.flatten(self.components()))
+        self._check_widths()
+        nets = self.components()
+        params = nn_core.flatten(nets)
+        for name, (weights, biases) in nn_core.tensor_views(params, nets).items():
+            object.__setattr__(self, name, MlpParams(weights, biases, list(nets[name].activations)))
+        object.__setattr__(self, "params", params)
 
     def __setattr__(self, name: str, value) -> None:
         super().__setattr__(name, value)
         if name in COMPONENTS and "params" in self.__dict__:
             self.__post_init__()
 
-    def __getstate__(self) -> dict:
-        # the component tensors are views of ``params``: pickle their shapes only
-        state = dict(self.__dict__)
+    def __reduce__(self):
+        scalars = {key: getattr(self, key) for key in _SCALARS}
+        return _restore, (_layout(self), self.params, self.flags, scalars)
+
+    def _check_widths(self) -> None:
+        """Each component reads and emits the widths its place in the model needs."""
+        needed = COMPONENTS[:-1] if self.share_first_layer else COMPONENTS  # gate_trunk is last
+        if self.components().keys() != set(needed):
+            raise ShapeError(f"share_first_layer={self.share_first_layer} needs {needed}")
+        pi_in = self.pi_dim + self.feature_dim * (self.flags.noise_input == NOISE_INPUT_PI_AND_X)
+        trunk = self.pi_trunk.out_dim
+        gate_in = trunk if self.share_first_layer else self.gate_trunk.out_dim
+        wanted = {  # (input, output) widths; the trunks' output widths are free
+            "prediction": (self.feature_dim, self.num_classes),
+            "pi_trunk": (pi_in, trunk),
+            "noise_head": (trunk, self.num_classes),
+            "gate_head": (gate_in, 1),
+            "gate_trunk": (pi_in, gate_in),
+        }
         for name, net in self.components().items():
-            state[name] = ([w.shape for w in net.weights], list(net.activations))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name in COMPONENTS:
-            if state[name] is not None:
-                # zero-stride stand-ins that carry the shapes until _bind makes the views
-                shapes, activations = state[name]
-                state[name] = MlpParams(
-                    [np.broadcast_to(0.0, shape) for shape in shapes],
-                    [np.broadcast_to(0.0, shape[:1]) for shape in shapes],
-                    activations,
-                )
-        self.__dict__.update(state)
-        self._bind(self.params)
-
-    def _bind(self, params: np.ndarray) -> None:
-        """Make ``params`` the vector and rebind every component to views of it."""
-        nets = self.components()
-        for name, (weights, biases) in nn_core.tensor_views(params, nets).items():
-            net = MlpParams(weights, biases, list(nets[name].activations))
-            object.__setattr__(self, name, net)
-        object.__setattr__(self, "params", params)
+            if (net.in_dim, net.out_dim) != wanted[name]:
+                expected = "%d to %d" % wanted[name]
+                raise ShapeError(f"{name} maps {net.in_dim} to {net.out_dim}, not {expected}")
 
     def copy(self) -> "PiDualModel":
         """An independent model: a copy of the vector with components viewing it."""
@@ -421,61 +426,63 @@ def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one JSON document holding every tensor with its shape implied
-# by nested lists, plus the ablation flags. Floats are written with repr so
-# the round trip is lossless at 64-bit precision.
+# One codec for pickles and checkpoints: ``_layout`` lists each component's
+# layers as [out, in, activation], and ``_restore`` cuts the components from
+# the parameter vector by it. A checkpoint is one JSON document: the dims,
+# the flags, the layout and the vector as base64 of little-endian float64.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "pidual-checkpoint-v1"
+_CHECKPOINT_FORMAT = "pidual-checkpoint-v2"
+
+# The model's scalar fields, with the JSON type a checkpoint must give each.
+_SCALARS = {"feature_dim": int, "pi_dim": int, "num_classes": int, "share_first_layer": bool}
 
 
-def _net_to_json(net: MlpParams | None) -> list[dict] | None:
-    if net is None:
-        return None
-    return [
-        {"weight": w.tolist(), "bias": b.tolist(), "activation": act}
-        for w, b, act in zip(net.weights, net.biases, net.activations)
-    ]
+def _layout(model: PiDualModel) -> dict[str, list | None]:
+    """[[out, in, activation], ...] per roster component, None for an absent one."""
+    nets = {name: getattr(model, name) for name in COMPONENTS}
+    return {
+        name: None if net is None else [[*w.shape, a] for w, a in zip(net.weights, net.activations)]
+        for name, net in nets.items()
+    }
 
 
-def _net_from_json(layers: list[dict] | None) -> MlpParams | None:
-    if layers is None:
-        return None
-    return MlpParams(
-        [np.asarray(l["weight"], dtype=np.float64) for l in layers],
-        [np.asarray(l["bias"], dtype=np.float64) for l in layers],
-        [l["activation"] for l in layers],
-    )
+def _restore(layout: dict, params: np.ndarray, flags: AblationFlags, scalars: dict) -> PiDualModel:
+    """The model ``_layout`` described, owning a copy of ``params``. ``shaped_views``
+    checks the vector's length against the layout before it cuts a tensor; the
+    constructors check activations, chaining, finiteness and widths."""
+    present = {name: layout[name] for name in COMPONENTS if layout[name] is not None}
+    shapes = {name: [(o, i) for o, i, _ in layers] for name, layers in present.items()}
+    nets = dict.fromkeys(COMPONENTS)
+    for name, (weights, biases) in nn_core.shaped_views(params, shapes).items():
+        nets[name] = MlpParams(weights, biases, [act for *_, act in present[name]])
+    return PiDualModel(**nets, flags=flags, **scalars)
 
 
 def save_checkpoint(model: PiDualModel, path: str | Path) -> None:
     doc = {
         "format": _CHECKPOINT_FORMAT,
-        "feature_dim": model.feature_dim,
-        "pi_dim": model.pi_dim,
-        "num_classes": model.num_classes,
-        "share_first_layer": model.share_first_layer,
+        **{key: getattr(model, key) for key in _SCALARS},
         "flags": asdict(model.flags),
-        **{name: _net_to_json(getattr(model, name)) for name in COMPONENTS},
+        "layout": _layout(model),
+        "params": base64.b64encode(model.params.astype("<f8", copy=False).tobytes()).decode(),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> PiDualModel:
+    """The model ``save_checkpoint`` wrote; a malformed file raises ``DataFormatError``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise DataFormatError(f"{path}: not a {_CHECKPOINT_FORMAT} file")
-    try:
-        return PiDualModel(
-            **{name: _net_from_json(doc[name]) for name in COMPONENTS},
-            flags=AblationFlags(**doc["flags"]),
-            share_first_layer=doc["share_first_layer"],
-            feature_dim=doc["feature_dim"],
-            pi_dim=doc["pi_dim"],
-            num_classes=doc["num_classes"],
-        )
+        if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
+            raise DataFormatError(f"not a {_CHECKPOINT_FORMAT} file")
+        for key, kind in {**_SCALARS, "flags": dict, "layout": dict, "params": str}.items():
+            if type(doc[key]) is not kind:
+                raise DataFormatError(f"entry {key!r} is not of type {kind.__name__}")
+        params = np.frombuffer(base64.b64decode(doc["params"], validate=True), dtype="<f8")
+        scalars = {key: doc[key] for key in _SCALARS}
+        return _restore(doc["layout"], params, AblationFlags(**doc["flags"]), scalars)
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from exc
+    except (OSError, TypeError, ValueError, RecursionError, PiDualError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -229,14 +229,14 @@ def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _slots(nets: dict[str, MlpParams]):
+def _slots(shapes: dict[str, list[tuple[int, int]]]):
     """(net name, layer, "weight"/"bias", shape, start, stop) of each tensor, in vector order."""
     start = 0
-    for name, net in nets.items():
-        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-            for kind, t in (("weight", w), ("bias", b)):
-                yield name, k, kind, t.shape, start, start + t.size
-                start += t.size
+    for name, layers in shapes.items():
+        for k, (out, inp) in enumerate(layers):
+            for kind, shape, size in (("weight", (out, inp), out * inp), ("bias", (out,), out)):
+                yield name, k, kind, shape, start, start + size
+                start += size
 
 
 def flatten(nets: dict[str, MlpParams]) -> np.ndarray:
@@ -246,22 +246,35 @@ def flatten(nets: dict[str, MlpParams]) -> np.ndarray:
     )
 
 
-def tensor_views(
-    vector: np.ndarray, nets: dict[str, MlpParams]
+def shaped_views(
+    vector: np.ndarray, shapes: dict[str, list[tuple[int, int]]]
 ) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """(weights, biases) views of ``vector`` per net, shaped like the tensors of ``nets``."""
-    if vector.shape != (sum(net.size for net in nets.values()),):
-        raise ShapeError(f"a vector of shape {vector.shape} does not match the nets' tensors")
-    views: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {name: ([], []) for name in nets}
-    for name, _, kind, shape, start, stop in _slots(nets):
+    """(weights, biases) views of ``vector`` per net, whose layers have the weight
+    shapes ``shapes[net]``; the shapes and the vector's length are checked before
+    any view is made, so shapes read from a file cannot overrun the vector."""
+    if not all(type(n) is int and n >= 0 for layers in shapes.values() for s in layers for n in s):
+        raise ShapeError("layer widths must be non-negative integers")
+    size = sum(out * (inp + 1) for layers in shapes.values() for out, inp in layers)
+    if vector.shape != (size,):
+        raise ShapeError(f"a vector of shape {vector.shape} does not match {size} parameters")
+    views: dict[str, tuple[list, list]] = {name: ([], []) for name in shapes}
+    for name, _, kind, shape, start, stop in _slots(shapes):
         weights, biases = views[name]
         (weights if kind == "weight" else biases).append(vector[start:stop].reshape(shape))
     return views
 
 
+def tensor_views(
+    vector: np.ndarray, nets: dict[str, MlpParams]
+) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """(weights, biases) views of ``vector`` per net, shaped like the tensors of ``nets``."""
+    return shaped_views(vector, {n: [w.shape for w in net.weights] for n, net in nets.items()})
+
+
 def locate(nets: dict[str, MlpParams], index: int) -> str:
     """Names the tensor of ``nets`` that holds entry ``index`` of their vector."""
-    return next(f"{n} layer {k} {kind}" for n, k, kind, _, _, stop in _slots(nets) if index < stop)
+    slots = _slots({n: [w.shape for w in net.weights] for n, net in nets.items()})
+    return next(f"{n} layer {k} {kind}" for n, k, kind, _, _, stop in slots if index < stop)
 
 
 @dataclass

@@ -165,10 +165,12 @@ def _train_subset_metrics(
 class _EvaluationProcess:
     """A forked child that scores one epoch's parameters at a time.
 
-    Through the fork the child inherits ``template``, a model to score on, and
-    ``score``. Each request is a parameter vector, which the child writes into
-    ``template.params`` in place; each reply is ``score(template)`` or the
-    exception it raised. An empty request stops the child.
+    Through the fork the child inherits ``template``, a model to score on,
+    ``score``, and an anonymous shared memory map the size of its vector.
+    ``submit`` writes a vector into the map and sends one byte; the child
+    copies the map into ``template.params`` and replies ``score(template)`` or
+    the exception it raised. An empty message stops the child. The map is
+    written only after ``result()`` has returned the previous reply.
 
     The start method is fork, not spawn, so that the splits and the scoring
     closure reach the child without being pickled. A fork copies only the
@@ -182,8 +184,11 @@ class _EvaluationProcess:
     def __init__(self, template: PiDualModel, score) -> None:
         # imported here: multiprocessing adds about 16 ms to `import pidual`,
         # which the commands that train nothing (gen, detect, risk) would pay
+        import mmap
         import multiprocessing.connection
 
+        self._map = mmap.mmap(-1, template.params.nbytes)
+        self._shared = np.frombuffer(self._map, dtype=template.params.dtype)
         self._wait = multiprocessing.connection.wait
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe()
@@ -196,7 +201,8 @@ class _EvaluationProcess:
 
         self._conn.close()  # so the parent's exit reads as EOF here
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        while conn.recv_bytes_into(template.params):
+        while conn.recv_bytes():
+            template.params[:] = self._shared
             try:
                 reply = (True, score(template))
             except Exception as exc:
@@ -204,7 +210,8 @@ class _EvaluationProcess:
             conn.send(reply)
 
     def submit(self, params: np.ndarray) -> None:
-        self._conn.send_bytes(params)
+        self._shared[:] = params
+        self._conn.send_bytes(b"\x01")
 
     def result(self) -> dict[str, float]:
         """The reply to the request in flight; raises what the child raised."""
@@ -237,6 +244,8 @@ class _EvaluationProcess:
             self._proc.kill()
             self._proc.join()
         self._conn.close()
+        del self._shared  # the array's hold on the map would make close() fail
+        self._map.close()
 
 
 def _sendable(exc: Exception) -> Exception | str:
@@ -267,14 +276,11 @@ def train(
     x_tr, a_tr, y_tr = ds.train_arrays()
     if x_tr.shape[0] == 0:
         raise ContractError("train split is empty")
-    if x_tr.shape[1] != model.feature_dim or ds.num_classes != model.num_classes:
-        raise ContractError("model dimensions do not match the dataset")
-    expected_pi = model.pi_trunk.in_dim - (
-        model.feature_dim if model.flags.noise_input == model_mod.NOISE_INPUT_PI_AND_X else 0
-    )
-    if a_tr.shape[1] != expected_pi:
+    dims = (model.feature_dim, model.pi_dim, model.num_classes)
+    widths = (x_tr.shape[1], a_tr.shape[1], ds.num_classes)
+    if widths != dims:
         raise ContractError(
-            f"model expects PI width {expected_pi}, dataset has {a_tr.shape[1]}"
+            f"the model's (x, PI, classes) {dims} do not match the dataset's {widths}"
         )
 
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))

@@ -1,4 +1,8 @@
+import base64
+import copy
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pidual
+from pidual import model as model_mod
 from pidual import training
 from pidual.cli import main
 from pidual.config import build_dataset, load_experiment_config
@@ -241,7 +248,7 @@ def test_config_errors_leave_no_output_directory(tmp_path):
     assert not det_out.exists()
 
 
-@pytest.mark.parametrize("missing", ["flags", "gate_head"])
+@pytest.mark.parametrize("missing", ["flags", "layout", "params"])
 def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
     cfg_path, out = write_config(tmp_path)
     main(["gen", "--config", str(cfg_path)])
@@ -261,6 +268,198 @@ def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and missing in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def detect_inputs(tmp_path_factory):
+    """gen's dataset and a v2 checkpoint document of a model that fits it."""
+    tmp = tmp_path_factory.mktemp("detect_inputs")
+    cfg_path, out = write_config(tmp)
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    ds = load_csv(out / "dataset.csv")
+    ckpt = tmp / "ckpt.json"
+    model = build_model(ds.feature_dim, ds.pi_dim, ds.num_classes, pred_hidden=(4,), pi_width=4)
+    save_checkpoint(model, ckpt)
+    return out / "dataset.csv", json.loads(ckpt.read_text())
+
+
+def detect_args(ckpt, data, out):
+    return ["detect", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+
+
+def v1_document(doc):
+    """The pidual-checkpoint-v1 document of the model in a v2 document: every
+    tensor as nested lists next to the flags."""
+    model = model_mod._restore(
+        doc["layout"], np.frombuffer(base64.b64decode(doc["params"]), "<f8"),
+        model_mod.AblationFlags(**doc["flags"]),
+        {key: doc[key] for key in ("feature_dim", "pi_dim", "num_classes", "share_first_layer")},
+    )
+    v1 = {key: value for key, value in doc.items() if key not in ("layout", "params")}
+    v1["format"] = "pidual-checkpoint-v1"
+    for name in model_mod.COMPONENTS:
+        net = getattr(model, name)
+        v1[name] = None if net is None else [
+            {"weight": w.tolist(), "bias": b.tolist(), "activation": act}
+            for w, b, act in zip(net.weights, net.biases, net.activations)
+        ]
+    return v1
+
+
+def with_param(doc, index, value):
+    params = np.frombuffer(base64.b64decode(doc["params"]), "<f8").copy()
+    params[index] = value
+    doc["params"] = base64.b64encode(params.tobytes()).decode()
+
+
+def set_in(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+MALFORMED_CHECKPOINTS = {  # each corrupts a valid document, or returns the file's bytes
+    "not-json": lambda doc: b'{"format": ',
+    "not-utf8": lambda doc: b"\xff\xfe",
+    "deep-nesting": lambda doc: b"[" * 100_000 + b"]" * 100_000,
+    "json-list": lambda doc: [doc],
+    "flags-int": lambda doc: set_in(doc, ["flags"], 5),
+    "width-string": lambda doc: set_in(doc, ["layout", "prediction", 0, 0], "4"),
+    "bad-gate-space": lambda doc: set_in(doc, ["flags", "gate_space"], "nonsense"),
+    # 5 x 3 has the 20 parameters of the 4 x 4 layer it replaces
+    "mis-chained-layer": lambda doc: set_in(doc, ["layout", "prediction", 0], [5, 3, "relu"]),
+    "unknown-activation": lambda doc: set_in(doc, ["layout", "noise_head", 0, 2], "tanh"),
+    "nan-weight": lambda doc: with_param(doc, 0, math.nan),
+    "inf-bias": lambda doc: with_param(doc, -1, -math.inf),
+    "dims-disagree-with-layout": lambda doc: set_in(doc, ["feature_dim"], 5),
+    "float-dim": lambda doc: set_in(doc, ["num_classes"], float(doc["num_classes"])),
+    "int-for-bool": lambda doc: set_in(doc, ["share_first_layer"], 1),
+    "gate-trunk-while-shared": lambda doc: set_in(
+        doc, ["layout", "gate_trunk"], doc["layout"]["pi_trunk"]
+    ),
+    "one-parameter-short": lambda doc: set_in(
+        doc, ["params"], base64.b64encode(base64.b64decode(doc["params"])[:-8]).decode()
+    ),
+    "v1-document": v1_document,
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS)
+def test_detect_rejects_a_malformed_checkpoint_in_one_line(
+    tmp_path, detect_inputs, corrupt, capsys
+):
+    data, valid = detect_inputs
+    doc = copy.deepcopy(valid)
+    doc = corrupt(doc) or doc
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and err.count("\n") == 1, err
+    if corrupt is v1_document:
+        assert "pidual-checkpoint-v2" in err
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON document, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(child, path + (key,))
+
+
+ODD_VALUES = [None, True, 0, -1, 10**6, 2.5, math.nan, "", "x", [], {}, [1, 2, 3], {"a": 1}]
+BASE64_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=!"
+
+
+@st.composite
+def hostile_checkpoints(draw, valid):
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "swap", "truncate", "flip", "nonfinite"]))
+        raw = doc.get("params") if isinstance(doc, dict) else None
+        if kind in ("delete", "swap") or not isinstance(raw, str) or not raw:
+            paths = list(json_paths(doc))[1 if kind == "delete" else 0 :]
+            if not paths:
+                continue
+            path = draw(st.sampled_from(paths))
+            odd = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))  # later mutations may edit it
+            if kind == "delete":
+                parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+                del parent[path[-1]]
+            elif path:
+                set_in(doc, path, odd)
+            else:
+                doc = odd
+        elif kind == "truncate":
+            doc["params"] = raw[: draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            i = draw(st.integers(0, len(raw) - 1))
+            doc["params"] = raw[:i] + draw(st.sampled_from(BASE64_CHARS)) + raw[i + 1 :]
+        else:
+            try:
+                nbytes = len(base64.b64decode(raw, validate=True))
+            except ValueError:
+                continue
+            if nbytes and nbytes % 8 == 0:
+                value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+                with_param(doc, draw(st.integers(0, nbytes // 8 - 1)), value)
+    return doc
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_detect_answers_a_hostile_checkpoint_with_a_result_or_one_line(
+    tmp_path, detect_inputs, capsys, data
+):
+    # deleted keys, values of another type, a truncated or flipped base64
+    # vector, non-finite parameters: detect scores the model or exits 4 with
+    # one line, and never lets an exception out of main
+    dataset, valid = detect_inputs
+    doc = data.draw(hostile_checkpoints(valid))
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    code = main(detect_args(ckpt, dataset, tmp_path / "det"))
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) in ((0, 0), (4, 1)), err
+
+
+def test_detect_rejects_a_huge_layout_under_a_memory_cap(tmp_path, detect_inputs):
+    # a 10^6 x 10^6 layer needs 8 TB: the vector's length rules it out before
+    # any array is made, in a process that cannot map more than 2 GiB
+    data, doc = detect_inputs
+    doc = copy.deepcopy(doc)
+    doc["layout"]["pi_trunk"] = [[10**6, 10**6, "relu"]]
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from pidual.cli import main\n"
+        f"sys.exit(main({detect_args(ckpt, data, tmp_path / 'det')!r}))\n"
+    )
+    proc = run_module(["-c", script])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "parameters" in proc.stderr
+
+
+def test_detect_replays_the_confidence_detection_of_train(tmp_path):
+    # a checkpoint read back in another process scores gen's dataset exactly
+    # as train scored the model it saved
+    cfg_path, out = write_config(tmp_path)
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    replay = tmp_path / "replay"
+    proc = run_module(
+        ["-m", "pidual", *detect_args(out / "best_checkpoint.json", out / "dataset.csv", replay),
+         "--methods", "confidence"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("detection_confidence.json", "detection_confidence_hist.svg"):
+        assert read(replay / name) == read(out / name), name
 
 
 def test_detect_rejects_dataset_without_the_random_pi_block(tmp_path):

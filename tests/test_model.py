@@ -1,3 +1,4 @@
+import base64
 import copy
 import itertools
 import json
@@ -272,9 +273,41 @@ def test_checkpoint_round_trip(tmp_path):
         doc = json.loads(path.read_text())
         _, _, tape = forward_train(model, x, a)
         grads = backward_train(model, tape, labels)
-        stored = {name for name in COMPONENTS if doc[name] is not None}
+        stored = {name for name in COMPONENTS if doc["layout"][name] is not None}
         assert set(model.components()) == stored == set(grads)
         assert ("gate_trunk" in stored) == (not share)
+
+
+def test_checkpoint_holds_the_vector_as_little_endian_base64(tmp_path):
+    model = small_model(share=False, seed=9)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "pidual-checkpoint-v2"
+    assert base64.b64decode(doc["params"]) == model.params.astype("<f8").tobytes()
+    assert doc["layout"]["gate_head"] == [[5, 5, nn_core.RELU], [1, 5, nn_core.SIGMOID]]
+
+
+def test_construction_checks_the_width_of_every_component():
+    model = small_model(share=False)  # 3 features, 4 PI columns, 3 classes
+    nets = {name: getattr(model, name) for name in COMPONENTS}
+    fits = dict(
+        flags=AblationFlags(), share_first_layer=False, feature_dim=3, pi_dim=4, num_classes=3
+    )
+    PiDualModel(**nets, **fits)
+    for key, value in [
+        ("feature_dim", 4),
+        ("pi_dim", 3),
+        ("num_classes", 2),
+        ("share_first_layer", True),  # a gate trunk only without sharing
+        ("flags", AblationFlags(noise_input=NOISE_INPUT_PI_AND_X)),  # the trunks read PI only
+    ]:
+        with pytest.raises(ShapeError):
+            PiDualModel(**nets, **{**fits, key: value})
+    with pytest.raises(ShapeError, match="gate_head maps 5 to 2, not 5 to 1"):
+        model.gate_head = MlpParams([np.zeros((2, 5))], [np.zeros(2)], [nn_core.SIGMOID])
+    with pytest.raises(ShapeError, match="noise_head maps 6 to 3, not 5 to 3"):
+        model.noise_head = MlpParams([np.zeros((3, 6))], [np.zeros(3)], [nn_core.IDENTITY])
 
 
 def test_copy_owns_its_vector_and_views_it():

@@ -339,6 +339,16 @@ def test_evaluate_empty_split_raises():
         evaluate(tiny_model(ds), sub, "clean_test", "clean", "prediction")
 
 
+@pytest.mark.parametrize("dim", ["feature_dim", "pi_dim", "num_classes"])
+def test_train_rejects_a_dataset_of_other_widths(dim):
+    ds = tiny_dataset(k=3)
+    dims = {"feature_dim": ds.feature_dim, "pi_dim": ds.pi_dim, "num_classes": ds.num_classes}
+    dims[dim] += 1
+    model = build_model(**dims, pred_hidden=(4,), pi_width=4)
+    with pytest.raises(ContractError, match="do not match the dataset"):
+        train(model, ds, tiny_cfg(epochs=1))
+
+
 def test_ce_reduction_bit_identical():
     # no noise net + gate frozen at zero must walk the same path as plain CE
     ds = tiny_dataset(seed=9)
