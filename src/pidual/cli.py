@@ -216,6 +216,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
             f"dataset has {ds.feature_dim} feature columns, the checkpoint expects "
             f"{model.feature_dim}"
         )
+    if ds.num_classes > model.num_classes:
+        raise DataFormatError(
+            f"dataset has labels of {ds.num_classes} classes, the checkpoint predicts "
+            f"{model.num_classes}"
+        )
     if "gate" in methods and ds.pi_dim != model.pi_dim:
         raise DataFormatError(
             f"dataset has {ds.pi_dim} PI columns, the checkpoint expects {model.pi_dim}: "

@@ -22,11 +22,15 @@ is checked against.
 The fits and closed forms solve through factorizations (SVD least squares /
 dense solve); the Monte-Carlo oracle forms one SVD pseudo-inverse of the
 projected design per call and applies it to every chunk of draws as a matmul.
+The chunks are scored on a thread pool of up to one thread per available CPU
+and gathered in chunk order, so the result does not depend on the CPU count.
 Every route carries a condition guard of 1e10 on the Gram matrices.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -298,36 +302,44 @@ def monte_carlo_risk_stats(
 
     Each draw refits on resampled targets and scores the clean rows; the
     expectation over fresh evaluation noise enters analytically as +sigma^2.
-    Draws are generated in fixed chunks with derived substreams, so the result
-    is independent of any parallel execution order.
+    The fit is linear in the targets, so the projected design is factored once
+    (one SVD pseudo-inverse per call) and each chunk's refit is one matmul.
+    Chunks of ``_MC_CHUNK`` draws come from substreams derived from the chunk
+    index and run on up to one thread per available CPU; the risks are gathered
+    in chunk order, so the result is bitwise the same on any number of CPUs.
     """
     if resamples < 1:
         raise ConfigError("resamples must be >= 1")
+    try:
+        solver = _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
+    except NumericError as exc:
+        raise NumericError(f"estimator failed on draws [0, {resamples}): {exc}") from exc
     base = setup.noiseless_targets()
     clean_x = setup.features[setup.clean_mask]
     clean_fit = clean_x @ setup.feature_coef
     n1 = setup.n_clean
-    risks = []
-    done = 0
-    chunk_index = 0
-    try:
-        # the fit is linear in the targets: factor the design once, and each
-        # chunk's refit is one matmul
-        solver = _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
-        while done < resamples:
-            size = min(_MC_CHUNK, resamples - done)
-            rng = np.random.default_rng(derive_seed(seed, "chunk", chunk_index))
-            targets = rng.standard_normal((setup.n, size))
-            targets *= setup.noise_std
-            targets += base[:, None]
-            coefs = solver @ targets
-            residual = clean_x @ coefs - clean_fit[:, None]
-            risks.append((residual**2).sum(axis=0) / n1)
-            done += size
-            chunk_index += 1
-    except NumericError as exc:
-        raise NumericError(f"estimator failed on draws [{done}, {resamples}): {exc}") from exc
-    risk_draws = np.concatenate(risks) + setup.noise_std**2
+
+    def chunk(start: int) -> np.ndarray:
+        # the RNG fill, the matmuls and the ufunc loops release the GIL; the
+        # targets go before the residual is formed in place, so a chunk holds
+        # one (n, size) array at a time
+        rng = np.random.default_rng(derive_seed(seed, "chunk", start // _MC_CHUNK))
+        targets = rng.standard_normal((setup.n, min(_MC_CHUNK, resamples - start)))
+        targets *= setup.noise_std
+        targets += base[:, None]
+        coefs = solver @ targets
+        del targets
+        residual = clean_x @ coefs
+        residual -= clean_fit[:, None]
+        np.square(residual, out=residual)
+        return residual.sum(axis=0) / n1
+
+    starts = range(0, resamples, _MC_CHUNK)
+    # os.sched_getaffinity is missing where the OS has no CPU affinity (macOS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(cpus, len(starts))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        risk_draws = np.concatenate(list(pool.map(chunk, starts))) + setup.noise_std**2
     mean = float(risk_draws.mean())
     stderr = (
         float(risk_draws.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0

@@ -448,10 +448,17 @@ def _layout(model: PiDualModel) -> dict[str, list | None]:
 
 
 def _restore(layout: dict, params: np.ndarray, flags: AblationFlags, scalars: dict) -> PiDualModel:
-    """The model ``_layout`` described, owning a copy of ``params``. ``shaped_views``
-    checks the vector's length against the layout before it cuts a tensor; the
-    constructors check activations, chaining, finiteness and widths."""
+    """The model ``_layout`` described, owning a copy of ``params``. Each layer
+    entry must be [int, int, str]; ``shaped_views`` checks the vector's length
+    against the layout before it cuts a tensor; the constructors check
+    activations, chaining, finiteness and widths."""
     present = {name: layout[name] for name in COMPONENTS if layout[name] is not None}
+    for name, layers in present.items():
+        if type(layers) is not list:
+            raise DataFormatError(f"layout {name}: expected a list of layers or null")
+        for index, layer in enumerate(layers):
+            if type(layer) is not list or [type(v) for v in layer] != [int, int, str]:
+                raise DataFormatError(f"layout {name} layer {index}: expected [out, in, activation]")
     shapes = {name: [(o, i) for o, i, _ in layers] for name, layers in present.items()}
     nets = dict.fromkeys(COMPONENTS)
     for name, (weights, biases) in nn_core.shaped_views(params, shapes).items():

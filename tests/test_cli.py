@@ -426,6 +426,43 @@ def test_detect_answers_a_hostile_checkpoint_with_a_result_or_one_line(
     assert (code, err.count("\n")) in ((0, 0), (4, 1)), err
 
 
+def test_detect_rejects_a_model_with_fewer_classes_than_the_labels(
+    tmp_path, detect_inputs, capsys
+):
+    # widths that match, but the dataset's highest label has no logit
+    data, _ = detect_inputs
+    ds = load_csv(data)
+    ckpt = tmp_path / "ckpt.json"
+    model = build_model(ds.feature_dim, ds.pi_dim, ds.num_classes - 1, pred_hidden=(4,), pi_width=4)
+    save_checkpoint(model, ckpt)
+    assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{ds.num_classes} classes" in err, err
+    assert not (tmp_path / "det").exists()
+
+
+@pytest.mark.parametrize(
+    "component, entry, where",
+    [
+        ("prediction", [[4, 4]], "layout prediction layer 0"),
+        ("noise_head", [7, [3, 4, "identity"]], "layout noise_head layer 0"),
+        ("gate_head", 5, "layout gate_head"),
+    ],
+    ids=["short-entry", "non-list-entry", "non-list-component"],
+)
+def test_detect_names_the_malformed_layout_entry(
+    tmp_path, detect_inputs, capsys, component, entry, where
+):
+    data, valid = detect_inputs
+    doc = copy.deepcopy(valid)
+    doc["layout"][component] = entry
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and where in err, err
+
+
 def test_detect_rejects_a_huge_layout_under_a_memory_cap(tmp_path, detect_inputs):
     # a 10^6 x 10^6 layer needs 8 TB: the vector's length rules it out before
     # any array is made, in a process that cannot map more than 2 GiB

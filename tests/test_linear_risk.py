@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -262,6 +265,19 @@ def test_monte_carlo_matches_chunkwise_lstsq_refit(which):
     mean, stderr = monte_carlo_risk_stats(s, mask, resamples, seed)
     assert mean == pytest.approx(draws.mean(), rel=1e-12)
     assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(resamples), rel=1e-12)
+
+
+def test_monte_carlo_is_bitwise_independent_of_the_cpu_count(monkeypatch):
+    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
+    mask = corrupt_mask(s.clean_mask, 5, seed=4)
+    threads_before = threading.active_count()
+    results = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        # a full 4096-draw chunk and a partial one
+        results.append(monte_carlo_risk_stats(s, mask, resamples=5000, seed=9))
+    assert results[0] == results[1]
+    assert threading.active_count() == threads_before
 
 
 def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
