@@ -15,16 +15,22 @@ path. OLS is the special case whose mask selects every row
 (``LinearRiskSetup.all_rows``), which leaves the PI path empty. The estimator
 admits a closed-form expected risk (a bias term driven by the gap
 X@feature_coef - A@pi_coef, a variance trace term, and the irreducible
-sigma^2); ``monte_carlo_risk`` estimates the same expectation by resampling the
+sigma^2); ``monte_carlo_risks`` estimates the same expectation by resampling the
 training noise and refitting, which is the independent oracle the closed form
 is checked against.
 
 The fits and closed forms solve through factorizations (SVD least squares /
-dense solve); the Monte-Carlo oracle forms one SVD pseudo-inverse of the
-projected design per call and applies it to every chunk of draws as a matmul.
-The chunks are scored on a thread pool of up to one thread per available CPU
-and gathered in chunk order, so the result does not depend on the CPU count.
-Every route carries a condition guard of 1e10 on the Gram matrices.
+dense solve); the Monte-Carlo oracle forms one SVD pseudo-inverse of each
+fit's projected design and applies it to every chunk of draws as a matmul.
+``monte_carlo_risks`` takes a list of (setup, fit mask) pairs and one seed:
+chunk ``i`` of 4096 draws takes its standard normals from
+``derive_seed(seed, "chunk", i)`` once, and every fit reuses them (common
+random numbers), so a fit's estimate does not depend on the other fits
+listed. ``monte_carlo_risk_stats`` and ``monte_carlo_risk`` are its
+single-fit forms. The chunks are scored on a thread pool of up to one thread
+per available CPU and gathered in chunk order, so the result does not depend
+on the CPU count. Every route carries a condition guard of 1e10 on the Gram
+matrices.
 """
 from __future__ import annotations
 
@@ -41,6 +47,7 @@ from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
 _MC_CHUNK = 4096
+_MC_BLOCK = 512  # draws per column block of a chunk's residual
 _MIN_SINGULAR = 1e-6  # floor on the smallest singular value of a drawn design
 _MAX_TRIES = 5  # draws before an exactly rank-deficient design is an error
 
@@ -294,57 +301,102 @@ def closed_form_risk(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskBreakd
 # ---------------------------------------------------------------------------
 
 
-def monte_carlo_risk_stats(
-    setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
-) -> tuple[float, float]:
-    """(mean risk, standard error) of the masked estimator over fresh
-    training-noise draws.
+def monte_carlo_risks(
+    fits: list[tuple[LinearRiskSetup, np.ndarray]], resamples: int, seed: int
+) -> list[tuple[float, float]]:
+    """(mean risk, standard error) of each ``(setup, fit_mask)`` fit over
+    fresh training-noise draws that every fit shares.
 
     Each draw refits on resampled targets and scores the clean rows; the
     expectation over fresh evaluation noise enters analytically as +sigma^2.
-    The fit is linear in the targets, so the projected design is factored once
-    (one SVD pseudo-inverse per call) and each chunk's refit is one matmul.
+    The fit is linear in the targets, so each projected design is factored once
+    (one SVD pseudo-inverse per fit) and each chunk's refit is one matmul.
     Chunks of ``_MC_CHUNK`` draws come from substreams derived from the chunk
-    index and run on up to one thread per available CPU; the risks are gathered
-    in chunk order, so the result is bitwise the same on any number of CPUs.
+    index. A chunk draws its standard normals once and every fit reuses them
+    (common random numbers), scaled by its own setup's noise_std, so every
+    setup must have the same number of rows. A fit's result depends only on
+    its setup, its mask, ``resamples`` and ``seed``, never on the other fits
+    listed. Chunks run on up to one thread per available CPU and the risks are
+    gathered in chunk order, so the result is bitwise the same on any number of
+    CPUs.
     """
     if resamples < 1:
         raise ConfigError("resamples must be >= 1")
-    try:
-        solver = _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
-    except NumericError as exc:
-        raise NumericError(f"estimator failed on draws [0, {resamples}): {exc}") from exc
-    base = setup.noiseless_targets()
-    clean_x = setup.features[setup.clean_mask]
-    clean_fit = clean_x @ setup.feature_coef
-    n1 = setup.n_clean
+    if not fits:
+        return []
+    sizes = sorted({setup.n for setup, _ in fits})
+    if len(sizes) > 1:
+        raise SetupError(
+            f"Monte-Carlo fits share their draws, so their setups need one n, got {sizes}"
+        )
+    solvers = []
+    for setup, fit_mask in fits:
+        try:
+            solvers.append(
+                _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
+            )
+        except NumericError as exc:
+            raise NumericError(f"estimator failed on draws [0, {resamples}): {exc}") from exc
+    # the fits of each setup, in order of first appearance: a chunk forms a
+    # setup's targets once for all of them
+    by_setup: dict[int, list[int]] = {}
+    for i, (setup, _) in enumerate(fits):
+        by_setup.setdefault(id(setup), []).append(i)
+    groups = []
+    for members in by_setup.values():
+        setup = fits[members[0]][0]
+        clean_x = setup.features[setup.clean_mask]
+        groups.append(
+            (setup, setup.noiseless_targets(), clean_x, clean_x @ setup.feature_coef, members)
+        )
 
-    def chunk(start: int) -> np.ndarray:
-        # the RNG fill, the matmuls and the ufunc loops release the GIL; the
-        # targets go before the residual is formed in place, so a chunk holds
-        # one (n, size) array at a time
+    def chunk(start: int) -> list[np.ndarray]:
+        # the RNG fill, the matmuls and the ufunc loops release the GIL. A chunk
+        # holds its normals, one copy of them per setup but the last (which
+        # scales them in place), and one fit's residual for one column block at
+        # a time. The blocks are never one draw wide unless the chunk is: a
+        # width-1 sum takes another summation order.
+        size = min(_MC_CHUNK, resamples - start)
         rng = np.random.default_rng(derive_seed(seed, "chunk", start // _MC_CHUNK))
-        targets = rng.standard_normal((setup.n, min(_MC_CHUNK, resamples - start)))
-        targets *= setup.noise_std
-        targets += base[:, None]
-        coefs = solver @ targets
-        del targets
-        residual = clean_x @ coefs
-        residual -= clean_fit[:, None]
-        np.square(residual, out=residual)
-        return residual.sum(axis=0) / n1
+        noise = rng.standard_normal((sizes[0], size))
+        blocks = -(-size // _MC_BLOCK)
+        edges = [size * b // blocks for b in range(blocks + 1)]
+        risks = [np.empty(size) for _ in fits]
+        for g, (setup, base, clean_x, clean_fit, members) in enumerate(groups):
+            last = g == len(groups) - 1
+            targets = np.multiply(noise, setup.noise_std, out=noise if last else None)
+            targets += base[:, None]
+            for i in members:
+                coefs = solvers[i] @ targets
+                for lo, hi in zip(edges, edges[1:]):
+                    residual = clean_x @ coefs[:, lo:hi]
+                    residual -= clean_fit[:, None]
+                    np.square(residual, out=residual)
+                    risks[i][lo:hi] = residual.sum(axis=0)
+                risks[i] /= setup.n_clean
+        return risks
 
     starts = range(0, resamples, _MC_CHUNK)
     # os.sched_getaffinity is missing where the OS has no CPU affinity (macOS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = min(cpus, len(starts))
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        risk_draws = np.concatenate(list(pool.map(chunk, starts))) + setup.noise_std**2
-    mean = float(risk_draws.mean())
-    stderr = (
-        float(risk_draws.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0
-    )
-    return mean, stderr
+        chunks = list(pool.map(chunk, starts))
+    stats = []
+    for i, (setup, _) in enumerate(fits):
+        risk_draws = np.concatenate([risks[i] for risks in chunks]) + setup.noise_std**2
+        stderr = (
+            float(risk_draws.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0
+        )
+        stats.append((float(risk_draws.mean()), stderr))
+    return stats
+
+
+def monte_carlo_risk_stats(
+    setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
+) -> tuple[float, float]:
+    """(mean risk, standard error) of one masked fit; see ``monte_carlo_risks``."""
+    return monte_carlo_risks([(setup, fit_mask)], resamples, seed)[0]
 
 
 def monte_carlo_risk(

@@ -1,5 +1,6 @@
 import base64
 import copy
+import csv
 import functools
 import json
 import math
@@ -569,6 +570,44 @@ def test_risk_monte_carlo_within_tolerance(tmp_path):
     assert abs(closed - mc) / closed < 0.1
 
 
+def risk_rows(tmp_path, name, **risk):
+    cfg_path, out = write_config(
+        tmp_path, overrides={"risk": risk}, name=f"{name}.ini", out=tmp_path / name
+    )
+    assert main(["risk", "--config", str(cfg_path)]) == 0
+    with (out / "risk.csv").open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_risk_corruption_sweep_estimates_ols_once(tmp_path):
+    rows = risk_rows(
+        tmp_path, "sweep", sweep="corruption", sweep_values="0,2,4,8", resamples="2000"
+    )
+    assert len(rows) == 4
+    # one setup, so one OLS fit on the shared draws
+    assert len({row["mc_ols"] for row in rows}) == 1
+    assert len({row["mc_pidual"] for row in rows}) == 4
+
+
+@pytest.mark.parametrize(
+    "sweep,values",
+    [("none", ""), ("corruption", "0,2,4"), ("n2", "10,20"), ("sigma", "0.5,1,2")],
+)
+def test_risk_monte_carlo_tracks_the_closed_form_on_every_sweep(tmp_path, sweep, values):
+    rows = risk_rows(tmp_path, sweep, sweep=sweep, sweep_values=values, resamples="4000")
+    for row in rows:
+        for mc, closed in (("mc_ols", "ols_total"), ("mc_pidual", "pidual_total")):
+            gap = abs(float(row[mc]) - float(row[closed])) / float(row[closed])
+            assert gap < 0.02, (row["setup_id"], mc, gap)
+
+
+def test_risk_row_does_not_depend_on_the_other_sweep_points(tmp_path):
+    alone = risk_rows(tmp_path, "alone", sweep="corruption", sweep_values="4", resamples="2000")
+    swept = risk_rows(tmp_path, "swept", sweep="corruption", sweep_values="0,2,4", resamples="2000")
+    assert [row["setup_id"] for row in swept] == ["corrupt_0", "corrupt_2", "corrupt_4"]
+    assert alone == swept[2:]
+
+
 @pytest.mark.parametrize(
     "risk,field",
     [
@@ -738,12 +777,10 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
 
 
 def test_risk_csv_parses_back(tmp_path):
-    import csv as _csv
-
     cfg_path, out = write_config(tmp_path, overrides={"risk": {"resamples": "100"}})
     assert main(["risk", "--config", str(cfg_path)]) == 0
     with (out / "risk.csv").open() as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     row = rows[0]
     assert int(row["n"]) == 60 and int(row["n1"]) == 40

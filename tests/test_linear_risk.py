@@ -15,6 +15,7 @@ from pidual.linear_risk import (
     masked_fit,
     monte_carlo_risk,
     monte_carlo_risk_stats,
+    monte_carlo_risks,
     pi_projector,
     projected_features,
 )
@@ -288,3 +289,74 @@ def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
     with pytest.raises(NumericError, match=r"condition .* exceeds") as exc:
         monte_carlo_risk(bad, bad.all_rows, resamples=10, seed=0)
     assert "draws [0, 10)" in str(exc.value)
+
+
+def shared_draw_fits():
+    """Several masks on one setup, plus setups that differ in noise_std and in n_clean."""
+    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
+    noisier = make_setup(60, 4, 4, 40, 2.5, seed=21, pi_coef_scale=3.0)
+    fewer_clean = make_setup(60, 4, 4, 30, 1.0, seed=23, pi_coef_scale=3.0)
+    return [
+        (s, s.all_rows),
+        (s, s.clean_mask),
+        (s, corrupt_mask(s.clean_mask, 5, seed=4)),
+        (noisier, noisier.all_rows),
+        (noisier, corrupt_mask(noisier.clean_mask, 3, seed=5)),
+        (fewer_clean, fewer_clean.clean_mask),
+    ]
+
+
+def whole_chunk_oracle(setup, fit_mask, resamples, seed):
+    """The oracle with one residual per chunk and one call per fit: the same
+    arithmetic as ``monte_carlo_risks``, so the same bits."""
+    u, svals, vt = np.linalg.svd(projected_features(setup, fit_mask), full_matrices=False)
+    solver = (vt.T / svals) @ u.T
+    clean_x = setup.features[setup.clean_mask]
+    risks = []
+    for index, start in enumerate(range(0, resamples, 4096)):
+        rng = np.random.default_rng(derive_seed(seed, "chunk", index))
+        targets = rng.standard_normal((setup.n, min(4096, resamples - start)))
+        targets *= setup.noise_std
+        targets += setup.noiseless_targets()[:, None]
+        residual = clean_x @ (solver @ targets)
+        residual -= (clean_x @ setup.feature_coef)[:, None]
+        risks.append((residual**2).sum(axis=0) / setup.n_clean)
+    draws = np.concatenate(risks) + setup.noise_std**2
+    return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(resamples))
+
+
+def test_monte_carlo_risks_equal_each_single_fit_oracle():
+    fits = shared_draw_fits()
+    # a full 4096-draw chunk and a 513-draw one, which is scored in two blocks
+    resamples, seed = 4609, 9
+    stats = monte_carlo_risks(fits, resamples, seed)
+    assert stats == [monte_carlo_risk_stats(s, mask, resamples, seed) for s, mask in fits]
+    assert stats == [whole_chunk_oracle(s, mask, resamples, seed) for s, mask in fits]
+    # a fit's result does not depend on the other fits listed
+    assert monte_carlo_risks(fits[::-1], resamples, seed) == stats[::-1]
+
+
+def test_monte_carlo_risks_are_bitwise_independent_of_the_cpu_count(monkeypatch):
+    fits = shared_draw_fits()
+    threads_before = threading.active_count()
+    results = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        results.append(monte_carlo_risks(fits, resamples=5000, seed=9))
+    assert results[0] == results[1]
+    assert threading.active_count() == threads_before
+
+
+def test_monte_carlo_risks_reject_setups_of_different_sizes():
+    s = make_setup(60, 4, 4, 40, 1.0, seed=21)
+    other = make_setup(61, 4, 4, 40, 1.0, seed=21)
+    with pytest.raises(SetupError, match=r"one n, got \[60, 61\]") as exc:
+        monte_carlo_risks([(s, s.all_rows), (other, other.all_rows)], resamples=10, seed=0)
+    assert "\n" not in str(exc.value)
+
+
+def test_monte_carlo_risks_name_the_draw_range_of_an_unsolvable_fit():
+    s = make_setup(30, 3, 5, 28, 1.0, seed=20)
+    # OLS is solvable; the gated fit has 2 noisy rows for 5 PI columns
+    with pytest.raises(NumericError, match=r"draws \[0, 10\): masked PI block is rank-deficient"):
+        monte_carlo_risks([(s, s.all_rows), (s, s.clean_mask)], resamples=10, seed=0)
