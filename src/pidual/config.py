@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -264,18 +265,28 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
                     f"got {rsec['sweep_values'].strip()!r}"
                 )
             sweep_values = [int(v) for v in sweep_values]
+        if sweep == "sigma" and not all(math.isfinite(v) for v in sweep_values):
+            raise ConfigError(
+                f"risk.sweep_values: the sigma sweep takes finite values, "
+                f"got {rsec['sweep_values'].strip()!r}"
+            )
         resamples = int(rsec["resamples"])
         if resamples < 0:
             raise ConfigError(f"risk.resamples: must be >= 0 (0 = closed form only), got {resamples}")
+        dims = {key: int(rsec[key]) for key in ("d", "m")}
+        scales = {key: float(rsec[key]) for key in ("sigma", "coef_scale", "pi_coef_scale")}
+        for key, value in dims.items():
+            if value < 1:
+                raise ConfigError(f"risk.{key}: must be >= 1, got {value}")
+        for key, value in scales.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"risk.{key}: must be finite, got {rsec[key].strip()!r}")
         risk_section = RiskSection(
             n=int(rsec["n"]),
-            d=int(rsec["d"]),
-            m=int(rsec["m"]),
             n_clean=int(rsec["n_clean"]),
-            sigma=float(rsec["sigma"]),
-            coef_scale=float(rsec["coef_scale"]),
-            pi_coef_scale=float(rsec["pi_coef_scale"]),
             resamples=resamples,
+            **dims,
+            **scales,
             sweep=sweep,
             sweep_values=sweep_values,
         )

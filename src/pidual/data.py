@@ -309,21 +309,21 @@ def _header(d: int, p: int, with_clean: bool, with_split: bool) -> list[str]:
     return cols
 
 
-def save_csv(ds: PiDataset, path: str | Path, include_split: bool = True) -> None:
-    """Write the dataset in the documented column order, losslessly (repr floats)."""
+def save_csv(ds: PiDataset, path: str | Path) -> None:
+    """Write the dataset in the documented column order, losslessly (repr floats),
+    always with the split column."""
     path = Path(path)
     with_clean = ds.clean_labels is not None
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(ds.feature_dim, ds.pi_dim, with_clean, include_split))
+        writer.writerow(_header(ds.feature_dim, ds.pi_dim, with_clean, with_split=True))
         for i in range(ds.n):
             row = [repr(float(v)) for v in ds.features[i]]
             row += [repr(float(v)) for v in ds.pi[i]]
             row.append(str(int(ds.noisy_labels[i])))
             if with_clean:
                 row.append(str(int(ds.clean_labels[i])))
-            if include_split:
-                row.append(SPLIT_NAMES[ds.split[i]])
+            row.append(SPLIT_NAMES[ds.split[i]])
             writer.writerow(row)
 
 

@@ -20,23 +20,21 @@ training noise and refitting, which is the independent oracle the closed form
 is checked against.
 
 The fits and closed forms solve through factorizations (SVD least squares /
-dense solve); the Monte-Carlo oracle forms one SVD pseudo-inverse of each
-fit's projected design and applies it to every chunk of draws as a matmul.
-``monte_carlo_risks`` takes a list of (setup, fit mask) pairs and one seed:
-chunk ``i`` of 4096 draws takes its standard normals from
-``derive_seed(seed, "chunk", i)`` once, and every fit reuses them (common
-random numbers), so a fit's estimate does not depend on the other fits
-listed. ``monte_carlo_risk_stats`` and ``monte_carlo_risk`` are its
-single-fit forms. The chunks are scored on a thread pool of up to one thread
-per available CPU and gathered in chunk order, so the result does not depend
-on the CPU count. Every route carries a condition guard of 1e10 on the Gram
-matrices.
+dense solve). The Monte-Carlo oracle folds each fit into one affine map of
+the standard normals: with S the SVD pseudo-inverse of the fit's projected
+design and R the triangular factor of the clean rows' features, a draw xi
+has risk ||sigma * R @ S @ xi + R @ S @ y0 - R @ feature_coef||^2 / n1 + sigma^2,
+where y0 are the noiseless targets. ``monte_carlo_risks`` takes a list of
+(setup, fit mask) pairs and one seed: chunk ``i`` of 4096 draws takes its
+standard normals from ``derive_seed(seed, "chunk", i)`` once, and every fit
+reuses them (common random numbers), so a fit's estimate does not depend on
+the other fits listed. ``monte_carlo_risk_stats`` and ``monte_carlo_risk``
+are its single-fit forms. Every route carries a condition guard of 1e10 on
+the Gram matrices.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +45,6 @@ from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
 _MC_CHUNK = 4096
-_MC_BLOCK = 512  # draws per column block of a chunk's residual
 _MIN_SINGULAR = 1e-6  # floor on the smallest singular value of a drawn design
 _MAX_TRIES = 5  # draws before an exactly rank-deficient design is an error
 
@@ -309,16 +306,16 @@ def monte_carlo_risks(
 
     Each draw refits on resampled targets and scores the clean rows; the
     expectation over fresh evaluation noise enters analytically as +sigma^2.
-    The fit is linear in the targets, so each projected design is factored once
-    (one SVD pseudo-inverse per fit) and each chunk's refit is one matmul.
-    Chunks of ``_MC_CHUNK`` draws come from substreams derived from the chunk
-    index. A chunk draws its standard normals once and every fit reuses them
-    (common random numbers), scaled by its own setup's noise_std, so every
-    setup must have the same number of rows. A fit's result depends only on
-    its setup, its mask, ``resamples`` and ``seed``, never on the other fits
-    listed. Chunks run on up to one thread per available CPU and the risks are
-    gathered in chunk order, so the result is bitwise the same on any number of
-    CPUs.
+    The fit is linear in the targets and the clean rows' residual norm equals
+    that of their triangular factor R, so each fit is folded once into a
+    (d, n) map M = sigma * R @ S, with S its SVD pseudo-inverse, and an offset
+    c = R @ S @ noiseless_targets - R @ feature_coef; a draw's standard normals
+    xi score ||M @ xi + c||^2 / n1 + sigma^2. Chunks of ``_MC_CHUNK`` draws
+    come from substreams derived from the chunk index. A chunk draws its
+    standard normals once and every fit reuses them (common random numbers),
+    so every setup must have the same number of rows. A fit's result depends
+    only on its setup, its mask, ``resamples`` and ``seed``, never on the
+    other fits listed.
     """
     if resamples < 1:
         raise ConfigError("resamples must be >= 1")
@@ -329,62 +326,28 @@ def monte_carlo_risks(
         raise SetupError(
             f"Monte-Carlo fits share their draws, so their setups need one n, got {sizes}"
         )
-    solvers = []
+    maps = []
     for setup, fit_mask in fits:
         try:
-            solvers.append(
-                _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
-            )
+            solver = _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
         except NumericError as exc:
             raise NumericError(f"estimator failed on draws [0, {resamples}): {exc}") from exc
-    # the fits of each setup, in order of first appearance: a chunk forms a
-    # setup's targets once for all of them
-    by_setup: dict[int, list[int]] = {}
-    for i, (setup, _) in enumerate(fits):
-        by_setup.setdefault(id(setup), []).append(i)
-    groups = []
-    for members in by_setup.values():
-        setup = fits[members[0]][0]
-        clean_x = setup.features[setup.clean_mask]
-        groups.append(
-            (setup, setup.noiseless_targets(), clean_x, clean_x @ setup.feature_coef, members)
-        )
-
-    def chunk(start: int) -> list[np.ndarray]:
-        # the RNG fill, the matmuls and the ufunc loops release the GIL. A chunk
-        # holds its normals, one copy of them per setup but the last (which
-        # scales them in place), and one fit's residual for one column block at
-        # a time. The blocks are never one draw wide unless the chunk is: a
-        # width-1 sum takes another summation order.
-        size = min(_MC_CHUNK, resamples - start)
-        rng = np.random.default_rng(derive_seed(seed, "chunk", start // _MC_CHUNK))
-        noise = rng.standard_normal((sizes[0], size))
-        blocks = -(-size // _MC_BLOCK)
-        edges = [size * b // blocks for b in range(blocks + 1)]
-        risks = [np.empty(size) for _ in fits]
-        for g, (setup, base, clean_x, clean_fit, members) in enumerate(groups):
-            last = g == len(groups) - 1
-            targets = np.multiply(noise, setup.noise_std, out=noise if last else None)
-            targets += base[:, None]
-            for i in members:
-                coefs = solvers[i] @ targets
-                for lo, hi in zip(edges, edges[1:]):
-                    residual = clean_x @ coefs[:, lo:hi]
-                    residual -= clean_fit[:, None]
-                    np.square(residual, out=residual)
-                    risks[i][lo:hi] = residual.sum(axis=0)
-                risks[i] /= setup.n_clean
-        return risks
-
-    starts = range(0, resamples, _MC_CHUNK)
-    # os.sched_getaffinity is missing where the OS has no CPU affinity (macOS)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(cpus, len(starts))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(chunk, starts))
+        clean_r = np.linalg.qr(setup.features[setup.clean_mask], mode="r")
+        scored = clean_r @ solver
+        offset = scored @ setup.noiseless_targets() - clean_r @ setup.feature_coef
+        maps.append((setup.noise_std * scored, offset[:, None]))
+    sums: list[list[np.ndarray]] = [[] for _ in fits]
+    for index, start in enumerate(range(0, resamples, _MC_CHUNK)):
+        rng = np.random.default_rng(derive_seed(seed, "chunk", index))
+        noise = rng.standard_normal((sizes[0], min(_MC_CHUNK, resamples - start)))
+        for (noise_map, offset), fit_sums in zip(maps, sums):
+            residual = noise_map @ noise
+            residual += offset
+            np.square(residual, out=residual)
+            fit_sums.append(residual.sum(axis=0))
     stats = []
-    for i, (setup, _) in enumerate(fits):
-        risk_draws = np.concatenate([risks[i] for risks in chunks]) + setup.noise_std**2
+    for (setup, _), fit_sums in zip(fits, sums):
+        risk_draws = np.concatenate(fit_sums) / setup.n_clean + setup.noise_std**2
         stderr = (
             float(risk_draws.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0
         )

@@ -625,6 +625,18 @@ def test_risk_row_does_not_depend_on_the_other_sweep_points(tmp_path):
         pytest.param(
             {"sweep": "none", "sweep_values": "0,2"}, "risk.sweep_values", id="none-with-values"
         ),
+        pytest.param({"d": "0"}, "risk.d", id="zero-d"),
+        pytest.param({"m": "0"}, "risk.m", id="zero-m"),
+        pytest.param({"sigma": "nan"}, "risk.sigma", id="nan-sigma"),
+        pytest.param({"sigma": "inf"}, "risk.sigma", id="inf-sigma"),
+        pytest.param({"coef_scale": "inf"}, "risk.coef_scale", id="inf-coef-scale"),
+        pytest.param({"pi_coef_scale": "nan"}, "risk.pi_coef_scale", id="nan-pi-coef-scale"),
+        pytest.param(
+            {"sweep": "sigma", "sweep_values": "0.5,inf"}, "risk.sweep_values", id="sigma-inf"
+        ),
+        pytest.param(
+            {"sweep": "sigma", "sweep_values": "nan"}, "risk.sweep_values", id="sigma-nan"
+        ),
     ],
 )
 def test_risk_rejects_malformed_sweep(tmp_path, risk, field):

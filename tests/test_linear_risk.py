@@ -1,6 +1,3 @@
-import os
-import threading
-
 import numpy as np
 import pytest
 
@@ -248,49 +245,6 @@ def test_monte_carlo_propagates_estimator_failure_with_draw_range():
         monte_carlo_risk(s, s.clean_mask, resamples=10, seed=0)
 
 
-@pytest.mark.parametrize("which", ["ols", "corrupted"])
-def test_monte_carlo_matches_chunkwise_lstsq_refit(which):
-    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
-    mask = s.all_rows if which == "ols" else corrupt_mask(s.clean_mask, 5, seed=4)
-    resamples, seed = 5000, 9  # a full 4096-draw chunk and a partial one
-    design = projected_features(s, mask)
-    clean_x = s.features[s.clean_mask]
-    risks = []
-    for index, start in enumerate(range(0, resamples, 4096)):
-        rng = np.random.default_rng(derive_seed(seed, "chunk", index))
-        noise = s.noise_std * rng.standard_normal((s.n, min(4096, resamples - start)))
-        coefs = np.linalg.lstsq(design, s.noiseless_targets()[:, None] + noise, rcond=None)[0]
-        residual = clean_x @ (coefs - s.feature_coef[:, None])
-        risks.append((residual**2).sum(axis=0) / s.n_clean)
-    draws = np.concatenate(risks) + s.noise_std**2
-    mean, stderr = monte_carlo_risk_stats(s, mask, resamples, seed)
-    assert mean == pytest.approx(draws.mean(), rel=1e-12)
-    assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(resamples), rel=1e-12)
-
-
-def test_monte_carlo_is_bitwise_independent_of_the_cpu_count(monkeypatch):
-    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
-    mask = corrupt_mask(s.clean_mask, 5, seed=4)
-    threads_before = threading.active_count()
-    results = []
-    for cpus in (1, 4):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        # a full 4096-draw chunk and a partial one
-        results.append(monte_carlo_risk_stats(s, mask, resamples=5000, seed=9))
-    assert results[0] == results[1]
-    assert threading.active_count() == threads_before
-
-
-def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
-    s = make_setup(50, 3, 3, 30, 1.0, seed=22)
-    features = s.features.copy()
-    features[:, 0] *= 1e6  # Gram condition of order 1e12
-    bad = LinearRiskSetup(features, s.pi, s.feature_coef, s.pi_coef, s.clean_mask, s.noise_std)
-    with pytest.raises(NumericError, match=r"condition .* exceeds") as exc:
-        monte_carlo_risk(bad, bad.all_rows, resamples=10, seed=0)
-    assert "draws [0, 10)" in str(exc.value)
-
-
 def shared_draw_fits():
     """Several masks on one setup, plus setups that differ in noise_std and in n_clean."""
     s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
@@ -306,45 +260,58 @@ def shared_draw_fits():
     ]
 
 
-def whole_chunk_oracle(setup, fit_mask, resamples, seed):
-    """The oracle with one residual per chunk and one call per fit: the same
-    arithmetic as ``monte_carlo_risks``, so the same bits."""
-    u, svals, vt = np.linalg.svd(projected_features(setup, fit_mask), full_matrices=False)
-    solver = (vt.T / svals) @ u.T
+def chunkwise_lstsq_refit(setup, fit_mask, resamples, seed):
+    """Per-draw risks from refitting each chunk's targets with ``lstsq`` and
+    scoring the clean rows directly."""
+    design = projected_features(setup, fit_mask)
     clean_x = setup.features[setup.clean_mask]
     risks = []
     for index, start in enumerate(range(0, resamples, 4096)):
         rng = np.random.default_rng(derive_seed(seed, "chunk", index))
-        targets = rng.standard_normal((setup.n, min(4096, resamples - start)))
-        targets *= setup.noise_std
-        targets += setup.noiseless_targets()[:, None]
-        residual = clean_x @ (solver @ targets)
-        residual -= (clean_x @ setup.feature_coef)[:, None]
+        noise = setup.noise_std * rng.standard_normal((setup.n, min(4096, resamples - start)))
+        targets = setup.noiseless_targets()[:, None] + noise
+        coefs = np.linalg.lstsq(design, targets, rcond=None)[0]
+        residual = clean_x @ (coefs - setup.feature_coef[:, None])
         risks.append((residual**2).sum(axis=0) / setup.n_clean)
-    draws = np.concatenate(risks) + setup.noise_std**2
-    return float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(resamples))
+    return np.concatenate(risks) + setup.noise_std**2
 
 
-def test_monte_carlo_risks_equal_each_single_fit_oracle():
+@pytest.mark.parametrize("which", ["ols", "corrupted", "every-shared-fit"])
+def test_monte_carlo_matches_chunkwise_lstsq_refit(which):
+    resamples, seed = 5000, 9  # a full 4096-draw chunk and a partial one
+    if which == "every-shared-fit":
+        # one call over fits that differ in mask, noise_std and n_clean
+        fits = shared_draw_fits()
+        results = monte_carlo_risks(fits, resamples, seed)
+    else:
+        s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
+        mask = s.all_rows if which == "ols" else corrupt_mask(s.clean_mask, 5, seed=4)
+        fits = [(s, mask)]
+        results = [monte_carlo_risk_stats(s, mask, resamples, seed)]
+    for (s, mask), (mean, stderr) in zip(fits, results):
+        draws = chunkwise_lstsq_refit(s, mask, resamples, seed)
+        assert mean == pytest.approx(draws.mean(), rel=1e-12)
+        assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(resamples), rel=1e-12)
+
+
+def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
+    s = make_setup(50, 3, 3, 30, 1.0, seed=22)
+    features = s.features.copy()
+    features[:, 0] *= 1e6  # Gram condition of order 1e12
+    bad = LinearRiskSetup(features, s.pi, s.feature_coef, s.pi_coef, s.clean_mask, s.noise_std)
+    with pytest.raises(NumericError, match=r"condition .* exceeds") as exc:
+        monte_carlo_risk(bad, bad.all_rows, resamples=10, seed=0)
+    assert "draws [0, 10)" in str(exc.value)
+
+
+# a full chunk and a 513-draw one; one draw; a full chunk and a width-1 one
+@pytest.mark.parametrize("resamples", [4609, 1, 4097])
+def test_monte_carlo_risks_equal_each_single_fit(resamples):
     fits = shared_draw_fits()
-    # a full 4096-draw chunk and a 513-draw one, which is scored in two blocks
-    resamples, seed = 4609, 9
-    stats = monte_carlo_risks(fits, resamples, seed)
-    assert stats == [monte_carlo_risk_stats(s, mask, resamples, seed) for s, mask in fits]
-    assert stats == [whole_chunk_oracle(s, mask, resamples, seed) for s, mask in fits]
+    stats = monte_carlo_risks(fits, resamples, seed=9)
+    assert stats == [monte_carlo_risk_stats(s, mask, resamples, seed=9) for s, mask in fits]
     # a fit's result does not depend on the other fits listed
-    assert monte_carlo_risks(fits[::-1], resamples, seed) == stats[::-1]
-
-
-def test_monte_carlo_risks_are_bitwise_independent_of_the_cpu_count(monkeypatch):
-    fits = shared_draw_fits()
-    threads_before = threading.active_count()
-    results = []
-    for cpus in (1, 4):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        results.append(monte_carlo_risks(fits, resamples=5000, seed=9))
-    assert results[0] == results[1]
-    assert threading.active_count() == threads_before
+    assert monte_carlo_risks(fits[::-1], resamples, seed=9) == stats[::-1]
 
 
 def test_monte_carlo_risks_reject_setups_of_different_sizes():
