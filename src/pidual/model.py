@@ -249,11 +249,30 @@ class ModelTape:
     ce_grad: np.ndarray | None = field(default=None, repr=False)
 
 
+# Per component, one array (or None) per layer for mlp_forward's ``out``.
+ActivationBuffers = dict[str, list[np.ndarray | None]]
+
+
+def activation_buffers(model: PiDualModel, rows: int) -> ActivationBuffers:
+    """Arrays for the hidden layers of ``rows``-row passes of ``model``'s
+    components: one (rows, width) array per ReLU layer, None for the identity
+    and sigmoid output layers, which are 1 to ``num_classes`` wide and allocate."""
+    return {
+        name: [
+            np.empty((rows, w.shape[0])) if act == RELU else None
+            for w, act in zip(net.weights, net.activations)
+        ]
+        for name, net in model.components().items()
+    }
+
+
 def _as_batch(v: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(v, dtype=np.float64))
 
 
-def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> ModelTape:
+def _forward_pi_side(
+    model: PiDualModel, x: np.ndarray, a: np.ndarray, out: ActivationBuffers | None = None
+) -> ModelTape:
     """Noise and gate paths of the training forward pass, on a fresh tape.
 
     The only code that wires the PI side: trunk sharing, the ``pi_and_x``
@@ -267,36 +286,42 @@ def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> ModelT
     tape = ModelTape(model=model, batch_size=x.shape[0])
     pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
 
+    def run(name: str, h: np.ndarray) -> np.ndarray:
+        result, tape.tapes[name] = mlp_forward(getattr(model, name), h, (out or {}).get(name))
+        return result
+
     trunk_out = None
     if flags.use_noise_net or (flags.use_gate and model.share_first_layer):
-        trunk_out, tape.tapes["pi_trunk"] = mlp_forward(model.pi_trunk, pi_in)
+        trunk_out = run("pi_trunk", pi_in)
 
     if flags.use_noise_net:
-        tape.noise_logits, tape.tapes["noise_head"] = mlp_forward(model.noise_head, trunk_out)
+        tape.noise_logits = run("noise_head", trunk_out)
     else:
         tape.noise_logits = np.zeros((x.shape[0], model.num_classes))
 
     if flags.use_gate:
-        gate_in = trunk_out
-        if not model.share_first_layer:
-            gate_in, tape.tapes["gate_trunk"] = mlp_forward(model.gate_trunk, pi_in)
-        gate_col, tape.tapes["gate_head"] = mlp_forward(model.gate_head, gate_in)
-        tape.gate = gate_col[:, 0]
+        gate_in = trunk_out if model.share_first_layer else run("gate_trunk", pi_in)
+        tape.gate = run("gate_head", gate_in)[:, 0]
     return tape
 
 
 def forward_train(
-    model: PiDualModel, x: np.ndarray, a: np.ndarray
+    model: PiDualModel, x: np.ndarray, a: np.ndarray, out: ActivationBuffers | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, ModelTape]:
     """Training-time forward pass on a batch.
 
     Returns (combined, gate, tape). ``combined`` holds logits, except in the
     probability-space variant where it holds the mixed class probabilities.
     ``gate`` is None when the gating network is ablated. The tape also keeps
-    the raw prediction and noise logits.
+    the raw prediction and noise logits. With ``out`` (see
+    ``activation_buffers``) the hidden layers write into its arrays, so the
+    tape's hidden outputs last only until the next pass through them; the
+    returned arrays are new either way.
     """
-    tape = _forward_pi_side(model, x, a)
-    tape.pred_logits, tape.tapes["prediction"] = mlp_forward(model.prediction, _as_batch(x))
+    tape = _forward_pi_side(model, x, a, out)
+    tape.pred_logits, tape.tapes["prediction"] = mlp_forward(
+        model.prediction, _as_batch(x), (out or {}).get("prediction")
+    )
     flags = model.flags
     f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
 
@@ -403,8 +428,13 @@ def backward_train(
     return grads
 
 
-def prediction_logits(model: PiDualModel, x: np.ndarray) -> np.ndarray:
-    logits, _ = mlp_forward(model.prediction, np.asarray(x, dtype=np.float64))
+def prediction_logits(
+    model: PiDualModel, x: np.ndarray, out: ActivationBuffers | None = None
+) -> np.ndarray:
+    """The prediction network's logits; its hidden layers write into ``out``'s, if given."""
+    logits, _ = mlp_forward(
+        model.prediction, np.asarray(x, dtype=np.float64), (out or {}).get("prediction")
+    )
     return logits
 
 

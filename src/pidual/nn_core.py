@@ -132,17 +132,25 @@ def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+def mlp_forward(
+    params: MlpParams, x: np.ndarray, out: list[np.ndarray | None] | None = None
+) -> tuple[np.ndarray, Tape]:
     """Forward pass; returns (output, tape) where the tape suffices for backward.
 
-    Each layer allocates one array: the bias and the ReLU are applied in place.
+    Layer k's product ``h @ W.T`` goes into ``out[k]`` when ``out`` is given
+    and that entry is not None, else into a new array; the bias and the ReLU
+    are then applied in place, and a sigmoid layer returns a new array. So the
+    tape holds the given arrays, whose contents the next pass through them
+    overwrites. The arithmetic, and so every bit, is the same either way.
     """
     h, squeezed = _promote(x)
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input dim {h.shape[1]} != first-layer in-dim {params.in_dim}")
+    if out is not None and len(out) != len(params.weights):
+        raise ShapeError(f"{len(out)} output arrays for {len(params.weights)} layers")
     outputs = [h]
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        h = h @ w.T
+    for k, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
+        h = np.matmul(h, w.T, out=None if out is None else out[k])
         h += b
         if act == RELU:
             np.maximum(h, 0.0, out=h)

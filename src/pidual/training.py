@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import itertools
 import math
 import pickle
@@ -122,8 +123,12 @@ def evaluate(
     split: str,
     on_labels: str = "noisy",
     head: str = HEAD_COMBINED,
+    out: model_mod.ActivationBuffers | None = None,
 ) -> float:
-    """Fraction of argmax matches of the chosen head on the chosen labels."""
+    """Fraction of argmax matches of the chosen head on the chosen labels.
+
+    ``out``, the split's ``model_mod.activation_buffers``, takes the hidden
+    activations of the pass."""
     x, a = ds.eval_inputs(split)
     if on_labels == "noisy":
         labels = ds.noisy_labels_of(split)
@@ -132,9 +137,9 @@ def evaluate(
     else:
         raise ContractError(f"unknown label kind {on_labels!r}")
     if head == HEAD_PREDICTION:
-        scores = model_mod.prediction_logits(model, x)
+        scores = model_mod.prediction_logits(model, x, out)
     elif head == HEAD_COMBINED:
-        scores, _, _ = model_mod.forward_train(model, x, a)
+        scores, _, _ = model_mod.forward_train(model, x, a, out)
     else:
         raise ContractError(f"unknown head {head!r}")
     return float((scores.argmax(axis=1) == labels).mean())
@@ -147,10 +152,16 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _train_subset_metrics(
-    model: PiDualModel, x: np.ndarray, a: np.ndarray, y: np.ndarray, wrong: np.ndarray
+    model: PiDualModel,
+    x: np.ndarray,
+    a: np.ndarray,
+    y: np.ndarray,
+    wrong: np.ndarray,
+    out: model_mod.ActivationBuffers | None = None,
 ) -> dict[str, float]:
-    """The clean/wrong train-subset columns of the record from one forward pass."""
-    combined, gate, tape = model_mod.forward_train(model, x, a)
+    """The clean/wrong train-subset columns of the record from one forward pass,
+    whose hidden activations go into ``out`` when it is given."""
+    combined, gate, tape = model_mod.forward_train(model, x, a, out)
     heads = {"train": combined, "pred": tape.pred_logits, "noise": tape.noise_logits}
     hits = {head: scores.argmax(axis=1) == y for head, scores in heads.items()}
     row = {}
@@ -171,6 +182,12 @@ class _EvaluationProcess:
     copies the map into ``template.params`` and replies ``score(template)`` or
     the exception it raised. An empty message stops the child. The map is
     written only after ``result()`` has returned the previous reply.
+
+    Between requests the child keeps ``template``, which each request
+    overwrites, and what ``score`` keeps in its closure: ``train``'s scorer
+    keeps one set of hidden-activation arrays per split, made at the child's
+    first pass over that split, so later epochs allocate only the narrow
+    output layers and the per-row results.
 
     The start method is fork, not spawn, so that the splits and the scoring
     closure reach the child without being pickled. A fork copies only the
@@ -270,7 +287,9 @@ def train(
     A forked child process scores each epoch's snapshot while the next epoch
     trains; it is reaped before this returns or raises, an exception it raises
     is raised here, and its death raises ``EvaluationError``. Needs the fork
-    start method (Linux).
+    start method (Linux). The child writes each split's hidden activations
+    into one set of arrays, made at its first pass over that split and reused
+    every later epoch; this process makes none.
     """
     cfg.validate()
     x_tr, a_tr, y_tr = ds.train_arrays()
@@ -300,16 +319,24 @@ def train(
         ds.wrong_mask_of(data_mod.SPLIT_TRAIN) if (has_clean and collect_metrics) else None
     )
 
+    @functools.cache
+    def buffers(split: str) -> model_mod.ActivationBuffers:
+        # made by the evaluation process at its first pass over the split, and
+        # overwritten by every later one: the split's row count never changes
+        return model_mod.activation_buffers(model, ds.split_indices(split).size)
+
     def epoch_row(snap: PiDualModel) -> dict[str, float]:
         row = {c: math.nan for c in RECORD_COLUMNS[1:]}
         if wrong_train is not None:
-            # one train-split pass; its tape is freed before the val and test passes
-            row.update(_train_subset_metrics(snap, x_tr, a_tr, y_tr, wrong_train))
+            out = buffers(data_mod.SPLIT_TRAIN)
+            row.update(_train_subset_metrics(snap, x_tr, a_tr, y_tr, wrong_train, out))
         if has_val:
-            row["noisy_val_acc"] = evaluate(snap, ds, data_mod.SPLIT_NOISY_VAL)
+            split = data_mod.SPLIT_NOISY_VAL
+            row["noisy_val_acc"] = evaluate(snap, ds, split, out=buffers(split))
         if collect_metrics and has_clean and has_test:
+            split = data_mod.SPLIT_CLEAN_TEST
             row["clean_test_acc"] = evaluate(
-                snap, ds, data_mod.SPLIT_CLEAN_TEST, "clean", HEAD_PREDICTION
+                snap, ds, split, "clean", HEAD_PREDICTION, out=buffers(split)
             )
         return row
 

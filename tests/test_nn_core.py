@@ -372,3 +372,41 @@ def test_single_output_input_gradient_is_bitwise_the_matmul():
     u = rng.standard_normal((128, 1))
     _, dx = mlp_backward(net, tape, u)
     assert dx.tobytes() == ((u * out * (1.0 - out)) @ net.weights[0]).tobytes()
+
+
+@pytest.mark.parametrize("last", [nn_core.RELU, nn_core.IDENTITY, nn_core.SIGMOID])
+@pytest.mark.parametrize("dims", [[5, 7, 6, 3], [8, 128, 128, 4]], ids=["small", "benchmark"])
+def test_forward_into_given_arrays_is_bitwise_the_allocating_pass(dims, last):
+    net = init_mlp(dims, [nn_core.RELU] * (len(dims) - 2) + [last], seed=len(dims))
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((700, dims[0]))
+    expected, expected_tape = mlp_forward(net, x)
+    out = [np.full((700, w.shape[0]), np.nan) for w in net.weights]
+    mlp_forward(net, rng.standard_normal((700, dims[0])), out)
+    got, tape = mlp_forward(net, x, out)  # overwrites the first pass in every array
+    assert got.tobytes() == expected.tobytes()
+    assert [h.tobytes() for h in tape.outputs] == [h.tobytes() for h in expected_tape.outputs]
+    for k, act in enumerate(net.activations):
+        if act == nn_core.SIGMOID:  # a new array; the given one holds the pre-activation
+            assert not np.shares_memory(tape.outputs[k + 1], out[k])
+            assert nn_core.sigmoid(out[k]).tobytes() == tape.outputs[k + 1].tobytes()
+        else:
+            assert np.shares_memory(tape.outputs[k + 1], out[k])
+    upstream = rng.standard_normal(expected.shape)
+    grads, dx = mlp_backward(net, tape, upstream)
+    expected_grads, expected_dx = mlp_backward(net, expected_tape, upstream)
+    assert dx.tobytes() == expected_dx.tobytes()
+    expected_tensors = expected_grads.d_weights + expected_grads.d_biases
+    for a, b in zip(grads.d_weights + grads.d_biases, expected_tensors):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_forward_allocates_the_layers_given_none():
+    net = init_mlp([4, 6, 3], [nn_core.RELU, nn_core.IDENTITY], seed=13)
+    x = np.random.default_rng(13).standard_normal((10, 4))
+    hidden = np.empty((10, 6))
+    got, tape = mlp_forward(net, x, [hidden, None])
+    assert np.shares_memory(tape.outputs[1], hidden)
+    assert got.tobytes() == mlp_forward(net, x)[0].tobytes()
+    with pytest.raises(ShapeError, match="1 output arrays for 2 layers"):
+        mlp_forward(net, x, [hidden])

@@ -3,7 +3,9 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from pidual.model import (
     prediction_logits,
 )
 from pidual import nn_core
+from pidual.config import build_dataset, load_experiment_config
+from pidual.model import activation_buffers
 from pidual.training import (
     GRID_AXES,
     RECORD_COLUMNS,
@@ -164,6 +168,68 @@ def test_returned_models_reproduce_their_record_rows(flags):
             evaluate(model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
             == rec.clean_test_acc[epoch]
         )
+
+
+# Every ablation variant's overrides, and the gate on its own first layer, so
+# that gate_trunk and the pi_and_x input get activation buffers too.
+BUFFER_OVERRIDES = [over for _, over, _ in training.ABLATION_VARIANTS] + [
+    {"share_first_layer": False}
+]
+BUFFER_OVERRIDE_IDS = [name for name, _, _ in training.ABLATION_VARIANTS] + ["gate_trunk"]
+
+
+@pytest.mark.parametrize("over", BUFFER_OVERRIDES, ids=BUFFER_OVERRIDE_IDS)
+def test_scoring_through_reused_buffers_matches_fresh_passes(over):
+    # the evaluation process scores every epoch through one set of buffers
+    # per split; a second parameter vector must leave nothing of the first
+    ds = tiny_dataset(n=300, noise=0.3, seed=23)
+    base = ModelConfig(pred_hidden=(16, 16), pi_width=16)
+    _, model_cfg = apply_grid_point(tiny_cfg(), base, over)
+    models = [model_cfg.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed) for seed in (1, 2)]
+    template = models[0].copy()
+    x, a, y = ds.train_arrays()
+    wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
+    splits = (data_mod.SPLIT_TRAIN, data_mod.SPLIT_NOISY_VAL, data_mod.SPLIT_CLEAN_TEST)
+    buffers = {s: activation_buffers(template, ds.split_indices(s).size) for s in splits}
+    passes = [
+        (data_mod.SPLIT_NOISY_VAL, "noisy", "combined"),
+        (data_mod.SPLIT_CLEAN_TEST, "clean", "prediction"),
+        (data_mod.SPLIT_CLEAN_TEST, "clean", "combined"),
+    ]
+    rows = []
+    for model in models:
+        template.params[:] = model.params  # as the evaluation process receives each epoch
+        train_out = buffers[data_mod.SPLIT_TRAIN]
+        got = training._train_subset_metrics(template, x, a, y, wrong, train_out)
+        expected = training._train_subset_metrics(model, x, a, y, wrong)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[k], expected[k], equal_nan=True) for k in got)
+        for split, labels, head in passes:
+            reused = evaluate(template, ds, split, labels, head, out=buffers[split])
+            assert reused == evaluate(model, ds, split, labels, head)
+        rows.append(got)
+    assert rows[0] != rows[1]  # the two vectors do score differently
+
+
+def test_second_train_split_pass_through_buffers_allocates_no_hidden_activation():
+    # configs/benchmark.ini's shapes: 2800 train rows, hidden layers up to 128 wide
+    root = Path(__file__).resolve().parents[1]
+    cfg = load_experiment_config(root / "configs" / "benchmark.ini")
+    ds = data_mod.augment_random_pi(build_dataset(cfg), training._random_pi(cfg.train))
+    model = cfg.model.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed=0)
+    x, a, y = ds.train_arrays()
+    wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
+    buffers = activation_buffers(model, x.shape[0])
+    one_activation = x.shape[0] * model.prediction.weights[0].shape[0] * 8
+    assert one_activation == 2800 * 128 * 8
+    training._train_subset_metrics(model, x, a, y, wrong, buffers)  # fills the buffers
+    tracemalloc.start()
+    try:
+        training._train_subset_metrics(model, x, a, y, wrong, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_activation, f"{peak} B traced in the second pass"
 
 
 def test_collect_metrics_does_not_change_fitting_or_selection():
