@@ -23,7 +23,7 @@ from . import detection as detect_mod
 from . import linear_risk as risk_mod
 from . import model as model_mod
 from . import svgplot
-from .config import ExperimentConfig, build_dataset, load_experiment_config
+from .config import ExperimentConfig, build_dataset, load_experiment_config, parse_methods
 from .errors import (
     ConfigError,
     ContractError,
@@ -207,10 +207,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigError(
             "dataset has no clean_label column: detection AUC needs ground truth"
         )
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for method in methods:
-        if method not in ("confidence", "gate"):
-            raise ConfigError(f"unknown detection method {method!r}")
+    try:
+        methods = parse_methods(args.methods)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if ds.feature_dim != model.feature_dim:
         raise DataFormatError(
             f"dataset has {ds.feature_dim} feature columns, the checkpoint expects "
@@ -384,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="score wrong-label detection on a train split")
     p_detect.add_argument("--checkpoint", required=True)
     p_detect.add_argument("--data", required=True, help="dataset CSV with clean labels")
-    p_detect.add_argument("--methods", default="confidence,gate")
+    p_detect.add_argument(
+        "--methods", default=",".join(detect_mod.METHODS),
+        help=f"comma list of detection methods: {', '.join(detect_mod.METHODS)}",
+    )
     p_detect.add_argument("--out", required=True)
     p_detect.set_defaults(func=cmd_detect)
 

@@ -2,10 +2,13 @@
 
 Standard INI syntax (configparser), sections [experiment], [data], [model],
 [train], [grid], [detection], [risk], [output]. Every field has a default;
-unknown sections or keys are rejected with their full field path. The
-effective (defaults-filled) config is canonicalized and hashed so reordering
-fields never changes the hash. One top-level seed drives every derived
-stream: data, random PI, model init and shuffling.
+unknown sections or keys are rejected with their full field path. One table,
+``FIELDS``, holds each field's default and its cast, and a value the cast
+rejects is a ``ConfigError`` naming the field; a [grid] axis is a [train] or
+[model] field, and each of its values is cast as that field. The effective
+(defaults-filled) config is canonicalized and hashed so reordering fields
+never changes the hash. One top-level seed drives every derived stream: data,
+random PI, model init and shuffling.
 """
 from __future__ import annotations
 
@@ -13,86 +16,142 @@ import configparser
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import data as data_mod
-from .data import SynthConfig
+from .data import ERROR_MODES, SynthConfig
+from .detection import METHODS
 from .errors import ConfigError
-from .model import AblationFlags, ModelConfig
+from .model import GATE_SPACES, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
-from .training import GRID_AXES, GridSpec, TrainConfig
+from .training import GridSpec, TrainConfig, apply_grid_point
 
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "experiment": {"seed": "0"},
-    "data": {
-        "source": "synthetic",
-        "n": "2000",
-        "feature_dim": "8",
-        "classes": "4",
-        "annotators": "5",
-        "reliabilities": "",
-        "informativeness": "1.0",
-        "class_separation": "3.0",
-        "feature_noise": "1.0",
-        "error_mode": "uniform-wrong",
-        "noise_rate": "0.2",
-        "noisy_val_fraction": "0.04",
-        "test_fraction": "0.2",
-        "path": "",
-    },
-    "model": {
-        "pred_hidden": "64,64",
-        "pi_width": "64",
-        "share_first_layer": "true",
-        "use_gate": "true",
-        "use_noise_net": "true",
-        "gate_space": "logit",
-        "noise_input": "pi_only",
-    },
-    "train": {
-        "epochs": "60",
-        "batch_size": "128",
-        "base_lr": "0.05",
-        "decay_epochs": "30,45",
-        "decay_factor": "0.2",
-        "momentum": "0.9",
-        "weight_decay": "1e-4",
-        "exempt_pi_nets_from_wd": "true",
-        "random_pi_length": "8",
-        "early_stopping": "true",
-    },
-    "detection": {"methods": "confidence,gate"},
-    "risk": {
-        "n": "200",
-        "d": "8",
-        "m": "8",
-        "n_clean": "120",
-        "sigma": "1.0",
-        "coef_scale": "1.0",
-        "pi_coef_scale": "3.0",
-        "resamples": "2000",
-        "sweep": "none",
-        "sweep_values": "",
-    },
-    "output": {"directory": "runs/out"},
-}
+# Casts: each turns one raw value into a typed one or raises ValueError.
 
-def _parse_bool(raw: str, where: str) -> bool:
+
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_list(raw: str, cast, where: str) -> list:
-    items = [p.strip() for p in raw.split(",") if p.strip()]
-    try:
-        return [cast(p) for p in items]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+def _items(raw: str) -> list[str]:
+    return [p.strip() for p in raw.split(",") if p.strip()]
+
+
+def _list(cast, container=list):
+    """A comma list, each item cast with ``cast``."""
+    return lambda raw: container(cast(item) for item in _items(raw))
+
+
+def _choice(options: tuple[str, ...], what: str):
+    """One of ``options``, matched without regard to case."""
+
+    def cast(raw: str) -> str:
+        value = raw.strip().lower()
+        if value not in options:
+            raise ValueError(f"unknown {what} {value!r}")
+        return value
+
+    return cast
+
+
+def _at_least(low: int):
+    """An integer no smaller than ``low``."""
+
+    def cast(raw: str) -> int:
+        value = _int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return cast
+
+
+# the cast of [detection] methods and of `detect --methods`
+parse_methods = _list(_choice(METHODS, "detection method"))
+
+# section -> key -> (default, cast). A default is the raw text a file would
+# give, because the effective config, and so its hash, holds raw text.
+FIELDS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "experiment": {"seed": ("0", _int)},
+    "data": {
+        "source": ("synthetic", _choice(("synthetic", "csv"), "data source")),
+        "n": ("2000", _int),
+        "feature_dim": ("8", _int),
+        "classes": ("4", _int),
+        "annotators": ("5", _int),
+        "reliabilities": ("", _list(_float)),
+        "informativeness": ("1.0", _float),
+        "class_separation": ("3.0", _float),
+        "feature_noise": ("1.0", _float),
+        "error_mode": ("uniform-wrong", _choice(ERROR_MODES, "error mode")),
+        "noise_rate": ("0.2", _float),
+        "noisy_val_fraction": ("0.04", _float),
+        "test_fraction": ("0.2", _float),
+        "path": ("", str),
+    },
+    "model": {
+        "pred_hidden": ("64,64", _list(_at_least(1), tuple)),
+        "pi_width": ("64", _int),
+        "share_first_layer": ("true", _bool),
+        "use_gate": ("true", _bool),
+        "use_noise_net": ("true", _bool),
+        "gate_space": ("logit", _choice(GATE_SPACES, "gate space")),
+        "noise_input": ("pi_only", _choice(NOISE_INPUTS, "noise input")),
+    },
+    "train": {
+        "epochs": ("60", _int),
+        "batch_size": ("128", _int),
+        "base_lr": ("0.05", _float),
+        "decay_epochs": ("30,45", _list(_int)),
+        "decay_factor": ("0.2", _float),
+        "momentum": ("0.9", _float),
+        "weight_decay": ("1e-4", _float),
+        "exempt_pi_nets_from_wd": ("true", _bool),
+        "random_pi_length": ("8", _int),
+        "early_stopping": ("true", _bool),
+    },
+    "detection": {"methods": (",".join(METHODS), parse_methods)},
+    "risk": {
+        "n": ("200", _int),
+        "d": ("8", _at_least(1)),
+        "m": ("8", _at_least(1)),
+        "n_clean": ("120", _int),
+        "sigma": ("1.0", _float),
+        "coef_scale": ("1.0", _float),
+        "pi_coef_scale": ("3.0", _float),
+        "resamples": ("2000", _at_least(0)),  # 0 = closed form only
+        "sweep": ("none", _choice(("none", "corruption", "n2", "sigma"), "sweep")),
+        "sweep_values": ("", _list(_float)),
+    },
+    "output": {"directory": ("runs/out", str)},
+}
+
+# the [data] fields a CSV source reads; the others are the synthetic generator's
+_CSV_FIELDS = ("source", "classes", "noisy_val_fraction", "test_fraction", "path")
 
 
 @dataclass
@@ -144,160 +203,99 @@ def _merged_sections(path: Path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    merged = {sec: dict(values) for sec, values in _DEFAULTS.items()}
+    merged = {
+        sec: {key: default for key, (default, _) in keys.items()} for sec, keys in FIELDS.items()
+    }
     for sec in parser.sections():
         if sec == "grid":
             merged["grid"] = dict(parser[sec])
             continue
-        if sec not in _DEFAULTS:
+        if sec not in FIELDS:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, value in parser[sec].items():
-            if key not in _DEFAULTS[sec]:
+            if key not in FIELDS[sec]:
                 raise ConfigError(f"unknown config field {sec}.{key}")
             merged[sec][key] = value
     return merged
 
 
+def _cast(where: str, cast, raw: str):
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _section(merged: dict, section: str, keys=None) -> dict:
+    """The section's ``keys`` (all by default), each cast by its ``FIELDS`` entry."""
+    return {
+        key: _cast(f"{section}.{key}", FIELDS[section][key][1], merged[section][key])
+        for key in keys or FIELDS[section]
+    }
+
+
+def _grid(raw_axes: dict[str, str]) -> GridSpec:
+    """Each axis's values cast as its [train] or [model] field."""
+    grid = GridSpec({axis: _items(raw) for axis, raw in raw_axes.items()})
+    grid.validate()  # an unknown or empty axis, before any cast
+    for axis, values in grid.axes.items():
+        _, cast = FIELDS["train"].get(axis) or FIELDS["model"][axis]
+        grid.axes[axis] = [_cast(f"grid.{axis}", cast, value) for value in values]
+    return grid
+
+
 def load_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     path = Path(path)
     merged = _merged_sections(path)
-    seed = seed_override if seed_override is not None else int(merged["experiment"]["seed"])
+    seed = seed_override if seed_override is not None else _section(merged, "experiment")["seed"]
     merged["experiment"]["seed"] = str(seed)
 
-    dsec = merged["data"]
-    source = dsec["source"].strip().lower()
-    if source not in ("synthetic", "csv"):
-        raise ConfigError(f"data.source: expected 'synthetic' or 'csv', got {source!r}")
-    if source == "csv" and not dsec["path"]:
+    dsec = _section(merged, "data", _CSV_FIELDS)
+    synth = None
+    if dsec["source"] == "csv" and not dsec["path"]:
         raise ConfigError("data.path: required when data.source = csv")
-    if source == "synthetic" and dsec["path"]:
-        raise ConfigError("data.path: only one data source allowed; remove for synthetic")
-    try:
-        num_classes = int(dsec["classes"])
-        synth = None
-        if source == "synthetic":
-            reliabilities = _parse_list(dsec["reliabilities"], float, "data.reliabilities")
-            synth = SynthConfig(
-                n=int(dsec["n"]),
-                feature_dim=int(dsec["feature_dim"]),
-                num_classes=num_classes,
-                annotators=int(dsec["annotators"]),
-                reliabilities=reliabilities or None,
-                pi_informativeness=float(dsec["informativeness"]),
-                class_separation=float(dsec["class_separation"]),
-                feature_noise=float(dsec["feature_noise"]),
-                error_mode=dsec["error_mode"].strip(),
-                noise_rate=float(dsec["noise_rate"]),
-                seed=derive_seed(seed, "data"),
-            )
-        data_section = DataSection(
-            source=source,
-            synth=synth,
-            csv_path=dsec["path"],
-            num_classes=num_classes,
-            noisy_val_fraction=float(dsec["noisy_val_fraction"]),
-            test_fraction=float(dsec["test_fraction"]),
+    if dsec["source"] == "synthetic":
+        if dsec["path"]:
+            raise ConfigError("data.path: only one data source allowed; remove for synthetic")
+        dsec = _section(merged, "data")
+        synth = SynthConfig(
+            n=dsec["n"], feature_dim=dsec["feature_dim"], num_classes=dsec["classes"],
+            annotators=dsec["annotators"], reliabilities=dsec["reliabilities"] or None,
+            pi_informativeness=dsec["informativeness"],
+            class_separation=dsec["class_separation"], feature_noise=dsec["feature_noise"],
+            error_mode=dsec["error_mode"], noise_rate=dsec["noise_rate"],
+            seed=derive_seed(seed, "data"),
         )
+    data_section = DataSection(
+        source=dsec["source"], synth=synth, csv_path=dsec["path"], num_classes=dsec["classes"],
+        noisy_val_fraction=dsec["noisy_val_fraction"], test_fraction=dsec["test_fraction"],
+    )
 
-        msec = merged["model"]
-        model_cfg = ModelConfig(
-            pred_hidden=tuple(_parse_list(msec["pred_hidden"], int, "model.pred_hidden")),
-            pi_width=int(msec["pi_width"]),
-            share_first_layer=_parse_bool(msec["share_first_layer"], "model.share_first_layer"),
-            flags=AblationFlags(
-                use_gate=_parse_bool(msec["use_gate"], "model.use_gate"),
-                use_noise_net=_parse_bool(msec["use_noise_net"], "model.use_noise_net"),
-                gate_space=msec["gate_space"].strip(),
-                noise_input=msec["noise_input"].strip(),
-            ),
-        )
+    # every [train] and [model] key names one field that apply_grid_point routes
+    train_cfg, model_cfg = apply_grid_point(
+        TrainConfig(seed=derive_seed(seed, "train")),
+        ModelConfig(),
+        {**_section(merged, "train"), **_section(merged, "model")},
+    )
+    train_cfg.validate()
 
-        tsec = merged["train"]
-        train_cfg = TrainConfig(
-            epochs=int(tsec["epochs"]),
-            batch_size=int(tsec["batch_size"]),
-            base_lr=float(tsec["base_lr"]),
-            decay_epochs=_parse_list(tsec["decay_epochs"], int, "train.decay_epochs"),
-            decay_factor=float(tsec["decay_factor"]),
-            momentum=float(tsec["momentum"]),
-            weight_decay=float(tsec["weight_decay"]),
-            exempt_pi_nets_from_wd=_parse_bool(
-                tsec["exempt_pi_nets_from_wd"], "train.exempt_pi_nets_from_wd"
-            ),
-            random_pi_length=int(tsec["random_pi_length"]),
-            early_stopping=_parse_bool(tsec["early_stopping"], "train.early_stopping"),
-            seed=derive_seed(seed, "train"),
-        )
-        train_cfg.validate()
+    grid = _grid(merged["grid"]) if any(merged.get("grid", {})) else None
 
-        grid = None
-        if "grid" in merged and any(merged.get("grid", {})):
-            axes = {}
-            for axis, raw in merged["grid"].items():
-                where = f"grid.{axis}"
-                if axis not in GRID_AXES:
-                    raise ConfigError(f"{where}: unknown axis")
-                cast = GRID_AXES[axis]
-                if cast is bool:
-                    axes[axis] = [_parse_bool(v, where) for v in _parse_list(raw, str, where)]
-                else:
-                    axes[axis] = _parse_list(raw, cast, where)
-            grid = GridSpec(axes)
-            grid.validate()
-
-        rsec = merged["risk"]
-        sweep = rsec["sweep"].strip().lower()
-        if sweep not in ("none", "corruption", "n2", "sigma"):
-            raise ConfigError(f"risk.sweep: unknown sweep {sweep!r}")
-        sweep_values = _parse_list(rsec["sweep_values"], float, "risk.sweep_values")
-        if sweep == "none" and sweep_values:
+    risk = _section(merged, "risk")
+    sweep, values = risk["sweep"], risk["sweep_values"]
+    raw_values = merged["risk"]["sweep_values"].strip()
+    if sweep == "none" and values:
+        raise ConfigError(f"risk.sweep_values: sweep = none takes no values, got {raw_values!r}")
+    if sweep != "none" and not values:
+        raise ConfigError(f"risk.sweep_values: the {sweep} sweep needs at least one value")
+    if sweep in ("corruption", "n2"):
+        # counts: flipped mask entries, noisy rows
+        if not all(v >= 0 and v.is_integer() for v in values):
             raise ConfigError(
-                "risk.sweep_values: sweep = none takes no values, "
-                f"got {rsec['sweep_values'].strip()!r}"
+                f"risk.sweep_values: the {sweep} sweep takes non-negative integers, "
+                f"got {raw_values!r}"
             )
-        if sweep != "none" and not sweep_values:
-            raise ConfigError(f"risk.sweep_values: the {sweep} sweep needs at least one value")
-        if sweep in ("corruption", "n2"):
-            # counts: flipped mask entries, noisy rows
-            if not all(v >= 0 and v.is_integer() for v in sweep_values):
-                raise ConfigError(
-                    f"risk.sweep_values: the {sweep} sweep takes non-negative integers, "
-                    f"got {rsec['sweep_values'].strip()!r}"
-                )
-            sweep_values = [int(v) for v in sweep_values]
-        if sweep == "sigma" and not all(math.isfinite(v) for v in sweep_values):
-            raise ConfigError(
-                f"risk.sweep_values: the sigma sweep takes finite values, "
-                f"got {rsec['sweep_values'].strip()!r}"
-            )
-        resamples = int(rsec["resamples"])
-        if resamples < 0:
-            raise ConfigError(f"risk.resamples: must be >= 0 (0 = closed form only), got {resamples}")
-        dims = {key: int(rsec[key]) for key in ("d", "m")}
-        scales = {key: float(rsec[key]) for key in ("sigma", "coef_scale", "pi_coef_scale")}
-        for key, value in dims.items():
-            if value < 1:
-                raise ConfigError(f"risk.{key}: must be >= 1, got {value}")
-        for key, value in scales.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"risk.{key}: must be finite, got {rsec[key].strip()!r}")
-        risk_section = RiskSection(
-            n=int(rsec["n"]),
-            n_clean=int(rsec["n_clean"]),
-            resamples=resamples,
-            **dims,
-            **scales,
-            sweep=sweep,
-            sweep_values=sweep_values,
-        )
-
-        osec = merged["output"]
-        methods = [m.strip() for m in merged["detection"]["methods"].split(",") if m.strip()]
-        for m in methods:
-            if m not in ("confidence", "gate"):
-                raise ConfigError(f"detection.methods: unknown method {m!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        risk["sweep_values"] = [int(v) for v in values]
 
     return ExperimentConfig(
         seed=seed,
@@ -305,9 +303,9 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         model=model_cfg,
         train=train_cfg,
         grid=grid,
-        detection_methods=methods,
-        risk=risk_section,
-        output_dir=osec["directory"],
+        detection_methods=_section(merged, "detection")["methods"],
+        risk=RiskSection(**risk),
+        output_dir=_section(merged, "output")["directory"],
         effective=merged,
     )
 

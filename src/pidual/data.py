@@ -32,6 +32,7 @@ _SPLIT_CODE = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
 ERROR_MODE_UNIFORM = "uniform-wrong"
 ERROR_MODE_PERMUTATION = "annotator-permutation"
+ERROR_MODES = (ERROR_MODE_UNIFORM, ERROR_MODE_PERMUTATION)
 
 UNINFORMATIVE_RELIABILITY = 0.5  # constant the reliability channel collapses to
 
@@ -193,7 +194,7 @@ def generate_synthetic(cfg: SynthConfig) -> PiDataset:
         raise ConfigError("noise_rate must lie in [0, 1)")
     if not 0 <= cfg.pi_informativeness <= 1:
         raise ConfigError("pi_informativeness must lie in [0, 1]")
-    if cfg.error_mode not in (ERROR_MODE_UNIFORM, ERROR_MODE_PERMUTATION):
+    if cfg.error_mode not in ERROR_MODES:
         raise ConfigError(f"unknown error_mode {cfg.error_mode!r}")
     if cfg.n < 1:
         raise ConfigError("n must be positive")

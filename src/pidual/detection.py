@@ -20,6 +20,7 @@ from .errors import ContractError
 from .model import PiDualModel
 
 HISTOGRAM_BINS = 20
+METHODS = ("confidence", "gate")
 
 
 @dataclass
@@ -99,14 +100,14 @@ def score_histogram(
 
 def detect(model: PiDualModel, ds: PiDataset, method: str) -> DetectionReport:
     """Score the train split and report AUC against the wrong-label ground truth."""
+    if method not in METHODS:
+        raise ContractError(f"unknown detection method {method!r}")
     if method == "confidence":
         scores = confidence_scores(model, ds)
         wrongness = 1.0 - scores
-    elif method == "gate":
+    else:
         scores = gate_scores(model, ds)
         wrongness = scores
-    else:
-        raise ContractError(f"unknown detection method {method!r}")
     wrong = ds.wrong_mask_of(SPLIT_TRAIN)
     auc = roc_auc(wrongness, wrong)
     edges, clean_counts, wrong_counts = score_histogram(scores, wrong)

@@ -49,6 +49,8 @@ GATE_SPACE_LOGIT = "logit"
 GATE_SPACE_PROBABILITY = "probability"
 NOISE_INPUT_PI = "pi_only"
 NOISE_INPUT_PI_AND_X = "pi_and_x"
+GATE_SPACES = (GATE_SPACE_LOGIT, GATE_SPACE_PROBABILITY)
+NOISE_INPUTS = (NOISE_INPUT_PI, NOISE_INPUT_PI_AND_X)
 
 
 @dataclass
@@ -61,9 +63,9 @@ class AblationFlags:
     def __post_init__(self) -> None:
         if type(self.use_gate) is not bool or type(self.use_noise_net) is not bool:
             raise ContractError("use_gate and use_noise_net must be booleans")
-        if self.gate_space not in (GATE_SPACE_LOGIT, GATE_SPACE_PROBABILITY):
+        if self.gate_space not in GATE_SPACES:
             raise ContractError(f"unknown gate space {self.gate_space!r}")
-        if self.noise_input not in (NOISE_INPUT_PI, NOISE_INPUT_PI_AND_X):
+        if self.noise_input not in NOISE_INPUTS:
             raise ContractError(f"unknown noise input {self.noise_input!r}")
 
 

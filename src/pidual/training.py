@@ -5,9 +5,7 @@ ablations.
 
 Model selection never touches clean labels: the noisy validation accuracy is
 the combined training-time output scored against the held-out noisy labels.
-Clean-label metrics are recorded alongside for analysis only; pass
-``collect_metrics=False`` to skip them entirely (the fitting path and the
-selected model are unaffected).
+Clean-label metrics are recorded alongside for analysis only.
 """
 from __future__ import annotations
 
@@ -274,12 +272,7 @@ def _sendable(exc: Exception) -> Exception | str:
     return exc
 
 
-def train(
-    model: PiDualModel,
-    ds: PiDataset,
-    cfg: TrainConfig,
-    collect_metrics: bool = True,
-) -> TrainResult:
+def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     """Shuffled minibatch SGD over the train split for ``cfg.epochs``.
 
     Returns the snapshot at the best noisy-validation epoch (ties -> earliest),
@@ -315,9 +308,7 @@ def train(
     has_val = ds.split_indices(data_mod.SPLIT_NOISY_VAL).size > 0
     has_clean = ds.has_clean_labels
     has_test = ds.split_indices(data_mod.SPLIT_CLEAN_TEST).size > 0
-    wrong_train = (
-        ds.wrong_mask_of(data_mod.SPLIT_TRAIN) if (has_clean and collect_metrics) else None
-    )
+    wrong_train = ds.wrong_mask_of(data_mod.SPLIT_TRAIN) if has_clean else None
 
     @functools.cache
     def buffers(split: str) -> model_mod.ActivationBuffers:
@@ -333,7 +324,7 @@ def train(
         if has_val:
             split = data_mod.SPLIT_NOISY_VAL
             row["noisy_val_acc"] = evaluate(snap, ds, split, out=buffers(split))
-        if collect_metrics and has_clean and has_test:
+        if has_clean and has_test:
             split = data_mod.SPLIT_CLEAN_TEST
             row["clean_test_acc"] = evaluate(
                 snap, ds, split, "clean", HEAD_PREDICTION, out=buffers(split)
@@ -391,25 +382,14 @@ def train(
 # Trials: single runs, grids and ablations.
 # ---------------------------------------------------------------------------
 
-# The grid axes and the type of their values. Each names a field of exactly one
-# of TrainConfig, ModelConfig and AblationFlags, which apply_grid_point
-# overrides.
-GRID_AXES = {
-    "base_lr": float,
-    "weight_decay": float,
-    "momentum": float,
-    "decay_factor": float,
-    "epochs": int,
-    "batch_size": int,
-    "random_pi_length": int,
-    "exempt_pi_nets_from_wd": bool,
-    "pi_width": int,
-    "share_first_layer": bool,
-    "use_gate": bool,
-    "use_noise_net": bool,
-    "gate_space": str,
-    "noise_input": str,
-}
+# The grid axes. Each names a field of exactly one of TrainConfig, ModelConfig
+# and AblationFlags, which apply_grid_point overrides; a config's [grid] parses
+# an axis's values as its [train] or [model] field.
+GRID_AXES = (
+    "base_lr", "weight_decay", "momentum", "decay_factor", "epochs", "batch_size",
+    "random_pi_length", "exempt_pi_nets_from_wd", "pi_width", "share_first_layer",
+    "use_gate", "use_noise_net", "gate_space", "noise_input",
+)
 
 
 @dataclass
@@ -423,9 +403,9 @@ class GridSpec:
             raise ConfigError("grid must have at least one axis")
         for name, values in self.axes.items():
             if name not in GRID_AXES:
-                raise ConfigError(f"unknown grid axis {name!r}")
+                raise ConfigError(f"grid.{name}: unknown axis")
             if not values:
-                raise ConfigError(f"grid axis {name!r} has no candidate values")
+                raise ConfigError(f"grid.{name}: no candidate values")
 
     def points(self) -> list[dict]:
         names = list(self.axes)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from pidual import training
 from pidual.cli import main
 from pidual.config import build_dataset, load_experiment_config
 from pidual.data import SPLIT_CLEAN_TEST, load_csv
-from pidual.model import build_model, load_checkpoint, save_checkpoint
+from pidual.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError
-from pidual.training import TrainRecord, evaluate
+from pidual.training import TrainConfig, TrainRecord, evaluate
 
 BASE_SECTIONS = {
     "experiment": {"seed": "11"},
@@ -609,43 +610,77 @@ def test_risk_row_does_not_depend_on_the_other_sweep_points(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "risk,field",
+    "overrides,field",
     [
-        pytest.param({"sweep": "n2", "sweep_values": ""}, "risk.sweep_values", id="n2-empty"),
         pytest.param(
-            {"sweep": "corruption", "sweep_values": ""}, "risk.sweep_values", id="corruption-empty"
+            {"risk": {"sweep": "n2", "sweep_values": ""}}, "risk.sweep_values", id="n2-empty"
         ),
         pytest.param(
-            {"sweep": "corruption", "sweep_values": "2.5,2"},
+            {"risk": {"sweep": "corruption", "sweep_values": ""}},
+            "risk.sweep_values",
+            id="corruption-empty",
+        ),
+        pytest.param(
+            {"risk": {"sweep": "corruption", "sweep_values": "2.5,2"}},
             "risk.sweep_values",
             id="corruption-fractional",
         ),
-        pytest.param({"sweep": "n2", "sweep_values": "-4"}, "risk.sweep_values", id="n2-negative"),
-        pytest.param({"resamples": "-5"}, "risk.resamples", id="negative-resamples"),
         pytest.param(
-            {"sweep": "none", "sweep_values": "0,2"}, "risk.sweep_values", id="none-with-values"
+            {"risk": {"sweep": "n2", "sweep_values": "-4"}}, "risk.sweep_values", id="n2-negative"
         ),
-        pytest.param({"d": "0"}, "risk.d", id="zero-d"),
-        pytest.param({"m": "0"}, "risk.m", id="zero-m"),
-        pytest.param({"sigma": "nan"}, "risk.sigma", id="nan-sigma"),
-        pytest.param({"sigma": "inf"}, "risk.sigma", id="inf-sigma"),
-        pytest.param({"coef_scale": "inf"}, "risk.coef_scale", id="inf-coef-scale"),
-        pytest.param({"pi_coef_scale": "nan"}, "risk.pi_coef_scale", id="nan-pi-coef-scale"),
+        pytest.param({"risk": {"resamples": "-5"}}, "risk.resamples", id="negative-resamples"),
         pytest.param(
-            {"sweep": "sigma", "sweep_values": "0.5,inf"}, "risk.sweep_values", id="sigma-inf"
+            {"risk": {"sweep": "none", "sweep_values": "0,2"}},
+            "risk.sweep_values",
+            id="none-with-values",
+        ),
+        pytest.param({"risk": {"d": "0"}}, "risk.d", id="zero-d"),
+        pytest.param({"risk": {"m": "0"}}, "risk.m", id="zero-m"),
+        pytest.param({"risk": {"sigma": "nan"}}, "risk.sigma", id="nan-sigma"),
+        pytest.param({"risk": {"sigma": "inf"}}, "risk.sigma", id="inf-sigma"),
+        pytest.param({"risk": {"coef_scale": "inf"}}, "risk.coef_scale", id="inf-coef-scale"),
+        pytest.param(
+            {"risk": {"pi_coef_scale": "nan"}}, "risk.pi_coef_scale", id="nan-pi-coef-scale"
         ),
         pytest.param(
-            {"sweep": "sigma", "sweep_values": "nan"}, "risk.sweep_values", id="sigma-nan"
+            {"risk": {"sweep": "sigma", "sweep_values": "0.5,inf"}},
+            "risk.sweep_values",
+            id="sigma-inf",
+        ),
+        pytest.param(
+            {"risk": {"sweep": "sigma", "sweep_values": "nan"}},
+            "risk.sweep_values",
+            id="sigma-nan",
+        ),
+        pytest.param({"data": {"error_mode": "bogus"}}, "data.error_mode", id="error-mode"),
+        pytest.param({"risk": {"n": "abc"}}, "risk.n", id="risk-n-not-an-int"),
+        pytest.param({"train": {"epochs": "abc"}}, "train.epochs", id="epochs-not-an-int"),
+        pytest.param({"train": {"batch_size": "2.5"}}, "train.batch_size", id="fractional-batch"),
+        pytest.param({"train": {"momentum": "nan"}}, "train.momentum", id="nan-momentum"),
+        pytest.param({"model": {"gate_space": "bogus"}}, "model.gate_space", id="gate-space"),
+        pytest.param({"model": {"noise_input": "x"}}, "model.noise_input", id="noise-input"),
+        pytest.param(
+            {"model": {"pred_hidden": "64,-3"}}, "model.pred_hidden", id="negative-width"
+        ),
+        pytest.param({"grid": {"epochs": "1,x"}}, "grid.epochs", id="grid-epochs"),
+        pytest.param(
+            {"grid": {"gate_space": "logit,bogus"}}, "grid.gate_space", id="grid-gate-space"
+        ),
+        pytest.param(
+            {"detection": {"methods": "confidence,entropy"}},
+            "detection.methods",
+            id="detection-method",
         ),
     ],
 )
-def test_risk_rejects_malformed_sweep(tmp_path, risk, field):
-    cfg_path, out = write_config(tmp_path, overrides={"risk": risk})
-    proc = run_module(["-m", "pidual", "risk", "--config", str(cfg_path)])
+def test_config_rejects_malformed_value(tmp_path, overrides, field):
+    # gen loads every section of the config before it writes anything
+    cfg_path, out = write_config(tmp_path, overrides=overrides)
+    proc = run_module(["-m", "pidual", "gen", "--config", str(cfg_path)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and field in proc.stderr
-    assert not (out / "risk.csv").exists()
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {field}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -753,6 +788,26 @@ def test_shipped_config_loads(path):
     cfg = load_experiment_config(path)
     if cfg.grid is not None:
         cfg.grid.validate()
+
+
+def test_config_hash_and_defaults_are_pinned(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    pinned = {
+        "benchmark.ini": "48267c0707f8d73fe84e870136e4fe72c85e762159c50a3525bec4e6a07d682b",
+        "grid.ini": "f73fe7616a744e33e2ebfae4be525b5539ee995ec9b042f58af93405aa1b578d",
+        "risk_sweep.ini": "96d6c10d8e4d6b8a3ef7fada3e68993072ac9631d7a1721f15531429a4c3a7e8",
+    }
+    for name, digest in pinned.items():
+        assert load_experiment_config(configs / name).config_hash() == digest, name
+    defaults = tmp_path / "defaults.ini"
+    defaults.write_text("[experiment]\nseed = 0\n", encoding="utf-8")
+    cfg = load_experiment_config(defaults)
+    assert cfg.config_hash() == (
+        "38f0ee5a54423760efabdf4a6df02e2d43053a220fc09ddb41def8d2b1319ca9"
+    )
+    # the table's default strings cast to the dataclasses' defaults
+    assert replace(cfg.train, seed=TrainConfig().seed) == TrainConfig()
+    assert cfg.model == ModelConfig()
 
 
 def test_unknown_config_key_rejected(tmp_path):

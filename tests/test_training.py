@@ -28,7 +28,7 @@ from pidual.model import (
     prediction_logits,
 )
 from pidual import nn_core
-from pidual.config import build_dataset, load_experiment_config
+from pidual.config import FIELDS, build_dataset, load_experiment_config
 from pidual.model import activation_buffers
 from pidual.training import (
     GRID_AXES,
@@ -232,15 +232,18 @@ def test_second_train_split_pass_through_buffers_allocates_no_hidden_activation(
     assert peak < one_activation, f"{peak} B traced in the second pass"
 
 
-def test_collect_metrics_does_not_change_fitting_or_selection():
+def test_clean_labels_do_not_change_fitting_or_selection():
     ds = tiny_dataset(n=400, noise=0.3, seed=20)
-    full = train(tiny_model(ds, seed=6), ds, tiny_cfg(epochs=5), collect_metrics=True)
-    lean = train(tiny_model(ds, seed=6), ds, tiny_cfg(epochs=5), collect_metrics=False)
-    assert lean.best_epoch == full.best_epoch
-    assert np.array_equal(lean.record.noisy_val_acc, full.record.noisy_val_acc)
-    assert np.array_equal(lean.final_model.params, full.final_model.params)
-    assert np.array_equal(lean.best_model.params, full.best_model.params)
-    assert np.isnan(lean.record.clean_test_acc).all()
+    full = train(tiny_model(ds, seed=6), ds, tiny_cfg(epochs=5))
+    blind = train(tiny_model(ds, seed=6), replace(ds, clean_labels=None), tiny_cfg(epochs=5))
+    assert blind.best_epoch == full.best_epoch
+    assert np.array_equal(blind.record.noisy_val_acc, full.record.noisy_val_acc)
+    assert np.array_equal(blind.final_model.params, full.final_model.params)
+    assert np.array_equal(blind.best_model.params, full.best_model.params)
+    for col in RECORD_COLUMNS[1:]:
+        if col != "noisy_val_acc":
+            assert np.isnan(getattr(blind.record, col)).all(), col
+    assert not np.isnan(full.record.clean_test_acc).any()
 
 
 def patch_noisy_val_evaluation(monkeypatch, tmp_path, on_call):
@@ -459,8 +462,9 @@ class RecordingDataset(PiDataset):
 
 
 def test_fitting_path_never_reads_clean_labels():
-    ds = RecordingDataset(tiny_dataset(seed=10))
-    train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=2), collect_metrics=False)
+    # without clean labels any read of them raises, in the evaluation process too
+    ds = RecordingDataset(replace(tiny_dataset(seed=10), clean_labels=None))
+    train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=2))
     assert "train_arrays" in ds.calls
     assert not any(c.startswith("clean_labels_of") for c in ds.calls)
     assert not any(c.startswith("wrong_mask_of") for c in ds.calls)
@@ -575,9 +579,12 @@ def test_grid_rejects_unknown_axis():
 
 
 def test_grid_axes_each_name_one_config_field():
+    # so apply_grid_point routes every [train] and [model] key, and every axis
     owners = [{f.name for f in fields(cls)} for cls in (TrainConfig, ModelConfig, AblationFlags)]
-    for axis in GRID_AXES:
-        assert sum(axis in names for names in owners) == 1, axis
+    keys = [*FIELDS["train"], *FIELDS["model"]]
+    assert set(GRID_AXES) <= set(keys)
+    for key in keys:
+        assert sum(key in names for names in owners) == 1, key
     cfg, mcfg = apply_grid_point(
         TrainConfig(), ModelConfig(), {"base_lr": 0.3, "pi_width": 5, "use_gate": False}
     )
