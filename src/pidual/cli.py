@@ -266,23 +266,26 @@ def cmd_risk(args: argparse.Namespace) -> int:
             setup = make_setup(sigma=sigma)
             points.append((f"sigma_{sigma:g}", sigma, setup, setup.clean_mask))
 
+    # the distinct (setup, fit mask) pairs of every row's OLS and gated fits:
+    # equal pairs, such as OLS on the one setup of a corruption sweep, are
+    # solved once, and the Monte-Carlo oracle scores them all on one set of draws
+    pairs = {}
+    for _, _, setup, fit_mask in points:
+        for mask in (setup.all_rows, fit_mask):
+            pairs.setdefault((id(setup), mask.tobytes()), (setup, mask))
     mc_means = {}
     if r.resamples > 0:
-        # the (setup, fit mask) pairs of every row, on one set of draws: equal
-        # pairs, such as OLS on the one setup of a corruption sweep, run once
-        pairs = {}
-        for _, _, setup, fit_mask in points:
-            for mask in (setup.all_rows, fit_mask):
-                pairs.setdefault((id(setup), mask.tobytes()), (setup, mask))
         stats = risk_mod.monte_carlo_risks(
             list(pairs.values()), r.resamples, derive_seed(base_seed, "monte_carlo")
         )
         mc_means = {key: mean for key, (mean, _) in zip(pairs, stats)}
+    closed = {key: risk_mod.closed_form_risk(*pair) for key, pair in pairs.items()}
     rows = []
     for setup_id, _, setup, fit_mask in points:
-        comparison = risk_mod.compare_risks(setup, fit_mask)
-        mc = [mc_means.get((id(setup), mask.tobytes())) for mask in (setup.all_rows, fit_mask)]
-        rows.append(risk_mod.risk_row(setup_id, setup, comparison, *mc))
+        keys = [(id(setup), mask.tobytes()) for mask in (setup.all_rows, fit_mask)]
+        breakdowns = [closed[key] for key in keys]
+        mc = [mc_means.get(key) for key in keys]
+        rows.append(risk_mod.risk_row(setup_id, setup, *breakdowns, *mc))
     sweep_points = [value for _, value, _, _ in points]
 
     risk_mod.write_risk_csv(out / "risk.csv", rows)

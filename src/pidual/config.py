@@ -48,6 +48,15 @@ def _float(raw: str) -> float:
     return value
 
 
+def _risk_float(raw: str) -> float:
+    """A finite number small enough for the risk analysis: its risks are
+    squares of these values, and their standard errors square the risks."""
+    value = _float(raw)
+    if abs(value) > 1e50:
+        raise ValueError(f"expected a magnitude of at most 1e50, got {raw!r}")
+    return value
+
+
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -115,7 +124,7 @@ FIELDS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     },
     "model": {
         "pred_hidden": ("64,64", _list(_at_least(1), tuple)),
-        "pi_width": ("64", _int),
+        "pi_width": ("64", _at_least(1)),
         "share_first_layer": ("true", _bool),
         "use_gate": ("true", _bool),
         "use_noise_net": ("true", _bool),
@@ -140,12 +149,12 @@ FIELDS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
         "d": ("8", _at_least(1)),
         "m": ("8", _at_least(1)),
         "n_clean": ("120", _int),
-        "sigma": ("1.0", _float),
-        "coef_scale": ("1.0", _float),
-        "pi_coef_scale": ("3.0", _float),
+        "sigma": ("1.0", _risk_float),
+        "coef_scale": ("1.0", _risk_float),
+        "pi_coef_scale": ("3.0", _risk_float),
         "resamples": ("2000", _at_least(0)),  # 0 = closed form only
         "sweep": ("none", _choice(("none", "corruption", "n2", "sigma"), "sweep")),
-        "sweep_values": ("", _list(_float)),
+        "sweep_values": ("", _list(_risk_float)),
     },
     "output": {"directory": ("runs/out", str)},
 }

@@ -316,6 +316,10 @@ def monte_carlo_risks(
     so every setup must have the same number of rows. A fit's result depends
     only on its setup, its mask, ``resamples`` and ``seed``, never on the
     other fits listed.
+
+    A call holds one chunk of draws (n x ``_MC_CHUNK`` floats) at a time:
+    each chunk's standard normals overwrite the last ones in one buffer, and
+    each fit's per-draw sums are written into one (fits, resamples) array.
     """
     if resamples < 1:
         raise ConfigError("resamples must be >= 1")
@@ -336,18 +340,21 @@ def monte_carlo_risks(
         scored = clean_r @ solver
         offset = scored @ setup.noiseless_targets() - clean_r @ setup.feature_coef
         maps.append((setup.noise_std * scored, offset[:, None]))
-    sums: list[list[np.ndarray]] = [[] for _ in fits]
+    n = sizes[0]
+    draws = np.empty(n * min(_MC_CHUNK, resamples))  # every chunk's standard normals, in turn
+    risks = np.empty((len(fits), resamples))  # each fit's per-draw residual sums
     for index, start in enumerate(range(0, resamples, _MC_CHUNK)):
-        rng = np.random.default_rng(derive_seed(seed, "chunk", index))
-        noise = rng.standard_normal((sizes[0], min(_MC_CHUNK, resamples - start)))
-        for (noise_map, offset), fit_sums in zip(maps, sums):
+        width = min(_MC_CHUNK, resamples - start)
+        noise = draws[: n * width].reshape(n, width)
+        np.random.default_rng(derive_seed(seed, "chunk", index)).standard_normal(out=noise)
+        for f, (noise_map, offset) in enumerate(maps):
             residual = noise_map @ noise
             residual += offset
             np.square(residual, out=residual)
-            fit_sums.append(residual.sum(axis=0))
+            residual.sum(axis=0, out=risks[f, start : start + width])
     stats = []
-    for (setup, _), fit_sums in zip(fits, sums):
-        risk_draws = np.concatenate(fit_sums) / setup.n_clean + setup.noise_std**2
+    for (setup, _), fit_risks in zip(fits, risks):
+        risk_draws = fit_risks / setup.n_clean + setup.noise_std**2
         stderr = (
             float(risk_draws.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0
         )
@@ -408,11 +415,13 @@ RISK_CSV_COLUMNS = (
 def risk_row(
     setup_id: str,
     setup: LinearRiskSetup,
-    comparison: RiskComparison,
+    ols: RiskBreakdown,
+    gated: RiskBreakdown,
     mc_ols: float | None,
     mc_pidual: float | None,
 ) -> list[str]:
-    """One CSV row of the risk-comparison export."""
+    """One CSV row of the risk-comparison export: the closed forms of OLS and
+    of the gated fit, then their Monte-Carlo means."""
 
     def fmt(v: float | None) -> str:
         return "" if v is None else repr(float(v))
@@ -425,12 +434,12 @@ def risk_row(
         str(setup.features.shape[1]),
         str(setup.pi.shape[1]),
         repr(float(setup.noise_std)),
-        fmt(comparison.ols.bias_term),
-        fmt(comparison.ols.variance_term),
-        fmt(comparison.pidual.bias_term),
-        fmt(comparison.pidual.variance_term),
-        fmt(comparison.ols.total),
-        fmt(comparison.pidual.total),
+        fmt(ols.bias_term),
+        fmt(ols.variance_term),
+        fmt(gated.bias_term),
+        fmt(gated.variance_term),
+        fmt(ols.total),
+        fmt(gated.total),
         fmt(mc_ols),
         fmt(mc_pidual),
     ]

@@ -61,6 +61,12 @@ def _axes(parts: list[str], x_label: str, y_label: str) -> tuple[float, float, f
     return left, right, top, bottom
 
 
+def _share(v: float, lo: float, hi: float) -> float:
+    """Where v lies from lo to hi, or mid-way when the floats cannot tell them
+    apart (one value too large for the unit or 5% padding to move it)."""
+    return (v - lo) / (hi - lo) if hi > lo else 0.5
+
+
 def line_chart(
     path: str | Path,
     title: str,
@@ -88,10 +94,10 @@ def line_chart(
     left, right, top, bottom = _axes(parts, x_label, y_label)
 
     def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * (right - left)
+        return left + _share(x, x_lo, x_hi) * (right - left)
 
     def py(y: float) -> float:
-        return bottom - (y - y_lo) / (y_hi - y_lo) * (bottom - top)
+        return bottom - _share(y, y_lo, y_hi) * (bottom - top)
 
     for i in range(5):
         yv = y_lo + (y_hi - y_lo) * i / 4

@@ -609,6 +609,60 @@ def test_risk_row_does_not_depend_on_the_other_sweep_points(tmp_path):
     assert alone == swept[2:]
 
 
+def test_risk_plots_a_value_too_large_to_move_by_one(tmp_path):
+    # x + 1 == x at 1e40; with every row clean OLS and the gated fit coincide,
+    # and the 5% padding of a zero y span cannot move their risk of 1e80 either
+    rows = risk_rows(
+        tmp_path, "huge", sweep="sigma", sweep_values="1e40", n_clean="60", resamples="0"
+    )
+    assert rows[0]["ols_total"] == rows[0]["pidual_total"]
+    assert float(rows[0]["ols_total"]) + 0.05 == float(rows[0]["ols_total"])
+    assert "nan" not in (tmp_path / "huge" / "risk.svg").read_text()
+
+
+ODD_RISK_VALUES = ["", "x", "-1", "0", "2.5", "nan", "inf", "-inf", "1e400", "1,2"]
+SWEEPS = ["none", "corruption", "n2", "sigma"]
+
+
+@st.composite
+def risk_sections(draw):
+    """A [risk] section: mostly values of the right type near the edges of
+    their ranges, now and then one of ``ODD_RISK_VALUES``."""
+
+    def field(values):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(ODD_RISK_VALUES))
+        return str(draw(values))
+
+    n = draw(st.integers(1, 120))
+    sigmas = st.one_of(st.floats(-1, 4), st.floats(allow_nan=False, allow_infinity=False))
+    sweep = field(st.sampled_from(SWEEPS))
+    counts = st.integers(-2, n + 2)
+    values = st.lists(sigmas if sweep == "sigma" else counts, max_size=4)
+    return {
+        "n": field(st.just(n)),
+        "d": field(st.integers(0, 12)),
+        "m": field(st.integers(0, 12)),
+        "n_clean": field(st.integers(-1, n + 1)),
+        "resamples": field(st.integers(0, 5000)),
+        "sigma": field(sigmas),
+        "sweep": sweep,
+        "sweep_values": ",".join(field(st.just(v)) for v in draw(values)),
+    }
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(section=risk_sections())
+def test_risk_answers_a_fuzzed_config_with_a_result_or_one_line(tmp_path, capsys, section):
+    cfg_path, _ = write_config(tmp_path, overrides={"risk": section})
+    code = main(["risk", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize(
     "overrides,field",
     [
@@ -652,6 +706,12 @@ def test_risk_row_does_not_depend_on_the_other_sweep_points(tmp_path):
             "risk.sweep_values",
             id="sigma-nan",
         ),
+        pytest.param({"risk": {"sigma": "4e77"}}, "risk.sigma", id="huge-sigma"),
+        pytest.param(
+            {"risk": {"sweep": "sigma", "sweep_values": "1,1e200"}},
+            "risk.sweep_values",
+            id="sigma-huge",
+        ),
         pytest.param({"data": {"error_mode": "bogus"}}, "data.error_mode", id="error-mode"),
         pytest.param({"risk": {"n": "abc"}}, "risk.n", id="risk-n-not-an-int"),
         pytest.param({"train": {"epochs": "abc"}}, "train.epochs", id="epochs-not-an-int"),
@@ -662,6 +722,8 @@ def test_risk_row_does_not_depend_on_the_other_sweep_points(tmp_path):
         pytest.param(
             {"model": {"pred_hidden": "64,-3"}}, "model.pred_hidden", id="negative-width"
         ),
+        pytest.param({"model": {"pi_width": "0"}}, "model.pi_width", id="zero-pi-width"),
+        pytest.param({"grid": {"pi_width": "64,0"}}, "grid.pi_width", id="grid-zero-pi-width"),
         pytest.param({"grid": {"epochs": "1,x"}}, "grid.epochs", id="grid-epochs"),
         pytest.param(
             {"grid": {"gate_space": "logit,bogus"}}, "grid.gate_space", id="grid-gate-space"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,21 @@ def test_monte_carlo_risks_equal_each_single_fit(resamples):
     assert stats == [monte_carlo_risk_stats(s, mask, resamples, seed=9) for s, mask in fits]
     # a fit's result does not depend on the other fits listed
     assert monte_carlo_risks(fits[::-1], resamples, seed=9) == stats[::-1]
+
+
+def test_monte_carlo_risks_hold_one_chunk_of_draws_at_a_time():
+    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
+    fits = [(s, s.all_rows), (s, corrupt_mask(s.clean_mask, 5, seed=4))]
+    chunk_bytes = s.n * 4096 * 8
+    monte_carlo_risks(fits, 3 * 4096 + 7, seed=9)  # numpy's first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        monte_carlo_risks(fits, 3 * 4096 + 7, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of standard normals, plus the per-draw sums and one residual
+    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
 
 
 def test_monte_carlo_risks_reject_setups_of_different_sizes():
