@@ -31,10 +31,9 @@ from .linear_risk import (
     LinearRiskSetup,
     RiskBreakdown,
     closed_form_risk,
-    compare_risks,
     make_setup,
     masked_fit,
-    monte_carlo_risk,
+    monte_carlo_risks,
 )
 from .model import (
     AblationFlags,

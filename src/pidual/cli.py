@@ -133,6 +133,13 @@ def _detection_outputs(out: Path, model, ds, methods: list[str]) -> dict[str, fl
 _SCORE_FIELDS = ("best_epoch", "best_noisy_val_acc", "clean_test_at_best", "clean_test_final")
 
 
+def _scores(t: TrialOutcome) -> dict:
+    """A trial's report scores for JSON: a score that is not finite, such as
+    the accuracy on an empty split, is null."""
+    scores = {k: _float_or_none(getattr(t, k)) for k in _SCORE_FIELDS[1:]}
+    return {"best_epoch": t.best_epoch, **scores}
+
+
 def _trial_doc(t: TrialOutcome) -> dict:
     return {
         "index": t.index,
@@ -140,8 +147,7 @@ def _trial_doc(t: TrialOutcome) -> dict:
         "seed": t.seed,
         "status": t.status,
         "error": t.error,
-        "best_epoch": t.best_epoch,
-        **{k: _float_or_none(getattr(t, k)) for k in _SCORE_FIELDS[1:]},
+        **_scores(t),
     }
 
 
@@ -281,26 +287,20 @@ def cmd_risk(args: argparse.Namespace) -> int:
         mc_means = {key: mean for key, (mean, _) in zip(pairs, stats)}
     closed = {key: risk_mod.closed_form_risk(*pair) for key, pair in pairs.items()}
     rows = []
+    labels = ("OLS closed form", "gated closed form", "OLS Monte Carlo", "gated Monte Carlo")
+    curves = {label: [] for label in labels}
     for setup_id, _, setup, fit_mask in points:
         keys = [(id(setup), mask.tobytes()) for mask in (setup.all_rows, fit_mask)]
-        breakdowns = [closed[key] for key in keys]
-        mc = [mc_means.get(key) for key in keys]
-        rows.append(risk_mod.risk_row(setup_id, setup, *breakdowns, *mc))
+        ols, gated = (closed[key] for key in keys)
+        mc_ols, mc_gated = (mc_means.get(key) for key in keys)
+        rows.append(risk_mod.risk_row(setup_id, setup, ols, gated, mc_ols, mc_gated))
+        for ys, y in zip(curves.values(), (ols.total, gated.total, mc_ols, mc_gated)):
+            ys.append(y)
     sweep_points = [value for _, value, _, _ in points]
 
     risk_mod.write_risk_csv(out / "risk.csv", rows)
-    cols = {name: i for i, name in enumerate(risk_mod.RISK_CSV_COLUMNS)}
-    series = [
-        ("OLS closed form", sweep_points, [float(row[cols["ols_total"]]) for row in rows]),
-        ("gated closed form", sweep_points, [float(row[cols["pidual_total"]]) for row in rows]),
-    ]
-    if r.resamples > 0:
-        series.append(
-            ("OLS Monte Carlo", sweep_points, [float(row[cols["mc_ols"]]) for row in rows])
-        )
-        series.append(
-            ("gated Monte Carlo", sweep_points, [float(row[cols["mc_pidual"]]) for row in rows])
-        )
+    # the Monte-Carlo means are None when resamples = 0, and those curves are left out
+    series = [(label, sweep_points, ys) for label, ys in curves.items() if None not in ys]
     svgplot.line_chart(
         out / "risk.svg", "expected risk on clean targets", r.sweep, "risk", series
     )
@@ -333,10 +333,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     summary = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "variants": [
-            {"variant": name, **{k: getattr(t, k) for k in _SCORE_FIELDS}}
-            for name, t in results
-        ],
+        "variants": [{"variant": name, **_scores(t)} for name, t in results],
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
     _write_json(out / "summary.json", summary)

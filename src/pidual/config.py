@@ -24,6 +24,7 @@ from . import data as data_mod
 from .data import ERROR_MODES, SynthConfig
 from .detection import METHODS
 from .errors import ConfigError
+from .linear_risk import MAX_FLOATS, MC_CHUNK
 from .model import GATE_SPACES, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
 from .training import GridSpec, TrainConfig, apply_grid_point
@@ -253,6 +254,25 @@ def _grid(raw_axes: dict[str, str]) -> GridSpec:
     return grid
 
 
+def _check_risk_sizes(risk: dict) -> None:
+    """Reject a [risk] section whose largest arrays would pass ``MAX_FLOATS``
+    floats, before any is allocated, naming the largest factor's key."""
+    n, d, m, resamples = (risk[key] for key in ("n", "d", "m", "resamples"))
+    points = len(risk["sweep_values"]) or 1
+    for what, floats, factors in (
+        ("the design needs n*(d+m)", n * (d + m), {"n": n, "d": d, "m": m}),
+        (f"a chunk of draws needs n*min(resamples, {MC_CHUNK})", n * min(resamples, MC_CHUNK),
+         {"n": n}),
+        ("the per-draw sums need 2*points*resamples", 2 * points * resamples,
+         {"resamples": resamples, "sweep_values": points}),
+    ):
+        if floats > MAX_FLOATS:
+            key = max(factors, key=factors.get)
+            raise ConfigError(
+                f"risk.{key}: {what} = {floats} floats, above the cap of {MAX_FLOATS}"
+            )
+
+
 def load_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     path = Path(path)
     merged = _merged_sections(path)
@@ -305,6 +325,7 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
                 f"got {raw_values!r}"
             )
         risk["sweep_values"] = [int(v) for v in values]
+    _check_risk_sizes(risk)
 
     return ExperimentConfig(
         seed=seed,

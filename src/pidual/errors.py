@@ -30,7 +30,7 @@ class DataFormatError(PiDualError):
 
 
 class SetupError(PiDualError):
-    """A random setup could not be constructed within the retry budget."""
+    """A linear risk setup is inconsistent, or so are the setups one Monte-Carlo call shares."""
 
 
 class EvaluationError(PiDualError):

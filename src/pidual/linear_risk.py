@@ -12,25 +12,21 @@ mean squared error on fresh clean targets, with the design held fixed:
 where n1 counts the clean rows. There is one estimator, the masked gated
 fit: rows selected by a fit mask go to the feature path, the rest to the PI
 path. OLS is the special case whose mask selects every row
-(``LinearRiskSetup.all_rows``), which leaves the PI path empty. The estimator
-admits a closed-form expected risk (a bias term driven by the gap
-X@feature_coef - A@pi_coef, a variance trace term, and the irreducible
-sigma^2); ``monte_carlo_risks`` estimates the same expectation by resampling the
-training noise and refitting, which is the independent oracle the closed form
-is checked against.
+(``LinearRiskSetup.all_rows``), which leaves the PI path empty.
 
-The fits and closed forms solve through factorizations (SVD least squares /
-dense solve). The Monte-Carlo oracle folds each fit into one affine map of
-the standard normals: with S the SVD pseudo-inverse of the fit's projected
-design and R the triangular factor of the clean rows' features, a draw xi
-has risk ||sigma * R @ S @ xi + R @ S @ y0 - R @ feature_coef||^2 / n1 + sigma^2,
-where y0 are the noiseless targets. ``monte_carlo_risks`` takes a list of
-(setup, fit mask) pairs and one seed: chunk ``i`` of 4096 draws takes its
-standard normals from ``derive_seed(seed, "chunk", i)`` once, and every fit
-reuses them (common random numbers), so a fit's estimate does not depend on
-the other fits listed. ``monte_carlo_risk_stats`` and ``monte_carlo_risk``
-are its single-fit forms. Every route carries a condition guard of 1e10 on
-the Gram matrices.
+The API is two functions. ``closed_form_risk(setup, fit_mask)`` gives a fit's
+expected risk as a ``RiskBreakdown``: a bias term driven by the gap
+X@feature_coef - A@pi_coef, a variance trace term and the irreducible
+sigma^2. ``monte_carlo_risks(fits, resamples, seed)`` is the independent
+oracle it is checked against: the (mean risk, standard error) of each
+``(setup, fit_mask)`` pair over resampled training noise, with every pair
+scored on the same draws. Both solve through factorizations (SVD least
+squares / dense solve) behind a condition guard of 1e10 on the Gram matrices.
+
+A risk run's largest arrays are the design, n x (d + m) floats; one chunk of
+draws, n x min(resamples, ``MC_CHUNK``); and the per-draw sums, two fits per
+sweep point times resamples. ``pidual risk`` rejects at config load a run
+where any of them exceeds ``MAX_FLOATS``.
 """
 from __future__ import annotations
 
@@ -44,9 +40,8 @@ from .errors import ConfigError, NumericError, SetupError
 from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
-_MC_CHUNK = 4096
-_MIN_SINGULAR = 1e-6  # floor on the smallest singular value of a drawn design
-_MAX_TRIES = 5  # draws before an exactly rank-deficient design is an error
+MC_CHUNK = 4096  # Monte-Carlo draws per chunk
+MAX_FLOATS = 2**26  # cap on each of a risk run's largest arrays, in floats (512 MiB)
 
 
 @dataclass
@@ -102,15 +97,6 @@ class RiskBreakdown:
         return self.bias_term + self.variance_term + self.irreducible
 
 
-@dataclass
-class RiskComparison:
-    ols: RiskBreakdown
-    pidual: RiskBreakdown
-    pidual_preferred: bool
-    trace_ols: float
-    trace_pidual: float
-
-
 def make_setup(
     n: int,
     d: int,
@@ -121,8 +107,9 @@ def make_setup(
     coef_scale: float = 1.0,
     pi_coef_scale: float = 1.0,
 ) -> LinearRiskSetup:
-    """Standard-Gaussian designs, rescaled to meet a minimum-singular-value
-    floor (retried when a draw is exactly rank-deficient)."""
+    """Standard-Gaussian features (n, d) and PI (n, m), one draw each. The fits
+    reject an ill-conditioned design; ``pidual risk`` caps n x (d + m) at
+    ``MAX_FLOATS`` before calling this."""
     if n <= d + m:
         raise SetupError(f"need n > d + m, got n={n}, d={d}, m={m}")
     if not 1 <= n_clean <= n:
@@ -130,22 +117,8 @@ def make_setup(
     if noise_std < 0:
         raise SetupError("noise_std must be >= 0")
     rng = np.random.default_rng(derive_seed(seed, "setup"))
-    designs = []
-    for cols in (d, m):
-        mat = None
-        for _ in range(_MAX_TRIES):
-            cand = rng.standard_normal((n, cols))
-            smin = np.linalg.svd(cand, compute_uv=False)[-1]
-            if smin <= 0:
-                continue
-            if smin < _MIN_SINGULAR:
-                cand = cand * (_MIN_SINGULAR / smin)
-            mat = cand
-            break
-        if mat is None:
-            raise SetupError("conditioning floor unreachable after bounded retries")
-        designs.append(mat)
-    features, pi = designs
+    features = rng.standard_normal((n, d))
+    pi = rng.standard_normal((n, m))
     mask = np.zeros(n, dtype=bool)
     mask[:n_clean] = True
     return LinearRiskSetup(
@@ -310,14 +283,14 @@ def monte_carlo_risks(
     that of their triangular factor R, so each fit is folded once into a
     (d, n) map M = sigma * R @ S, with S its SVD pseudo-inverse, and an offset
     c = R @ S @ noiseless_targets - R @ feature_coef; a draw's standard normals
-    xi score ||M @ xi + c||^2 / n1 + sigma^2. Chunks of ``_MC_CHUNK`` draws
+    xi score ||M @ xi + c||^2 / n1 + sigma^2. Chunks of ``MC_CHUNK`` draws
     come from substreams derived from the chunk index. A chunk draws its
     standard normals once and every fit reuses them (common random numbers),
     so every setup must have the same number of rows. A fit's result depends
     only on its setup, its mask, ``resamples`` and ``seed``, never on the
     other fits listed.
 
-    A call holds one chunk of draws (n x ``_MC_CHUNK`` floats) at a time:
+    A call holds one chunk of draws (n x ``MC_CHUNK`` floats) at a time:
     each chunk's standard normals overwrite the last ones in one buffer, and
     each fit's per-draw sums are written into one (fits, resamples) array.
     """
@@ -341,10 +314,10 @@ def monte_carlo_risks(
         offset = scored @ setup.noiseless_targets() - clean_r @ setup.feature_coef
         maps.append((setup.noise_std * scored, offset[:, None]))
     n = sizes[0]
-    draws = np.empty(n * min(_MC_CHUNK, resamples))  # every chunk's standard normals, in turn
+    draws = np.empty(n * min(MC_CHUNK, resamples))  # every chunk's standard normals, in turn
     risks = np.empty((len(fits), resamples))  # each fit's per-draw residual sums
-    for index, start in enumerate(range(0, resamples, _MC_CHUNK)):
-        width = min(_MC_CHUNK, resamples - start)
+    for index, start in enumerate(range(0, resamples, MC_CHUNK)):
+        width = min(MC_CHUNK, resamples - start)
         noise = draws[: n * width].reshape(n, width)
         np.random.default_rng(derive_seed(seed, "chunk", index)).standard_normal(out=noise)
         for f, (noise_map, offset) in enumerate(maps):
@@ -362,35 +335,18 @@ def monte_carlo_risks(
     return stats
 
 
-def monte_carlo_risk_stats(
-    setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
-) -> tuple[float, float]:
-    """(mean risk, standard error) of one masked fit; see ``monte_carlo_risks``."""
-    return monte_carlo_risks([(setup, fit_mask)], resamples, seed)[0]
+# Trace targets only: perfbench/trace_main.py wraps these two names, and they
+# go with that tracer (ROADMAP item 1).
+def compare_risks(
+    setup: LinearRiskSetup, fit_mask: np.ndarray
+) -> tuple[RiskBreakdown, RiskBreakdown]:
+    return closed_form_risk(setup, setup.all_rows), closed_form_risk(setup, fit_mask)
 
 
 def monte_carlo_risk(
     setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
 ) -> float:
-    return monte_carlo_risk_stats(setup, fit_mask, resamples, seed)[0]
-
-
-def compare_risks(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskComparison:
-    """Closed-form risks of OLS (``setup.all_rows``) and of ``fit_mask``, plus
-    the preference flag."""
-    ols = closed_form_risk(setup, setup.all_rows)
-    gated = closed_form_risk(setup, fit_mask)
-    n1 = setup.n_clean
-    sigma2 = setup.noise_std**2
-    trace_ols = ols.variance_term * n1 / sigma2 if sigma2 > 0 else float("nan")
-    trace_gated = gated.variance_term * n1 / sigma2 if sigma2 > 0 else float("nan")
-    return RiskComparison(
-        ols=ols,
-        pidual=gated,
-        pidual_preferred=ols.total > gated.total,
-        trace_ols=trace_ols,
-        trace_pidual=trace_gated,
-    )
+    return monte_carlo_risks([(setup, fit_mask)], resamples, seed)[0][0]
 
 
 RISK_CSV_COLUMNS = (

@@ -75,10 +75,13 @@ def line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     y_range: tuple[float, float] | None = None,
 ) -> None:
-    """Multi-series line chart; each series is (label, xs, ys). NaNs break lines."""
+    """Multi-series line chart; each series is (label, xs, ys). NaNs break lines.
+
+    With a ``y_range``, series whose ys are all NaN still get axes and a legend.
+    """
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if y == y]
-    if not xs_all or not ys_all:
+    if not xs_all or (not ys_all and y_range is None):
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     if y_range is None:

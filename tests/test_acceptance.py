@@ -23,7 +23,7 @@ from pidual.linear_risk import (
     make_setup,
     masked_designs,
     masked_fit,
-    monte_carlo_risk_stats,
+    monte_carlo_risks,
     pi_projector,
     projected_features,
 )
@@ -181,8 +181,8 @@ def test_criterion_risk_exactness():
         mask = corrupt_mask(setup.clean_mask, i % 6, seed=i)
         closed_ols = closed_form_risk(setup, setup.all_rows).total
         closed_pi = closed_form_risk(setup, mask).total
-        mc_ols, se_ols = monte_carlo_risk_stats(setup, setup.all_rows, 50_000, seed=4000 + i)
-        mc_pi, se_pi = monte_carlo_risk_stats(setup, mask, 50_000, seed=4500 + i)
+        mc_ols, se_ols = monte_carlo_risks([(setup, setup.all_rows)], 50_000, seed=4000 + i)[0]
+        mc_pi, se_pi = monte_carlo_risks([(setup, mask)], 50_000, seed=4500 + i)[0]
         z_ols = abs(mc_ols - closed_ols) / se_ols
         z_pi = abs(mc_pi - closed_pi) / se_pi
         worst_z = max(worst_z, z_ols, z_pi)

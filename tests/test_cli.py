@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,6 +24,7 @@ from pidual.config import build_dataset, load_experiment_config
 from pidual.data import SPLIT_CLEAN_TEST, load_csv
 from pidual.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError
+from pidual.linear_risk import MAX_FLOATS
 from pidual.training import TrainConfig, TrainRecord, evaluate
 
 BASE_SECTIONS = {
@@ -177,6 +179,50 @@ def test_train_rerun_metrics_identical(tmp_path):
     assert first_summary == second_summary
 
 
+def label_free_config(tmp_path):
+    """A config over gen's dataset without its clean_label and split columns,
+    and with no noisy-validation or clean-test split, so every score is NaN."""
+    gen_cfg, gen_out = write_config(tmp_path, name="gen.ini", out=tmp_path / "gen")
+    assert main(["gen", "--config", str(gen_cfg)]) == 0
+    with (gen_out / "dataset.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, c in enumerate(rows[0]) if c not in ("clean_label", "split")]
+    stripped = tmp_path / "label_free.csv"
+    with stripped.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([r[i] for i in keep] for r in rows)
+    data = {"source": "csv", "path": str(stripped), "noisy_val_fraction": "0", "test_fraction": "0"}
+    return write_config(tmp_path, overrides={"data": data})
+
+
+def strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity are not JSON (RFC 8259)."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_train_without_clean_labels_or_eval_splits_writes_every_artifact(tmp_path, capsys):
+    cfg_path, out = label_free_config(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    artifacts = ["best_checkpoint.json", "selected_dynamics.svg", "summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == [*artifacts, "trial_000_record.csv"]
+    assert strict_json(out / "summary.json")["trials"][0]["clean_test_final"] is None
+    assert "nan" not in (out / "selected_dynamics.svg").read_text()
+
+
+def test_ablate_summary_is_strict_json_when_the_scores_are_nan(tmp_path):
+    cfg_path, out = label_free_config(tmp_path)
+    assert main(["ablate", "--config", str(cfg_path)]) == 0
+    for variant in strict_json(out / "summary.json")["variants"]:
+        assert isinstance(variant["best_epoch"], int)
+        for key in ("best_noisy_val_acc", "clean_test_at_best", "clean_test_final"):
+            assert variant[key] is None, (variant["variant"], key)
+
+
 def test_detect_cli_and_missing_clean_labels(tmp_path):
     cfg_path, out = write_config(tmp_path)
     main(["gen", "--config", str(cfg_path)])
@@ -216,13 +262,15 @@ def test_detect_cli_and_missing_clean_labels(tmp_path):
     assert code == 2
 
 
-def run_module(args, env_updates=None, drop=()):
+def run_module(args, env_updates=None, drop=(), **kwargs):
     """``python -m`` in a fresh interpreter that imports pidual from this checkout."""
     src = str(Path(pidual.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in drop}
     env.update(env_updates or {})
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
 
 
 def test_config_errors_leave_no_output_directory(tmp_path):
@@ -634,17 +682,22 @@ def risk_sections(draw):
             return draw(st.sampled_from(ODD_RISK_VALUES))
         return str(draw(values))
 
-    n = draw(st.integers(1, 120))
+    def size(low, high):
+        # now and then a size above the cap, which only the cast and the size
+        # check may see: any allocation of it would fail at once
+        return st.one_of(st.integers(low, high), st.integers(2**48, 2**60))
+
+    n = draw(size(1, 120))
     sigmas = st.one_of(st.floats(-1, 4), st.floats(allow_nan=False, allow_infinity=False))
     sweep = field(st.sampled_from(SWEEPS))
     counts = st.integers(-2, n + 2)
     values = st.lists(sigmas if sweep == "sigma" else counts, max_size=4)
     return {
         "n": field(st.just(n)),
-        "d": field(st.integers(0, 12)),
-        "m": field(st.integers(0, 12)),
+        "d": field(size(0, 12)),
+        "m": field(size(0, 12)),
         "n_clean": field(st.integers(-1, n + 1)),
-        "resamples": field(st.integers(0, 5000)),
+        "resamples": field(size(0, 5000)),
         "sigma": field(sigmas),
         "sweep": sweep,
         "sweep_values": ",".join(field(st.just(v)) for v in draw(values)),
@@ -661,6 +714,27 @@ def test_risk_answers_a_fuzzed_config_with_a_result_or_one_line(tmp_path, capsys
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), (code, err)
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+def _limit_address_space():
+    # a size that slipped past the check then fails its first allocation at
+    # once instead of filling the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize(
+    "key,value", [("n", 10**9), ("resamples", 10**12), ("n", MAX_FLOATS // 6 + 1)]
+)
+def test_risk_rejects_a_size_above_the_cap_before_allocating(tmp_path, key, value):
+    # BASE_SECTIONS has d = m = 3, so n = MAX_FLOATS // 6 + 1 is the smallest design above the cap
+    cfg_path, out = write_config(tmp_path, overrides={"risk": {key: str(value)}})
+    proc = run_module(
+        ["-m", "pidual", "risk", "--config", str(cfg_path)], preexec_fn=_limit_address_space
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: risk.{key}: ")
+    assert f"above the cap of {MAX_FLOATS}" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

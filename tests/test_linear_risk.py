@@ -7,13 +7,10 @@ from pidual.errors import NumericError, SetupError
 from pidual.linear_risk import (
     LinearRiskSetup,
     closed_form_risk,
-    compare_risks,
     corrupt_mask,
     make_setup,
     masked_designs,
     masked_fit,
-    monte_carlo_risk,
-    monte_carlo_risk_stats,
     monte_carlo_risks,
     pi_projector,
     projected_features,
@@ -141,7 +138,7 @@ def test_ols_risk_single_point_symbolic_case():
     assert risk.variance_term == pytest.approx(1.0, abs=1e-12)
     assert risk.irreducible == 1.0
     assert risk.total == pytest.approx(2.0, abs=1e-12)
-    mc, se = monte_carlo_risk_stats(s, s.all_rows, resamples=50_000, seed=1)
+    mc, se = monte_carlo_risks([(s, s.all_rows)], resamples=50_000, seed=1)[0]
     assert abs(mc - 2.0) < 3.0 * se
 
 
@@ -180,14 +177,14 @@ def test_single_flip_changes_bias_and_variance_consistently():
 
 def test_monte_carlo_zero_noise_zero_bias():
     s = make_setup(50, 4, 3, 30, 0.0, seed=14)
-    risk = monte_carlo_risk(s, s.clean_mask, resamples=3, seed=0)
+    risk, _ = monte_carlo_risks([(s, s.clean_mask)], resamples=3, seed=0)[0]
     assert abs(risk) < 1e-18
 
 
 def test_monte_carlo_deterministic():
     s = make_setup(50, 4, 3, 30, 1.0, seed=15)
-    r1 = monte_carlo_risk(s, s.all_rows, resamples=1, seed=5)
-    r2 = monte_carlo_risk(s, s.all_rows, resamples=1, seed=5)
+    r1, _ = monte_carlo_risks([(s, s.all_rows)], resamples=1, seed=5)[0]
+    r2, _ = monte_carlo_risks([(s, s.all_rows)], resamples=1, seed=5)[0]
     assert r1 == r2
 
 
@@ -196,25 +193,25 @@ def test_monte_carlo_agrees_with_closed_form(estimator):
     s = make_setup(100, 5, 5, 60, 1.0, seed=16, pi_coef_scale=3.0)
     mask = s.all_rows if estimator == "ols" else corrupt_mask(s.clean_mask, 4, seed=2)
     closed = closed_form_risk(s, mask).total
-    mc, se = monte_carlo_risk_stats(s, mask, resamples=20_000, seed=3)
+    mc, se = monte_carlo_risks([(s, mask)], resamples=20_000, seed=3)[0]
     assert abs(mc - closed) < 3.0 * se
 
 
-def test_compare_risks_large_gap_prefers_gated_estimator():
+def test_closed_form_large_gap_prefers_gated_estimator():
     # many noisy rows with a strong PI contribution: OLS bias dominates
     s = make_setup(120, 4, 4, 40, 0.5, seed=17, pi_coef_scale=8.0)
-    comparison = compare_risks(s, s.clean_mask)
-    assert comparison.pidual_preferred
-    assert comparison.ols.bias_term > comparison.pidual.bias_term
+    ols, gated = closed_form_risk(s, s.all_rows), closed_form_risk(s, s.clean_mask)
+    assert ols.total > gated.total
+    assert ols.bias_term > gated.bias_term
 
 
-def test_compare_risks_all_clean_full_mask_prefers_ols():
+def test_closed_form_all_clean_full_mask_prefers_ols():
     s = make_setup(60, 4, 3, 60, 1.0, seed=18)
     full = np.ones(s.n, dtype=bool)
-    comparison = compare_risks(s, full)
+    ols, gated = closed_form_risk(s, s.all_rows), closed_form_risk(s, full)
     # OLS bias is zero and the variance traces coincide: no strict preference
-    assert not comparison.pidual_preferred
-    assert comparison.ols.total == pytest.approx(comparison.pidual.total, rel=1e-12)
+    assert not ols.total > gated.total
+    assert ols.total == pytest.approx(gated.total, rel=1e-12)
 
 
 def test_variance_traces_ordered():
@@ -222,9 +219,11 @@ def test_variance_traces_ordered():
     # variance traces, and the OLS trace is never larger
     for seed in range(6):
         s = make_setup(80, 5, 4, 50, 4.0, seed=seed, coef_scale=1e-3, pi_coef_scale=1e-3)
-        comparison = compare_risks(s, s.clean_mask)
-        assert comparison.trace_ols <= comparison.trace_pidual + 1e-12
-        assert not comparison.pidual_preferred
+        ols, gated = closed_form_risk(s, s.all_rows), closed_form_risk(s, s.clean_mask)
+        n1, sigma = s.n_clean, s.noise_std
+        trace_ols, trace_gated = (r.variance_term * n1 / sigma**2 for r in (ols, gated))
+        assert trace_ols <= trace_gated + 1e-12
+        assert not ols.total > gated.total
 
 
 def test_bias_grows_with_corruption_on_average():
@@ -244,7 +243,7 @@ def test_monte_carlo_propagates_estimator_failure_with_draw_range():
     s = make_setup(30, 3, 5, 28, 1.0, seed=20)
     # only 2 noisy rows for 5 PI columns: the gated estimator cannot be fit
     with pytest.raises(NumericError, match=r"draws \[0, "):
-        monte_carlo_risk(s, s.clean_mask, resamples=10, seed=0)
+        monte_carlo_risks([(s, s.clean_mask)], resamples=10, seed=0)
 
 
 def shared_draw_fits():
@@ -284,12 +283,11 @@ def test_monte_carlo_matches_chunkwise_lstsq_refit(which):
     if which == "every-shared-fit":
         # one call over fits that differ in mask, noise_std and n_clean
         fits = shared_draw_fits()
-        results = monte_carlo_risks(fits, resamples, seed)
     else:
         s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
         mask = s.all_rows if which == "ols" else corrupt_mask(s.clean_mask, 5, seed=4)
         fits = [(s, mask)]
-        results = [monte_carlo_risk_stats(s, mask, resamples, seed)]
+    results = monte_carlo_risks(fits, resamples, seed)
     for (s, mask), (mean, stderr) in zip(fits, results):
         draws = chunkwise_lstsq_refit(s, mask, resamples, seed)
         assert mean == pytest.approx(draws.mean(), rel=1e-12)
@@ -302,7 +300,7 @@ def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
     features[:, 0] *= 1e6  # Gram condition of order 1e12
     bad = LinearRiskSetup(features, s.pi, s.feature_coef, s.pi_coef, s.clean_mask, s.noise_std)
     with pytest.raises(NumericError, match=r"condition .* exceeds") as exc:
-        monte_carlo_risk(bad, bad.all_rows, resamples=10, seed=0)
+        monte_carlo_risks([(bad, bad.all_rows)], resamples=10, seed=0)
     assert "draws [0, 10)" in str(exc.value)
 
 
@@ -311,7 +309,7 @@ def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
 def test_monte_carlo_risks_equal_each_single_fit(resamples):
     fits = shared_draw_fits()
     stats = monte_carlo_risks(fits, resamples, seed=9)
-    assert stats == [monte_carlo_risk_stats(s, mask, resamples, seed=9) for s, mask in fits]
+    assert stats == [monte_carlo_risks([(s, mask)], resamples, seed=9)[0] for s, mask in fits]
     # a fit's result does not depend on the other fits listed
     assert monte_carlo_risks(fits[::-1], resamples, seed=9) == stats[::-1]
 
