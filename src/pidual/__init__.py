@@ -40,7 +40,6 @@ from .model import (
     ModelConfig,
     PiDualModel,
     backward_train,
-    build_model,
     ce_baseline_flags,
     forward_infer,
     forward_train,

@@ -318,15 +318,24 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if failed:
         name = ABLATION_VARIANTS[failed[0].index][0]
         raise NumericError(f"ablation variant {name} failed: {failed[0].error}")
+    # ranked by clean test accuracy; a variant without one (no clean test
+    # split) is unranked and listed after the others, by name
     results = sorted(
         ((ABLATION_VARIANTS[t.index][0], t) for t in outcomes),
-        key=lambda r: (-r[1].clean_test_at_best, r[0]),
+        key=lambda r: (
+            (False, -r[1].clean_test_at_best, r[0])
+            if math.isfinite(r[1].clean_test_at_best) else (True, 0.0, r[0])
+        ),
     )
+    ranks = [
+        str(i) if math.isfinite(t.clean_test_at_best) else ""
+        for i, (_, t) in enumerate(results, start=1)
+    ]
 
     with (out / "ablation.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("rank", "variant", *_SCORE_FIELDS))
-        for rank, (name, t) in enumerate(results, start=1):
+        for rank, (name, t) in zip(ranks, results):
             writer.writerow((rank, name, *(repr(getattr(t, k)) for k in _SCORE_FIELDS)))
     for name, t in results:
         t.record.to_csv(out / f"ablation_{name}_record.csv")
@@ -337,9 +346,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
     _write_json(out / "summary.json", summary)
-    for rank, (name, t) in enumerate(results, start=1):
+    for rank, (name, t) in zip(ranks, results):
         print(
-            f"{rank}. {name}: clean_test={t.clean_test_at_best:.4f} "
+            f"{rank + '. ' if rank else ''}{name}: clean_test={t.clean_test_at_best:.4f} "
             f"(final {t.clean_test_final:.4f})"
         )
     return EXIT_OK

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import data as data_mod
@@ -25,7 +25,7 @@ from .data import ERROR_MODES, SynthConfig
 from .detection import METHODS
 from .errors import ConfigError
 from .linear_risk import MAX_FLOATS, MC_CHUNK
-from .model import GATE_SPACES, NOISE_INPUTS, ModelConfig
+from .model import GATE_SPACES, NOISE_INPUT_PI_AND_X, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
 from .training import GridSpec, TrainConfig, apply_grid_point
 
@@ -109,10 +109,10 @@ FIELDS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "experiment": {"seed": ("0", _int)},
     "data": {
         "source": ("synthetic", _choice(("synthetic", "csv"), "data source")),
-        "n": ("2000", _int),
-        "feature_dim": ("8", _int),
+        "n": ("2000", _at_least(1)),
+        "feature_dim": ("8", _at_least(0)),
         "classes": ("4", _int),
-        "annotators": ("5", _int),
+        "annotators": ("5", _at_least(1)),
         "reliabilities": ("", _list(_float)),
         "informativeness": ("1.0", _float),
         "class_separation": ("3.0", _float),
@@ -254,23 +254,69 @@ def _grid(raw_axes: dict[str, str]) -> GridSpec:
     return grid
 
 
+def _check_sizes(sizes) -> None:
+    """Each of ``sizes`` is (what, floats, {field path: factor}): reject the
+    first whose count passes ``MAX_FLOATS``, naming its largest factor's field."""
+    for what, floats, factors in sizes:
+        if floats > MAX_FLOATS:
+            where = max(factors, key=factors.get)
+            raise ConfigError(f"{where}: {what} = {floats} floats, above the cap of {MAX_FLOATS}")
+
+
 def _check_risk_sizes(risk: dict) -> None:
     """Reject a [risk] section whose largest arrays would pass ``MAX_FLOATS``
-    floats, before any is allocated, naming the largest factor's key."""
+    floats, before any is allocated."""
     n, d, m, resamples = (risk[key] for key in ("n", "d", "m", "resamples"))
     points = len(risk["sweep_values"]) or 1
-    for what, floats, factors in (
-        ("the design needs n*(d+m)", n * (d + m), {"n": n, "d": d, "m": m}),
+    _check_sizes((
+        ("the design needs n*(d+m)", n * (d + m), {"risk.n": n, "risk.d": d, "risk.m": m}),
         (f"a chunk of draws needs n*min(resamples, {MC_CHUNK})", n * min(resamples, MC_CHUNK),
-         {"n": n}),
+         {"risk.n": n}),
         ("the per-draw sums need 2*points*resamples", 2 * points * resamples,
-         {"resamples": resamples, "sweep_values": points}),
-    ):
-        if floats > MAX_FLOATS:
-            key = max(factors, key=factors.get)
-            raise ConfigError(
-                f"risk.{key}: {what} = {floats} floats, above the cap of {MAX_FLOATS}"
-            )
+         {"risk.resamples": resamples, "risk.sweep_values": points}),
+    ))
+
+
+def _check_trial_sizes(
+    synth: SynthConfig | None, num_classes: int, model: ModelConfig, train: TrainConfig,
+    grid: GridSpec | None,
+) -> None:
+    """Reject [data], [model] and [grid] sizes whose largest arrays would pass
+    ``MAX_FLOATS`` floats, before any is allocated. Each factor is its largest
+    value over its section and any [grid] axis. A CSV source's rows and widths
+    are known only once the file is read: for one, only the model's layers are
+    counted, with the data's own columns taken as 0."""
+    axes = grid.axes if grid is not None else {}
+
+    def top(section: str, key: str, value: int) -> tuple[str, int]:
+        # the field path and value of the largest of the section's and the axis's values
+        most = max(axes.get(key, ()), default=value)
+        return (f"grid.{key}", most) if most > value else (f"{section}.{key}", value)
+
+    r_key, r = top("train", "random_pi_length", train.random_pi_length)
+    w_key, w = top("model", "pi_width", model.pi_width)
+    n, d, a = (synth.n, synth.feature_dim, synth.annotators) if synth else (0, 0, 0)
+    pi = r + (a + 2 if synth else 0)  # annotator one-hot, two channels, random PI
+    with_x = NOISE_INPUT_PI_AND_X in (model.flags.noise_input, *axes.get("noise_input", ()))
+    largest = replace(  # the grid point with the most parameters
+        model,
+        pi_width=w,
+        share_first_layer=all((model.share_first_layer, *axes.get("share_first_layer", ()))),
+        flags=replace(model.flags, noise_input=NOISE_INPUT_PI_AND_X) if with_x else model.flags,
+    )
+    layers = [sizes for sizes, _ in filter(None, largest.shapes(d, pi, num_classes).values())]
+    params = sum(o * (i + 1) for sizes in layers for i, o in zip(sizes, sizes[1:]))
+    widest = max(max(sizes) for sizes in layers)
+    widths = {"model.pred_hidden": max(model.pred_hidden, default=0), w_key: w,
+              "data.feature_dim": d, "data.annotators": a, r_key: r, "data.classes": num_classes}
+    _check_sizes((
+        ("the generator's distances need n*classes*feature_dim", n * num_classes * d,
+         {"data.n": n, "data.classes": num_classes, "data.feature_dim": d}),
+        ("the dataset with its random PI needs n*(feature_dim+annotators+2+random_pi_length)",
+         n * (d + pi), {"data.n": n, "data.feature_dim": d, "data.annotators": a, r_key: r}),
+        ("the model's parameters", params, widths),
+        ("a pass over the data needs n*(widest layer)", n * widest, {"data.n": n, **widths}),
+    ))
 
 
 def load_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -309,6 +355,7 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
     train_cfg.validate()
 
     grid = _grid(merged["grid"]) if any(merged.get("grid", {})) else None
+    _check_trial_sizes(synth, data_section.num_classes, model_cfg, train_cfg, grid)
 
     risk = _section(merged, "risk")
     sweep, values = risk["sweep"], risk["sweep_values"]

@@ -94,9 +94,12 @@ class PiDualModel:
 
     All parameters live in ``params``, one contiguous vector in roster order
     (see ``nn_core.flatten``); every component tensor is a view of it, so one
-    optimizer step on ``params`` updates every component. Construction and
-    assigning a component check that each component reads and emits the
-    widths its place needs, then copy the given tensors into a fresh vector.
+    optimizer step on ``params`` updates every component. Construction checks
+    that each component reads and emits the widths its place needs, then
+    copies the given tensors into a fresh vector. The components are fixed at
+    construction, since an assigned one would not view the vector: a model
+    with another component is a new one, ``dataclasses.replace(model,
+    prediction=...)``, which runs the same checks and packs its own vector.
     A pickle, like a checkpoint, holds the layout (``_layout``) and the
     vector; unpickling (and so ``copy.deepcopy``) rebuilds the model with
     ``_restore``. ``copy()`` is the cheap way to an independent model.
@@ -119,13 +122,8 @@ class PiDualModel:
         nets = self.components()
         params = nn_core.flatten(nets)
         for name, (weights, biases) in nn_core.tensor_views(params, nets).items():
-            object.__setattr__(self, name, MlpParams(weights, biases, list(nets[name].activations)))
-        object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name: str, value) -> None:
-        super().__setattr__(name, value)
-        if name in COMPONENTS and "params" in self.__dict__:
-            self.__post_init__()
+            setattr(self, name, MlpParams(weights, biases, list(nets[name].activations)))
+        self.params = params
 
     def __reduce__(self):
         scalars = {key: getattr(self, key) for key in _SCALARS}
@@ -177,39 +175,6 @@ def gradient_buffer(model: PiDualModel) -> GradientBuffer:
     return GradientBuffer(vector, {name: Gradients(*v) for name, v in views.items()})
 
 
-def build_model(
-    feature_dim: int,
-    pi_dim: int,
-    num_classes: int,
-    flags: AblationFlags | None = None,
-    pred_hidden: tuple[int, ...] = (64, 64),
-    pi_width: int = 64,
-    share_first_layer: bool = True,
-    seed: int = 0,
-) -> PiDualModel:
-    flags = flags or AblationFlags()
-    noise_in = pi_dim + (feature_dim if flags.noise_input == NOISE_INPUT_PI_AND_X else 0)
-    shapes = (  # (layer sizes, activations) per component, in roster order
-        ([feature_dim, *pred_hidden, num_classes], [RELU] * len(pred_hidden) + [IDENTITY]),
-        ([noise_in, pi_width], [RELU]),
-        ([pi_width, pi_width, num_classes], [RELU, IDENTITY]),
-        ([pi_width, pi_width, 1], [RELU, SIGMOID]),
-        None if share_first_layer else ([noise_in, pi_width], [RELU]),
-    )
-    nets = {
-        name: None if shape is None else init_mlp(*shape, derive_seed(seed, name))
-        for name, shape in zip(COMPONENTS, shapes)
-    }
-    return PiDualModel(
-        **nets,
-        flags=flags,
-        share_first_layer=share_first_layer,
-        feature_dim=feature_dim,
-        pi_dim=pi_dim,
-        num_classes=num_classes,
-    )
-
-
 @dataclass
 class ModelConfig:
     """Architecture knobs decoupled from any concrete dataset dimensions."""
@@ -219,16 +184,33 @@ class ModelConfig:
     share_first_layer: bool = True
     flags: AblationFlags = field(default_factory=AblationFlags)
 
-    def build(self, feature_dim: int, pi_dim: int, num_classes: int, seed: int) -> "PiDualModel":
-        return build_model(
-            feature_dim,
-            pi_dim,
-            num_classes,
+    def shapes(self, feature_dim: int, pi_dim: int, num_classes: int) -> dict[str, tuple | None]:
+        """(layer sizes, activations) per roster component, None for an absent one."""
+        hidden, width = tuple(self.pred_hidden), self.pi_width
+        noise_in = pi_dim + feature_dim * (self.flags.noise_input == NOISE_INPUT_PI_AND_X)
+        shapes = (
+            ([feature_dim, *hidden, num_classes], [RELU] * len(hidden) + [IDENTITY]),
+            ([noise_in, width], [RELU]),
+            ([width, width, num_classes], [RELU, IDENTITY]),
+            ([width, width, 1], [RELU, SIGMOID]),
+            None if self.share_first_layer else ([noise_in, width], [RELU]),
+        )
+        return dict(zip(COMPONENTS, shapes))
+
+    def build(self, feature_dim: int, pi_dim: int, num_classes: int, seed: int) -> PiDualModel:
+        """A model for these widths; component ``name`` is initialised under
+        ``derive_seed(seed, name)``."""
+        nets = {
+            name: None if shape is None else init_mlp(*shape, derive_seed(seed, name))
+            for name, shape in self.shapes(feature_dim, pi_dim, num_classes).items()
+        }
+        return PiDualModel(
+            **nets,
             flags=self.flags,
-            pred_hidden=tuple(self.pred_hidden),
-            pi_width=self.pi_width,
             share_first_layer=self.share_first_layer,
-            seed=seed,
+            feature_dim=feature_dim,
+            pi_dim=pi_dim,
+            num_classes=num_classes,
         )
 
 
@@ -246,9 +228,8 @@ class ModelTape:
     pred_probs: np.ndarray | None = field(default=None, repr=False)
     noise_probs: np.ndarray | None = field(default=None, repr=False)
     mixed: np.ndarray | None = field(default=None, repr=False)
-    # the labels training_loss scored and the softmax-CE gradient it computed
-    ce_labels: np.ndarray | None = field(default=None, repr=False)
-    ce_grad: np.ndarray | None = field(default=None, repr=False)
+    # the gradient of the mean loss w.r.t. ``mixed``, written by training_loss
+    d_mixed: np.ndarray | None = field(default=None, repr=False)
 
 
 # Per component, one array (or None) per layer for mlp_forward's ``out``.
@@ -268,10 +249,6 @@ def activation_buffers(model: PiDualModel, rows: int) -> ActivationBuffers:
     }
 
 
-def _as_batch(v: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(v, dtype=np.float64))
-
-
 def _forward_pi_side(
     model: PiDualModel, x: np.ndarray, a: np.ndarray, out: ActivationBuffers | None = None
 ) -> ModelTape:
@@ -281,9 +258,9 @@ def _forward_pi_side(
     input and the ablation zeros. ``forward_train`` adds the prediction
     network and the mix; ``noise_logits`` and ``gate_values`` read it alone.
     """
-    x, a = _as_batch(x), _as_batch(a)
-    if x.shape[0] != a.shape[0]:
-        raise ShapeError("feature and PI batches must have the same length")
+    x, a = np.asarray(x, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
+        raise ShapeError(f"features {x.shape} and PI {a.shape} are not batches of one length")
     flags = model.flags
     tape = ModelTape(model=model, batch_size=x.shape[0])
     pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
@@ -322,7 +299,7 @@ def forward_train(
     """
     tape = _forward_pi_side(model, x, a, out)
     tape.pred_logits, tape.tapes["prediction"] = mlp_forward(
-        model.prediction, _as_batch(x), (out or {}).get("prediction")
+        model.prediction, x, (out or {}).get("prediction")
     )
     flags = model.flags
     f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
@@ -342,65 +319,58 @@ def forward_train(
 def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
     """Mean cross-entropy of the combined output against the noisy labels.
 
-    Keeps the loss's gradient on the tape, for ``backward_train`` on the same
-    labels.
+    Writes ``tape.d_mixed``, the loss's gradient with respect to
+    ``tape.mixed``: the one thing ``backward_train`` takes from the labels.
     """
-    labels = np.asarray(labels)
-    if tape.model.flags.use_gate and tape.model.flags.gate_space == GATE_SPACE_PROBABILITY:
-        rows = np.arange(labels.shape[0])
-        return float(-np.log(tape.mixed[rows, labels]).mean())
-    losses, tape.ce_grad = nn_core.softmax_ce_batch(tape.mixed, labels)
-    tape.ce_labels = labels.copy()
-    return float(losses.mean())
-
-
-def _ce_grad(tape: ModelTape, labels: np.ndarray) -> np.ndarray:
-    """The softmax-CE gradient of the mixed logits: training_loss's, if it scored these labels."""
-    if tape.ce_labels is not None and np.array_equal(tape.ce_labels, labels):
-        return tape.ce_grad
-    return nn_core.softmax_ce_batch(tape.mixed, labels)[1]
-
-
-def backward_train(
-    model: PiDualModel, tape: ModelTape, labels: np.ndarray, out: GradientBuffer | None = None
-) -> dict[str, Gradients]:
-    """Exact gradients of the mean combined-output cross-entropy.
-
-    Includes the gate path d/dg[(1-g)f + g*eps] = eps - f, and accumulates
-    the shared first layer's gradient from both the noise and gate paths.
-    Returns one buffer per component, keyed like ``model.components()``;
-    components on an ablated path get zero gradients. The buffers are the
-    views of ``out`` (see ``gradient_buffer``) when it is given, else of a
-    new gradient vector.
-    """
-    if tape.model is not model:
-        raise ContractError("tape was produced by a different model")
     labels = np.asarray(labels)
     b = tape.batch_size
     if labels.shape != (b,):
         raise ShapeError("one label per batch row required")
-    flags = model.flags
-    f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
-    rows = np.arange(b)
+    if tape.model.flags.use_gate and tape.model.flags.gate_space == GATE_SPACE_PROBABILITY:
+        rows = np.arange(b)
+        picked = tape.mixed[rows, labels]  # the mixed probability of each row's label
+        tape.d_mixed = np.zeros_like(tape.mixed)
+        tape.d_mixed[rows, labels] = -1.0 / (b * picked)
+        return float(-np.log(picked).mean())
+    losses, tape.d_mixed = nn_core.softmax_ce_batch(tape.mixed, labels)
+    tape.d_mixed /= b
+    return float(losses.mean())
+
+
+def backward_train(
+    model: PiDualModel, tape: ModelTape, out: GradientBuffer | None = None
+) -> dict[str, Gradients]:
+    """Exact gradients of the loss ``training_loss`` scored on ``tape``.
+
+    Starts at ``tape.d_mixed`` and includes the gate path
+    d/dg[(1-g)f + g*eps] = eps - f, and accumulates the shared first layer's
+    gradient from both the noise and gate paths. Returns one buffer per
+    component, keyed like ``model.components()``; components on an ablated
+    path get zero gradients. The buffers are the views of ``out`` (see
+    ``gradient_buffer``) when it is given, else of a new gradient vector.
+    """
+    if tape.model is not model:
+        raise ContractError("tape was produced by a different model")
+    if tape.d_mixed is None:
+        raise ContractError("no loss has scored this tape: call training_loss first")
+    flags, b = model.flags, tape.batch_size
+    f, eps, g, u = tape.pred_logits, tape.noise_logits, tape.gate, tape.d_mixed
 
     if not flags.use_gate:
-        u = _ce_grad(tape, labels) / b
         d_pred, d_noise_out, d_gate_out = u, u, None
     elif flags.gate_space == GATE_SPACE_LOGIT:
-        u = _ce_grad(tape, labels) / b
         d_pred = (1.0 - g)[:, None] * u
         d_noise_out = g[:, None] * u
         d_gate_out = ((eps - f) * u).sum(axis=1)
     else:
         p_f, p_e = tape.pred_probs, tape.noise_probs
-        coef = -1.0 / (b * tape.mixed[rows, labels])  # dL/d(mixed prob of the label)
-        dpf = np.zeros_like(p_f)
-        dpf[rows, labels] = (1.0 - g) * coef
-        d_pred = p_f * (dpf - (p_f * dpf).sum(axis=1, keepdims=True))
-        dpe = np.zeros_like(p_e)
-        dpe[rows, labels] = g * coef
-        d_noise_out = p_e * (dpe - (p_e * dpe).sum(axis=1, keepdims=True))
-        d_gate_out = coef * (p_e[rows, labels] - p_f[rows, labels])
+
+        def through_softmax(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+            return p * (v - (p * v).sum(axis=1, keepdims=True))  # the softmax Jacobian times v
+
+        d_pred = through_softmax(p_f, (1.0 - g)[:, None] * u)
+        d_noise_out = through_softmax(p_e, g[:, None] * u)
+        d_gate_out = ((p_e - p_f) * u).sum(axis=1)
 
     nets, tapes = model.components(), tape.tapes
     if out is None:
@@ -434,9 +404,7 @@ def prediction_logits(
     model: PiDualModel, x: np.ndarray, out: ActivationBuffers | None = None
 ) -> np.ndarray:
     """The prediction network's logits; its hidden layers write into ``out``'s, if given."""
-    logits, _ = mlp_forward(
-        model.prediction, np.asarray(x, dtype=np.float64), (out or {}).get("prediction")
-    )
+    logits, _ = mlp_forward(model.prediction, x, (out or {}).get("prediction"))
     return logits
 
 

@@ -2,8 +2,8 @@
 
 Supports the fixed MLP topology family used by the three sub-networks:
 stacks of affine layers with ReLU hiddens and an identity or sigmoid output.
-Everything is float64 and deterministic; batches are rows of a 2-D array and
-single samples are 1-D vectors (promoted internally).
+Everything is float64 and deterministic. Inputs are batches, one sample per
+row of a 2-D array; a single sample is a batch of one row, ``x[None]``.
 
 Gradient convention: ``mlp_backward`` returns the gradient of
 ``sum(output * upstream)``, so a mean-over-batch loss is obtained by passing
@@ -113,23 +113,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class Tape:
     """Activation cache binding one forward pass to its parameters.
 
-    ``outputs[0]`` is the (promoted) input and ``outputs[k + 1]`` layer k's
+    ``outputs[0]`` is the input batch and ``outputs[k + 1]`` layer k's
     activated output; backward needs nothing else, because the ReLU mask and
     the sigmoid derivative are both functions of the output.
     """
 
     params: MlpParams = field(repr=False)
     outputs: list[np.ndarray] = field(repr=False)
-    squeezed: bool = False
-
-
-def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim != 2:
-        raise ShapeError(f"expected a vector or a batch of vectors, got ndim={x.ndim}")
-    return x, False
 
 
 def mlp_forward(
@@ -143,7 +133,9 @@ def mlp_forward(
     tape holds the given arrays, whose contents the next pass through them
     overwrites. The arithmetic, and so every bit, is the same either way.
     """
-    h, squeezed = _promote(x)
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2:
+        raise ShapeError(f"expected a batch of vectors (ndim=2), got ndim={h.ndim}")
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input dim {h.shape[1]} != first-layer in-dim {params.in_dim}")
     if out is not None and len(out) != len(params.weights):
@@ -157,7 +149,7 @@ def mlp_forward(
         elif act == SIGMOID:
             h = sigmoid(h)
         outputs.append(h)
-    return (h[0] if squeezed else h), Tape(params, outputs, squeezed)
+    return h, Tape(params, outputs)
 
 
 def mlp_backward(
@@ -175,9 +167,7 @@ def mlp_backward(
     """
     if tape.params is not params:
         raise ContractError("tape was produced by a different parameter set")
-    d, promoted = _promote(upstream)
-    if promoted != tape.squeezed:
-        raise ContractError("upstream batch shape does not match the forward pass")
+    d = np.asarray(upstream, dtype=np.float64)
     if d.shape != (tape.outputs[0].shape[0], params.out_dim):
         raise ShapeError(f"upstream shape {d.shape} does not match network output")
     if out is None:
@@ -200,7 +190,7 @@ def mlp_backward(
         w = params.weights[k]
         # one output unit: the product has a single term, so broadcasting is exact
         d = dz * w if w.shape[0] == 1 else dz @ w
-    return out, (d[0] if tape.squeezed else d)
+    return out, d
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

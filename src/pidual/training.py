@@ -361,7 +361,7 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
                 loss = model_mod.training_loss(tape, y)
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-                model_mod.backward_train(model, tape, y, out=grads)
+                model_mod.backward_train(model, tape, out=grads)
                 sgd_step(model.params, grads.vector, state, epoch, decayed, layout=nets)
 
             if pending is not None:

@@ -35,7 +35,6 @@ from pidual.model import (
     NOISE_INPUT_PI_AND_X,
     ModelConfig,
     backward_train,
-    build_model,
     ce_baseline_flags,
     forward_train,
     training_loss,
@@ -132,10 +131,8 @@ def test_criterion_gradient_suite():
             use_gate=use_gate, use_noise_net=use_noise,
             gate_space=space, noise_input=noise_in,
         )
-        model = build_model(
-            3, 4, 3, flags=flags, pred_hidden=(5,), pi_width=5,
-            share_first_layer=share, seed=300 + idx,
-        )
+        cfg = ModelConfig(pred_hidden=(5,), pi_width=5, share_first_layer=share, flags=flags)
+        model = cfg.build(3, 4, 3, seed=300 + idx)
         rng = np.random.default_rng(600 + idx)
         for net in model.components().values():
             for b in net.biases:
@@ -149,7 +146,8 @@ def test_criterion_gradient_suite():
             return training_loss(tape, labels)
 
         _, _, tape = forward_train(model, x, a)
-        analytic = backward_train(model, tape, labels)
+        training_loss(tape, labels)
+        analytic = backward_train(model, tape)
         for name, net in model.components().items():
             fd = finite_difference(loss, net.weights + net.biases)
             pairs = zip(analytic[name].d_weights + analytic[name].d_biases, fd)

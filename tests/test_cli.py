@@ -17,12 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pidual
+from pidual import cli
 from pidual import model as model_mod
 from pidual import training
 from pidual.cli import main
 from pidual.config import build_dataset, load_experiment_config
 from pidual.data import SPLIT_CLEAN_TEST, load_csv
-from pidual.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from pidual.model import ModelConfig, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError
 from pidual.linear_risk import MAX_FLOATS
 from pidual.training import TrainConfig, TrainRecord, evaluate
@@ -214,13 +215,53 @@ def test_train_without_clean_labels_or_eval_splits_writes_every_artifact(tmp_pat
     assert "nan" not in (out / "selected_dynamics.svg").read_text()
 
 
-def test_ablate_summary_is_strict_json_when_the_scores_are_nan(tmp_path):
+def read_ablation(out):
+    with (out / "ablation.csv").open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_ablate_summary_is_strict_json_when_the_scores_are_nan(tmp_path, capsys):
     cfg_path, out = label_free_config(tmp_path)
+    capsys.readouterr()
     assert main(["ablate", "--config", str(cfg_path)]) == 0
     for variant in strict_json(out / "summary.json")["variants"]:
         assert isinstance(variant["best_epoch"], int)
         for key in ("best_noisy_val_acc", "clean_test_at_best", "clean_test_final"):
             assert variant[key] is None, (variant["variant"], key)
+    # no variant has a score to rank by: all are unranked, listed by name
+    rows = read_ablation(out)
+    names = sorted(name for name, _, _ in training.ABLATION_VARIANTS)
+    assert [row["variant"] for row in rows] == names
+    assert all(row["rank"] == "" for row in rows)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == names
+
+
+def test_ablate_ranks_the_scored_variants_before_the_unscored(tmp_path, monkeypatch, capsys):
+    unscored = {1: math.nan, 4: math.inf}  # pidual_full and gate_prob_space
+
+    def run_trials(jobs, workers=1):
+        outcomes = training.run_trials(jobs, workers)
+        for index, value in unscored.items():
+            outcomes[index].clean_test_at_best = value
+        return outcomes
+
+    monkeypatch.setattr(cli, "run_trials", run_trials)
+    cfg_path, out = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(cfg_path)]) == 0
+    rows = read_ablation(out)
+    scored, last = rows[:5], rows[5:]
+    assert [row["rank"] for row in scored] == ["1", "2", "3", "4", "5"]
+    scores = [(-float(row["clean_test_at_best"]), row["variant"]) for row in scored]
+    assert scores == sorted(scores)
+    assert [(row["rank"], row["variant"]) for row in last] == [
+        ("", "gate_prob_space"), ("", "pidual_full")
+    ]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in printed] == [
+        "1.", "2.", "3.", "4.", "5.", "gate_prob_space:", "pidual_full:"
+    ]
 
 
 def test_detect_cli_and_missing_clean_labels(tmp_path):
@@ -283,7 +324,7 @@ def test_config_errors_leave_no_output_directory(tmp_path):
     good_cfg, good_out = write_config(tmp_path, name="good.ini", out=tmp_path / "good")
     assert main(["gen", "--config", str(good_cfg)]) == 0
     ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(build_model(4, 3, 3, pred_hidden=(4,), pi_width=4), ckpt)
+    save_checkpoint(ModelConfig(pred_hidden=(4,), pi_width=4).build(4, 3, 3, seed=0), ckpt)
     det_out = tmp_path / "det"
     proc = run_module(
         [
@@ -303,7 +344,7 @@ def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
     cfg_path, out = write_config(tmp_path)
     main(["gen", "--config", str(cfg_path)])
     ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(build_model(4, 3, 3, pred_hidden=(4,), pi_width=4), ckpt)
+    save_checkpoint(ModelConfig(pred_hidden=(4,), pi_width=4).build(4, 3, 3, seed=0), ckpt)
     doc = json.loads(ckpt.read_text())
     del doc[missing]
     ckpt.write_text(json.dumps(doc))
@@ -328,7 +369,9 @@ def detect_inputs(tmp_path_factory):
     assert main(["gen", "--config", str(cfg_path)]) == 0
     ds = load_csv(out / "dataset.csv")
     ckpt = tmp / "ckpt.json"
-    model = build_model(ds.feature_dim, ds.pi_dim, ds.num_classes, pred_hidden=(4,), pi_width=4)
+    model = ModelConfig(pred_hidden=(4,), pi_width=4).build(
+        ds.feature_dim, ds.pi_dim, ds.num_classes, seed=0
+    )
     save_checkpoint(model, ckpt)
     return out / "dataset.csv", json.loads(ckpt.read_text())
 
@@ -483,7 +526,9 @@ def test_detect_rejects_a_model_with_fewer_classes_than_the_labels(
     data, _ = detect_inputs
     ds = load_csv(data)
     ckpt = tmp_path / "ckpt.json"
-    model = build_model(ds.feature_dim, ds.pi_dim, ds.num_classes - 1, pred_hidden=(4,), pi_width=4)
+    model = ModelConfig(pred_hidden=(4,), pi_width=4).build(
+        ds.feature_dim, ds.pi_dim, ds.num_classes - 1, seed=0
+    )
     save_checkpoint(model, ckpt)
     assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
     err = capsys.readouterr().err
@@ -714,6 +759,83 @@ def test_risk_answers_a_fuzzed_config_with_a_result_or_one_line(tmp_path, capsys
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), (code, err)
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+ABOVE_THE_CAP = st.integers(2**48, 2**60)  # an allocation of any of these fails at once
+
+
+@st.composite
+def trial_sections(draw):
+    """[data], [model] and [train] sizes, and now and then a [grid] axis: each
+    small enough for `gen` to run in milliseconds or above the cap, which only
+    the cast and the size check may see, or now and then a malformed value."""
+
+    def size(low, high):
+        pick = draw(st.integers(0, 9))
+        if pick == 0:
+            return draw(st.sampled_from(["", "x", "-1", "0", "1e400"]))
+        return str(draw(ABOVE_THE_CAP if pick == 1 else st.integers(low, high)))
+
+    hidden = [size(1, 8) for _ in range(draw(st.integers(0, 2)))]
+    sections = {
+        "data": {
+            "n": size(1, 60), "feature_dim": size(0, 5), "classes": size(1, 5),
+            "annotators": size(1, 4),
+        },
+        "model": {
+            "pred_hidden": ",".join(hidden), "pi_width": size(1, 8),
+            "share_first_layer": draw(st.sampled_from(["true", "false"])),
+            "noise_input": draw(st.sampled_from(["pi_only", "pi_and_x"])),
+        },
+        "train": {"random_pi_length": size(0, 4)},
+    }
+    axis = draw(st.sampled_from([None, "pi_width", "random_pi_length"]))
+    if axis is not None:
+        sections["grid"] = {axis: f"2,{size(0, 8)}"}
+    return sections
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(sections=trial_sections())
+def test_gen_answers_fuzzed_data_and_model_sizes_with_a_result_or_one_line(
+    tmp_path, capsys, sections
+):
+    cfg_path, _ = write_config(tmp_path, overrides=sections)
+    code = main(["gen", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "overrides,where",
+    [
+        ({"data": {"n": "10000000000"}}, "data.n"),
+        ({"data": {"annotators": str(MAX_FLOATS)}}, "data.annotators"),
+        ({"data": {"classes": str(MAX_FLOATS)}}, "data.classes"),
+        ({"train": {"random_pi_length": str(MAX_FLOATS)}}, "train.random_pi_length"),
+        ({"grid": {"random_pi_length": f"2,{MAX_FLOATS}"}}, "grid.random_pi_length"),
+        ({"model": {"pred_hidden": "100000,100000"}}, "model.pred_hidden"),
+        ({"grid": {"pi_width": "8,10000"}}, "grid.pi_width"),
+        ({"data": {"source": "csv", "path": "x.csv"}, "model": {"pi_width": "10000"}},
+         "model.pi_width"),
+    ],
+    ids=["n", "annotators", "classes", "random-pi", "grid-random-pi", "pred-hidden",
+         "grid-pi-width", "csv-pi-width"],
+)
+def test_gen_rejects_a_data_or_model_size_above_the_cap_before_allocating(
+    tmp_path, overrides, where
+):
+    cfg_path, out = write_config(tmp_path, overrides=overrides)
+    proc = run_module(
+        ["-m", "pidual", "gen", "--config", str(cfg_path)], preexec_fn=_limit_address_space
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {where}: ")
+    assert f"above the cap of {MAX_FLOATS}" in proc.stderr
+    assert not out.exists()
 
 
 def _limit_address_space():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pidual.detection import (
     score_histogram,
 )
 from pidual.errors import ContractError
-from pidual.model import MlpParams, build_model
+from pidual.model import MlpParams, ModelConfig
 from pidual.nn_core import MlpParams as Net
 
 
@@ -25,29 +26,28 @@ def dataset(n=60, seed=0, noise=0.3):
 
 
 def model_for(ds, seed=0):
-    return build_model(ds.feature_dim, ds.pi_dim, ds.num_classes, pred_hidden=(8,), pi_width=8, seed=seed)
+    cfg = ModelConfig(pred_hidden=(8,), pi_width=8)
+    return cfg.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed=seed)
 
 
 def test_confidence_uniform_logits():
     ds = dataset()
-    model = model_for(ds)
-    model.prediction = Net(
+    model = replace(model_for(ds), prediction=Net(
         [np.zeros((ds.num_classes, ds.feature_dim))], [np.zeros(ds.num_classes)], [nn_core.IDENTITY]
-    )
+    ))
     scores = confidence_scores(model, ds)
     assert np.allclose(scores, 1.0 / ds.num_classes)
 
 
 def test_confidence_saturated_on_observed_label():
     ds = dataset(n=20)
-    model = model_for(ds)
     # a huge logit on whatever label is observed: route features through zero
     # weights and put mass on class 0, then restrict to samples labeled 0
-    model.prediction = Net(
+    model = replace(model_for(ds), prediction=Net(
         [np.zeros((ds.num_classes, ds.feature_dim))],
         [np.array([60.0, 0.0, 0.0, 0.0])],
         [nn_core.IDENTITY],
-    )
+    ))
     scores = confidence_scores(model, ds)
     observed = ds.noisy_labels_of("train")
     assert np.all(scores[observed == 0] > 1.0 - 1e-12)
@@ -60,7 +60,8 @@ def test_confidence_matches_scalar_recomputation():
     x, _ = ds.eval_inputs("train")
     labels = ds.noisy_labels_of("train")
     for i in range(4):
-        logits, _ = nn_core.mlp_forward(model.prediction, x[i])
+        out, _ = nn_core.mlp_forward(model.prediction, x[i][None])
+        logits = out[0]
         exps = [math.exp(v - max(logits)) for v in logits]
         expected = exps[labels[i]] / sum(exps)
         assert abs(scores[i] - expected) < 1e-12
@@ -74,7 +75,7 @@ def test_gate_scores_forced_low_and_symmetric():
     zero_gate = MlpParams(
         [np.zeros((1, model.gate_head.in_dim))], [np.zeros(1)], [nn_core.SIGMOID]
     )
-    model.gate_head = zero_gate
+    model = replace(model, gate_head=zero_gate)
     assert np.allclose(gate_scores(model, ds), 0.5)
 
 
@@ -84,9 +85,9 @@ def test_gate_scores_match_scalar_sigmoid():
     scores = gate_scores(model, ds)
     x, a = ds.eval_inputs("train")
     for i in range(5):
-        h, _ = nn_core.mlp_forward(model.pi_trunk, a[i])
+        h, _ = nn_core.mlp_forward(model.pi_trunk, a[i][None])
         out, _ = nn_core.mlp_forward(model.gate_head, h)
-        assert abs(scores[i] - out[0]) < 1e-12
+        assert abs(scores[i] - out[0, 0]) < 1e-12
 
 
 def test_roc_auc_perfect_separation():

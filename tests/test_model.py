@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,15 +18,17 @@ from pidual.model import (
     GATE_SPACE_PROBABILITY,
     NOISE_INPUT_PI,
     NOISE_INPUT_PI_AND_X,
+    ModelConfig,
     PiDualModel,
     backward_train,
-    build_model,
     ce_baseline_flags,
     forward_infer,
     forward_train,
     gate_values,
     gradient_buffer,
     load_checkpoint,
+    noise_logits,
+    prediction_logits,
     save_checkpoint,
     training_loss,
 )
@@ -36,10 +39,11 @@ from conftest import finite_difference, rel_err
 
 
 def small_model(flags=None, share=True, seed=0, d=3, p=4, k=3, width=5):
-    return build_model(
-        d, p, k, flags=flags or AblationFlags(), pred_hidden=(width,),
-        pi_width=width, share_first_layer=share, seed=seed,
+    cfg = ModelConfig(
+        pred_hidden=(width,), pi_width=width, share_first_layer=share,
+        flags=flags or AblationFlags(),
     )
+    return cfg.build(d, p, k, seed=seed)
 
 
 def force_gate(model, bias):
@@ -88,7 +92,7 @@ def test_halfway_gate_mixes_logits():
         pi_dim=2,
         num_classes=2,
     )
-    combined, g, _ = forward_train(model, np.array([2.0, 0.0]), np.array([0.0, 2.0]))
+    combined, g, _ = forward_train(model, np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]))
     assert np.allclose(g, 0.5)
     assert np.allclose(combined, [[1.0, 1.0]])
 
@@ -108,8 +112,8 @@ def test_inference_independent_of_pi_parameters():
 
 def test_inference_uniform_for_identity_net_at_origin():
     model = small_model(d=2, k=2)
-    model.prediction = MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY])
-    probs = forward_infer(model, np.array([0.0, 0.0]))
+    model = replace(model, prediction=MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY]))
+    probs = forward_infer(model, np.array([0.0, 0.0])[None])[0]
     assert np.allclose(probs, [0.5, 0.5])
 
 
@@ -118,8 +122,8 @@ def test_inference_matches_scalar_softmax():
     exps = [math.exp(v) for v in logits]
     expected = np.array([e / sum(exps) for e in exps])
     model = small_model(d=3, k=3)
-    model.prediction = MlpParams([np.eye(3)], [np.zeros(3)], [nn_core.IDENTITY])
-    probs = forward_infer(model, logits)
+    model = replace(model, prediction=MlpParams([np.eye(3)], [np.zeros(3)], [nn_core.IDENTITY]))
+    probs = forward_infer(model, logits[None])[0]
     assert np.allclose(probs, expected, atol=1e-12)
 
 
@@ -128,12 +132,14 @@ def test_frozen_gate_gradients_match_plain_ce():
     force_gate(gated, -1e9)
     x, a, labels = rng_batch(gated, seed=3)
     _, _, tape = forward_train(gated, x, a)
-    grads = backward_train(gated, tape, labels)
+    training_loss(tape, labels)
+    grads = backward_train(gated, tape)
 
     ce = small_model(flags=ce_baseline_flags(), seed=2)
     _, _, ce_tape = forward_train(ce, x, a)
-    ce_grads = backward_train(ce, ce_tape, labels)
-    for g1, g2 in zip(grads["prediction"].d_weights, ce_grads["prediction"].d_weights):
+    training_loss(ce_tape, labels)
+    baseline_grads = backward_train(ce, ce_tape)
+    for g1, g2 in zip(grads["prediction"].d_weights, baseline_grads["prediction"].d_weights):
         assert np.array_equal(g1, g2)
     assert all(np.all(g == 0) for g in grads["noise_head"].d_weights)
 
@@ -143,14 +149,15 @@ def test_saturated_correct_labels_give_vanishing_gradients():
     force_gate(model, -1e9)
     x, a, _ = rng_batch(model, n=3, seed=5)
     # make the prediction net output a huge logit on class 0 regardless of x
-    model.prediction = MlpParams(
+    model = replace(model, prediction=MlpParams(
         [np.zeros((model.num_classes, model.feature_dim))],
         [np.array([50.0] + [0.0] * (model.num_classes - 1))],
         [nn_core.IDENTITY],
-    )
+    ))
     labels = np.zeros(3, dtype=int)
     _, _, tape = forward_train(model, x, a)
-    grads = backward_train(model, tape, labels)
+    training_loss(tape, labels)
+    grads = backward_train(model, tape)
     pred = grads["prediction"]
     total = sum(float(np.abs(g).sum()) for g in pred.d_weights + pred.d_biases)
     assert total < 1e-10
@@ -189,7 +196,8 @@ def test_gradients_match_finite_differences_all_flags(use_gate, use_noise, space
     jitter_biases(model, seed=21)
     x, a, labels = rng_batch(model, n=5, seed=8)
     _, _, tape = forward_train(model, x, a)
-    analytic = backward_train(model, tape, labels)
+    training_loss(tape, labels)
+    analytic = backward_train(model, tape)
 
     for name, net in model.components().items():
         grads = analytic[name]
@@ -205,11 +213,13 @@ def test_shared_first_layer_sums_both_paths():
     model = small_model(seed=11)
     x, a, labels = rng_batch(model, seed=12)
     _, _, tape = forward_train(model, x, a)
-    full = backward_train(model, tape, labels)["pi_trunk"].d_weights[0].copy()
+    training_loss(tape, labels)
+    full = backward_train(model, tape)["pi_trunk"].d_weights[0].copy()
 
     model.flags = AblationFlags(use_gate=False)
     _, _, tape_n = forward_train(model, x, a)
-    noise_only = backward_train(model, tape_n, labels)["pi_trunk"].d_weights[0].copy()
+    training_loss(tape_n, labels)
+    noise_only = backward_train(model, tape_n)["pi_trunk"].d_weights[0].copy()
     assert not np.allclose(full, noise_only)
 
 
@@ -245,8 +255,45 @@ def test_backward_rejects_foreign_tape():
     m1, m2 = small_model(seed=1), small_model(seed=2)
     x, a, labels = rng_batch(m1)
     _, _, tape = forward_train(m1, x, a)
+    training_loss(tape, labels)
     with pytest.raises(ContractError):
-        backward_train(m2, tape, labels)
+        backward_train(m2, tape)
+
+
+def test_backward_rejects_a_tape_no_loss_has_scored():
+    model = small_model(seed=1)
+    x, a, labels = rng_batch(model)
+    _, _, tape = forward_train(model, x, a)
+    with pytest.raises(ContractError, match="no loss has scored this tape"):
+        backward_train(model, tape)
+    training_loss(tape, labels)
+    assert backward_train(model, tape).keys() == model.components().keys()
+
+
+@pytest.mark.parametrize("space", [GATE_SPACE_LOGIT, GATE_SPACE_PROBABILITY])
+def test_training_loss_needs_one_label_per_row(space):
+    model = small_model(flags=AblationFlags(gate_space=space), seed=1)
+    x, a, labels = rng_batch(model)
+    _, _, tape = forward_train(model, x, a)
+    for wrong in (labels[:-1], labels[:, None]):
+        with pytest.raises(ShapeError, match="one label per batch row"):
+            training_loss(tape, wrong)
+    assert tape.d_mixed is None
+
+
+def test_a_single_sample_is_a_batch_of_one_row():
+    model = small_model(seed=1)
+    x, a, _ = rng_batch(model, n=1)
+    for run in (
+        lambda x, a: forward_train(model, x, a),
+        lambda x, a: noise_logits(model, x, a),
+        lambda x, a: gate_values(model, x, a),
+        lambda x, a: prediction_logits(model, x),
+        lambda x, a: forward_infer(model, x),
+    ):
+        run(x, a)  # a batch of one row
+        with pytest.raises(ShapeError):
+            run(x[0], a[0])
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -272,7 +319,8 @@ def test_checkpoint_round_trip(tmp_path):
         )
         doc = json.loads(path.read_text())
         _, _, tape = forward_train(model, x, a)
-        grads = backward_train(model, tape, labels)
+        training_loss(tape, labels)
+        grads = backward_train(model, tape)
         stored = {name for name in COMPONENTS if doc["layout"][name] is not None}
         assert set(model.components()) == stored == set(grads)
         assert ("gate_trunk" in stored) == (not share)
@@ -305,9 +353,9 @@ def test_construction_checks_the_width_of_every_component():
         with pytest.raises(ShapeError):
             PiDualModel(**nets, **{**fits, key: value})
     with pytest.raises(ShapeError, match="gate_head maps 5 to 2, not 5 to 1"):
-        model.gate_head = MlpParams([np.zeros((2, 5))], [np.zeros(2)], [nn_core.SIGMOID])
+        replace(model, gate_head=MlpParams([np.zeros((2, 5))], [np.zeros(2)], [nn_core.SIGMOID]))
     with pytest.raises(ShapeError, match="noise_head maps 6 to 3, not 5 to 3"):
-        model.noise_head = MlpParams([np.zeros((3, 6))], [np.zeros(3)], [nn_core.IDENTITY])
+        replace(model, noise_head=MlpParams([np.zeros((3, 6))], [np.zeros(3)], [nn_core.IDENTITY]))
 
 
 def test_copy_owns_its_vector_and_views_it():
@@ -323,13 +371,20 @@ def test_copy_owns_its_vector_and_views_it():
             assert not np.shares_memory(t, model.params)
 
 
-def test_assigning_a_component_repacks_the_vector():
+def test_replacing_a_component_packs_a_fresh_vector():
     model = small_model(d=2, k=2)
-    model.prediction = MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY])
-    assert model.params.size == sum(net.size for net in model.components().values())
-    assert np.array_equal(model.params[:6], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    model.params[:4] = 0.0
-    assert np.all(model.prediction.weights[0] == 0.0)
+    before = model.params.copy()
+    identity = MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY])
+    crafted = replace(model, prediction=identity)
+    assert crafted.params.size == sum(net.size for net in crafted.components().values())
+    assert np.array_equal(crafted.params[:6], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    assert not np.shares_memory(crafted.params, model.params)
+    assert not np.shares_memory(crafted.params, identity.weights[0])
+    crafted.params[:4] = 0.0
+    assert np.all(crafted.prediction.weights[0] == 0.0)
+    assert np.array_equal(model.params, before)  # the original keeps its own vector
+    with pytest.raises(ShapeError, match="prediction maps 3 to 2, not 2 to 2"):
+        replace(model, prediction=MlpParams([np.eye(2, 3)], [np.zeros(2)], [nn_core.IDENTITY]))
 
 
 @pytest.mark.parametrize("restore", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
@@ -348,7 +403,8 @@ def test_unpickled_components_view_the_restored_vector(restore):
 
 def test_pickle_holds_the_parameter_vector_once():
     # the benchmark widths: 8 features, 4 classes, 128-128 prediction net, PI width 64
-    model = build_model(8, 24, 4, pred_hidden=(128, 128), pi_width=64, share_first_layer=False)
+    cfg = ModelConfig(pred_hidden=(128, 128), pi_width=64, share_first_layer=False)
+    model = cfg.build(8, 24, 4, seed=0)
     assert len(pickle.dumps(model)) < 1.1 * model.params.nbytes
 
 
@@ -389,24 +445,27 @@ def test_backward_with_loss_gradient_and_bound_views_equals_a_fresh_call(flags, 
     x, a, labels = rng_batch(model, n=9, seed=19)
 
     _, _, fresh_tape = forward_train(model, x, a)
-    fresh = backward_train(model, fresh_tape, labels)
+    training_loss(fresh_tape, labels)
+    fresh = backward_train(model, fresh_tape)
 
     buffer = gradient_buffer(model)
     buffer.vector.fill(np.nan)  # stale contents must be overwritten or zeroed
     for _ in range(2):  # the second call reuses the buffer
         _, _, tape = forward_train(model, x, a)
         training_loss(tape, labels)
-        lean = backward_train(model, tape, labels, out=buffer)
+        lean = backward_train(model, tape, out=buffer)
         assert lean is buffer.grads
         assert grad_bytes(lean) == grad_bytes(fresh)
 
-    # other labels than the loss scored: the gradient is recomputed for them
+    # the last loss to score a tape sets its gradient
     other = (labels + 1) % model.num_classes
     _, _, tape = forward_train(model, x, a)
     training_loss(tape, labels)
+    training_loss(tape, other)
     _, _, other_tape = forward_train(model, x, a)
-    assert grad_bytes(backward_train(model, tape, other, out=buffer)) == grad_bytes(
-        backward_train(model, other_tape, other)
+    training_loss(other_tape, other)
+    assert grad_bytes(backward_train(model, tape, out=buffer)) == grad_bytes(
+        backward_train(model, other_tape)
     )
 
 
@@ -414,5 +473,6 @@ def test_gradient_buffer_of_another_model_is_rejected():
     model = small_model(seed=1)
     x, a, labels = rng_batch(model)
     _, _, tape = forward_train(model, x, a)
+    training_loss(tape, labels)
     with pytest.raises(ContractError):
-        backward_train(model, tape, labels, out=gradient_buffer(small_model(share=False)))
+        backward_train(model, tape, out=gradient_buffer(small_model(share=False)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pidual import nn_core
 from pidual.errors import ConfigError, ContractError, NumericError, ShapeError
-from pidual.model import build_model
+from pidual.model import ModelConfig
 from pidual.nn_core import (
     MlpParams,
     init_mlp,
@@ -47,14 +47,14 @@ def identity_net(dim):
 
 
 def test_forward_identity_net():
-    out, _ = mlp_forward(identity_net(2), np.array([1.0, 2.0]))
-    assert np.array_equal(out, [1.0, 2.0])
+    out, _ = mlp_forward(identity_net(2), np.array([1.0, 2.0])[None])
+    assert np.array_equal(out[0], [1.0, 2.0])
 
 
 def test_forward_relu_kills_negative():
     net = MlpParams([np.array([[1.0], [-1.0]])], [np.zeros(2)], [nn_core.RELU])
-    out, _ = mlp_forward(net, np.array([3.0]))
-    assert np.array_equal(out, [3.0, 0.0])
+    out, _ = mlp_forward(net, np.array([3.0])[None])
+    assert np.array_equal(out[0], [3.0, 0.0])
 
 
 def scalar_loop_forward(net, x):
@@ -79,18 +79,24 @@ def scalar_loop_forward(net, x):
 def test_forward_matches_scalar_loop_oracle():
     net = init_mlp([4, 6, 5, 3], [nn_core.RELU, nn_core.RELU, nn_core.IDENTITY], seed=11)
     x = np.random.default_rng(5).standard_normal(4)
-    out, _ = mlp_forward(net, x)
-    assert np.allclose(out, scalar_loop_forward(net, x), rtol=0, atol=1e-12)
+    out, _ = mlp_forward(net, x[None])
+    assert np.allclose(out[0], scalar_loop_forward(net, x), rtol=0, atol=1e-12)
 
 
 def test_forward_dim_mismatch():
     with pytest.raises(ShapeError):
-        mlp_forward(identity_net(2), np.array([1.0, 2.0, 3.0]))
+        mlp_forward(identity_net(2), np.array([1.0, 2.0, 3.0])[None])
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (1, 1, 2)])
+def test_forward_takes_only_batches(shape):
+    with pytest.raises(ShapeError, match="expected a batch of vectors"):
+        mlp_forward(identity_net(2), np.ones(shape))
 
 
 def test_forward_deterministic():
     net = init_mlp([3, 8, 2], [nn_core.RELU, nn_core.IDENTITY], seed=0)
-    x = np.linspace(-1, 1, 3)
+    x = np.linspace(-1, 1, 3)[None]
     a, _ = mlp_forward(net, x)
     b, _ = mlp_forward(net, x)
     assert np.array_equal(a, b)
@@ -101,18 +107,18 @@ def test_backward_linear_outer_product():
     net = MlpParams([w.copy()], [np.zeros(3)], [nn_core.IDENTITY])
     x = np.random.default_rng(2).standard_normal(4)
     u = np.random.default_rng(3).standard_normal(3)
-    _, tape = mlp_forward(net, x)
-    grads, dx = mlp_backward(net, tape, u)
+    _, tape = mlp_forward(net, x[None])
+    grads, dx = mlp_backward(net, tape, u[None])
     assert np.allclose(grads.d_weights[0], np.outer(u, x))
     assert np.allclose(grads.d_biases[0], u)
-    assert np.allclose(dx, w.T @ u)
+    assert np.allclose(dx[0], w.T @ u)
 
 
 def test_backward_zero_upstream():
     net = init_mlp([3, 5, 2], [nn_core.RELU, nn_core.IDENTITY], seed=3)
     x = np.random.default_rng(4).standard_normal(3)
-    _, tape = mlp_forward(net, x)
-    grads, dx = mlp_backward(net, tape, np.zeros(2))
+    _, tape = mlp_forward(net, x[None])
+    grads, dx = mlp_backward(net, tape, np.zeros((1, 2)))
     assert all(np.all(g == 0) for g in grads.d_weights + grads.d_biases)
     assert np.all(dx == 0)
 
@@ -121,15 +127,15 @@ def test_backward_zero_upstream():
 def test_backward_matches_finite_differences(seed):
     net = init_mlp([4, 6, 3], [nn_core.RELU, nn_core.IDENTITY], seed=seed)
     rng = np.random.default_rng(100 + seed)
-    x = rng.standard_normal(4)
+    x = rng.standard_normal(4)[None]
     u = rng.standard_normal(3)
 
     def value():
         out, _ = mlp_forward(net, x)
-        return float(out @ u)
+        return float(out[0] @ u)
 
     _, tape = mlp_forward(net, x)
-    grads, dx = mlp_backward(net, tape, u)
+    grads, dx = mlp_backward(net, tape, u[None])
     fd = finite_difference(value, net.weights + net.biases + [x])
     analytic = grads.d_weights + grads.d_biases + [dx]
     for a, f in zip(analytic, fd):
@@ -139,9 +145,17 @@ def test_backward_matches_finite_differences(seed):
 def test_backward_stale_tape():
     net_a = init_mlp([2, 2], [nn_core.IDENTITY], seed=0)
     net_b = init_mlp([2, 2], [nn_core.IDENTITY], seed=1)
-    _, tape = mlp_forward(net_a, np.ones(2))
+    _, tape = mlp_forward(net_a, np.ones((1, 2)))
     with pytest.raises(ContractError):
-        mlp_backward(net_b, tape, np.ones(2))
+        mlp_backward(net_b, tape, np.ones((1, 2)))
+
+
+def test_backward_takes_an_upstream_batch_like_the_output():
+    net = init_mlp([2, 3], [nn_core.IDENTITY], seed=0)
+    _, tape = mlp_forward(net, np.ones((4, 2)))
+    for shape in [(3,), (1, 3), (4, 2)]:
+        with pytest.raises(ShapeError, match="does not match network output"):
+            mlp_backward(net, tape, np.ones(shape))
 
 
 def test_softmax_ce_uniform():
@@ -288,7 +302,7 @@ def per_tensor_nesterov(p, g, v, lr, mu, wd):
 
 
 def test_flat_step_matches_per_tensor_nesterov_bitwise():
-    model = build_model(3, 4, 3, pred_hidden=(6, 5), pi_width=5, share_first_layer=False, seed=9)
+    model = ModelConfig(pred_hidden=(6, 5), pi_width=5, share_first_layer=False).build(3, 4, 3, seed=9)
     nets = {name: copy.deepcopy(net) for name, net in model.components().items()}
     velocities = {
         name: [np.zeros_like(t) for t in net.weights + net.biases] for name, net in nets.items()
@@ -315,7 +329,7 @@ def test_flat_step_matches_per_tensor_nesterov_bitwise():
     [("prediction", 1, "weight"), ("noise_head", 1, "bias"), ("gate_head", 0, "weight")],
 )
 def test_flat_step_names_the_nonfinite_tensor(name, layer, kind):
-    model = build_model(3, 4, 3, pred_hidden=(6, 5), pi_width=5, seed=2)
+    model = ModelConfig(pred_hidden=(6, 5), pi_width=5).build(3, 4, 3, seed=2)
     before = model.params.copy()
     grads = np.zeros_like(model.params)
     weights, biases = nn_core.tensor_views(grads, model.components())[name]

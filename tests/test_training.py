@@ -20,7 +20,6 @@ from pidual.model import (
     AblationFlags,
     MlpParams,
     ModelConfig,
-    build_model,
     ce_baseline_flags,
     forward_train,
     gate_values,
@@ -55,10 +54,8 @@ def tiny_dataset(n=200, noise=0.2, seed=0, informativeness=1.0, k=2):
 
 
 def tiny_model(ds, flags=None, seed=0):
-    return build_model(
-        ds.feature_dim, ds.pi_dim, ds.num_classes,
-        flags=flags or AblationFlags(), pred_hidden=(16,), pi_width=16, seed=seed,
-    )
+    cfg = ModelConfig(pred_hidden=(16,), pi_width=16, flags=flags or AblationFlags())
+    return cfg.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed=seed)
 
 
 def tiny_cfg(**over):
@@ -358,13 +355,11 @@ def test_concurrent_trains_under_a_short_switch_interval_match_serial():
 
 
 def constant_predictor(ds, cls):
-    model = tiny_model(ds)
     bias = np.zeros(ds.num_classes)
     bias[cls] = 10.0
-    model.prediction = MlpParams(
+    return replace(tiny_model(ds), prediction=MlpParams(
         [np.zeros((ds.num_classes, ds.feature_dim))], [bias], [nn_core.IDENTITY]
-    )
-    return model
+    ))
 
 
 def test_evaluate_constant_predictors():
@@ -391,9 +386,9 @@ def test_evaluate_mixed_small_case():
         noisy_labels=np.array([0, 0, 0, 1, 1]), clean_labels=None,
         split=np.zeros(5, dtype=np.int8), num_classes=2,
     )
-    model = build_model(2, 1, 2, pred_hidden=(4,), pi_width=4, seed=0)
+    model = ModelConfig(pred_hidden=(4,), pi_width=4).build(2, 1, 2, seed=0)
     bias = np.array([10.0, 0.0])
-    model.prediction = MlpParams([np.zeros((2, 2))], [bias], [nn_core.IDENTITY])
+    model = replace(model, prediction=MlpParams([np.zeros((2, 2))], [bias], [nn_core.IDENTITY]))
     assert evaluate(model, ds, "train", "noisy", "prediction") == 0.6
 
 
@@ -413,7 +408,7 @@ def test_train_rejects_a_dataset_of_other_widths(dim):
     ds = tiny_dataset(k=3)
     dims = {"feature_dim": ds.feature_dim, "pi_dim": ds.pi_dim, "num_classes": ds.num_classes}
     dims[dim] += 1
-    model = build_model(**dims, pred_hidden=(4,), pi_width=4)
+    model = ModelConfig(pred_hidden=(4,), pi_width=4).build(**dims, seed=0)
     with pytest.raises(ContractError, match="do not match the dataset"):
         train(model, ds, tiny_cfg(epochs=1))
 
