@@ -65,8 +65,8 @@ def _float_or_none(value: float) -> float | None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = load_experiment_config(args.config, args.seed)
-    out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
+    out = _out_dir(cfg, args.out)
     data_mod.save_csv(ds, out / "dataset.csv")
     meta = {
         "config_hash": cfg.config_hash(),
@@ -160,8 +160,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--workers {args.workers} runs grid trials in parallel, but the config has no [grid]"
         )
-    out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
+    out = _out_dir(cfg, args.out)
 
     if cfg.grid is not None:
         trials = run_grid(cfg.grid, ds, cfg.train, cfg.model, workers=args.workers)
@@ -311,8 +311,8 @@ def cmd_risk(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = load_experiment_config(args.config, args.seed)
-    out = _out_dir(cfg, args.out)
     ds = build_dataset(cfg)
+    out = _out_dir(cfg, args.out)
     outcomes = run_trials(ablation_jobs(ds, cfg.train, cfg.model))
     failed = [t for t in outcomes if t.status != "ok"]
     if failed:

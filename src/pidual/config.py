@@ -3,9 +3,12 @@
 Standard INI syntax (configparser), sections [experiment], [data], [model],
 [train], [grid], [detection], [risk], [output]. Every field has a default;
 unknown sections or keys are rejected with their full field path. One table,
-``FIELDS``, holds each field's default and its cast, and a value the cast
-rejects is a ``ConfigError`` naming the field; a [grid] axis is a [train] or
-[model] field, and each of its values is cast as that field. The effective
+``FIELDS``, holds each field's default and its cast, which also bounds its
+range, and a value the cast rejects is a ``ConfigError`` naming the field; a
+[grid] axis is a [train] or [model] field, and each of its values is cast as
+that field. The loader then checks the fields that bound one another, naming
+one. Only this module decides which values are valid: the library functions
+downstream take them as given. The effective
 (defaults-filled) config is canonicalized and hashed so reordering fields
 never changes the hash. One top-level seed drives every derived stream: data,
 random PI, model init and shuffling.
@@ -27,7 +30,7 @@ from .errors import ConfigError
 from .linear_risk import MAX_FLOATS, MC_CHUNK
 from .model import GATE_SPACES, NOISE_INPUT_PI_AND_X, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
-from .training import GridSpec, TrainConfig, apply_grid_point
+from .training import GRID_AXES, GridSpec, TrainConfig, apply_grid_point
 
 # Casts: each turns one raw value into a typed one or raises ValueError.
 
@@ -88,16 +91,26 @@ def _choice(options: tuple[str, ...], what: str):
     return cast
 
 
-def _at_least(low: int):
-    """An integer no smaller than ``low``."""
+def _checked(cast, ok, rule: str):
+    """A value of ``cast`` that ``ok`` accepts; ``rule`` says what it must do."""
 
-    def cast(raw: str) -> int:
-        value = _int(raw)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
+    def checked(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(f"must {rule}, got {value}")
         return value
 
-    return cast
+    return checked
+
+
+def _bounded(cast, low, high=math.inf, ends="[)"):
+    """A value of ``cast`` from ``low`` to ``high``; ``ends`` holds the
+    brackets, "(" or ")" for a bound the value must not reach."""
+    above = (lambda v: v > low) if ends[0] == "(" else (lambda v: v >= low)
+    below = (lambda v: v < high) if ends[1] == ")" else (lambda v: v <= high)
+    rule = (f"lie in {ends[0]}{low}, {high}{ends[1]}" if high < math.inf
+            else f"be {'>=' if ends[0] == '[' else '>'} {low}")
+    return _checked(cast, lambda v: above(v) and below(v), rule)
 
 
 # the cast of [detection] methods and of `detect --methods`
@@ -109,23 +122,23 @@ FIELDS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "experiment": {"seed": ("0", _int)},
     "data": {
         "source": ("synthetic", _choice(("synthetic", "csv"), "data source")),
-        "n": ("2000", _at_least(1)),
-        "feature_dim": ("8", _at_least(0)),
-        "classes": ("4", _int),
-        "annotators": ("5", _at_least(1)),
-        "reliabilities": ("", _list(_float)),
-        "informativeness": ("1.0", _float),
+        "n": ("2000", _bounded(_int, 1)),
+        "feature_dim": ("8", _bounded(_int, 1)),
+        "classes": ("4", _bounded(_int, 2)),
+        "annotators": ("5", _bounded(_int, 1)),
+        "reliabilities": ("", _list(_bounded(_float, 0, 1, "[]"))),
+        "informativeness": ("1.0", _bounded(_float, 0, 1, "[]")),
         "class_separation": ("3.0", _float),
         "feature_noise": ("1.0", _float),
         "error_mode": ("uniform-wrong", _choice(ERROR_MODES, "error mode")),
-        "noise_rate": ("0.2", _float),
-        "noisy_val_fraction": ("0.04", _float),
-        "test_fraction": ("0.2", _float),
+        "noise_rate": ("0.2", _bounded(_float, 0, 1)),
+        "noisy_val_fraction": ("0.04", _bounded(_float, 0)),
+        "test_fraction": ("0.2", _bounded(_float, 0)),
         "path": ("", str),
     },
     "model": {
-        "pred_hidden": ("64,64", _list(_at_least(1), tuple)),
-        "pi_width": ("64", _at_least(1)),
+        "pred_hidden": ("64,64", _list(_bounded(_int, 1), tuple)),
+        "pi_width": ("64", _bounded(_int, 1)),
         "share_first_layer": ("true", _bool),
         "use_gate": ("true", _bool),
         "use_noise_net": ("true", _bool),
@@ -133,27 +146,27 @@ FIELDS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
         "noise_input": ("pi_only", _choice(NOISE_INPUTS, "noise input")),
     },
     "train": {
-        "epochs": ("60", _int),
-        "batch_size": ("128", _int),
-        "base_lr": ("0.05", _float),
-        "decay_epochs": ("30,45", _list(_int)),
-        "decay_factor": ("0.2", _float),
-        "momentum": ("0.9", _float),
-        "weight_decay": ("1e-4", _float),
+        "epochs": ("60", _bounded(_int, 1)),
+        "batch_size": ("128", _bounded(_int, 1)),
+        "base_lr": ("0.05", _bounded(_float, 0)),
+        "decay_epochs": ("30,45", _checked(_list(_int), lambda v: v == sorted(v), "ascend")),
+        "decay_factor": ("0.2", _bounded(_float, 0, 1, "(]")),
+        "momentum": ("0.9", _bounded(_float, 0, 1)),
+        "weight_decay": ("1e-4", _bounded(_float, 0)),
         "exempt_pi_nets_from_wd": ("true", _bool),
-        "random_pi_length": ("8", _int),
+        "random_pi_length": ("8", _bounded(_int, 0)),
         "early_stopping": ("true", _bool),
     },
     "detection": {"methods": (",".join(METHODS), parse_methods)},
     "risk": {
         "n": ("200", _int),
-        "d": ("8", _at_least(1)),
-        "m": ("8", _at_least(1)),
+        "d": ("8", _bounded(_int, 1)),
+        "m": ("8", _bounded(_int, 1)),
         "n_clean": ("120", _int),
-        "sigma": ("1.0", _risk_float),
+        "sigma": ("1.0", _bounded(_risk_float, 0)),
         "coef_scale": ("1.0", _risk_float),
         "pi_coef_scale": ("3.0", _risk_float),
-        "resamples": ("2000", _at_least(0)),  # 0 = closed form only
+        "resamples": ("2000", _bounded(_int, 0)),  # 0 = closed form only
         "sweep": ("none", _choice(("none", "corruption", "n2", "sigma"), "sweep")),
         "sweep_values": ("", _list(_risk_float)),
     },
@@ -245,13 +258,59 @@ def _section(merged: dict, section: str, keys=None) -> dict:
 
 
 def _grid(raw_axes: dict[str, str]) -> GridSpec:
-    """Each axis's values cast as its [train] or [model] field."""
-    grid = GridSpec({axis: _items(raw) for axis, raw in raw_axes.items()})
-    grid.validate()  # an unknown or empty axis, before any cast
-    for axis, values in grid.axes.items():
+    """Each axis one of ``GRID_AXES``, its values cast as its [train] or [model] field."""
+    axes = {}
+    for axis, raw in raw_axes.items():
+        if axis not in GRID_AXES:
+            raise ConfigError(f"grid.{axis}: unknown axis")
+        if not _items(raw):
+            raise ConfigError(f"grid.{axis}: no candidate values")
         _, cast = FIELDS["train"].get(axis) or FIELDS["model"][axis]
-        grid.axes[axis] = [_cast(f"grid.{axis}", cast, value) for value in values]
-    return grid
+        axes[axis] = [_cast(f"grid.{axis}", cast, value) for value in _items(raw)]
+    return GridSpec(axes)
+
+
+def _check_data_ranges(dsec: dict) -> None:
+    """Split fractions that leave a train split; explicit reliabilities (synthetic data),
+    one per annotator, whose mean error rate is the noise rate (uniform assignment)."""
+    val, test, rel = dsec["noisy_val_fraction"], dsec["test_fraction"], dsec.get("reliabilities")
+    if val + test >= 1:
+        raise ConfigError(
+            f"data.test_fraction: must be < 1 - noisy_val_fraction ({val}), got {test}"
+        )
+    if rel and len(rel) != dsec["annotators"]:
+        raise ConfigError(
+            f"data.reliabilities: needs one per annotator ({dsec['annotators']}), got {len(rel)}"
+        )
+    if rel and abs(1.0 - math.fsum(rel) / len(rel) - dsec["noise_rate"]) > 1e-6:
+        raise ConfigError(
+            f"data.noise_rate: {dsec['noise_rate']} is unreachable: the mean error rate of "
+            f"data.reliabilities is {1.0 - math.fsum(rel) / len(rel):.6f}"
+        )
+
+
+def _check_risk_ranges(risk: dict, raw_values: str) -> None:
+    """Check the [risk] fields against each other; make the count sweeps' values integers."""
+    n, d, m, sweep, values = (risk[key] for key in ("n", "d", "m", "sweep", "sweep_values"))
+    if n <= d + m:
+        raise ConfigError(f"risk.n: must be > d + m = {d + m}, got {n}")
+    if not 1 <= risk["n_clean"] <= n:
+        raise ConfigError(f"risk.n_clean: must lie in [1, n] = [1, {n}], got {risk['n_clean']}")
+    if sweep == "none" and values:
+        raise ConfigError(f"risk.sweep_values: sweep = none takes no values, got {raw_values!r}")
+    if sweep != "none" and not values:
+        raise ConfigError(f"risk.sweep_values: the {sweep} sweep needs at least one value")
+    if min(values, default=0) < 0:
+        raise ConfigError(f"risk.sweep_values: must be >= 0, got {raw_values!r}")
+    if sweep in ("corruption", "n2"):
+        # flipped mask entries, at most every row; noisy rows, leaving one clean
+        most = n if sweep == "corruption" else n - 1
+        if not all(v <= most and v.is_integer() for v in values):
+            raise ConfigError(
+                f"risk.sweep_values: the {sweep} sweep takes integers in [0, {most}], "
+                f"got {raw_values!r}"
+            )
+        risk["sweep_values"] = [int(v) for v in values]
 
 
 def _check_sizes(sizes) -> None:
@@ -341,6 +400,7 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
             error_mode=dsec["error_mode"], noise_rate=dsec["noise_rate"],
             seed=derive_seed(seed, "data"),
         )
+    _check_data_ranges(dsec)
     data_section = DataSection(
         source=dsec["source"], synth=synth, csv_path=dsec["path"], num_classes=dsec["classes"],
         noisy_val_fraction=dsec["noisy_val_fraction"], test_fraction=dsec["test_fraction"],
@@ -352,26 +412,12 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         ModelConfig(),
         {**_section(merged, "train"), **_section(merged, "model")},
     )
-    train_cfg.validate()
 
     grid = _grid(merged["grid"]) if any(merged.get("grid", {})) else None
     _check_trial_sizes(synth, data_section.num_classes, model_cfg, train_cfg, grid)
 
     risk = _section(merged, "risk")
-    sweep, values = risk["sweep"], risk["sweep_values"]
-    raw_values = merged["risk"]["sweep_values"].strip()
-    if sweep == "none" and values:
-        raise ConfigError(f"risk.sweep_values: sweep = none takes no values, got {raw_values!r}")
-    if sweep != "none" and not values:
-        raise ConfigError(f"risk.sweep_values: the {sweep} sweep needs at least one value")
-    if sweep in ("corruption", "n2"):
-        # counts: flipped mask entries, noisy rows
-        if not all(v >= 0 and v.is_integer() for v in values):
-            raise ConfigError(
-                f"risk.sweep_values: the {sweep} sweep takes non-negative integers, "
-                f"got {raw_values!r}"
-            )
-        risk["sweep_values"] = [int(v) for v in values]
+    _check_risk_ranges(risk, merged["risk"]["sweep_values"].strip())
     _check_risk_sizes(risk)
 
     return ExperimentConfig(

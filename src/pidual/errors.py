@@ -30,7 +30,7 @@ class DataFormatError(PiDualError):
 
 
 class SetupError(PiDualError):
-    """A linear risk setup is inconsistent, or so are the setups one Monte-Carlo call shares."""
+    """The setups one Monte-Carlo call shares have different numbers of rows."""
 
 
 class EvaluationError(PiDualError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -299,10 +299,6 @@ def init_optimizer(
     decay_epochs: list[int] | None = None,
     decay_factor: float = 0.2,
 ) -> OptimizerState:
-    if base_lr < 0:
-        raise ConfigError("base learning rate must be >= 0")
-    if not 0 < decay_factor <= 1:
-        raise ConfigError("decay factor must be in (0, 1]")
     return OptimizerState(
         np.zeros_like(params), float(base_lr), float(momentum), float(weight_decay),
         sorted(decay_epochs or []), float(decay_factor),

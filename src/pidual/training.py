@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import model as model_mod
 from .data import PiDataset, RandomPiSpec, augment_random_pi
-from .errors import ConfigError, ContractError, EvaluationError, NumericError
+from .errors import ContractError, EvaluationError, NumericError
 from .model import AblationFlags, ModelConfig, PiDualModel
 from .nn_core import init_optimizer, sgd_step
 from .seeding import derive_seed
@@ -45,20 +45,6 @@ class TrainConfig:
     random_pi_length: int = 8
     early_stopping: bool = True
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.base_lr < 0:
-            raise ConfigError("base_lr must be >= 0")
-        if list(self.decay_epochs) != sorted(self.decay_epochs):
-            raise ConfigError("decay_epochs must be sorted ascending")
-        if not 0 < self.decay_factor <= 1:
-            raise ConfigError("decay_factor must be in (0, 1]")
-        if self.random_pi_length < 0:
-            raise ConfigError("random_pi_length must be >= 0")
 
 
 @dataclass
@@ -284,7 +270,6 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     into one set of arrays, made at its first pass over that split and reused
     every later epoch; this process makes none.
     """
-    cfg.validate()
     x_tr, a_tr, y_tr = ds.train_arrays()
     if x_tr.shape[0] == 0:
         raise ContractError("train split is empty")
@@ -398,15 +383,6 @@ class GridSpec:
 
     axes: dict[str, list]
 
-    def validate(self) -> None:
-        if not self.axes:
-            raise ConfigError("grid must have at least one axis")
-        for name, values in self.axes.items():
-            if name not in GRID_AXES:
-                raise ConfigError(f"grid.{name}: unknown axis")
-            if not values:
-                raise ConfigError(f"grid.{name}: no candidate values")
-
     def points(self) -> list[dict]:
         names = list(self.axes)
         return [
@@ -418,11 +394,9 @@ class GridSpec:
 @dataclass
 class TrialJob:
     """One trial: ``params`` override the base configs (``apply_grid_point``)
-    and the trial trains on ``ds`` under ``seed``.
-
-    The overrides are applied when the job runs, so a point with an invalid
-    value becomes a failed trial instead of aborting its siblings.
-    """
+    and the trial trains on ``ds`` under ``seed``. Their values are range-checked
+    where the config is loaded; a trial that still raises, say on a non-finite
+    loss, becomes a failed outcome and its siblings run on."""
 
     index: int
     params: dict
@@ -538,7 +512,6 @@ def run_grid(
     Returns outcomes ranked by best noisy-validation accuracy (failed trials
     last).
     """
-    grid.validate()
     jobs = [
         TrialJob(i, params, derive_seed(base_cfg.seed, "trial", i), ds, base_cfg, model_cfg)
         for i, params in enumerate(grid.points())

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,12 +22,12 @@ from pidual import cli
 from pidual import model as model_mod
 from pidual import training
 from pidual.cli import main
-from pidual.config import build_dataset, load_experiment_config
+from pidual.config import FIELDS, build_dataset, load_experiment_config
 from pidual.data import SPLIT_CLEAN_TEST, load_csv
 from pidual.model import ModelConfig, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError
 from pidual.linear_risk import MAX_FLOATS
-from pidual.training import TrainConfig, TrainRecord, evaluate
+from pidual.training import GRID_AXES, TrainConfig, TrainRecord, evaluate
 
 BASE_SECTIONS = {
     "experiment": {"seed": "11"},
@@ -318,8 +319,17 @@ def test_config_errors_leave_no_output_directory(tmp_path):
     cfg_path, out = write_config(tmp_path, overrides={"train": {"epochs": "0"}})
     proc = run_module(["-m", "pidual", "train", "--config", str(cfg_path)])
     assert proc.returncode == 2
-    assert proc.stderr == "config error: epochs must be >= 1\n"
+    assert proc.stderr == "config error: train.epochs: must be >= 1, got 0\n"
     assert not out.exists()
+
+    # the dataset is built before the output directory is made
+    missing = {"data": {"source": "csv", "path": str(tmp_path / "missing.csv")}}
+    csv_cfg, csv_out = write_config(tmp_path, overrides=missing, name="csv.ini")
+    for command in ("gen", "train", "ablate"):
+        proc = run_module(["-m", "pidual", command, "--config", str(csv_cfg)])
+        assert proc.returncode == 4, (command, proc.stderr)
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("i/o failure: cannot open")
+        assert not csv_out.exists(), command
 
     good_cfg, good_out = write_config(tmp_path, name="good.ini", out=tmp_path / "good")
     assert main(["gen", "--config", str(good_cfg)]) == 0
@@ -809,6 +819,48 @@ def test_gen_answers_fuzzed_data_and_model_sizes_with_a_result_or_one_line(
     assert err.count("\n") <= 1 and "Traceback" not in err, err
 
 
+# [train] values near the edges of their ranges: zero, negative, fractional,
+# and now and then not a value of the field's type at all
+SCHEDULE_VALUES = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.floats(-1.5, 1.5).map(repr),
+    st.sampled_from(["", "x", "0.5", "1.0", "1e-4", "nan", "inf", "true", "2,1", "1,2"]),
+)
+
+
+@st.composite
+def schedule_sections(draw):
+    """Drawn values for some [train] fields and some [grid] axes, each axis a
+    comma list of one to three drawn values."""
+    train_keys = st.sampled_from(sorted(FIELDS["train"]))
+    grid_axes = st.sampled_from([*GRID_AXES, "decay_epochs"])  # the last is no axis
+    values = st.lists(SCHEDULE_VALUES, min_size=1, max_size=3).map(",".join)
+    sections = {"train": draw(st.dictionaries(train_keys, SCHEDULE_VALUES, max_size=3))}
+    grid = draw(st.dictionaries(grid_axes, values, max_size=2))
+    if grid:
+        sections["grid"] = grid
+    return sections
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(sections=schedule_sections())
+def test_gen_answers_fuzzed_train_and_grid_values_with_a_result_or_one_line(
+    tmp_path, capsys, sections
+):
+    # gen loads every section, so a value that passes is one a trial can run on
+    cfg_path, out = write_config(tmp_path, overrides=sections)
+    shutil.rmtree(out, ignore_errors=True)
+    code = main(["gen", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("config error: "), err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides,where",
     [
@@ -929,6 +981,98 @@ def test_risk_rejects_a_size_above_the_cap_before_allocating(tmp_path, key, valu
             "detection.methods",
             id="detection-method",
         ),
+        # ranges of single fields
+        pytest.param({"data": {"classes": "1"}}, "data.classes", id="one-class"),
+        pytest.param({"data": {"feature_dim": "0"}}, "data.feature_dim", id="zero-feature-dim"),
+        pytest.param(
+            {"data": {"informativeness": "2"}}, "data.informativeness", id="informativeness-2"
+        ),
+        pytest.param(
+            {"data": {"informativeness": "-0.1"}},
+            "data.informativeness",
+            id="negative-informativeness",
+        ),
+        pytest.param({"data": {"noise_rate": "1.0"}}, "data.noise_rate", id="noise-rate-1"),
+        pytest.param({"data": {"noise_rate": "1.5"}}, "data.noise_rate", id="noise-rate-1.5"),
+        pytest.param({"data": {"noise_rate": "-0.1"}}, "data.noise_rate", id="negative-noise"),
+        pytest.param(
+            {"data": {"reliabilities": "0.7,1.5,0.7"}},
+            "data.reliabilities",
+            id="reliability-above-1",
+        ),
+        pytest.param(
+            {"data": {"noisy_val_fraction": "-0.1"}},
+            "data.noisy_val_fraction",
+            id="negative-val-fraction",
+        ),
+        pytest.param(
+            {"data": {"test_fraction": "-0.2"}}, "data.test_fraction", id="negative-test-fraction"
+        ),
+        pytest.param({"train": {"epochs": "0"}}, "train.epochs", id="zero-epochs"),
+        pytest.param({"train": {"batch_size": "0"}}, "train.batch_size", id="zero-batch"),
+        pytest.param({"train": {"base_lr": "-0.1"}}, "train.base_lr", id="negative-lr"),
+        pytest.param({"train": {"decay_factor": "0"}}, "train.decay_factor", id="zero-decay"),
+        pytest.param({"train": {"decay_factor": "1.5"}}, "train.decay_factor", id="decay-1.5"),
+        pytest.param(
+            {"train": {"decay_epochs": "45,30"}}, "train.decay_epochs", id="unsorted-decay-epochs"
+        ),
+        pytest.param({"train": {"momentum": "1.0"}}, "train.momentum", id="momentum-1"),
+        pytest.param({"train": {"momentum": "1.5"}}, "train.momentum", id="momentum-1.5"),
+        pytest.param({"train": {"momentum": "-0.1"}}, "train.momentum", id="negative-momentum"),
+        pytest.param({"train": {"weight_decay": "-1"}}, "train.weight_decay", id="negative-wd"),
+        pytest.param(
+            {"train": {"random_pi_length": "-1"}},
+            "train.random_pi_length",
+            id="negative-random-pi",
+        ),
+        pytest.param({"risk": {"sigma": "-1"}}, "risk.sigma", id="negative-sigma"),
+        pytest.param({"grid": {"epochs": "0"}}, "grid.epochs", id="grid-zero-epochs"),
+        pytest.param({"grid": {"epochs": "0,1"}}, "grid.epochs", id="grid-epochs-0-1"),
+        pytest.param({"grid": {"batch_size": "0"}}, "grid.batch_size", id="grid-zero-batch"),
+        pytest.param({"grid": {"decay_factor": "0"}}, "grid.decay_factor", id="grid-zero-decay"),
+        pytest.param({"grid": {"base_lr": "-1"}}, "grid.base_lr", id="grid-negative-lr"),
+        pytest.param({"grid": {"momentum": "0.9,1"}}, "grid.momentum", id="grid-momentum-1"),
+        pytest.param({"grid": {"learning": "1"}}, "grid.learning", id="grid-unknown-axis"),
+        pytest.param({"grid": {"epochs": ""}}, "grid.epochs", id="grid-empty-axis"),
+        # checks across fields
+        pytest.param(
+            {"data": {"noisy_val_fraction": "0.6", "test_fraction": "0.5"}},
+            "data.test_fraction",
+            id="split-fractions-sum-above-1",
+        ),
+        pytest.param({"data": {"test_fraction": "2"}}, "data.test_fraction", id="test-fraction-2"),
+        pytest.param(
+            {"data": {"reliabilities": "0.7,0.7"}},
+            "data.reliabilities",
+            id="reliabilities-fewer-than-annotators",
+        ),
+        pytest.param(
+            {"data": {"annotators": "2", "reliabilities": "0.9,0.9", "noise_rate": "0.4"}},
+            "data.noise_rate",
+            id="unreachable-noise-rate",
+        ),
+        pytest.param(
+            {"risk": {"n": "10", "d": "6", "m": "5", "n_clean": "5"}},
+            "risk.n",
+            id="underdetermined-risk-design",
+        ),
+        pytest.param({"risk": {"n_clean": "0"}}, "risk.n_clean", id="zero-n-clean"),
+        pytest.param({"risk": {"n_clean": "61"}}, "risk.n_clean", id="n-clean-above-n"),
+        pytest.param(
+            {"risk": {"sweep": "corruption", "sweep_values": "0,61"}},
+            "risk.sweep_values",
+            id="corruption-above-n",
+        ),
+        pytest.param(
+            {"risk": {"sweep": "n2", "sweep_values": "0,60"}},
+            "risk.sweep_values",
+            id="n2-leaves-no-clean-row",
+        ),
+        pytest.param(
+            {"risk": {"sweep": "sigma", "sweep_values": "1,-0.5"}},
+            "risk.sweep_values",
+            id="sigma-negative",
+        ),
     ],
 )
 def test_config_rejects_malformed_value(tmp_path, overrides, field):
@@ -1043,9 +1187,7 @@ def test_seed_override_changes_streams(tmp_path):
     ids=lambda p: p.name,
 )
 def test_shipped_config_loads(path):
-    cfg = load_experiment_config(path)
-    if cfg.grid is not None:
-        cfg.grid.validate()
+    load_experiment_config(path)
 
 
 def test_config_hash_and_defaults_are_pinned(tmp_path):

@@ -43,11 +43,6 @@ def test_make_setup_all_clean():
     assert s.n_noisy == 0
 
 
-def test_make_setup_underdetermined_rejected():
-    with pytest.raises(SetupError):
-        make_setup(10, 6, 5, 5, 1.0, seed=0)
-
-
 def test_ols_recovers_noiseless_all_clean():
     s = make_setup(60, 5, 4, 60, 0.0, seed=3)
     y = s.noiseless_targets()

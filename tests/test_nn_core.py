@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidual import nn_core
-from pidual.errors import ConfigError, ContractError, NumericError, ShapeError
+from pidual.errors import ContractError, NumericError, ShapeError
 from pidual.model import ModelConfig
 from pidual.nn_core import (
     MlpParams,
@@ -283,12 +283,6 @@ def test_sgd_nonfinite_gradient_reports_tensor():
     grads[0] = np.nan
     with pytest.raises(NumericError, match="net layer 0 weight"):
         sgd_step(params, grads, state, epoch=0, layout={"net": net})
-
-
-def test_negative_lr_rejected():
-    params = nn_core.flatten({"net": init_mlp([2, 2], [nn_core.IDENTITY], seed=0)})
-    with pytest.raises(ConfigError):
-        init_optimizer(params, base_lr=-0.1)
 
 
 def per_tensor_nesterov(p, g, v, lr, mu, wd):

@@ -13,7 +13,7 @@ import pytest
 from pidual import data as data_mod
 from pidual import training
 from pidual.data import PiDataset, SynthConfig, generate_synthetic, split_dataset
-from pidual.errors import ConfigError, ContractError, EvaluationError, NumericError
+from pidual.errors import ContractError, EvaluationError, NumericError
 from pidual.model import (
     GATE_SPACE_PROBABILITY,
     NOISE_INPUT_PI_AND_X,
@@ -65,12 +65,6 @@ def tiny_cfg(**over):
     )
     base.update(over)
     return TrainConfig(**base)
-
-
-def test_zero_epochs_rejected():
-    ds = tiny_dataset()
-    with pytest.raises(ConfigError):
-        train(tiny_model(ds), ds, tiny_cfg(epochs=0))
 
 
 def test_zero_lr_leaves_parameters_unchanged():
@@ -532,14 +526,16 @@ def test_grid_ranking_consistent_with_noisy_val():
 
 
 def test_grid_reruns_identically_and_failures_are_marked():
+    # grid values are range-checked where the config is loaded: a point fails
+    # only on what its trial raises, here AblationFlags on an unknown gate space
     ds = tiny_dataset(n=150, seed=16)
-    grid = GridSpec({"batch_size": [16, -1]})
+    grid = GridSpec({"gate_space": ["logit", "nonsense"]})
     cfg = tiny_cfg(epochs=1)
     model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8)
     first = run_grid(grid, ds, cfg, model_cfg)
     second = run_grid(grid, ds, cfg, model_cfg)
     assert [t.status for t in first] == ["ok", "failed"]
-    assert first[1].error
+    assert "nonsense" in first[1].error
     assert first[0].best_noisy_val_acc == second[0].best_noisy_val_acc
     assert first[0].seed == second[0].seed
 
@@ -566,11 +562,6 @@ def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
     assert evaluate(ok.model, ds_aug, data_mod.SPLIT_NOISY_VAL) == ok.record.noisy_val_acc[row]
     clean = evaluate(ok.model, ds_aug, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
     assert clean == ok.record.clean_test_acc[row]
-
-
-def test_grid_rejects_unknown_axis():
-    with pytest.raises(ConfigError):
-        GridSpec({"learning": [1]}).validate()
 
 
 def test_grid_axes_each_name_one_config_field():
