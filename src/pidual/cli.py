@@ -108,12 +108,11 @@ def _dynamics_plot(out: Path, name: str, record) -> None:
     )
 
 
-def _detection_outputs(out: Path, model, ds, methods: list[str]) -> dict[str, float]:
+def _detection_outputs(out: Path, reports: list[detect_mod.DetectionReport]) -> dict[str, float]:
+    """Write each report's JSON and histogram; returns the AUCs by method."""
     aucs: dict[str, float] = {}
-    for method in methods:
-        if method == "gate" and not model.flags.use_gate:
-            continue
-        report = detect_mod.detect(model, ds, method)
+    for report in reports:
+        method = report.method
         report.to_json(out / f"detection_{method}.json")
         svgplot.paired_histogram(
             out / f"detection_{method}_hist.svg",
@@ -180,8 +179,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     _dynamics_plot(out, "selected", record)
     aucs: dict[str, float] = {}
     if ds.has_clean_labels:
-        ds_used = data_mod.augment_random_pi(ds, selected.random_pi)
-        aucs = _detection_outputs(out, selected.model, ds_used, cfg.detection_methods)
+        # the scores come from the evaluation pass of the saved model's epoch;
+        # a model without a gate has no gate scores
+        wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
+        scores = selected.detection_scores
+        reports = [
+            detect_mod.report(method, scores[method], wrong)
+            for method in cfg.detection_methods
+            if method in scores
+        ]
+        aucs = _detection_outputs(out, reports)
 
     summary = {
         "config_hash": cfg.config_hash(),
@@ -235,7 +242,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    aucs = _detection_outputs(out, model, ds, methods)
+    reports = [
+        detect_mod.detect(model, ds, method)
+        for method in methods
+        if method != "gate" or model.flags.use_gate
+    ]
+    aucs = _detection_outputs(out, reports)
     for method, auc in aucs.items():
         print(f"{method} AUC: {auc:.4f}")
     return EXIT_OK

@@ -5,6 +5,10 @@ noisy label (low confidence suggests a wrong label) and the gate output
 (high gate suggests a wrong label). Scores are oriented artifact-wide so
 that higher means more likely wrong before computing the ROC-AUC, with ties
 contributing one half per pair.
+
+``report`` turns one method's scores into its report. ``detect`` scores a
+model by a forward pass over the split first; ``train`` hands ``report`` the
+scores its evaluation pass of the kept epoch already computed.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from . import model as model_mod
 from .data import SPLIT_TRAIN, PiDataset
 from .errors import ContractError
 from .model import PiDualModel
+from .nn_core import softmax
 
 HISTOGRAM_BINS = 20
 METHODS = ("confidence", "gate")
@@ -44,11 +49,15 @@ class DetectionReport:
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def label_confidence(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The softmax probability of each row's label under the prediction logits."""
+    return softmax(logits)[np.arange(labels.shape[0]), labels]
+
+
 def confidence_scores(model: PiDualModel, ds: PiDataset) -> np.ndarray:
     """Probability the prediction head assigns to each observed train label."""
     x, _ = ds.eval_inputs(SPLIT_TRAIN)
-    probs = model_mod.forward_infer(model, x)
-    return probs[np.arange(x.shape[0]), ds.noisy_labels_of(SPLIT_TRAIN)]
+    return label_confidence(model_mod.prediction_logits(model, x), ds.noisy_labels_of(SPLIT_TRAIN))
 
 
 def gate_scores(model: PiDualModel, ds: PiDataset) -> np.ndarray:
@@ -98,17 +107,19 @@ def score_histogram(
     return edges, clean_counts, wrong_counts
 
 
+def report(method: str, scores: np.ndarray, wrong: np.ndarray) -> DetectionReport:
+    """``method``'s report on per-row ``scores`` against the wrong-label mask ``wrong``."""
+    if method not in METHODS:
+        raise ContractError(f"unknown detection method {method!r}")
+    wrongness = 1.0 - scores if method == "confidence" else scores
+    auc = roc_auc(wrongness, wrong)
+    edges, clean_counts, wrong_counts = score_histogram(scores, wrong)
+    return DetectionReport(method, scores, auc, edges, clean_counts, wrong_counts)
+
+
 def detect(model: PiDualModel, ds: PiDataset, method: str) -> DetectionReport:
     """Score the train split and report AUC against the wrong-label ground truth."""
     if method not in METHODS:
         raise ContractError(f"unknown detection method {method!r}")
-    if method == "confidence":
-        scores = confidence_scores(model, ds)
-        wrongness = 1.0 - scores
-    else:
-        scores = gate_scores(model, ds)
-        wrongness = scores
-    wrong = ds.wrong_mask_of(SPLIT_TRAIN)
-    auc = roc_auc(wrongness, wrong)
-    edges, clean_counts, wrong_counts = score_histogram(scores, wrong)
-    return DetectionReport(method, scores, auc, edges, clean_counts, wrong_counts)
+    scores = (confidence_scores if method == "confidence" else gate_scores)(model, ds)
+    return report(method, scores, ds.wrong_mask_of(SPLIT_TRAIN))

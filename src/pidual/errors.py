@@ -1,7 +1,16 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto stable exit codes: ConfigError -> 2,
-NumericError -> 3, DataFormatError and OSError -> 4.
+``cli.main`` maps these onto stable exit codes, each with a one-line message:
+
+- ConfigError -> 2 (``config error: ...``);
+- SetupError -> 2 (``setup error: ...``). Only library callers of
+  ``linear_risk.monte_carlo_risks`` can raise it now: the config loader checks
+  ``[risk]``, so every setup the ``risk`` command builds has the same rows;
+- NumericError, ShapeError and ContractError -> 3 (``numeric failure: ...``);
+- DataFormatError and OSError -> 4 (``i/o failure: ...``).
+
+EvaluationError has no code of its own: ``train`` raises it inside a trial,
+which records it as that trial's failure.
 """
 
 

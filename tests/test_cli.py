@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import pidual
 from pidual import cli
+from pidual import detection
 from pidual import model as model_mod
 from pidual import training
 from pidual.cli import main
@@ -131,6 +132,21 @@ def test_train_grid_and_summary_winner(tmp_path):
     ranked = [t["best_noisy_val_acc"] for t in summary["trials"] if t["status"] == "ok"]
     assert ranked == sorted(ranked, reverse=True)
     assert summary["selected_trial"] == summary["trials"][0]["index"]
+
+
+def test_train_reports_detection_without_a_forward_pass_of_its_own(tmp_path, monkeypatch):
+    # the scores come back from the evaluation process; the forked child
+    # inherits this patch too, and never calls detect either
+    def no_detect(*args, **kwargs):
+        raise AssertionError("train called detection.detect")
+
+    monkeypatch.setattr(detection, "detect", no_detect)
+    cfg_path, out = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    for method in ("confidence", "gate"):
+        doc = json.loads((out / f"detection_{method}.json").read_text())
+        assert doc["method"] == method and 0.0 <= doc["auc"] <= 1.0
+        assert (out / f"detection_{method}_hist.svg").read_text().startswith("<svg")
 
 
 def test_grid_trains_each_point_once_and_saves_the_winner(tmp_path, monkeypatch):

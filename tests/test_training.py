@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pidual import data as data_mod
+from pidual import detection
 from pidual import training
 from pidual.data import PiDataset, SynthConfig, generate_synthetic, split_dataset
 from pidual.errors import ContractError, EvaluationError, NumericError
@@ -191,10 +192,12 @@ def test_scoring_through_reused_buffers_matches_fresh_passes(over):
     for model in models:
         template.params[:] = model.params  # as the evaluation process receives each epoch
         train_out = buffers[data_mod.SPLIT_TRAIN]
-        got = training._train_subset_metrics(template, x, a, y, wrong, train_out)
-        expected = training._train_subset_metrics(model, x, a, y, wrong)
+        got, got_scores = training._train_subset_metrics(template, x, a, y, wrong, train_out)
+        expected, expected_scores = training._train_subset_metrics(model, x, a, y, wrong)
         assert got.keys() == expected.keys()
         assert all(np.array_equal(got[k], expected[k], equal_nan=True) for k in got)
+        assert got_scores.keys() == expected_scores.keys()
+        assert all(np.array_equal(got_scores[k], expected_scores[k]) for k in got_scores)
         for split, labels, head in passes:
             reused = evaluate(template, ds, split, labels, head, out=buffers[split])
             assert reused == evaluate(model, ds, split, labels, head)
@@ -562,6 +565,43 @@ def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
     assert evaluate(ok.model, ds_aug, data_mod.SPLIT_NOISY_VAL) == ok.record.noisy_val_acc[row]
     clean = evaluate(ok.model, ds_aug, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
     assert clean == ok.record.clean_test_acc[row]
+
+
+@pytest.mark.parametrize(
+    "early_stopping,val_fraction,use_gate",
+    [(True, 0.1, True), (False, 0.1, True), (True, 0.0, True), (True, 0.1, False)],
+    ids=["best-epoch", "final-epoch", "no-noisy-val", "no-gate"],
+)
+def test_trial_detection_scores_equal_a_forward_pass_of_the_kept_model(
+    early_stopping, val_fraction, use_gate
+):
+    # the scores come from the evaluation process's pass of the kept epoch;
+    # detect scores the kept model and the augmented data by a pass of its own
+    ds = generate_synthetic(
+        SynthConfig(n=300, feature_dim=4, num_classes=3, annotators=3, noise_rate=0.3, seed=21)
+    )
+    ds = split_dataset(ds, val_fraction, 0.2, seed=22)
+    cfg = tiny_cfg(epochs=5, random_pi_length=3, early_stopping=early_stopping)
+    model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8, flags=AblationFlags(use_gate=use_gate))
+    (outcome,) = training.run_trials([training.TrialJob(0, {}, 11, ds, cfg, model_cfg)])
+    assert outcome.status == "ok", outcome.error
+    if early_stopping and val_fraction > 0:
+        assert outcome.model_epoch == outcome.best_epoch
+        assert outcome.model_epoch < cfg.epochs - 1  # not the final epoch: a real test of the choice
+    else:
+        assert outcome.model_epoch == cfg.epochs - 1
+    methods = ["confidence", "gate"] if use_gate else ["confidence"]
+    assert sorted(outcome.detection_scores) == methods
+    wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
+    trained_on = data_mod.augment_random_pi(ds, outcome.random_pi)
+    for method in methods:
+        got = detection.report(method, outcome.detection_scores[method], wrong)
+        want = detection.detect(outcome.model, trained_on, method)
+        assert got.method == want.method
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.auc == want.auc
+        for name in ("bin_edges", "clean_counts", "wrong_counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_grid_axes_each_name_one_config_field():
