@@ -245,7 +245,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     reports = [
         detect_mod.detect(model, ds, method)
         for method in methods
-        if method != "gate" or model.flags.use_gate
+        if method != "gate" or model.config.flags.use_gate
     ]
     aucs = _detection_outputs(out, reports)
     for method, auc in aucs.items():
@@ -425,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is checked for and reported in one line below,
+        # so numpy's overflow and invalid-value warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -323,17 +323,24 @@ def _check_sizes(sizes) -> None:
 
 
 def _check_risk_sizes(risk: dict) -> None:
-    """Reject a [risk] section whose largest arrays would pass ``MAX_FLOATS``
-    floats, before any is allocated."""
-    n, d, m, resamples = (risk[key] for key in ("n", "d", "m", "resamples"))
+    """Reject a [risk] section whose arrays held at once would pass
+    ``MAX_FLOATS`` floats, before any is allocated: the designs (one per
+    point of an n2 or sigma sweep, else one), with ``resamples > 0`` a (d, n)
+    Monte-Carlo map per distinct fit (OLS once on a corruption sweep's one
+    design), one chunk of draws and the per-draw sums."""
+    n, d, m, resamples, sweep = (risk[key] for key in ("n", "d", "m", "resamples", "sweep"))
     points = len(risk["sweep_values"]) or 1
-    _check_sizes((
-        ("the design needs n*(d+m)", n * (d + m), {"risk.n": n, "risk.d": d, "risk.m": m}),
-        (f"a chunk of draws needs n*min(resamples, {MC_CHUNK})", n * min(resamples, MC_CHUNK),
-         {"risk.n": n}),
-        ("the per-draw sums need 2*points*resamples", 2 * points * resamples,
-         {"risk.resamples": resamples, "risk.sweep_values": points}),
-    ))
+    designs = points if sweep in ("n2", "sigma") else 1
+    fits = (points + 1 if sweep == "corruption" else 2 * points) if resamples else 0
+    total = (designs * n * (d + m) + fits * d * n + n * min(resamples, MC_CHUNK)
+             + fits * resamples)
+    _check_sizes(((
+        f"a risk run holds {designs}*n*(d+m) + {fits}*d*n + n*min(resamples, {MC_CHUNK}) "
+        f"+ {fits}*resamples",
+        total,
+        {"risk.n": n, "risk.d": d, "risk.m": m, "risk.resamples": resamples,
+         "risk.sweep_values": points},
+    ),))
 
 
 def _check_trial_sizes(

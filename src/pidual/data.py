@@ -300,6 +300,14 @@ def save_csv(ds: PiDataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
+def _checked_rows(path: Path, reader):
+    """The rows of ``reader``; text that is not UTF-8 or not CSV is a ``DataFormatError``."""
+    try:
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: not UTF-8 CSV text ({exc})") from None
+
+
 def load_csv(path: str | Path, num_classes: int | None = None) -> PiDataset:
     """Parse a dataset CSV; raises DataFormatError with the offending row/column."""
     path = Path(path)
@@ -308,7 +316,7 @@ def load_csv(path: str | Path, num_classes: int | None = None) -> PiDataset:
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _checked_rows(path, csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -332,10 +340,10 @@ def load_csv(path: str | Path, num_classes: int | None = None) -> PiDataset:
             try:
                 feats.append([float(v) for v in row[:d]])
                 pis.append([float(v) for v in row[d : d + p]])
-                noisy.append(int(row[d + p]))
+                noisy.append(np.int64(int(row[d + p])))
                 if with_clean:
-                    clean.append(int(row[d + p + 1]))
-            except ValueError as exc:
+                    clean.append(np.int64(int(row[d + p + 1])))
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}: row {row_no}: non-numeric cell ({exc})") from None
             if with_split:
                 name = row[-1]

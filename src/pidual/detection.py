@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as model_mod
 from .data import SPLIT_TRAIN, PiDataset
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .model import PiDualModel
 from .nn_core import softmax
 
@@ -122,4 +122,6 @@ def detect(model: PiDualModel, ds: PiDataset, method: str) -> DetectionReport:
     if method not in METHODS:
         raise ContractError(f"unknown detection method {method!r}")
     scores = (confidence_scores if method == "confidence" else gate_scores)(model, ds)
+    if not np.isfinite(scores).all():
+        raise NumericError(f"the model's {method} scores on the train split are not all finite")
     return report(method, scores, ds.wrong_mask_of(SPLIT_TRAIN))

@@ -23,10 +23,12 @@ oracle it is checked against: the (mean risk, standard error) of each
 scored on the same draws. Both solve through factorizations (SVD least
 squares / dense solve) behind a condition guard of 1e10 on the Gram matrices.
 
-A risk run's largest arrays are the design, n x (d + m) floats; one chunk of
-draws, n x min(resamples, ``MC_CHUNK``); and the per-draw sums, two fits per
-sweep point times resamples. ``pidual risk`` rejects at config load a run
-where any of them exceeds ``MAX_FLOATS``.
+A risk run holds at once its designs, n x (d + m) floats each: one per
+point of an n2 or sigma sweep, else one. With Monte-Carlo draws it also
+holds a (d, n) map per distinct fit (up to two per sweep point), one chunk of
+draws, n x min(resamples, ``MC_CHUNK``), and the per-draw sums, fits times
+resamples. ``pidual risk`` rejects at config load a run whose sum of these
+exceeds ``MAX_FLOATS``.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
 MC_CHUNK = 4096  # Monte-Carlo draws per chunk
-MAX_FLOATS = 2**26  # cap on each of a risk run's largest arrays, in floats (512 MiB)
+MAX_FLOATS = 2**26  # in floats (512 MiB): the cap on a risk run's arrays, summed
 
 
 @dataclass
@@ -109,8 +111,9 @@ def make_setup(
 ) -> LinearRiskSetup:
     """Standard-Gaussian features (n, d) and PI (n, m), one draw each, for
     n > d + m, 1 <= n_clean <= n and noise_std >= 0. The fits reject an
-    ill-conditioned design; ``pidual risk`` checks these ranges and caps
-    n x (d + m) at ``MAX_FLOATS`` when it loads the config."""
+    ill-conditioned design; ``pidual risk`` checks these ranges and caps the
+    floats a run holds, its designs included, at ``MAX_FLOATS`` when it loads
+    the config."""
     rng = np.random.default_rng(derive_seed(seed, "setup"))
     features = rng.standard_normal((n, d))
     pi = rng.standard_normal((n, m))

@@ -19,6 +19,11 @@ logits (the loss becomes -log of the mixed probability); and
 ``noise_input="pi_and_x"`` feeds the concatenation [pi, features] to the
 noise path, in which case the shared trunk (and therefore the gate) sees the
 features too.
+
+The switches and the layer widths form a frozen ``ModelConfig``. A
+``PiDualModel`` is that config, the data's three widths and one parameter
+vector, from which the config cuts every component; a checkpoint and a pickle
+hold those same things.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ GATE_SPACES = (GATE_SPACE_LOGIT, GATE_SPACE_PROBABILITY)
 NOISE_INPUTS = (NOISE_INPUT_PI, NOISE_INPUT_PI_AND_X)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationFlags:
     use_gate: bool = True
     use_noise_net: bool = True
@@ -75,7 +80,7 @@ def ce_baseline_flags() -> AblationFlags:
 
 
 # The component roster: every per-component mapping (parameters, gradients,
-# checkpoint entries) is keyed by these names, and the flat parameter vector
+# activation buffers) is keyed by these names, and the flat parameter vector
 # is laid out in this order. ``gate_trunk`` exists only when the gate has its
 # own first layer. Everything after ``prediction`` reads the PI and can be
 # exempt from weight decay, so the decayed parameters are one prefix of the
@@ -83,101 +88,12 @@ def ce_baseline_flags() -> AblationFlags:
 COMPONENTS = ("prediction", "pi_trunk", "noise_head", "gate_head", "gate_trunk")
 
 
-@dataclass
-class PiDualModel:
-    """Parameter bundle for the three sub-networks.
-
-    The noise network is ``noise_head`` stacked on ``pi_trunk``; the gate is
-    ``gate_head`` stacked on the shared ``pi_trunk`` (or on its own
-    ``gate_trunk`` when ``share_first_layer`` is off). The fields up to
-    ``gate_trunk`` are the components, in ``COMPONENTS`` order.
-
-    All parameters live in ``params``, one contiguous vector in roster order
-    (see ``nn_core.flatten``); every component tensor is a view of it, so one
-    optimizer step on ``params`` updates every component. Construction checks
-    that each component reads and emits the widths its place needs, then
-    copies the given tensors into a fresh vector. The components are fixed at
-    construction, since an assigned one would not view the vector: a model
-    with another component is a new one, ``dataclasses.replace(model,
-    prediction=...)``, which runs the same checks and packs its own vector.
-    A pickle, like a checkpoint, holds the layout (``_layout``) and the
-    vector; unpickling (and so ``copy.deepcopy``) rebuilds the model with
-    ``_restore``. ``copy()`` is the cheap way to an independent model.
-    """
-
-    prediction: MlpParams
-    pi_trunk: MlpParams
-    noise_head: MlpParams
-    gate_head: MlpParams
-    gate_trunk: MlpParams | None
-    flags: AblationFlags
-    share_first_layer: bool = True
-    feature_dim: int = 0
-    pi_dim: int = 0
-    num_classes: int = 0
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._check_widths()
-        nets = self.components()
-        params = nn_core.flatten(nets)
-        for name, (weights, biases) in nn_core.tensor_views(params, nets).items():
-            setattr(self, name, MlpParams(weights, biases, list(nets[name].activations)))
-        self.params = params
-
-    def __reduce__(self):
-        scalars = {key: getattr(self, key) for key in _SCALARS}
-        return _restore, (_layout(self), self.params, self.flags, scalars)
-
-    def _check_widths(self) -> None:
-        """Each component reads and emits the widths its place in the model needs."""
-        needed = COMPONENTS[:-1] if self.share_first_layer else COMPONENTS  # gate_trunk is last
-        if self.components().keys() != set(needed):
-            raise ShapeError(f"share_first_layer={self.share_first_layer} needs {needed}")
-        pi_in = self.pi_dim + self.feature_dim * (self.flags.noise_input == NOISE_INPUT_PI_AND_X)
-        trunk = self.pi_trunk.out_dim
-        gate_in = trunk if self.share_first_layer else self.gate_trunk.out_dim
-        wanted = {  # (input, output) widths; the trunks' output widths are free
-            "prediction": (self.feature_dim, self.num_classes),
-            "pi_trunk": (pi_in, trunk),
-            "noise_head": (trunk, self.num_classes),
-            "gate_head": (gate_in, 1),
-            "gate_trunk": (pi_in, gate_in),
-        }
-        for name, net in self.components().items():
-            if (net.in_dim, net.out_dim) != wanted[name]:
-                expected = "%d to %d" % wanted[name]
-                raise ShapeError(f"{name} maps {net.in_dim} to {net.out_dim}, not {expected}")
-
-    def copy(self) -> "PiDualModel":
-        """An independent model: a copy of the vector with components viewing it."""
-        return replace(self, flags=replace(self.flags))
-
-    def components(self) -> dict[str, MlpParams]:
-        """The present components by roster name, in roster order."""
-        nets = {name: getattr(self, name) for name in COMPONENTS}
-        return {name: net for name, net in nets.items() if net is not None}
-
-
-@dataclass
-class GradientBuffer:
-    """A gradient vector laid out like a model's ``params`` and, per component,
-    ``Gradients`` views of it: build it once with ``gradient_buffer`` and let
-    every ``backward_train`` of that model write into it."""
-
-    vector: np.ndarray
-    grads: dict[str, Gradients]
-
-
-def gradient_buffer(model: PiDualModel) -> GradientBuffer:
-    vector = np.empty_like(model.params)
-    views = nn_core.tensor_views(vector, model.components())
-    return GradientBuffer(vector, {name: Gradients(*v) for name, v in views.items()})
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs decoupled from any concrete dataset dimensions."""
+    """Architecture knobs decoupled from any concrete dataset dimensions.
+
+    Frozen, like its flags, so a model's config cannot drift from the vector
+    it cut."""
 
     pred_hidden: tuple[int, ...] = (64, 64)
     pi_width: int = 64
@@ -201,17 +117,82 @@ class ModelConfig:
         """A model for these widths; component ``name`` is initialised under
         ``derive_seed(seed, name)``."""
         nets = {
-            name: None if shape is None else init_mlp(*shape, derive_seed(seed, name))
+            name: init_mlp(*shape, derive_seed(seed, name))
             for name, shape in self.shapes(feature_dim, pi_dim, num_classes).items()
+            if shape is not None
         }
-        return PiDualModel(
-            **nets,
-            flags=self.flags,
-            share_first_layer=self.share_first_layer,
-            feature_dim=feature_dim,
-            pi_dim=pi_dim,
-            num_classes=num_classes,
-        )
+        return PiDualModel(self, feature_dim, pi_dim, num_classes, nn_core.flatten(nets))
+
+
+@dataclass
+class PiDualModel:
+    """A ``ModelConfig`` for given widths, and its parameters in one vector.
+
+    The noise network is ``noise_head`` stacked on ``pi_trunk``; the gate is
+    ``gate_head`` stacked on the shared ``pi_trunk`` (or on its own
+    ``gate_trunk`` when ``config.share_first_layer`` is off). ``params`` holds
+    every parameter, component by component in roster order (see
+    ``nn_core.flatten``). Construction copies it and cuts the components from
+    the copy as ``MlpParams`` views, with the layer widths ``config.shapes``
+    gives for ``feature_dim``, ``pi_dim`` and ``num_classes``, so one
+    optimizer step on ``params`` updates every component, and no component can
+    disagree with the config. A vector of another length is a ``ShapeError``.
+
+    To craft a model, build one from a config of the wanted widths and write
+    into its components' tensors. A pickle, like a checkpoint, holds the
+    config, the widths and the vector; ``copy()`` is the cheap way to an
+    independent model.
+    """
+
+    config: ModelConfig
+    feature_dim: int
+    pi_dim: int
+    num_classes: int
+    params: np.ndarray = field(repr=False, compare=False)
+    # the components, in roster order: views of params, cut by __post_init__
+    prediction: MlpParams = field(init=False, repr=False, compare=False)
+    pi_trunk: MlpParams = field(init=False, repr=False, compare=False)
+    noise_head: MlpParams = field(init=False, repr=False, compare=False)
+    gate_head: MlpParams = field(init=False, repr=False, compare=False)
+    gate_trunk: MlpParams | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.params = np.array(self.params, dtype=np.float64)
+        shapes = self.config.shapes(self.feature_dim, self.pi_dim, self.num_classes)
+        present = {name: shape for name, shape in shapes.items() if shape is not None}
+        weights = {name: list(zip(sizes[1:], sizes[:-1])) for name, (sizes, _) in present.items()}
+        views = nn_core.shaped_views(self.params, weights)
+        for name, shape in shapes.items():
+            setattr(self, name, None if shape is None else MlpParams(*views[name], shape[1]))
+
+    def __reduce__(self):
+        dims = (self.feature_dim, self.pi_dim, self.num_classes)
+        return PiDualModel, (self.config, *dims, self.params)
+
+    def copy(self) -> "PiDualModel":
+        """An independent model: a copy of the vector with components viewing it."""
+        return replace(self)
+
+    def components(self) -> dict[str, MlpParams]:
+        """The present components by roster name, in roster order."""
+        nets = {name: getattr(self, name) for name in COMPONENTS}
+        return {name: net for name, net in nets.items() if net is not None}
+
+
+@dataclass
+class GradientBuffer:
+    """A gradient vector laid out like a model's ``params`` and, per component,
+    ``Gradients`` views of it: build it once with ``gradient_buffer`` and let
+    every ``backward_train`` of that model write into it."""
+
+    vector: np.ndarray
+    grads: dict[str, Gradients]
+
+
+def gradient_buffer(model: PiDualModel) -> GradientBuffer:
+    vector = np.empty_like(model.params)
+    views = nn_core.tensor_views(vector, model.components())
+    return GradientBuffer(vector, {name: Gradients(*v) for name, v in views.items()})
 
 
 @dataclass
@@ -261,7 +242,7 @@ def _forward_pi_side(
     x, a = np.asarray(x, dtype=np.float64), np.asarray(a, dtype=np.float64)
     if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
         raise ShapeError(f"features {x.shape} and PI {a.shape} are not batches of one length")
-    flags = model.flags
+    flags = model.config.flags
     tape = ModelTape(model=model, batch_size=x.shape[0])
     pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
 
@@ -270,7 +251,8 @@ def _forward_pi_side(
         return result
 
     trunk_out = None
-    if flags.use_noise_net or (flags.use_gate and model.share_first_layer):
+    shared = model.config.share_first_layer
+    if flags.use_noise_net or (flags.use_gate and shared):
         trunk_out = run("pi_trunk", pi_in)
 
     if flags.use_noise_net:
@@ -279,7 +261,7 @@ def _forward_pi_side(
         tape.noise_logits = np.zeros((x.shape[0], model.num_classes))
 
     if flags.use_gate:
-        gate_in = trunk_out if model.share_first_layer else run("gate_trunk", pi_in)
+        gate_in = trunk_out if shared else run("gate_trunk", pi_in)
         tape.gate = run("gate_head", gate_in)[:, 0]
     return tape
 
@@ -301,7 +283,7 @@ def forward_train(
     tape.pred_logits, tape.tapes["prediction"] = mlp_forward(
         model.prediction, x, (out or {}).get("prediction")
     )
-    flags = model.flags
+    flags = model.config.flags
     f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
 
     if not flags.use_gate:
@@ -326,7 +308,8 @@ def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
     b = tape.batch_size
     if labels.shape != (b,):
         raise ShapeError("one label per batch row required")
-    if tape.model.flags.use_gate and tape.model.flags.gate_space == GATE_SPACE_PROBABILITY:
+    flags = tape.model.config.flags
+    if flags.use_gate and flags.gate_space == GATE_SPACE_PROBABILITY:
         rows = np.arange(b)
         picked = tape.mixed[rows, labels]  # the mixed probability of each row's label
         tape.d_mixed = np.zeros_like(tape.mixed)
@@ -353,7 +336,7 @@ def backward_train(
         raise ContractError("tape was produced by a different model")
     if tape.d_mixed is None:
         raise ContractError("no loss has scored this tape: call training_loss first")
-    flags, b = model.flags, tape.batch_size
+    flags, b = model.config.flags, tape.batch_size
     f, eps, g, u = tape.pred_logits, tape.noise_logits, tape.gate, tape.d_mixed
 
     if not flags.use_gate:
@@ -391,7 +374,7 @@ def backward_train(
         d_trunk_out += backprop("noise_head", d_noise_out)
     if "gate_head" in tapes:
         d_gate_in = backprop("gate_head", d_gate_out[:, None])
-        if model.share_first_layer:
+        if model.config.share_first_layer:
             d_trunk_out += d_gate_in
         else:
             backprop("gate_trunk", d_gate_in, input_grad=False)
@@ -420,75 +403,59 @@ def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray
 
 def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-sample gate outputs in (0, 1)."""
-    if not model.flags.use_gate:
+    if not model.config.flags.use_gate:
         raise ContractError("this model variant has no gating network")
     return _forward_pi_side(model, x, a).gate
 
 
 # ---------------------------------------------------------------------------
-# One codec for pickles and checkpoints: ``_layout`` lists each component's
-# layers as [out, in, activation], and ``_restore`` cuts the components from
-# the parameter vector by it. A checkpoint is one JSON document: the dims,
-# the flags, the layout and the vector as base64 of little-endian float64.
+# A checkpoint is one JSON document: the widths, the config's fields and the
+# vector as base64 of little-endian float64. ``PiDualModel`` cuts the
+# components from the vector, so the file holds no layer layout.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "pidual-checkpoint-v2"
-
-# The model's scalar fields, with the JSON type a checkpoint must give each.
-_SCALARS = {"feature_dim": int, "pi_dim": int, "num_classes": int, "share_first_layer": bool}
-
-
-def _layout(model: PiDualModel) -> dict[str, list | None]:
-    """[[out, in, activation], ...] per roster component, None for an absent one."""
-    nets = {name: getattr(model, name) for name in COMPONENTS}
-    return {
-        name: None if net is None else [[*w.shape, a] for w, a in zip(net.weights, net.activations)]
-        for name, net in nets.items()
-    }
-
-
-def _restore(layout: dict, params: np.ndarray, flags: AblationFlags, scalars: dict) -> PiDualModel:
-    """The model ``_layout`` described, owning a copy of ``params``. Each layer
-    entry must be [int, int, str]; ``shaped_views`` checks the vector's length
-    against the layout before it cuts a tensor; the constructors check
-    activations, chaining, finiteness and widths."""
-    present = {name: layout[name] for name in COMPONENTS if layout[name] is not None}
-    for name, layers in present.items():
-        if type(layers) is not list:
-            raise DataFormatError(f"layout {name}: expected a list of layers or null")
-        for index, layer in enumerate(layers):
-            if type(layer) is not list or [type(v) for v in layer] != [int, int, str]:
-                raise DataFormatError(f"layout {name} layer {index}: expected [out, in, activation]")
-    shapes = {name: [(o, i) for o, i, _ in layers] for name, layers in present.items()}
-    nets = dict.fromkeys(COMPONENTS)
-    for name, (weights, biases) in nn_core.shaped_views(params, shapes).items():
-        nets[name] = MlpParams(weights, biases, [act for *_, act in present[name]])
-    return PiDualModel(**nets, flags=flags, **scalars)
+_CHECKPOINT_FORMAT = "pidual-checkpoint-v3"
 
 
 def save_checkpoint(model: PiDualModel, path: str | Path) -> None:
     doc = {
         "format": _CHECKPOINT_FORMAT,
-        **{key: getattr(model, key) for key in _SCALARS},
-        "flags": asdict(model.flags),
-        "layout": _layout(model),
+        "feature_dim": model.feature_dim,
+        "pi_dim": model.pi_dim,
+        "num_classes": model.num_classes,
+        **asdict(model.config),
         "params": base64.b64encode(model.params.astype("<f8", copy=False).tobytes()).decode(),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> PiDualModel:
-    """The model ``save_checkpoint`` wrote; a malformed file raises ``DataFormatError``."""
+    """The model ``save_checkpoint`` wrote; a malformed file raises ``DataFormatError``.
+
+    Every entry must have its JSON type, each layer width must be a positive
+    integer and the flags must name every flag; the model's construction
+    then checks the vector's
+    length against the widths before it cuts any view, and the finiteness of
+    every parameter."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
             raise DataFormatError(f"not a {_CHECKPOINT_FORMAT} file")
-        for key, kind in {**_SCALARS, "flags": dict, "layout": dict, "params": str}.items():
+        kinds = {"feature_dim": int, "pi_dim": int, "num_classes": int, "pred_hidden": list,
+                 "pi_width": int, "share_first_layer": bool, "flags": dict, "params": str}
+        for key, kind in kinds.items():
             if type(doc[key]) is not kind:
                 raise DataFormatError(f"entry {key!r} is not of type {kind.__name__}")
+        if not all(type(w) is int and w > 0 for w in [*doc["pred_hidden"], doc["pi_width"]]):
+            raise DataFormatError("pred_hidden and pi_width must hold positive integers")
+        if doc["flags"].keys() != asdict(AblationFlags()).keys():  # no flag may default
+            raise DataFormatError(f"flags must name exactly {sorted(asdict(AblationFlags()))}")
+        config = ModelConfig(
+            pred_hidden=tuple(doc["pred_hidden"]), pi_width=doc["pi_width"],
+            share_first_layer=doc["share_first_layer"], flags=AblationFlags(**doc["flags"]),
+        )
         params = np.frombuffer(base64.b64decode(doc["params"], validate=True), dtype="<f8")
-        scalars = {key: doc[key] for key in _SCALARS}
-        return _restore(doc["layout"], params, AblationFlags(**doc["flags"]), scalars)
+        return PiDualModel(config, doc["feature_dim"], doc["pi_dim"], doc["num_classes"], params)
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from exc
     except (OSError, TypeError, ValueError, RecursionError, PiDualError) as exc:

@@ -26,7 +26,7 @@ from pidual.cli import main
 from pidual.config import FIELDS, build_dataset, load_experiment_config
 from pidual.data import SPLIT_CLEAN_TEST, load_csv
 from pidual.model import ModelConfig, load_checkpoint, save_checkpoint
-from pidual.errors import ConfigError
+from pidual.errors import ConfigError, DataFormatError
 from pidual.linear_risk import MAX_FLOATS
 from pidual.training import GRID_AXES, TrainConfig, TrainRecord, evaluate
 
@@ -365,7 +365,7 @@ def test_config_errors_leave_no_output_directory(tmp_path):
     assert not det_out.exists()
 
 
-@pytest.mark.parametrize("missing", ["flags", "layout", "params"])
+@pytest.mark.parametrize("missing", ["flags", "pred_hidden", "params"])
 def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
     cfg_path, out = write_config(tmp_path)
     main(["gen", "--config", str(cfg_path)])
@@ -389,7 +389,7 @@ def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
 
 @pytest.fixture(scope="module")
 def detect_inputs(tmp_path_factory):
-    """gen's dataset and a v2 checkpoint document of a model that fits it."""
+    """gen's dataset and a v3 checkpoint document of a model that fits it."""
     tmp = tmp_path_factory.mktemp("detect_inputs")
     cfg_path, out = write_config(tmp)
     assert main(["gen", "--config", str(cfg_path)]) == 0
@@ -406,16 +406,20 @@ def detect_args(ckpt, data, out):
     return ["detect", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
 
 
+def model_of(doc):
+    """The model a valid v3 checkpoint document describes."""
+    flags = model_mod.AblationFlags(**doc["flags"])
+    cfg = ModelConfig(tuple(doc["pred_hidden"]), doc["pi_width"], doc["share_first_layer"], flags)
+    params = np.frombuffer(base64.b64decode(doc["params"]), "<f8")
+    return model_mod.PiDualModel(cfg, doc["feature_dim"], doc["pi_dim"], doc["num_classes"], params)
+
+
 def v1_document(doc):
-    """The pidual-checkpoint-v1 document of the model in a v2 document: every
+    """The model of a v3 document in a pidual-checkpoint-v1 document: every
     tensor as nested lists next to the flags."""
-    model = model_mod._restore(
-        doc["layout"], np.frombuffer(base64.b64decode(doc["params"]), "<f8"),
-        model_mod.AblationFlags(**doc["flags"]),
-        {key: doc[key] for key in ("feature_dim", "pi_dim", "num_classes", "share_first_layer")},
-    )
-    v1 = {key: value for key, value in doc.items() if key not in ("layout", "params")}
-    v1["format"] = "pidual-checkpoint-v1"
+    model = model_of(doc)
+    v1 = {key: doc[key] for key in ("feature_dim", "pi_dim", "num_classes", "share_first_layer")}
+    v1.update(format="pidual-checkpoint-v1", flags=doc["flags"])
     for name in model_mod.COMPONENTS:
         net = getattr(model, name)
         v1[name] = None if net is None else [
@@ -423,6 +427,20 @@ def v1_document(doc):
             for w, b, act in zip(net.weights, net.biases, net.activations)
         ]
     return v1
+
+
+def v2_document(doc):
+    """The model of a v3 document in a pidual-checkpoint-v2 document: the
+    vector with each component's layers as [out, in, activation]."""
+    model = model_of(doc)
+    v2 = {key: doc[key] for key in ("feature_dim", "pi_dim", "num_classes", "share_first_layer")}
+    v2.update(format="pidual-checkpoint-v2", flags=doc["flags"], params=doc["params"], layout={})
+    for name in model_mod.COMPONENTS:
+        net = getattr(model, name)
+        v2["layout"][name] = None if net is None else [
+            [*w.shape, act] for w, act in zip(net.weights, net.activations)
+        ]
+    return v2
 
 
 def with_param(doc, index, value):
@@ -443,23 +461,26 @@ MALFORMED_CHECKPOINTS = {  # each corrupts a valid document, or returns the file
     "deep-nesting": lambda doc: b"[" * 100_000 + b"]" * 100_000,
     "json-list": lambda doc: [doc],
     "flags-int": lambda doc: set_in(doc, ["flags"], 5),
-    "width-string": lambda doc: set_in(doc, ["layout", "prediction", 0, 0], "4"),
+    "width-string": lambda doc: set_in(doc, ["pi_width"], "4"),
+    "zero-width": lambda doc: set_in(doc, ["pred_hidden", 0], 0),
     "bad-gate-space": lambda doc: set_in(doc, ["flags", "gate_space"], "nonsense"),
-    # 5 x 3 has the 20 parameters of the 4 x 4 layer it replaces
-    "mis-chained-layer": lambda doc: set_in(doc, ["layout", "prediction", 0], [5, 3, "relu"]),
-    "unknown-activation": lambda doc: set_in(doc, ["layout", "noise_head", 0, 2], "tanh"),
+    "unknown-flag": lambda doc: set_in(doc, ["flags", "gate_bias"], 1.0),
+    # without its key, a flag that changes no width would take its default
+    "missing-flag": lambda doc: {
+        **doc, "flags": {k: v for k, v in doc["flags"].items() if k != "use_gate"}
+    },
     "nan-weight": lambda doc: with_param(doc, 0, math.nan),
     "inf-bias": lambda doc: with_param(doc, -1, -math.inf),
-    "dims-disagree-with-layout": lambda doc: set_in(doc, ["feature_dim"], 5),
+    "dims-disagree-with-vector": lambda doc: set_in(doc, ["feature_dim"], 5),
     "float-dim": lambda doc: set_in(doc, ["num_classes"], float(doc["num_classes"])),
     "int-for-bool": lambda doc: set_in(doc, ["share_first_layer"], 1),
-    "gate-trunk-while-shared": lambda doc: set_in(
-        doc, ["layout", "gate_trunk"], doc["layout"]["pi_trunk"]
-    ),
+    # a gate trunk of its own needs parameters the vector does not hold
+    "own-gate-trunk": lambda doc: set_in(doc, ["share_first_layer"], False),
     "one-parameter-short": lambda doc: set_in(
         doc, ["params"], base64.b64encode(base64.b64decode(doc["params"])[:-8]).decode()
     ),
     "v1-document": v1_document,
+    "v2-document": v2_document,
 }
 
 
@@ -475,8 +496,8 @@ def test_detect_rejects_a_malformed_checkpoint_in_one_line(
     assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: ") and err.count("\n") == 1, err
-    if corrupt is v1_document:
-        assert "pidual-checkpoint-v2" in err
+    if corrupt in (v1_document, v2_document):
+        assert "not a pidual-checkpoint-v3 file" in err, err
 
 
 def json_paths(node, path=()):
@@ -535,14 +556,77 @@ def test_detect_answers_a_hostile_checkpoint_with_a_result_or_one_line(
 ):
     # deleted keys, values of another type, a truncated or flipped base64
     # vector, non-finite parameters: detect scores the model or exits 4 with
-    # one line, and never lets an exception out of main
+    # one line, and never lets an exception out of main. A flipped character
+    # can leave a finite parameter large enough to overflow the scores: that
+    # is a numeric failure, exit 3
     dataset, valid = detect_inputs
     doc = data.draw(hostile_checkpoints(valid))
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(doc))
     code = main(detect_args(ckpt, dataset, tmp_path / "det"))
     err = capsys.readouterr().err
-    assert (code, err.count("\n")) in ((0, 0), (4, 1)), err
+    assert (code, err.count("\n")) in ((0, 0), (3, 1), (4, 1)), err
+    assert code != 3 or err.startswith("numeric failure: the model's"), err
+
+
+@st.composite
+def broken_v3_documents(draw, valid):
+    """A v3 document with one entry dropped, retyped or mutated so that no
+    model fits it: a missing entry, a value of another JSON type, a width
+    that is not positive or is too large for the vector, a dimension or
+    flag that changes the vector's length, an unknown or a missing flag, or
+    a vector of the wrong length."""
+    doc = copy.deepcopy(valid)
+    kind = draw(st.sampled_from(["drop", "retype", "width", "dim", "layout", "flag", "vector"]))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "retype":
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(st.sampled_from([v for v in ODD_VALUES if type(v) is not type(doc[key])]))
+    elif kind == "width":
+        bad = st.one_of(st.integers(-(2**40), 0), st.integers(10**6, 10**18))
+        if draw(st.booleans()):
+            doc["pi_width"] = draw(bad)
+        else:
+            index = draw(st.integers(0, len(doc["pred_hidden"])))
+            doc["pred_hidden"].insert(index, draw(bad))
+    elif kind == "dim":
+        key = draw(st.sampled_from(["feature_dim", "pi_dim", "num_classes"]))
+        doc[key] += draw(st.integers(-5, 5).filter(bool))
+    elif kind == "layout":  # a gate trunk of its own, or a trunk that also reads x
+        if draw(st.booleans()):
+            doc["share_first_layer"] = not doc["share_first_layer"]
+        else:
+            doc["flags"]["noise_input"] = "pi_and_x"
+    elif kind == "flag":  # an unknown flag, or a missing one
+        if draw(st.booleans()):
+            doc["flags"][draw(st.sampled_from(["gate", "use_gates", "", "x"]))] = True
+        else:
+            del doc["flags"][draw(st.sampled_from(sorted(doc["flags"])))]
+    else:
+        raw = base64.b64decode(doc["params"])
+        cut = draw(st.integers(1, len(raw) // 8)) * 8
+        raw = raw[:-cut] if draw(st.booleans()) else raw + raw[:cut]
+        doc["params"] = base64.b64encode(raw).decode()
+    return doc
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_a_broken_v3_checkpoint_is_a_data_format_error_and_exit_4(
+    tmp_path, detect_inputs, capsys, data
+):
+    dataset, valid = detect_inputs
+    assert valid["share_first_layer"] and valid["flags"]["noise_input"] == "pi_only"
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(data.draw(broken_v3_documents(valid))))
+    with pytest.raises(DataFormatError):
+        load_checkpoint(ckpt)
+    assert main(detect_args(ckpt, dataset, tmp_path / "det")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and err.count("\n") == 1, err
 
 
 def test_detect_rejects_a_model_with_fewer_classes_than_the_labels(
@@ -563,20 +647,18 @@ def test_detect_rejects_a_model_with_fewer_classes_than_the_labels(
 
 
 @pytest.mark.parametrize(
-    "component, entry, where",
+    "key, value, where",
     [
-        ("prediction", [[4, 4]], "layout prediction layer 0"),
-        ("noise_head", [7, [3, 4, "identity"]], "layout noise_head layer 0"),
-        ("gate_head", 5, "layout gate_head"),
+        ("pi_width", "4", "entry 'pi_width' is not of type int"),
+        ("pred_hidden", [4, "4"], "pred_hidden and pi_width must hold positive integers"),
+        ("pred_hidden", [-4], "pred_hidden and pi_width must hold positive integers"),
+        ("num_classes", True, "entry 'num_classes' is not of type int"),
     ],
-    ids=["short-entry", "non-list-entry", "non-list-component"],
+    ids=["string-width", "string-hidden-width", "negative-hidden-width", "bool-dim"],
 )
-def test_detect_names_the_malformed_layout_entry(
-    tmp_path, detect_inputs, capsys, component, entry, where
-):
+def test_detect_names_the_malformed_entry(tmp_path, detect_inputs, capsys, key, value, where):
     data, valid = detect_inputs
-    doc = copy.deepcopy(valid)
-    doc["layout"][component] = entry
+    doc = {**valid, key: value}
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(doc))
     assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
@@ -584,12 +666,11 @@ def test_detect_names_the_malformed_layout_entry(
     assert err.count("\n") == 1 and where in err, err
 
 
-def test_detect_rejects_a_huge_layout_under_a_memory_cap(tmp_path, detect_inputs):
+def test_detect_rejects_huge_widths_under_a_memory_cap(tmp_path, detect_inputs):
     # a 10^6 x 10^6 layer needs 8 TB: the vector's length rules it out before
     # any array is made, in a process that cannot map more than 2 GiB
     data, doc = detect_inputs
-    doc = copy.deepcopy(doc)
-    doc["layout"]["pi_trunk"] = [[10**6, 10**6, "relu"]]
+    doc = {**doc, "pred_hidden": [10**6, 10**6], "pi_width": 10**6}
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(doc))
     script = (
@@ -618,6 +699,104 @@ def test_detect_replays_the_confidence_detection_of_train(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("detection_confidence.json", "detection_confidence_hist.svg"):
         assert read(replay / name) == read(out / name), name
+
+
+ODD_CELLS = [b"", b"x", b"nan", b"inf", b"-inf", b"1e400", b"1e308", b"-1", b"3", b"1.5",
+             b"99999999999999999999", b'"', b"\x00", b"\xff\xfe", b"train", b"clean_label"]
+
+
+@st.composite
+def mutated_csvs(draw, valid):
+    """``valid``'s bytes, one to three times truncated, with a cell set to
+    one of ``ODD_CELLS``, with a few bytes replaced, or with a line dropped
+    or repeated."""
+    data = valid
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "cell", "bytes", "line"]))
+        lines = data.split(b"\n")
+        line = draw(st.integers(0, len(lines) - 1))
+        if kind == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        elif kind == "cell":
+            cells = lines[line].split(b",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
+            lines[line] = b",".join(cells)
+            data = b"\n".join(lines)
+        elif kind == "bytes":
+            start = draw(st.integers(0, len(data)))
+            stop = start + draw(st.integers(0, 3))
+            data = data[:start] + draw(st.binary(max_size=3)) + data[stop:]
+        else:
+            lines[line : line + 1] = [] if draw(st.booleans()) else [lines[line]] * 2
+            data = b"\n".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_inputs(tmp_path_factory):
+    """A small dataset CSV, a checkpoint that fits it, and a 1-epoch train
+    config that reads the CSV at ``<dir>/data.csv``."""
+    tmp = tmp_path_factory.mktemp("csv_fuzz")
+    cfg_path, out = write_config(tmp, overrides={"data": {"n": "40"}})
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    ds = load_csv(out / "dataset.csv")
+    ckpt = tmp / "ckpt.json"
+    model = ModelConfig(pred_hidden=(4,), pi_width=4).build(
+        ds.feature_dim, ds.pi_dim, ds.num_classes, seed=0
+    )
+    save_checkpoint(model, ckpt)
+    data = {"source": "csv", "path": str(tmp / "data.csv"), "classes": str(ds.num_classes)}
+    train_cfg, _ = write_config(
+        tmp, name="train.ini", out=tmp / "train",
+        overrides={"data": data, "model": {"pred_hidden": "4", "pi_width": "4"},
+                   "train": {"epochs": "1", "batch_size": "16", "random_pi_length": "0"}},
+    )
+    return (out / "dataset.csv").read_bytes(), ckpt, train_cfg
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_detect_and_train_answer_a_mutated_csv_with_a_result_or_one_line(
+    csv_fuzz_inputs, capsys, data
+):
+    # truncated or mutated rows, cells and bytes: every answer is a result,
+    # or an exit code of 2, 3 or 4 with one stderr line, and main never
+    # lets an exception out
+    valid, ckpt, train_cfg = csv_fuzz_inputs
+    dataset = train_cfg.parent / "data.csv"
+    dataset.write_bytes(data.draw(mutated_csvs(valid)))
+    for args in (
+        ["detect", "--checkpoint", str(ckpt), "--data", str(dataset),
+         "--out", str(train_cfg.parent / "det")],
+        ["train", "--config", str(train_cfg)],
+    ):
+        capsys.readouterr()
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (args[0], code, err)
+        assert err.count("\n") == (code != 0) and "Traceback" not in err, (args[0], err)
+
+
+@pytest.mark.parametrize("method", ["confidence", "gate"])
+def test_detect_on_overflowing_inputs_is_one_numeric_failure_line(csv_fuzz_inputs, method):
+    # every feature and PI cell 1e308: the passes overflow to non-finite
+    # scores, which detect reports in one line, with no numpy warning
+    valid, ckpt, train_cfg = csv_fuzz_inputs
+    header, *rows = valid.decode().splitlines()
+    huge = train_cfg.parent / f"huge_{method}.csv"
+    huge.write_text("\n".join(
+        [header, *(",".join(["1e308"] * (len(r.split(",")) - 3) + r.split(",")[-3:]) for r in rows)]
+    ) + "\n")
+    det = train_cfg.parent / f"det_{method}"
+    proc = run_module(
+        ["-m", "pidual", *detect_args(ckpt, huge, det), "--methods", method]
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        f"numeric failure: the model's {method} scores on the train split are not all finite\n"
+    )
 
 
 def test_detect_rejects_dataset_without_the_random_pi_block(tmp_path):
@@ -1088,6 +1267,32 @@ def test_risk_rejects_a_size_above_the_cap_before_allocating(tmp_path, key, valu
             {"risk": {"sweep": "sigma", "sweep_values": "1,-0.5"}},
             "risk.sweep_values",
             id="sigma-negative",
+        ),
+        # a risk run's arrays, each below the cap, that pass it together: ten
+        # 60-column designs of 2^20 rows, one per point of an n2 or sigma sweep
+        pytest.param(
+            {"risk": {"n": "1048576", "d": "30", "m": "30", "resamples": "0", "sweep": "n2",
+                      "sweep_values": ",".join(map(str, range(1, 11)))}},
+            "risk.n",
+            id="risk-total-n2-designs",
+        ),
+        pytest.param(
+            {"risk": {"n": "1048576", "d": "30", "m": "30", "resamples": "0", "sweep": "sigma",
+                      "sweep_values": ",".join(map(str, range(1, 11)))}},
+            "risk.n",
+            id="risk-total-sigma-designs",
+        ),
+        # one design of 6*10^7 floats and two Monte-Carlo maps of 3*10^7 each
+        pytest.param(
+            {"risk": {"n": "500000", "d": "60", "m": "60", "resamples": "1"}},
+            "risk.n",
+            id="risk-total-design-and-maps",
+        ),
+        # the per-draw sums of two fits just below the cap, and a chunk of draws
+        pytest.param(
+            {"risk": {"resamples": str(MAX_FLOATS // 2 - 1000)}},
+            "risk.resamples",
+            id="risk-total-sums-and-chunk",
         ),
     ],
 )

@@ -156,6 +156,22 @@ def test_csv_non_numeric_cell_reports_row(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        (b"x0,a0,noisy_label\n1.0,1.0,0\n\xff,1.0,1\n", "not UTF-8 CSV text .*position 28"),
+        (b'x0,a0,noisy_label\n1.0,"' + b"1" * 200_000 + b'",0\n', "not UTF-8 CSV text"),
+        (b"x0,a0,noisy_label\n1.0,1.0,99999999999999999999\n", "row 2: non-numeric cell"),
+    ],
+    ids=["not-utf8", "field-above-csv-limit", "label-above-int64"],
+)
+def test_csv_unreadable_text_or_huge_label_reports_where(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with pytest.raises(DataFormatError, match=match):
+        load_csv(path)
+
+
 def test_csv_label_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,a0,noisy_label\n1.0,1.0,5\n", encoding="utf-8")

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,24 +16,30 @@ from pidual.detection import (
     score_histogram,
 )
 from pidual.errors import ContractError
-from pidual.model import MlpParams, ModelConfig
-from pidual.nn_core import MlpParams as Net
+from pidual.model import ModelConfig
 
 
 def dataset(n=60, seed=0, noise=0.3):
     return generate_synthetic(SynthConfig(n=n, feature_dim=3, num_classes=4, noise_rate=noise, seed=seed))
 
 
-def model_for(ds, seed=0):
-    cfg = ModelConfig(pred_hidden=(8,), pi_width=8)
+def model_for(ds, seed=0, pred_hidden=(8,)):
+    cfg = ModelConfig(pred_hidden=pred_hidden, pi_width=8)
     return cfg.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed=seed)
+
+
+def constant_logits(ds, bias):
+    """A model whose one-layer prediction network reads no feature: its
+    logits are ``bias`` on every row."""
+    model = model_for(ds, pred_hidden=())
+    model.prediction.weights[0][...] = 0.0
+    model.prediction.biases[0][...] = bias
+    return model
 
 
 def test_confidence_uniform_logits():
     ds = dataset()
-    model = replace(model_for(ds), prediction=Net(
-        [np.zeros((ds.num_classes, ds.feature_dim))], [np.zeros(ds.num_classes)], [nn_core.IDENTITY]
-    ))
+    model = constant_logits(ds, 0.0)
     scores = confidence_scores(model, ds)
     assert np.allclose(scores, 1.0 / ds.num_classes)
 
@@ -43,11 +48,7 @@ def test_confidence_saturated_on_observed_label():
     ds = dataset(n=20)
     # a huge logit on whatever label is observed: route features through zero
     # weights and put mass on class 0, then restrict to samples labeled 0
-    model = replace(model_for(ds), prediction=Net(
-        [np.zeros((ds.num_classes, ds.feature_dim))],
-        [np.array([60.0, 0.0, 0.0, 0.0])],
-        [nn_core.IDENTITY],
-    ))
+    model = constant_logits(ds, [60.0, 0.0, 0.0, 0.0])
     scores = confidence_scores(model, ds)
     observed = ds.noisy_labels_of("train")
     assert np.all(scores[observed == 0] > 1.0 - 1e-12)
@@ -72,10 +73,8 @@ def test_gate_scores_forced_low_and_symmetric():
     model = model_for(ds)
     model.gate_head.biases[-1][0] = -20.0
     assert np.all(gate_scores(model, ds) < 1e-6)
-    zero_gate = MlpParams(
-        [np.zeros((1, model.gate_head.in_dim))], [np.zeros(1)], [nn_core.SIGMOID]
-    )
-    model = replace(model, gate_head=zero_gate)
+    model.gate_head.weights[-1][...] = 0.0  # the gate's output layer reads nothing
+    model.gate_head.biases[-1][...] = 0.0
     assert np.allclose(gate_scores(model, ds), 0.5)
 
 

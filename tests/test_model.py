@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,12 +12,12 @@ import pytest
 from pidual import nn_core
 from pidual.errors import ContractError, ShapeError
 from pidual.model import (
-    COMPONENTS,
     AblationFlags,
     GATE_SPACE_LOGIT,
     GATE_SPACE_PROBABILITY,
     NOISE_INPUT_PI,
     NOISE_INPUT_PI_AND_X,
+    NOISE_INPUTS,
     ModelConfig,
     PiDualModel,
     backward_train,
@@ -44,6 +44,12 @@ def small_model(flags=None, share=True, seed=0, d=3, p=4, k=3, width=5):
         flags=flags or AblationFlags(),
     )
     return cfg.build(d, p, k, seed=seed)
+
+
+def one_layer_prediction(seed=0, d=3, p=4, k=3):
+    """A model whose prediction network is one identity-activated d-to-k
+    layer: ``pred_hidden=()``. Tests write into its tensors."""
+    return ModelConfig(pred_hidden=(), pi_width=5).build(d, p, k, seed=seed)
 
 
 def force_gate(model, bias):
@@ -80,18 +86,11 @@ def test_gate_one_reduces_to_noise_logits():
 
 
 def test_halfway_gate_mixes_logits():
-    eye2 = np.eye(2)
-    model = PiDualModel(
-        prediction=MlpParams([eye2.copy()], [np.zeros(2)], [nn_core.IDENTITY]),
-        pi_trunk=MlpParams([eye2.copy()], [np.zeros(2)], [nn_core.RELU]),
-        noise_head=MlpParams([eye2.copy()], [np.zeros(2)], [nn_core.IDENTITY]),
-        gate_head=MlpParams([np.zeros((1, 2))], [np.zeros(1)], [nn_core.SIGMOID]),
-        gate_trunk=None,
-        flags=AblationFlags(),
-        feature_dim=2,
-        pi_dim=2,
-        num_classes=2,
-    )
+    # identity prediction, trunk and noise layers on non-negative inputs; a zero gate
+    model = ModelConfig(pred_hidden=(), pi_width=2).build(2, 2, 2, seed=0)
+    model.params[:] = 0.0
+    for w in (*model.prediction.weights, *model.pi_trunk.weights, *model.noise_head.weights):
+        w[...] = np.eye(2)
     combined, g, _ = forward_train(model, np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]))
     assert np.allclose(g, 0.5)
     assert np.allclose(combined, [[1.0, 1.0]])
@@ -111,8 +110,8 @@ def test_inference_independent_of_pi_parameters():
 
 
 def test_inference_uniform_for_identity_net_at_origin():
-    model = small_model(d=2, k=2)
-    model = replace(model, prediction=MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY]))
+    model = one_layer_prediction(d=2, k=2)
+    model.prediction.weights[0][...] = np.eye(2)  # biases start at zero
     probs = forward_infer(model, np.array([0.0, 0.0])[None])[0]
     assert np.allclose(probs, [0.5, 0.5])
 
@@ -121,8 +120,8 @@ def test_inference_matches_scalar_softmax():
     logits = np.array([3.0, 1.0, 1.0])
     exps = [math.exp(v) for v in logits]
     expected = np.array([e / sum(exps) for e in exps])
-    model = small_model(d=3, k=3)
-    model = replace(model, prediction=MlpParams([np.eye(3)], [np.zeros(3)], [nn_core.IDENTITY]))
+    model = one_layer_prediction(d=3, k=3)
+    model.prediction.weights[0][...] = np.eye(3)
     probs = forward_infer(model, logits[None])[0]
     assert np.allclose(probs, expected, atol=1e-12)
 
@@ -145,15 +144,12 @@ def test_frozen_gate_gradients_match_plain_ce():
 
 
 def test_saturated_correct_labels_give_vanishing_gradients():
-    model = small_model(seed=4)
+    model = one_layer_prediction(seed=4)
     force_gate(model, -1e9)
     x, a, _ = rng_batch(model, n=3, seed=5)
     # make the prediction net output a huge logit on class 0 regardless of x
-    model = replace(model, prediction=MlpParams(
-        [np.zeros((model.num_classes, model.feature_dim))],
-        [np.array([50.0] + [0.0] * (model.num_classes - 1))],
-        [nn_core.IDENTITY],
-    ))
+    model.prediction.weights[0][...] = 0.0
+    model.prediction.biases[0][0] = 50.0
     labels = np.zeros(3, dtype=int)
     _, _, tape = forward_train(model, x, a)
     training_loss(tape, labels)
@@ -216,7 +212,8 @@ def test_shared_first_layer_sums_both_paths():
     training_loss(tape, labels)
     full = backward_train(model, tape)["pi_trunk"].d_weights[0].copy()
 
-    model.flags = AblationFlags(use_gate=False)
+    gateless = replace(model.config, flags=AblationFlags(use_gate=False))
+    model = PiDualModel(gateless, model.feature_dim, model.pi_dim, model.num_classes, model.params)
     _, _, tape_n = forward_train(model, x, a)
     training_loss(tape_n, labels)
     noise_only = backward_train(model, tape_n)["pi_trunk"].d_weights[0].copy()
@@ -311,19 +308,16 @@ def test_checkpoint_round_trip(tmp_path):
             other = loaded.components()[name]
             assert net.equals(other)
             assert net.activations == other.activations
-        assert loaded.flags == model.flags
-        assert loaded.share_first_layer == model.share_first_layer
+        assert loaded == model  # the config and the widths
         x, a, labels = rng_batch(model)
         assert np.array_equal(
             model_loss(model, x, a, labels), model_loss(loaded, x, a, labels)
         )
-        doc = json.loads(path.read_text())
         _, _, tape = forward_train(model, x, a)
         training_loss(tape, labels)
         grads = backward_train(model, tape)
-        stored = {name for name in COMPONENTS if doc["layout"][name] is not None}
-        assert set(model.components()) == stored == set(grads)
-        assert ("gate_trunk" in stored) == (not share)
+        assert set(model.components()) == set(loaded.components()) == set(grads)
+        assert ("gate_trunk" in grads) == (not share)
 
 
 def test_checkpoint_holds_the_vector_as_little_endian_base64(tmp_path):
@@ -331,31 +325,41 @@ def test_checkpoint_holds_the_vector_as_little_endian_base64(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == "pidual-checkpoint-v2"
-    assert base64.b64decode(doc["params"]) == model.params.astype("<f8").tobytes()
-    assert doc["layout"]["gate_head"] == [[5, 5, nn_core.RELU], [1, 5, nn_core.SIGMOID]]
+    assert base64.b64decode(doc.pop("params")) == model.params.astype("<f8").tobytes()
+    assert doc == {  # the widths and the config, no layer layout
+        "format": "pidual-checkpoint-v3", "feature_dim": 3, "pi_dim": 4, "num_classes": 3,
+        "pred_hidden": [5], "pi_width": 5, "share_first_layer": False,
+        "flags": asdict(AblationFlags()),
+    }
 
 
-def test_construction_checks_the_width_of_every_component():
-    model = small_model(share=False)  # 3 features, 4 PI columns, 3 classes
-    nets = {name: getattr(model, name) for name in COMPONENTS}
-    fits = dict(
-        flags=AblationFlags(), share_first_layer=False, feature_dim=3, pi_dim=4, num_classes=3
-    )
-    PiDualModel(**nets, **fits)
-    for key, value in [
-        ("feature_dim", 4),
-        ("pi_dim", 3),
-        ("num_classes", 2),
-        ("share_first_layer", True),  # a gate trunk only without sharing
-        ("flags", AblationFlags(noise_input=NOISE_INPUT_PI_AND_X)),  # the trunks read PI only
-    ]:
-        with pytest.raises(ShapeError):
-            PiDualModel(**nets, **{**fits, key: value})
-    with pytest.raises(ShapeError, match="gate_head maps 5 to 2, not 5 to 1"):
-        replace(model, gate_head=MlpParams([np.zeros((2, 5))], [np.zeros(2)], [nn_core.SIGMOID]))
-    with pytest.raises(ShapeError, match="noise_head maps 6 to 3, not 5 to 3"):
-        replace(model, noise_head=MlpParams([np.zeros((3, 6))], [np.zeros(3)], [nn_core.IDENTITY]))
+def test_a_model_is_its_config_its_widths_and_one_vector():
+    assert [f.name for f in fields(PiDualModel) if f.init] == [
+        "config", "feature_dim", "pi_dim", "num_classes", "params"
+    ]
+    for share, noise_in in itertools.product([True, False], NOISE_INPUTS):
+        model = small_model(flags=AblationFlags(noise_input=noise_in), share=share)
+        pi_in = 4 + 3 * (noise_in == NOISE_INPUT_PI_AND_X)  # 3 features, 4 PI columns, 3 classes
+        widths = {name: (net.in_dim, net.out_dim) for name, net in model.components().items()}
+        assert widths == {
+            "prediction": (3, 3), "pi_trunk": (pi_in, 5), "noise_head": (5, 3),
+            "gate_head": (5, 1), **({} if share else {"gate_trunk": (pi_in, 5)}),
+        }
+        assert model.params.size == sum(net.size for net in model.components().values())
+        cfg, params = model.config, model.params
+        assert not np.shares_memory(PiDualModel(cfg, 3, 4, 3, params).params, params)
+        for dims, vector in [((3, 4, 3), params[:-1]), ((4, 4, 3), params), ((3, 4, 2), params)]:
+            with pytest.raises(ShapeError, match="does not match"):
+                PiDualModel(cfg, *dims, vector)
+
+
+def test_model_config_is_frozen():
+    model = small_model()
+    with pytest.raises(FrozenInstanceError):
+        model.config.pi_width = 3
+    with pytest.raises(FrozenInstanceError):
+        model.config.flags.use_gate = False
+    assert model.config.pi_width == 5 and model.pi_trunk.out_dim == 5
 
 
 def test_copy_owns_its_vector_and_views_it():
@@ -371,20 +375,17 @@ def test_copy_owns_its_vector_and_views_it():
             assert not np.shares_memory(t, model.params)
 
 
-def test_replacing_a_component_packs_a_fresh_vector():
-    model = small_model(d=2, k=2)
+def test_a_model_is_crafted_through_the_views_of_its_vector():
+    model = one_layer_prediction(d=2, k=2)
     before = model.params.copy()
+    model.prediction.weights[0][...] = np.eye(2)
+    assert np.array_equal(model.params[:6], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(model.params[6:], before[6:])
+    model.params[:4] = 0.0
+    assert np.all(model.prediction.weights[0] == 0.0)
     identity = MlpParams([np.eye(2)], [np.zeros(2)], [nn_core.IDENTITY])
-    crafted = replace(model, prediction=identity)
-    assert crafted.params.size == sum(net.size for net in crafted.components().values())
-    assert np.array_equal(crafted.params[:6], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    assert not np.shares_memory(crafted.params, model.params)
-    assert not np.shares_memory(crafted.params, identity.weights[0])
-    crafted.params[:4] = 0.0
-    assert np.all(crafted.prediction.weights[0] == 0.0)
-    assert np.array_equal(model.params, before)  # the original keeps its own vector
-    with pytest.raises(ShapeError, match="prediction maps 3 to 2, not 2 to 2"):
-        replace(model, prediction=MlpParams([np.eye(2, 3)], [np.zeros(2)], [nn_core.IDENTITY]))
+    with pytest.raises(ValueError, match="init=False"):  # a component is not a field to set
+        replace(model, prediction=identity)
 
 
 @pytest.mark.parametrize("restore", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
@@ -413,7 +414,7 @@ def test_pickle_holds_the_parameter_vector_once():
 def test_restored_model_equals_the_original(restore, share):
     model = small_model(flags=AblationFlags(gate_space=GATE_SPACE_PROBABILITY), share=share)
     twin = restore(model)
-    for attr in ("flags", "share_first_layer", "feature_dim", "pi_dim", "num_classes"):
+    for attr in ("config", "feature_dim", "pi_dim", "num_classes"):
         assert getattr(twin, attr) == getattr(model, attr), attr
     assert np.array_equal(twin.params, model.params)
     assert twin.components().keys() == model.components().keys()

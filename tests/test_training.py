@@ -19,7 +19,6 @@ from pidual.model import (
     GATE_SPACE_PROBABILITY,
     NOISE_INPUT_PI_AND_X,
     AblationFlags,
-    MlpParams,
     ModelConfig,
     ce_baseline_flags,
     forward_train,
@@ -27,7 +26,6 @@ from pidual.model import (
     noise_logits,
     prediction_logits,
 )
-from pidual import nn_core
 from pidual.config import FIELDS, build_dataset, load_experiment_config
 from pidual.model import activation_buffers
 from pidual.training import (
@@ -352,11 +350,13 @@ def test_concurrent_trains_under_a_short_switch_interval_match_serial():
 
 
 def constant_predictor(ds, cls):
-    bias = np.zeros(ds.num_classes)
-    bias[cls] = 10.0
-    return replace(tiny_model(ds), prediction=MlpParams(
-        [np.zeros((ds.num_classes, ds.feature_dim))], [bias], [nn_core.IDENTITY]
-    ))
+    # pred_hidden=() gives a one-layer prediction network; its zero weights read no feature
+    model = ModelConfig(pred_hidden=(), pi_width=16).build(
+        ds.feature_dim, ds.pi_dim, ds.num_classes, seed=0
+    )
+    model.prediction.weights[0][...] = 0.0
+    model.prediction.biases[0][cls] = 10.0
+    return model
 
 
 def test_evaluate_constant_predictors():
@@ -383,9 +383,9 @@ def test_evaluate_mixed_small_case():
         noisy_labels=np.array([0, 0, 0, 1, 1]), clean_labels=None,
         split=np.zeros(5, dtype=np.int8), num_classes=2,
     )
-    model = ModelConfig(pred_hidden=(4,), pi_width=4).build(2, 1, 2, seed=0)
-    bias = np.array([10.0, 0.0])
-    model = replace(model, prediction=MlpParams([np.zeros((2, 2))], [bias], [nn_core.IDENTITY]))
+    model = ModelConfig(pred_hidden=(), pi_width=4).build(2, 1, 2, seed=0)
+    model.prediction.weights[0][...] = 0.0
+    model.prediction.biases[0][...] = [10.0, 0.0]
     assert evaluate(model, ds, "train", "noisy", "prediction") == 0.6
 
 
