@@ -35,6 +35,8 @@ from .errors import (
 from .seeding import derive_seed
 from .training import (
     ABLATION_VARIANTS,
+    SCORE_FIELDS,
+    TrainResult,
     TrialJob,
     TrialOutcome,
     ablation_jobs,
@@ -128,15 +130,13 @@ def _detection_outputs(out: Path, reports: list[detect_mod.DetectionReport]) -> 
     return aucs
 
 
-# The per-trial scores every report lists, in report order.
-_SCORE_FIELDS = ("best_epoch", "best_noisy_val_acc", "clean_test_at_best", "clean_test_final")
-
-
-def _scores(t: TrialOutcome) -> dict:
-    """A trial's report scores for JSON: a score that is not finite, such as
-    the accuracy on an empty split, is null."""
-    scores = {k: _float_or_none(getattr(t, k)) for k in _SCORE_FIELDS[1:]}
-    return {"best_epoch": t.best_epoch, **scores}
+def _scores(result: TrainResult | None) -> dict:
+    """A trial's report scores for JSON. A failed trial (no result) has best
+    epoch -1 and null accuracies; an accuracy that is not finite, such as
+    that on an empty split, is null too."""
+    if result is None:
+        return {"best_epoch": -1, **dict.fromkeys(SCORE_FIELDS[1:])}
+    return {k: v if k == "best_epoch" else _float_or_none(v) for k, v in result.scores().items()}
 
 
 def _trial_doc(t: TrialOutcome) -> dict:
@@ -146,7 +146,7 @@ def _trial_doc(t: TrialOutcome) -> dict:
         "seed": t.seed,
         "status": t.status,
         "error": t.error,
-        **_scores(t),
+        **_scores(t.result),
     }
 
 
@@ -167,22 +167,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         trials = run_trials([TrialJob(0, {}, cfg.train.seed, ds, cfg.train, cfg.model)])
     for t in trials:
-        if t.record is not None:
-            t.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
-    winners = [t for t in trials if t.status == "ok"]
+        if t.result is not None:
+            t.result.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
+    winners = [t for t in trials if t.result is not None]
     if not winners:
         raise NumericError("every grid trial failed" if cfg.grid is not None else trials[0].error)
     selected = winners[0]
-    record, epoch = selected.record, selected.model_epoch
+    result = selected.result
+    record, epoch = result.record, result.model_epoch
 
-    model_mod.save_checkpoint(selected.model, out / "best_checkpoint.json")
+    model_mod.save_checkpoint(result.model, out / "best_checkpoint.json")
     _dynamics_plot(out, "selected", record)
     aucs: dict[str, float] = {}
     if ds.has_clean_labels:
         # the scores come from the evaluation pass of the saved model's epoch;
         # a model without a gate has no gate scores
         wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
-        scores = selected.detection_scores
+        scores = result.detection_scores
         reports = [
             detect_mod.report(method, scores[method], wrong)
             for method in cfg.detection_methods
@@ -326,42 +327,44 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     ds = build_dataset(cfg)
     out = _out_dir(cfg, args.out)
     outcomes = run_trials(ablation_jobs(ds, cfg.train, cfg.model))
-    failed = [t for t in outcomes if t.status != "ok"]
+    failed = [t for t in outcomes if t.result is None]
     if failed:
         name = ABLATION_VARIANTS[failed[0].index][0]
         raise NumericError(f"ablation variant {name} failed: {failed[0].error}")
-    # ranked by clean test accuracy; a variant without one (no clean test
-    # split) is unranked and listed after the others, by name
-    results = sorted(
-        ((ABLATION_VARIANTS[t.index][0], t) for t in outcomes),
-        key=lambda r: (
-            (False, -r[1].clean_test_at_best, r[0])
-            if math.isfinite(r[1].clean_test_at_best) else (True, 0.0, r[0])
-        ),
-    )
+    results = {ABLATION_VARIANTS[t.index][0]: t.result for t in outcomes}
+    scores = {name: result.scores() for name, result in results.items()}
+
+    def order(name: str) -> tuple:
+        # by clean test accuracy; a variant without one (no clean test split)
+        # is unranked and listed after the others, by name
+        acc = scores[name]["clean_test_at_best"]
+        return (False, -acc, name) if math.isfinite(acc) else (True, 0.0, name)
+
+    names = sorted(results, key=order)
     ranks = [
-        str(i) if math.isfinite(t.clean_test_at_best) else ""
-        for i, (_, t) in enumerate(results, start=1)
+        str(i) if math.isfinite(scores[name]["clean_test_at_best"]) else ""
+        for i, name in enumerate(names, start=1)
     ]
 
     with (out / "ablation.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("rank", "variant", *_SCORE_FIELDS))
-        for rank, (name, t) in zip(ranks, results):
-            writer.writerow((rank, name, *(repr(getattr(t, k)) for k in _SCORE_FIELDS)))
-    for name, t in results:
-        t.record.to_csv(out / f"ablation_{name}_record.csv")
+        writer.writerow(("rank", "variant", *SCORE_FIELDS))
+        for rank, name in zip(ranks, names):
+            writer.writerow((rank, name, *map(repr, scores[name].values())))
+    for name in names:
+        results[name].record.to_csv(out / f"ablation_{name}_record.csv")
     summary = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "variants": [{"variant": name, **_scores(t)} for name, t in results],
+        "variants": [{"variant": name, **_scores(results[name])} for name in names],
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
     _write_json(out / "summary.json", summary)
-    for rank, (name, t) in zip(ranks, results):
+    for rank, name in zip(ranks, names):
         print(
-            f"{rank + '. ' if rank else ''}{name}: clean_test={t.clean_test_at_best:.4f} "
-            f"(final {t.clean_test_final:.4f})"
+            f"{rank + '. ' if rank else ''}{name}: "
+            f"clean_test={scores[name]['clean_test_at_best']:.4f} "
+            f"(final {scores[name]['clean_test_final']:.4f})"
         )
     return EXIT_OK
 

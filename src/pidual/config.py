@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .linear_risk import MAX_FLOATS, MC_CHUNK
 from .model import GATE_SPACES, NOISE_INPUT_PI_AND_X, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
-from .training import GRID_AXES, GridSpec, TrainConfig, apply_grid_point
+from .training import GRID_AXES, MAX_GRID_POINTS, GridSpec, TrainConfig, apply_grid_point
 
 # Casts: each turns one raw value into a typed one or raises ValueError.
 
@@ -258,7 +258,8 @@ def _section(merged: dict, section: str, keys=None) -> dict:
 
 
 def _grid(raw_axes: dict[str, str]) -> GridSpec:
-    """Each axis one of ``GRID_AXES``, its values cast as its [train] or [model] field."""
+    """Each axis one of ``GRID_AXES``, its values cast as its [train] or [model]
+    field, and at most ``MAX_GRID_POINTS`` points, checked before any is made."""
     axes = {}
     for axis, raw in raw_axes.items():
         if axis not in GRID_AXES:
@@ -267,6 +268,14 @@ def _grid(raw_axes: dict[str, str]) -> GridSpec:
             raise ConfigError(f"grid.{axis}: no candidate values")
         _, cast = FIELDS["train"].get(axis) or FIELDS["model"][axis]
         axes[axis] = [_cast(f"grid.{axis}", cast, value) for value in _items(raw)]
+    points = math.prod(map(len, axes.values()))
+    if points > MAX_GRID_POINTS:
+        widest = max(axes, key=lambda axis: len(axes[axis]))
+        counts = " * ".join(str(len(values)) for values in axes.values())
+        raise ConfigError(
+            f"grid.{widest}: the grid has {counts} = {points} points, "
+            f"above the cap of {MAX_GRID_POINTS}"
+        )
     return GridSpec(axes)
 
 
@@ -362,7 +371,7 @@ def _check_trial_sizes(
     r_key, r = top("train", "random_pi_length", train.random_pi_length)
     w_key, w = top("model", "pi_width", model.pi_width)
     n, d, a = (synth.n, synth.feature_dim, synth.annotators) if synth else (0, 0, 0)
-    pi = r + (a + 2 if synth else 0)  # annotator one-hot, two channels, random PI
+    pi = r + (synth.pi_dim if synth else 0)  # the generator's PI, then the random PI
     with_x = NOISE_INPUT_PI_AND_X in (model.flags.noise_input, *axes.get("noise_input", ()))
     largest = replace(  # the grid point with the most parameters
         model,
@@ -378,7 +387,8 @@ def _check_trial_sizes(
     _check_sizes((
         ("the generator's distances need n*classes*feature_dim", n * num_classes * d,
          {"data.n": n, "data.classes": num_classes, "data.feature_dim": d}),
-        ("the dataset with its random PI needs n*(feature_dim+annotators+2+random_pi_length)",
+        (f"the dataset with its random PI needs n*(feature_dim+annotators+"
+         f"{len(data_mod.PI_CHANNELS)}+random_pi_length)",
          n * (d + pi), {"data.n": n, "data.feature_dim": d, "data.annotators": a, r_key: r}),
         ("the model's parameters", params, widths),
         ("a pass over the data needs n*(widest layer)", n * widest, {"data.n": n, **widths}),

@@ -35,6 +35,8 @@ ERROR_MODE_PERMUTATION = "annotator-permutation"
 ERROR_MODES = (ERROR_MODE_UNIFORM, ERROR_MODE_PERMUTATION)
 
 UNINFORMATIVE_RELIABILITY = 0.5  # constant the reliability channel collapses to
+# The generated PI's columns after the annotator one-hot (SynthConfig.pi_dim).
+PI_CHANNELS = ("reliability", "switch")
 
 
 @dataclass
@@ -54,6 +56,11 @@ class SynthConfig:
     error_mode: str = ERROR_MODE_UNIFORM
     noise_rate: float = 0.2
     seed: int = 0
+
+    @property
+    def pi_dim(self) -> int:
+        """The generated PI's width: the annotator one-hot, then ``PI_CHANNELS``."""
+        return self.annotators + len(PI_CHANNELS)
 
 
 @dataclass
@@ -203,11 +210,11 @@ def generate_synthetic(cfg: SynthConfig) -> PiDataset:
         noisy[wrong_idx] = perms[annot[wrong_idx], clean[wrong_idx]]
 
     info = cfg.pi_informativeness
-    one_hot = np.zeros((n, cfg.annotators))
-    one_hot[np.arange(n), annot] = 1.0
     reliability_channel = info * reliabilities[annot] + (1.0 - info) * UNINFORMATIVE_RELIABILITY
     switch_channel = info * switch.astype(np.float64)
-    pi = np.column_stack([one_hot, reliability_channel, switch_channel])
+    pi = np.zeros((n, cfg.pi_dim))
+    pi[np.arange(n), annot] = 1.0  # the annotator one-hot
+    pi[:, cfg.annotators :] = np.column_stack([reliability_channel, switch_channel])
 
     return PiDataset(
         features=features,

@@ -94,15 +94,29 @@ class TrainRecord:
 RECORD_COLUMNS = ("epoch", *(f.name for f in fields(TrainRecord)))
 
 
+# The scores every trial report lists, in report order (TrainResult.scores).
+SCORE_FIELDS = ("best_epoch", "best_noisy_val_acc", "clean_test_at_best", "clean_test_final")
+
+
 @dataclass
 class TrainResult:
-    best_model: PiDualModel
-    final_model: PiDualModel
+    # The snapshot the trial keeps and its epoch, the row of ``record`` it
+    # reproduces (see train).
+    model: PiDualModel
+    model_epoch: int
     record: TrainRecord
+    # The best noisy-validation epoch; the final one without a noisy-val split.
     best_epoch: int
-    # The kept epoch's train-split detection scores by method (see train); empty
-    # without clean labels, and without "gate" for a model with no gate.
+    # The kept epoch's train-split detection scores by method; empty without
+    # clean labels, and without "gate" for a model with no gate.
     detection_scores: dict[str, np.ndarray]
+
+    def scores(self) -> dict:
+        """The ``SCORE_FIELDS``: the best epoch, its noisy-val and clean-test
+        accuracies, and the final epoch's clean-test accuracy."""
+        rec, best = self.record, self.best_epoch
+        values = (rec.noisy_val_acc[best], rec.clean_test_acc[best], rec.clean_test_acc[-1])
+        return dict(zip(SCORE_FIELDS, (best, *map(float, values))))
 
 
 def evaluate(
@@ -174,12 +188,10 @@ def _train_subset_metrics(
 class _EvaluationProcess:
     """A forked child that scores one epoch's parameters at a time.
 
-    Through the fork the child inherits ``template``, a model to score on,
-    ``score``, and an anonymous shared memory map the size of its vector.
-    ``submit`` writes a vector into the map and sends one byte; the child
-    copies the map into ``template.params`` and replies ``score(template)`` or
-    the exception it raised. An empty message stops the child. The map is
-    written only after ``result()`` has returned the previous reply.
+    Through the fork the child inherits ``template``, a model to score on, and
+    ``score``. ``submit`` sends a parameter vector through the pipe; the child
+    copies the message into ``template.params`` and replies ``score(template)``
+    or the exception it raised. An empty message stops the child.
 
     Between requests the child keeps ``template``, which each request
     overwrites, and what ``score`` keeps in its closure: ``train``'s scorer
@@ -201,11 +213,8 @@ class _EvaluationProcess:
     def __init__(self, template: PiDualModel, score) -> None:
         # imported here: multiprocessing adds about 16 ms to `import pidual`,
         # which the commands that train nothing (gen, detect, risk) would pay
-        import mmap
         import multiprocessing.connection
 
-        self._map = mmap.mmap(-1, template.params.nbytes)
-        self._shared = np.frombuffer(self._map, dtype=template.params.dtype)
         self._wait = multiprocessing.connection.wait
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe()
@@ -218,8 +227,7 @@ class _EvaluationProcess:
 
         self._conn.close()  # so the parent's exit reads as EOF here
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        while conn.recv_bytes():
-            template.params[:] = self._shared
+        while conn.recv_bytes_into(template.params):
             try:
                 reply = (True, score(template))
             except Exception as exc:
@@ -227,8 +235,7 @@ class _EvaluationProcess:
             conn.send(reply)
 
     def submit(self, params: np.ndarray) -> None:
-        self._shared[:] = params
-        self._conn.send_bytes(b"\x01")
+        self._conn.send_bytes(params)
 
     def result(self):
         """The reply to the request in flight; raises what the child raised."""
@@ -261,8 +268,6 @@ class _EvaluationProcess:
             self._proc.kill()
             self._proc.join()
         self._conn.close()
-        del self._shared  # the array's hold on the map would make close() fail
-        self._map.close()
 
 
 def _sendable(exc: Exception) -> Exception | str:
@@ -277,8 +282,12 @@ def _sendable(exc: Exception) -> Exception | str:
 def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     """Shuffled minibatch SGD over the train split for ``cfg.epochs``.
 
-    Returns the snapshot at the best noisy-validation epoch (ties -> earliest),
-    the final model and the per-epoch record. Deterministic given the seed.
+    ``model`` is trained in place and ends at the final epoch. The result
+    keeps one snapshot, ``TrainResult.model`` of epoch ``model_epoch``: the
+    best noisy-validation epoch (ties -> earliest) under ``cfg.early_stopping``,
+    else, or without a noisy-val split, the final one. It also holds the
+    per-epoch record. Deterministic given the seed.
+
     A forked child process scores each epoch's snapshot while the next epoch
     trains; it is reaped before this returns or raises, an exception it raises
     is raised here, and its death raises ``EvaluationError``. Needs the fork
@@ -287,10 +296,8 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     every later epoch; this process makes none.
 
     With clean labels, the child's train-split pass also returns each row's
-    detection scores (``_train_subset_metrics``) with the epoch's row. This
-    process keeps those of the epoch whose model the trial keeps: the best
-    epoch under ``cfg.early_stopping``, else, or without a noisy-val split, the
-    final one. They are ``TrainResult.detection_scores``, so wrong-label
+    detection scores (``_train_subset_metrics``) with the epoch's row. Those
+    of the kept epoch are ``TrainResult.detection_scores``, so wrong-label
     detection needs no second forward pass over the split; dropping that pass
     lowered the peak memory of ``pidual train --config configs/benchmark.ini``
     from 52.0 to 46.9 MB on a 2-vCPU machine.
@@ -346,15 +353,12 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     n = x_tr.shape[0]
     columns: dict[str, list[float]] = {c: [] for c in RECORD_COLUMNS[1:]}
     best_acc = -math.inf
-    best_epoch = -1
-    best_model: PiDualModel | None = None
-    # the scores of the epoch whose model the trial keeps: the best one under
-    # early stopping, else (or without a noisy-val split) the last one so far
+    best_epoch = cfg.epochs - 1  # without a noisy-val split, the final epoch
     keep_best = cfg.early_stopping and has_val
-    kept_scores: dict[str, np.ndarray] = {}
+    kept = None  # (snapshot, epoch, detection scores) of the epoch the trial keeps
 
     def resolve(epoch: int, snap: PiDualModel) -> None:
-        nonlocal best_acc, best_epoch, best_model, kept_scores
+        nonlocal best_acc, best_epoch, kept
         row, scores = evaluator.result()
         for col, value in row.items():
             columns[col].append(value)
@@ -362,13 +366,12 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
         if is_best:
             best_acc = row["noisy_val_acc"]
             best_epoch = epoch
-            best_model = snap
         if is_best or not keep_best:
-            kept_scores = scores
+            kept = (snap, epoch, scores)
 
     # Epoch e is scored on a copy of its parameters in a child process while
     # this one runs the steps of epoch e + 1, so the steps alone are the
-    # critical path; the snapshot itself stays here for best_model.
+    # critical path; the snapshot itself stays here in case the trial keeps it.
     with _EvaluationProcess(model.copy(), epoch_row) as evaluator:
         pending = None
         for epoch in range(cfg.epochs):
@@ -390,11 +393,9 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
             pending = (epoch, snap)
         resolve(*pending)
 
-    if best_model is None:
-        best_model = snap
-        best_epoch = cfg.epochs - 1
     record = TrainRecord(**{c: np.asarray(v) for c, v in columns.items()})
-    return TrainResult(best_model, model, record, best_epoch, kept_scores)
+    snap, model_epoch, scores = kept
+    return TrainResult(snap, model_epoch, record, best_epoch, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,9 @@ GRID_AXES = (
     "random_pi_length", "exempt_pi_nets_from_wd", "pi_width", "share_first_layer",
     "use_gate", "use_noise_net", "gate_space", "noise_input",
 )
+# The most points a grid may have: run_grid makes every point's job before
+# the first trial runs, and the config loader rejects a larger [grid].
+MAX_GRID_POINTS = 4096
 
 
 @dataclass
@@ -447,19 +451,10 @@ class TrialOutcome:
     seed: int
     status: str
     error: str = ""
-    best_epoch: int = -1
-    best_noisy_val_acc: float = math.nan
-    clean_test_at_best: float = math.nan
-    clean_test_final: float = math.nan
-    record: TrainRecord | None = None
-    # The model the trial keeps and its epoch: the best-epoch snapshot under
-    # early stopping, else the final model.
-    model: PiDualModel | None = None
-    model_epoch: int = -1
-    # augment_random_pi(job.ds, random_pi) is the data the model was trained on.
+    # What train returned; None for a failed trial.
+    result: TrainResult | None = None
+    # augment_random_pi(job.ds, random_pi) is the data result.model was trained on.
     random_pi: RandomPiSpec | None = None
-    # TrainResult.detection_scores: the scores of the model above, by method.
-    detection_scores: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def apply_grid_point(
@@ -501,25 +496,8 @@ def _run_job(job: TrialJob) -> TrialOutcome:
         result, _ = run_trial(job.ds, model_cfg, cfg)
     except Exception as exc:  # trial failures must not abort siblings
         return TrialOutcome(job.index, job.params, job.seed, status="failed", error=str(exc))
-    rec, best = result.record, result.best_epoch
-    if cfg.early_stopping:
-        model, model_epoch = result.best_model, best
-    else:
-        model, model_epoch = result.final_model, len(rec) - 1
     return TrialOutcome(
-        job.index,
-        job.params,
-        job.seed,
-        status="ok",
-        best_epoch=best,
-        best_noisy_val_acc=float(rec.noisy_val_acc[best]),
-        clean_test_at_best=float(rec.clean_test_acc[best]),
-        clean_test_final=float(rec.clean_test_acc[-1]),
-        record=rec,
-        model=model,
-        model_epoch=model_epoch,
-        random_pi=_random_pi(cfg),
-        detection_scores=result.detection_scores,
+        job.index, job.params, job.seed, status="ok", result=result, random_pi=_random_pi(cfg)
     )
 
 
@@ -553,15 +531,12 @@ def run_grid(
         TrialJob(i, params, derive_seed(base_cfg.seed, "trial", i), ds, base_cfg, model_cfg)
         for i, params in enumerate(grid.points())
     ]
-    outcomes = run_trials(jobs, workers)
-    outcomes.sort(
-        key=lambda t: (
-            t.status != "ok",
-            -(t.best_noisy_val_acc if math.isfinite(t.best_noisy_val_acc) else -math.inf),
-            t.index,
-        )
-    )
-    return outcomes
+
+    def rank(t: TrialOutcome) -> tuple:
+        acc = t.result.scores()["best_noisy_val_acc"] if t.result else math.nan
+        return (t.result is None, -acc if math.isfinite(acc) else math.inf, t.index)
+
+    return sorted(run_trials(jobs, workers), key=rank)
 
 
 # The ablation table: (variant, overrides, train on the random PI alone). The

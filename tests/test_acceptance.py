@@ -311,14 +311,14 @@ def test_criterion_qualitative_benchmark(benchmark_runs):
 
 
 def test_criterion_detection(benchmark_runs, low_pi_run):
-    model = benchmark_runs["pidual"].best_model
+    model = benchmark_runs["pidual"].model
     ds_aug = benchmark_runs["ds_aug"]
     gate_auc = detect(model, ds_aug, "gate").auc
     conf_auc = detect(model, ds_aug, "confidence").auc
     assert gate_auc >= 0.95
     assert conf_auc >= 0.90
 
-    low_model = low_pi_run["result"].best_model
+    low_model = low_pi_run["result"].model
     low_ds = low_pi_run["ds_aug"]
     low_gate = detect(low_model, low_ds, "gate").auc
     low_conf = detect(low_model, low_ds, "confidence").auc
@@ -348,7 +348,7 @@ def test_criterion_ablation_ordering(benchmark_runs):
     ]
     for t in run_trials(jobs):
         assert t.status == "ok", t.error
-        rows[ABLATION_VARIANTS[t.index][0]] = t.clean_test_at_best
+        rows[ABLATION_VARIANTS[t.index][0]] = t.result.scores()["clean_test_at_best"]
 
     full, ce = rows["pidual_full"], rows["cross_entropy"]
     for name, acc in rows.items():

@@ -260,7 +260,8 @@ def test_ablate_ranks_the_scored_variants_before_the_unscored(tmp_path, monkeypa
     def run_trials(jobs, workers=1):
         outcomes = training.run_trials(jobs, workers)
         for index, value in unscored.items():
-            outcomes[index].clean_test_at_best = value
+            result = outcomes[index].result
+            result.record.clean_test_acc[result.best_epoch] = value
         return outcomes
 
     monkeypatch.setattr(cli, "run_trials", run_trials)
@@ -1294,6 +1295,28 @@ def test_risk_rejects_a_size_above_the_cap_before_allocating(tmp_path, key, valu
             "risk.resamples",
             id="risk-total-sums-and-chunk",
         ),
+        # 7 axes of 10 values, and 17 * 241: above the grid-point cap
+        pytest.param(
+            {"grid": {
+                "base_lr": ",".join(f"0.0{i}" for i in range(1, 10)) + ",0.1",
+                "weight_decay": ",".join(f"{i}e-5" for i in range(10)),
+                "momentum": ",".join(f"0.{i}" for i in range(10)),
+                "decay_factor": ",".join(f"0.{i}" for i in range(1, 10)) + ",1",
+                "epochs": ",".join(str(i) for i in range(1, 11)),
+                "batch_size": ",".join(str(i) for i in range(1, 11)),
+                "random_pi_length": ",".join(str(i) for i in range(10)),
+            }},
+            "grid.base_lr",
+            id="grid-ten-million-points",
+        ),
+        pytest.param(
+            {"grid": {
+                "base_lr": ",".join(f"0.{i:02d}" for i in range(17)),
+                "weight_decay": ",".join(f"{i}e-6" for i in range(241)),
+            }},
+            "grid.weight_decay",
+            id="grid-one-point-above-the-cap",
+        ),
     ],
 )
 def test_config_rejects_malformed_value(tmp_path, overrides, field):
@@ -1304,6 +1327,14 @@ def test_config_rejects_malformed_value(tmp_path, overrides, field):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {field}: ")
     assert not out.exists()
+
+
+def test_a_grid_at_the_point_cap_loads(tmp_path):
+    # 16 * 16 * 16 = 4096 points: the cap itself is allowed
+    values = ",".join(f"0.{i:02d}" for i in range(16))
+    grid = dict.fromkeys(("base_lr", "momentum", "weight_decay"), values)
+    cfg_path, _ = write_config(tmp_path, overrides={"grid": grid})
+    assert len(load_experiment_config(cfg_path).grid.points()) == training.MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -48,6 +48,13 @@ def test_wrong_labels_are_genuinely_wrong():
         assert np.all(ds.noisy_labels[wrong] != ds.clean_labels[wrong])
 
 
+def test_generated_pi_width_is_the_configs():
+    # config.py caps the data size by SynthConfig.pi_dim before any row is drawn
+    for mode in (data_mod.ERROR_MODE_UNIFORM, data_mod.ERROR_MODE_PERMUTATION):
+        cfg = SynthConfig(n=50, annotators=6, error_mode=mode, seed=4)
+        assert generate_synthetic(cfg).pi_dim == cfg.pi_dim == 6 + len(data_mod.PI_CHANNELS)
+
+
 def test_permutation_mode_noise_is_function_of_annotator_and_label():
     cfg = SynthConfig(n=1000, noise_rate=0.4, error_mode=data_mod.ERROR_MODE_PERMUTATION, seed=9)
     ds = generate_synthetic(cfg)

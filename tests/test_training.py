@@ -86,16 +86,16 @@ def test_ce_sanity_run_on_separable_data():
 def test_training_deterministic():
     ds = tiny_dataset(seed=4)
     cfg = tiny_cfg(epochs=4)
-    r1 = train(tiny_model(ds, seed=1), ds, cfg)
-    r2 = train(tiny_model(ds, seed=1), ds, cfg)
+    m1, m2 = tiny_model(ds, seed=1), tiny_model(ds, seed=1)
+    r1, r2 = train(m1, ds, cfg), train(m2, ds, cfg)
     for col in (
         "train_acc_clean", "train_acc_wrong", "noisy_val_acc",
         "clean_test_acc", "mean_gate_clean", "mean_gate_wrong",
     ):
         a, b = getattr(r1.record, col), getattr(r2.record, col)
         assert np.array_equal(a, b, equal_nan=True)
-    for name, net in r1.final_model.components().items():
-        assert net.equals(r2.final_model.components()[name])
+    for name, net in m1.components().items():
+        assert net.equals(m2.components()[name])
 
 
 def test_early_stopping_selects_argmax_val_epoch():
@@ -103,8 +103,9 @@ def test_early_stopping_selects_argmax_val_epoch():
     result = train(tiny_model(ds, seed=2), ds, tiny_cfg(epochs=6))
     rec = result.record
     assert result.best_epoch == int(np.argmax(rec.noisy_val_acc))
+    assert result.model_epoch == result.best_epoch
     # re-evaluating the snapshot reproduces the recorded clean-test accuracy
-    acc = evaluate(result.best_model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
+    acc = evaluate(result.model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
     assert acc == rec.clean_test_acc[result.best_epoch]
 
 
@@ -123,8 +124,8 @@ def test_record_train_columns_match_separate_heads(flags):
     # the record's train-subset columns come from one forward pass per epoch;
     # recomputing each head on its own must give the same numbers exactly
     ds = tiny_dataset(seed=7)
-    result = train(tiny_model(ds, flags=flags, seed=3), ds, tiny_cfg(epochs=2))
-    model = result.final_model
+    model = tiny_model(ds, flags=flags, seed=3)
+    result = train(model, ds, tiny_cfg(epochs=2))
     x, a, y = ds.train_arrays()
     wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
     combined, _, _ = forward_train(model, x, a)
@@ -148,16 +149,26 @@ def test_record_train_columns_match_separate_heads(flags):
 @pytest.mark.parametrize("flags", ABLATION_FLAG_SETS, ids=ABLATION_FLAG_IDS)
 def test_returned_models_reproduce_their_record_rows(flags):
     # each epoch is scored on a copy of its snapshot in another process; the
-    # models train returns must be the very parameters those rows were scored on
+    # kept snapshot, and the model trained in place, must be the very
+    # parameters their rows were scored on. The trial keeps the best epoch
+    # under early stopping, else, or without a noisy-val split, the final one.
     ds = tiny_dataset(n=400, noise=0.3, seed=19)
-    result = train(tiny_model(ds, flags=flags, seed=5), ds, tiny_cfg(epochs=5))
-    rec = result.record
-    for model, epoch in ((result.best_model, result.best_epoch), (result.final_model, -1)):
-        assert evaluate(model, ds, data_mod.SPLIT_NOISY_VAL) == rec.noisy_val_acc[epoch]
-        assert (
-            evaluate(model, ds, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
-            == rec.clean_test_acc[epoch]
-        )
+    no_val = split_dataset(ds, 0.0, 0.2, seed=20)  # a new split with no noisy-val rows
+    assert no_val.split_indices(data_mod.SPLIT_NOISY_VAL).size == 0
+    cfg = tiny_cfg(epochs=5)
+    for data, early_stopping in ((ds, True), (ds, False), (no_val, True)):
+        model = tiny_model(data, flags=flags, seed=5)
+        result = train(model, data, replace(cfg, early_stopping=early_stopping))
+        keeps_best = data is ds and early_stopping
+        assert result.model_epoch == (result.best_epoch if keeps_best else cfg.epochs - 1)
+        rec = result.record
+        for trained, epoch in ((result.model, result.model_epoch), (model, cfg.epochs - 1)):
+            if data is ds:
+                assert evaluate(trained, data, data_mod.SPLIT_NOISY_VAL) == rec.noisy_val_acc[epoch]
+            assert (
+                evaluate(trained, data, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
+                == rec.clean_test_acc[epoch]
+            )
 
 
 # Every ablation variant's overrides, and the gate on its own first layer, so
@@ -226,12 +237,14 @@ def test_second_train_split_pass_through_buffers_allocates_no_hidden_activation(
 
 def test_clean_labels_do_not_change_fitting_or_selection():
     ds = tiny_dataset(n=400, noise=0.3, seed=20)
-    full = train(tiny_model(ds, seed=6), ds, tiny_cfg(epochs=5))
-    blind = train(tiny_model(ds, seed=6), replace(ds, clean_labels=None), tiny_cfg(epochs=5))
+    full_model, blind_model = tiny_model(ds, seed=6), tiny_model(ds, seed=6)
+    full = train(full_model, ds, tiny_cfg(epochs=5))
+    blind = train(blind_model, replace(ds, clean_labels=None), tiny_cfg(epochs=5))
     assert blind.best_epoch == full.best_epoch
+    assert blind.model_epoch == full.model_epoch
     assert np.array_equal(blind.record.noisy_val_acc, full.record.noisy_val_acc)
-    assert np.array_equal(blind.final_model.params, full.final_model.params)
-    assert np.array_equal(blind.best_model.params, full.best_model.params)
+    assert np.array_equal(blind_model.params, full_model.params)
+    assert np.array_equal(blind.model.params, full.model.params)
     for col in RECORD_COLUMNS[1:]:
         if col != "noisy_val_acc":
             assert np.isnan(getattr(blind.record, col)).all(), col
@@ -323,11 +336,13 @@ def test_concurrent_trains_under_a_short_switch_interval_match_serial():
     # thread holds a lock would change a record or a returned model, or hang
     ds = tiny_dataset(n=300, noise=0.3, seed=22)
     cfg = tiny_cfg(epochs=4)
-    reference = train(tiny_model(ds, seed=7), ds, cfg)
+    reference_model = tiny_model(ds, seed=7)
+    reference = train(reference_model, ds, cfg)
     results = [None] * 3
 
     def run(i):
-        results[i] = train(tiny_model(ds, seed=7), ds, cfg)
+        model = tiny_model(ds, seed=7)
+        results[i] = (model, train(model, ds, cfg))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()
@@ -340,13 +355,13 @@ def test_concurrent_trains_under_a_short_switch_interval_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for result in results:
+    for model, result in results:
         for col in RECORD_COLUMNS[1:]:
             expected = getattr(reference.record, col)
             assert np.array_equal(getattr(result.record, col), expected, equal_nan=True), col
         assert result.best_epoch == reference.best_epoch
-        assert np.array_equal(result.best_model.params, reference.best_model.params)
-        assert np.array_equal(result.final_model.params, reference.final_model.params)
+        assert np.array_equal(result.model.params, reference.model.params)
+        assert np.array_equal(model.params, reference_model.params)
 
 
 def constant_predictor(ds, cls):
@@ -419,11 +434,11 @@ def test_ce_reduction_bit_identical():
     frozen.gate_head.biases[-1][0] = -1e9
     ce = tiny_model(ds, flags=ce_baseline_flags(), seed=4)
 
-    r_frozen = train(frozen, ds, cfg)
-    r_ce = train(ce, ds, cfg)
-    assert r_frozen.final_model.prediction.equals(r_ce.final_model.prediction)
-    assert r_frozen.final_model.noise_head.equals(r_ce.final_model.noise_head)
-    assert r_frozen.final_model.pi_trunk.equals(r_ce.final_model.pi_trunk)
+    train(frozen, ds, cfg)
+    train(ce, ds, cfg)
+    assert frozen.prediction.equals(ce.prediction)
+    assert frozen.noise_head.equals(ce.noise_head)
+    assert frozen.pi_trunk.equals(ce.pi_trunk)
 
 
 class RecordingDataset(PiDataset):
@@ -476,12 +491,12 @@ def test_clean_information_cannot_influence_fitting():
         clean_labels=poisoned_clean, split=base.split, num_classes=base.num_classes,
     )
     cfg = tiny_cfg(epochs=3)
-    r1 = train(tiny_model(base, seed=2), base, cfg)
-    r2 = train(tiny_model(poisoned, seed=2), poisoned, cfg)
+    m1, m2 = tiny_model(base, seed=2), tiny_model(poisoned, seed=2)
+    r1, r2 = train(m1, base, cfg), train(m2, poisoned, cfg)
     assert np.array_equal(r1.record.noisy_val_acc, r2.record.noisy_val_acc)
     assert r1.best_epoch == r2.best_epoch
-    for name, net in r1.final_model.components().items():
-        assert net.equals(r2.final_model.components()[name])
+    for name, net in m1.components().items():
+        assert net.equals(m2.components()[name])
 
 
 def test_record_csv_round_trip(tmp_path):
@@ -516,7 +531,7 @@ def test_single_point_grid_equals_single_train():
 
     direct_cfg = replace(base_cfg, base_lr=0.1, seed=derive_seed(base_cfg.seed, "trial", 0))
     direct, _ = run_trial(ds, model_cfg, direct_cfg)
-    assert np.array_equal(outcomes[0].record.noisy_val_acc, direct.record.noisy_val_acc)
+    assert np.array_equal(outcomes[0].result.record.noisy_val_acc, direct.record.noisy_val_acc)
 
 
 def test_grid_ranking_consistent_with_noisy_val():
@@ -524,7 +539,7 @@ def test_grid_ranking_consistent_with_noisy_val():
     grid = GridSpec({"base_lr": [0.2, 0.02], "random_pi_length": [0, 4]})
     outcomes = run_grid(grid, ds, tiny_cfg(epochs=2), ModelConfig(pred_hidden=(8,), pi_width=8))
     assert len(outcomes) == 4
-    accs = [t.best_noisy_val_acc for t in outcomes if t.status == "ok"]
+    accs = [t.result.scores()["best_noisy_val_acc"] for t in outcomes if t.status == "ok"]
     assert accs == sorted(accs, reverse=True)
 
 
@@ -538,8 +553,8 @@ def test_grid_reruns_identically_and_failures_are_marked():
     first = run_grid(grid, ds, cfg, model_cfg)
     second = run_grid(grid, ds, cfg, model_cfg)
     assert [t.status for t in first] == ["ok", "failed"]
-    assert "nonsense" in first[1].error
-    assert first[0].best_noisy_val_acc == second[0].best_noisy_val_acc
+    assert "nonsense" in first[1].error and first[1].result is None
+    assert first[0].result.scores() == second[0].result.scores()
     assert first[0].seed == second[0].seed
 
 
@@ -553,18 +568,19 @@ def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
         for i, params in enumerate(({"gate_space": "nonsense"}, {}))
     ]
     failed, ok = training.run_trials(jobs)
-    assert (failed.index, failed.status, failed.model) == (0, "failed", None)
+    assert (failed.index, failed.status, failed.result) == (0, "failed", None)
     assert "nonsense" in failed.error
     assert (ok.index, ok.seed, ok.status) == (1, 8, "ok")
-    assert ok.model_epoch == (ok.best_epoch if early_stopping else cfg.epochs - 1)
+    result = ok.result
+    assert result.model_epoch == (result.best_epoch if early_stopping else cfg.epochs - 1)
     # the spec rebuilds the very PI the trial trained on
     ds_aug = data_mod.augment_random_pi(ds, ok.random_pi)
     _, trained_on = run_trial(ds, model_cfg, replace(cfg, seed=8))
     assert np.array_equal(ds_aug.pi, trained_on.pi)
-    row = ok.model_epoch
-    assert evaluate(ok.model, ds_aug, data_mod.SPLIT_NOISY_VAL) == ok.record.noisy_val_acc[row]
-    clean = evaluate(ok.model, ds_aug, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
-    assert clean == ok.record.clean_test_acc[row]
+    rec, row = result.record, result.model_epoch
+    assert evaluate(result.model, ds_aug, data_mod.SPLIT_NOISY_VAL) == rec.noisy_val_acc[row]
+    clean = evaluate(result.model, ds_aug, data_mod.SPLIT_CLEAN_TEST, "clean", "prediction")
+    assert clean == rec.clean_test_acc[row]
 
 
 @pytest.mark.parametrize(
@@ -585,18 +601,19 @@ def test_trial_detection_scores_equal_a_forward_pass_of_the_kept_model(
     model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8, flags=AblationFlags(use_gate=use_gate))
     (outcome,) = training.run_trials([training.TrialJob(0, {}, 11, ds, cfg, model_cfg)])
     assert outcome.status == "ok", outcome.error
+    result = outcome.result
     if early_stopping and val_fraction > 0:
-        assert outcome.model_epoch == outcome.best_epoch
-        assert outcome.model_epoch < cfg.epochs - 1  # not the final epoch: a real test of the choice
+        assert result.model_epoch == result.best_epoch
+        assert result.model_epoch < cfg.epochs - 1  # not the final epoch: a real test of the choice
     else:
-        assert outcome.model_epoch == cfg.epochs - 1
+        assert result.model_epoch == cfg.epochs - 1
     methods = ["confidence", "gate"] if use_gate else ["confidence"]
-    assert sorted(outcome.detection_scores) == methods
+    assert sorted(result.detection_scores) == methods
     wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
     trained_on = data_mod.augment_random_pi(ds, outcome.random_pi)
     for method in methods:
-        got = detection.report(method, outcome.detection_scores[method], wrong)
-        want = detection.detect(outcome.model, trained_on, method)
+        got = detection.report(method, result.detection_scores[method], wrong)
+        want = detection.detect(result.model, trained_on, method)
         assert got.method == want.method
         assert got.scores.tobytes() == want.scores.tobytes()
         assert got.auc == want.auc
@@ -625,8 +642,8 @@ def test_grid_parallel_matches_serial():
     serial = run_grid(grid, ds, cfg, model_cfg, workers=1)
     parallel = run_grid(grid, ds, cfg, model_cfg, workers=2)
     assert [t.index for t in serial] == [t.index for t in parallel]
-    for a, b in zip(serial, parallel):
-        assert a.best_noisy_val_acc == b.best_noisy_val_acc
+    for a, b in zip((t.result for t in serial), (t.result for t in parallel)):
+        assert a.scores() == b.scores()
         assert np.array_equal(a.record.noisy_val_acc, b.record.noisy_val_acc)
         # the model came back from a worker process pickled: its views are rebound
         assert np.array_equal(a.model.params, b.model.params)
