@@ -108,9 +108,12 @@ def score_histogram(
 
 
 def report(method: str, scores: np.ndarray, wrong: np.ndarray) -> DetectionReport:
-    """``method``'s report on per-row ``scores`` against the wrong-label mask ``wrong``."""
+    """``method``'s report on per-row ``scores`` against the wrong-label mask
+    ``wrong``; a score that is not finite raises ``NumericError``."""
     if method not in METHODS:
         raise ContractError(f"unknown detection method {method!r}")
+    if not np.isfinite(scores).all():
+        raise NumericError(f"the model's {method} scores on the train split are not all finite")
     wrongness = 1.0 - scores if method == "confidence" else scores
     auc = roc_auc(wrongness, wrong)
     edges, clean_counts, wrong_counts = score_histogram(scores, wrong)
@@ -122,6 +125,4 @@ def detect(model: PiDualModel, ds: PiDataset, method: str) -> DetectionReport:
     if method not in METHODS:
         raise ContractError(f"unknown detection method {method!r}")
     scores = (confidence_scores if method == "confidence" else gate_scores)(model, ds)
-    if not np.isfinite(scores).all():
-        raise NumericError(f"the model's {method} scores on the train split are not all finite")
     return report(method, scores, ds.wrong_mask_of(SPLIT_TRAIN))

@@ -42,9 +42,7 @@ from .nn_core import (
     SIGMOID,
     Gradients,
     MlpParams,
-    Tape,
     init_mlp,
-    mlp_backward,
     mlp_forward,
     softmax,
 )
@@ -80,7 +78,7 @@ def ce_baseline_flags() -> AblationFlags:
 
 
 # The component roster: every per-component mapping (parameters, gradients,
-# activation buffers) is keyed by these names, and the flat parameter vector
+# workspaces) is keyed by these names, and the flat parameter vector
 # is laid out in this order. ``gate_trunk`` exists only when the gate has its
 # own first layer. Everything after ``prediction`` reads the PI and can be
 # exempt from weight decay, so the decayed parameters are one prefix of the
@@ -179,126 +177,134 @@ class PiDualModel:
         return {name: net for name, net in nets.items() if net is not None}
 
 
-@dataclass
-class GradientBuffer:
-    """A gradient vector laid out like a model's ``params`` and, per component,
-    ``Gradients`` views of it: build it once with ``gradient_buffer`` and let
-    every ``backward_train`` of that model write into it."""
+class Workspace:
+    """Arrays for training passes of up to ``rows`` rows through ``model``,
+    made once and reused by every pass; also the tape of the latest pass.
 
-    vector: np.ndarray
-    grads: dict[str, Gradients]
+    Per present component it holds an ``nn_core.MlpWorkspace``. The latest
+    ``forward_train`` through it leaves here its ``batch_size`` and the raw
+    ``pred_logits``, ``noise_logits`` and ``gate`` (None without a gate), the
+    softmaxed ``pred_probs`` and ``noise_probs`` in the probability space, and
+    ``mixed``, its combined output; ``training_loss`` adds ``d_mixed``, the
+    loss's gradient with respect to ``mixed``. A batch of m rows uses the first
+    m rows of every array, so one workspace serves a last, shorter minibatch.
 
+    The first ``backward_train`` through it adds the backward pass's arrays:
+    ``grad``, a gradient vector laid out like ``model.params``, whose views
+    per component, ``grads``, are what ``backward_train`` returns, and the
+    components' masks and input gradients. A workspace that only scores, as
+    the evaluation process's do, never holds them.
+    """
 
-def gradient_buffer(model: PiDualModel) -> GradientBuffer:
-    vector = np.empty_like(model.params)
-    views = nn_core.tensor_views(vector, model.components())
-    return GradientBuffer(vector, {name: Gradients(*v) for name, v in views.items()})
+    def __init__(self, model: PiDualModel, rows: int) -> None:
+        self.model, self.rows = model, rows
+        nets = model.components()
+        self.nets = {name: nn_core.MlpWorkspace(net, rows) for name, net in nets.items()}
+        pi_and_x = model.config.flags.noise_input == NOISE_INPUT_PI_AND_X
+        self.pi_in = np.empty((rows, model.pi_trunk.in_dim)) if pi_and_x else None
+        self.grad = self.grads = self.d_trunk = None
+        self.batch_size = 0
+        self.pred_logits = self.noise_logits = self.gate = None
+        self.pred_probs = self.noise_probs = self.mixed = self.d_mixed = None
 
-
-@dataclass
-class ModelTape:
-    """Everything ``backward_train`` needs from one training forward pass."""
-
-    model: PiDualModel = field(repr=False)
-    batch_size: int = 0
-    # one tape per component that ran, keyed by roster name
-    tapes: dict[str, Tape] = field(default_factory=dict, repr=False)
-    pred_logits: np.ndarray | None = field(default=None, repr=False)
-    noise_logits: np.ndarray | None = field(default=None, repr=False)
-    gate: np.ndarray | None = field(default=None, repr=False)
-    pred_probs: np.ndarray | None = field(default=None, repr=False)
-    noise_probs: np.ndarray | None = field(default=None, repr=False)
-    mixed: np.ndarray | None = field(default=None, repr=False)
-    # the gradient of the mean loss w.r.t. ``mixed``, written by training_loss
-    d_mixed: np.ndarray | None = field(default=None, repr=False)
-
-
-# Per component, one array (or None) per layer for mlp_forward's ``out``.
-ActivationBuffers = dict[str, list[np.ndarray | None]]
-
-
-def activation_buffers(model: PiDualModel, rows: int) -> ActivationBuffers:
-    """Arrays for the hidden layers of ``rows``-row passes of ``model``'s
-    components: one (rows, width) array per ReLU layer, None for the identity
-    and sigmoid output layers, which are 1 to ``num_classes`` wide and allocate."""
-    return {
-        name: [
-            np.empty((rows, w.shape[0])) if act == RELU else None
-            for w, act in zip(net.weights, net.activations)
-        ]
-        for name, net in model.components().items()
-    }
+    def _add_gradients(self) -> None:
+        self.grad = np.zeros_like(self.model.params)
+        views = nn_core.tensor_views(self.grad, self.model.components())
+        masks: dict[int, np.ndarray] = {}
+        for name, net in self.nets.items():
+            net.add_gradients(Gradients(*views[name]), masks)
+        self.grads = {name: net.grads for name, net in self.nets.items()}
+        self.d_trunk = np.empty((self.rows, self.model.pi_trunk.out_dim))
 
 
-def _forward_pi_side(
-    model: PiDualModel, x: np.ndarray, a: np.ndarray, out: ActivationBuffers | None = None
-) -> ModelTape:
-    """Noise and gate paths of the training forward pass, on a fresh tape.
+def _batch(model: PiDualModel, x, a, out: Workspace | None) -> tuple:
+    """(x, a, workspace) of a pass: the inputs as float64 batches of the
+    model's widths, and ``out`` if it is ``model``'s and has room for them,
+    else a new workspace for their rows. These are the pass's only checks."""
+    x, a = np.asarray(x, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
+        raise ShapeError(f"features {x.shape} and PI {a.shape} are not batches of one length")
+    if (x.shape[1], a.shape[1]) != (model.feature_dim, model.pi_dim):
+        raise ShapeError(
+            f"features {x.shape} and PI {a.shape} do not have the model's widths "
+            f"{model.feature_dim} and {model.pi_dim}"
+        )
+    return x, a, _fitting(model, x.shape[0], out)
+
+
+def _fitting(model: PiDualModel, rows: int, out: Workspace | None) -> Workspace:
+    if out is None:
+        return Workspace(model, rows)
+    if out.model is not model:
+        raise ContractError("workspace was built for a different model")
+    if rows > out.rows:
+        raise ShapeError(f"a batch of {rows} rows does not fit a workspace of {out.rows}")
+    return out
+
+
+def _trunk_runs(model: PiDualModel) -> bool:
+    flags = model.config.flags
+    return flags.use_noise_net or (flags.use_gate and model.config.share_first_layer)
+
+
+def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray, ws: Workspace) -> None:
+    """Noise and gate paths of the training forward pass, through ``ws``.
 
     The only code that wires the PI side: trunk sharing, the ``pi_and_x``
     input and the ablation zeros. ``forward_train`` adds the prediction
     network and the mix; ``noise_logits`` and ``gate_values`` read it alone.
     """
-    x, a = np.asarray(x, dtype=np.float64), np.asarray(a, dtype=np.float64)
-    if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
-        raise ShapeError(f"features {x.shape} and PI {a.shape} are not batches of one length")
-    flags = model.config.flags
-    tape = ModelTape(model=model, batch_size=x.shape[0])
-    pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
+    flags, nets, m = model.config.flags, ws.nets, x.shape[0]
+    ws.batch_size, ws.d_mixed = m, None
+    pi_in = a
+    if flags.noise_input == NOISE_INPUT_PI_AND_X:
+        pi_in = np.concatenate((a, x), axis=1, out=ws.pi_in[:m])
 
-    def run(name: str, h: np.ndarray) -> np.ndarray:
-        result, tape.tapes[name] = mlp_forward(getattr(model, name), h, (out or {}).get(name))
-        return result
-
-    trunk_out = None
-    shared = model.config.share_first_layer
-    if flags.use_noise_net or (flags.use_gate and shared):
-        trunk_out = run("pi_trunk", pi_in)
-
+    trunk_out = nets["pi_trunk"].forward(pi_in) if _trunk_runs(model) else None
     if flags.use_noise_net:
-        tape.noise_logits = run("noise_head", trunk_out)
+        ws.noise_logits = nets["noise_head"].forward(trunk_out)
     else:
-        tape.noise_logits = np.zeros((x.shape[0], model.num_classes))
+        ws.noise_logits = np.zeros((m, model.num_classes))
 
+    ws.gate = None
     if flags.use_gate:
-        gate_in = trunk_out if shared else run("gate_trunk", pi_in)
-        tape.gate = run("gate_head", gate_in)[:, 0]
-    return tape
+        shared = model.config.share_first_layer
+        gate_in = trunk_out if shared else nets["gate_trunk"].forward(pi_in)
+        ws.gate = nets["gate_head"].forward(gate_in)[:, 0]
 
 
 def forward_train(
-    model: PiDualModel, x: np.ndarray, a: np.ndarray, out: ActivationBuffers | None = None
-) -> tuple[np.ndarray, np.ndarray | None, ModelTape]:
+    model: PiDualModel, x: np.ndarray, a: np.ndarray, out: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray | None, Workspace]:
     """Training-time forward pass on a batch.
 
     Returns (combined, gate, tape). ``combined`` holds logits, except in the
     probability-space variant where it holds the mixed class probabilities.
-    ``gate`` is None when the gating network is ablated. The tape also keeps
-    the raw prediction and noise logits. With ``out`` (see
-    ``activation_buffers``) the hidden layers write into its arrays, so the
-    tape's hidden outputs last only until the next pass through them; the
-    returned arrays are new either way.
+    ``gate`` is None when the gating network is ablated. The tape is ``out``,
+    a ``Workspace`` of ``model`` with room for the batch, or a new one; it
+    also keeps the raw prediction and noise logits. The next pass through
+    ``out`` overwrites the layer outputs, the prediction and noise logits
+    among them; ``combined`` and ``gate`` are new arrays.
     """
-    tape = _forward_pi_side(model, x, a, out)
-    tape.pred_logits, tape.tapes["prediction"] = mlp_forward(
-        model.prediction, x, (out or {}).get("prediction")
-    )
+    x, a, ws = _batch(model, x, a, out)
+    _forward_pi_side(model, x, a, ws)
+    ws.pred_logits = ws.nets["prediction"].forward(x)
     flags = model.config.flags
-    f, eps, g = tape.pred_logits, tape.noise_logits, tape.gate
+    f, eps, g = ws.pred_logits, ws.noise_logits, ws.gate
 
     if not flags.use_gate:
         combined = f + eps
     elif flags.gate_space == GATE_SPACE_LOGIT:
         combined = (1.0 - g)[:, None] * f + g[:, None] * eps
     else:
-        tape.pred_probs = softmax(f)
-        tape.noise_probs = softmax(eps)
-        combined = (1.0 - g)[:, None] * tape.pred_probs + g[:, None] * tape.noise_probs
-    tape.mixed = combined
-    return combined, g, tape
+        ws.pred_probs = softmax(f)
+        ws.noise_probs = softmax(eps)
+        combined = (1.0 - g)[:, None] * ws.pred_probs + g[:, None] * ws.noise_probs
+    ws.mixed = combined
+    return combined, g, ws
 
 
-def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
+def training_loss(tape: Workspace, labels: np.ndarray) -> float:
     """Mean cross-entropy of the combined output against the noisy labels.
 
     Writes ``tape.d_mixed``, the loss's gradient with respect to
@@ -314,81 +320,97 @@ def training_loss(tape: ModelTape, labels: np.ndarray) -> float:
         picked = tape.mixed[rows, labels]  # the mixed probability of each row's label
         tape.d_mixed = np.zeros_like(tape.mixed)
         tape.d_mixed[rows, labels] = -1.0 / (b * picked)
-        return float(-np.log(picked).mean())
-    losses, tape.d_mixed = nn_core.softmax_ce_batch(tape.mixed, labels)
+        return -_mean(np.log(picked))
+    losses, tape.d_mixed = nn_core._softmax_ce(tape.mixed, labels)
     tape.d_mixed /= b
-    return float(losses.mean())
+    return _mean(losses)
 
 
-def backward_train(
-    model: PiDualModel, tape: ModelTape, out: GradientBuffer | None = None
-) -> dict[str, Gradients]:
+def _mean(v: np.ndarray) -> float:
+    """``float(v.mean())`` of a vector, the same arithmetic without its wrapper."""
+    return float(np.add.reduce(v) / v.shape[0])
+
+
+def _through_softmax(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The softmax Jacobian at probabilities ``p`` times ``v``, row by row."""
+    return p * (v - np.add.reduce(p * v, axis=1, keepdims=True))
+
+
+def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
     """Exact gradients of the loss ``training_loss`` scored on ``tape``.
 
     Starts at ``tape.d_mixed`` and includes the gate path
     d/dg[(1-g)f + g*eps] = eps - f, and accumulates the shared first layer's
-    gradient from both the noise and gate paths. Returns one buffer per
-    component, keyed like ``model.components()``; components on an ablated
-    path get zero gradients. The buffers are the views of ``out`` (see
-    ``gradient_buffer``) when it is given, else of a new gradient vector.
+    gradient from both the noise and gate paths. Returns ``tape.grads``, one
+    ``Gradients`` per component, keyed like ``model.components()`` and views
+    of ``tape.grad``; components on an ablated path get zero gradients. The
+    next backward pass through ``tape`` overwrites them, and this one
+    overwrites the pass's hidden outputs.
     """
     if tape.model is not model:
         raise ContractError("tape was produced by a different model")
     if tape.d_mixed is None:
         raise ContractError("no loss has scored this tape: call training_loss first")
-    flags, b = model.config.flags, tape.batch_size
+    if tape.grad is None:
+        tape._add_gradients()
+    flags, shared, m = model.config.flags, model.config.share_first_layer, tape.batch_size
     f, eps, g, u = tape.pred_logits, tape.noise_logits, tape.gate, tape.d_mixed
 
     if not flags.use_gate:
+        # the prediction and noise output layers are identity layers, which
+        # leave their upstream gradient as it is
         d_pred, d_noise_out, d_gate_out = u, u, None
     elif flags.gate_space == GATE_SPACE_LOGIT:
         d_pred = (1.0 - g)[:, None] * u
         d_noise_out = g[:, None] * u
-        d_gate_out = ((eps - f) * u).sum(axis=1)
+        d_gate_out = np.add.reduce((eps - f) * u, axis=1)
     else:
         p_f, p_e = tape.pred_probs, tape.noise_probs
-
-        def through_softmax(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return p * (v - (p * v).sum(axis=1, keepdims=True))  # the softmax Jacobian times v
-
-        d_pred = through_softmax(p_f, (1.0 - g)[:, None] * u)
-        d_noise_out = through_softmax(p_e, g[:, None] * u)
-        d_gate_out = ((p_e - p_f) * u).sum(axis=1)
-
-    nets, tapes = model.components(), tape.tapes
-    if out is None:
-        out = gradient_buffer(model)
-    elif out.grads.keys() != nets.keys() or out.vector.shape != model.params.shape:
-        raise ContractError("gradient buffer was built for a different model")
-    grads = out.grads
-    if tapes.keys() != grads.keys():
-        out.vector.fill(0.0)  # ablated components keep these zeros; the rest is overwritten below
-
-    def backprop(name: str, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        return mlp_backward(nets[name], tapes[name], upstream, grads[name], input_grad)[1]
+        d_pred = _through_softmax(p_f, (1.0 - g)[:, None] * u)
+        d_noise_out = _through_softmax(p_e, g[:, None] * u)
+        d_gate_out = np.add.reduce((p_e - p_f) * u, axis=1)
 
     # the first layers of prediction, pi_trunk and gate_trunk read data: no input gradient
-    backprop("prediction", d_pred, input_grad=False)
-    d_trunk_out = np.zeros((b, model.pi_trunk.out_dim))
-    if "noise_head" in tapes:
-        d_trunk_out += backprop("noise_head", d_noise_out)
-    if "gate_head" in tapes:
-        d_gate_in = backprop("gate_head", d_gate_out[:, None])
-        if model.config.share_first_layer:
+    nets, grads = tape.nets, tape.grads
+    nets["prediction"].backward(d_pred, input_grad=False)
+    d_trunk_out = tape.d_trunk[:m]
+    d_trunk_out.fill(0.0)
+    if flags.use_noise_net:
+        d_trunk_out += nets["noise_head"].backward(d_noise_out)
+    else:
+        _zero(grads["noise_head"])
+    if flags.use_gate:
+        d_gate_in = nets["gate_head"].backward(d_gate_out[:, None])
+        if shared:
             d_trunk_out += d_gate_in
         else:
-            backprop("gate_trunk", d_gate_in, input_grad=False)
-    if "pi_trunk" in tapes:
-        backprop("pi_trunk", d_trunk_out, input_grad=False)
+            nets["gate_trunk"].backward(d_gate_in, input_grad=False)
+    else:
+        _zero(grads["gate_head"])
+        if not shared:
+            _zero(grads["gate_trunk"])
+    if _trunk_runs(model):
+        nets["pi_trunk"].backward(d_trunk_out, input_grad=False)
+    else:
+        _zero(grads["pi_trunk"])
     return grads
 
 
+def _zero(grads: Gradients) -> None:
+    for t in (*grads.d_weights, *grads.d_biases):
+        t.fill(0.0)
+
+
 def prediction_logits(
-    model: PiDualModel, x: np.ndarray, out: ActivationBuffers | None = None
+    model: PiDualModel, x: np.ndarray, out: Workspace | None = None
 ) -> np.ndarray:
-    """The prediction network's logits; its hidden layers write into ``out``'s, if given."""
-    logits, _ = mlp_forward(model.prediction, x, (out or {}).get("prediction"))
-    return logits
+    """The prediction network's logits; its layers write into ``out``'s, if given."""
+    if out is None:
+        return mlp_forward(model.prediction, x)[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+        raise ShapeError(f"features {x.shape} are not a batch of width {model.feature_dim}")
+    return _fitting(model, x.shape[0], out).nets["prediction"].forward(x)
 
 
 def forward_infer(model: PiDualModel, x: np.ndarray) -> np.ndarray:
@@ -398,14 +420,18 @@ def forward_infer(model: PiDualModel, x: np.ndarray) -> np.ndarray:
 
 def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Raw (un-gated) noise-network logits; zeros when that path is ablated."""
-    return _forward_pi_side(model, x, a).noise_logits
+    x, a, ws = _batch(model, x, a, None)
+    _forward_pi_side(model, x, a, ws)
+    return ws.noise_logits
 
 
 def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-sample gate outputs in (0, 1)."""
     if not model.config.flags.use_gate:
         raise ContractError("this model variant has no gating network")
-    return _forward_pi_side(model, x, a).gate
+    x, a, ws = _batch(model, x, a, None)
+    _forward_pi_side(model, x, a, ws)
+    return ws.gate
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     sign, so every element, nan included, gets the bits of the per-branch form.
     """
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
 @dataclass
@@ -122,34 +123,17 @@ class Tape:
     outputs: list[np.ndarray] = field(repr=False)
 
 
-def mlp_forward(
-    params: MlpParams, x: np.ndarray, out: list[np.ndarray | None] | None = None
-) -> tuple[np.ndarray, Tape]:
-    """Forward pass; returns (output, tape) where the tape suffices for backward.
-
-    Layer k's product ``h @ W.T`` goes into ``out[k]`` when ``out`` is given
-    and that entry is not None, else into a new array; the bias and the ReLU
-    are then applied in place, and a sigmoid layer returns a new array. So the
-    tape holds the given arrays, whose contents the next pass through them
-    overwrites. The arithmetic, and so every bit, is the same either way.
-    """
+def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """Forward pass on new arrays; returns (output, tape) where the tape
+    suffices for backward. An ``MlpWorkspace`` runs the same pass on arrays
+    it keeps."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeError(f"expected a batch of vectors (ndim=2), got ndim={h.ndim}")
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input dim {h.shape[1]} != first-layer in-dim {params.in_dim}")
-    if out is not None and len(out) != len(params.weights):
-        raise ShapeError(f"{len(out)} output arrays for {len(params.weights)} layers")
-    outputs = [h]
-    for k, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
-        h = np.matmul(h, w.T, out=None if out is None else out[k])
-        h += b
-        if act == RELU:
-            np.maximum(h, 0.0, out=h)
-        elif act == SIGMOID:
-            h = sigmoid(h)
-        outputs.append(h)
-    return h, Tape(params, outputs)
+    ws = MlpWorkspace(params, h.shape[0])
+    return ws.forward(h), ws.tape
 
 
 def mlp_backward(
@@ -164,33 +148,116 @@ def mlp_backward(
     Returns (parameter gradients, gradient w.r.t. the forward input). The
     parameter gradients are written into ``out`` when it is given. With
     ``input_grad=False`` the input gradient is not computed and is None.
+    Neither the tape nor ``upstream`` is changed.
     """
     if tape.params is not params:
         raise ContractError("tape was produced by a different parameter set")
-    d = np.asarray(upstream, dtype=np.float64)
+    d = np.array(upstream, dtype=np.float64)  # a copy: the layer loop works in it
     if d.shape != (tape.outputs[0].shape[0], params.out_dim):
         raise ShapeError(f"upstream shape {d.shape} does not match network output")
     if out is None:
         out = Gradients(
             [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
         )
-    for k in reversed(range(len(params.weights))):
-        h = tape.outputs[k + 1]
-        act = params.activations[k]
+    masks = [np.empty(h.shape, dtype=bool) for h in tape.outputs[1:]]
+    deltas = [np.empty(h.shape) for h in tape.outputs[:-1]]
+    return out, _backward_layers(params, tape.outputs, d, out, masks, deltas, input_grad)
+
+
+class MlpWorkspace:
+    """Arrays for passes of up to ``rows`` rows through one MLP, made once
+    and reused by every pass; a batch of m rows uses their first m rows.
+
+    It holds the transposed-weight views and one output array per layer;
+    ``tape`` is the latest pass. ``add_gradients`` adds what ``backward``
+    needs. ``forward`` and ``backward`` check nothing: ``mlp_forward`` and the
+    model's passes check the batch at entry.
+    """
+
+    __slots__ = ("params", "rows", "weights_t", "buffers", "tape", "grads", "masks", "deltas")
+
+    def __init__(self, params: MlpParams, rows: int) -> None:
+        self.params, self.rows = params, rows
+        self.weights_t = [w.T for w in params.weights]
+        self.buffers = [np.empty((rows, w.shape[0])) for w in params.weights]
+        self.tape = Tape(params, [None] * (len(params.weights) + 1))
+        self.grads = self.masks = self.deltas = None
+
+    def add_gradients(self, grads: Gradients, masks: dict[int, np.ndarray]) -> None:
+        """Adds what ``backward`` needs: ``grads``, the arrays the parameter
+        gradients go into; a bool ReLU mask per layer, from ``masks``, one
+        array per width, which several networks can share because their
+        backward passes run one after another; and an input-gradient array
+        for the first layer. The other layers write their input gradients
+        over the hidden outputs, so a pass is backpropagated once."""
+        rows, weights = self.rows, self.params.weights
+        self.grads = grads
+        self.masks = [
+            masks.setdefault(w.shape[0], np.empty((rows, w.shape[0]), dtype=bool))
+            if act == RELU else None
+            for w, act in zip(weights, self.params.activations)
+        ]
+        self.deltas = [np.empty((rows, weights[0].shape[1])), *self.buffers[:-1]]
+
+    def forward(self, h: np.ndarray) -> np.ndarray:
+        """Layer k's product goes into ``buffers[k]``, where the bias and the
+        ReLU are applied in place; a sigmoid layer makes a new array."""
+        m, params, outputs = h.shape[0], self.params, self.tape.outputs
+        outputs[0] = h
+        for k, (wt, b, act, buf) in enumerate(
+            zip(self.weights_t, params.biases, params.activations, self.buffers)
+        ):
+            h = np.matmul(h, wt, out=buf[:m])
+            h += b
+            if act == RELU:
+                np.maximum(h, 0.0, out=h)
+            elif act == SIGMOID:
+                h = sigmoid(h)
+            outputs[k + 1] = h
+        return h
+
+    def backward(self, d: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Gradients of ``sum(output * d)`` into ``grads``; ``d``, which
+        this overwrites, has the latest pass's rows."""
+        return _backward_layers(
+            self.params, self.tape.outputs, d, self.grads, self.masks, self.deltas, input_grad
+        )
+
+
+def _backward_layers(params, outputs, d, grads, masks, deltas, input_grad):
+    """The layer loop of ``mlp_backward`` and ``MlpWorkspace.backward``:
+    backpropagates ``d`` through the pass ``outputs`` into ``grads``, and
+    checks nothing. A batch of m rows uses the first m rows of each array.
+
+    Works in place: ``d`` becomes the top layer's pre-activation gradient,
+    layer k's ReLU mask goes into ``masks[k]`` and its input gradient into
+    ``deltas[k]``. ``deltas[k]`` may be the array that holds ``outputs[k]``,
+    whose values are spent once layer k's weight gradient and layer k - 1's
+    mask are taken; the mask is taken first.
+    """
+    m = d.shape[0]
+    acts = params.activations
+    top = len(acts) - 1
+    if acts[top] == RELU:
+        np.greater(outputs[top + 1], 0.0, out=masks[top][:m])
+    for k in range(top, -1, -1):
+        act = acts[k]
         if act == RELU:
-            dz = d * (h > 0)
+            np.multiply(d, masks[k][:m], out=d)
         elif act == SIGMOID:
-            dz = d * h * (1.0 - h)
-        else:
-            dz = d
-        np.matmul(dz.T, tape.outputs[k], out=out.d_weights[k])
-        np.sum(dz, axis=0, out=out.d_biases[k])
+            h = outputs[k + 1]
+            np.multiply(d, h, out=d)
+            np.multiply(d, 1.0 - h, out=d)
+        np.matmul(d.T, outputs[k], out=grads.d_weights[k])
+        np.add.reduce(d, axis=0, out=grads.d_biases[k])
         if k == 0 and not input_grad:
-            return out, None
+            return None
+        if k > 0 and acts[k - 1] == RELU:
+            np.greater(outputs[k], 0.0, out=masks[k - 1][:m])
         w = params.weights[k]
         # one output unit: the product has a single term, so broadcasting is exact
-        d = dz * w if w.shape[0] == 1 else dz @ w
-    return out, d
+        d = (np.multiply if w.shape[0] == 1 else np.matmul)(d, w, out=deltas[k][:m])
+    return d
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -211,8 +278,13 @@ def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
         raise ShapeError("logits must be a non-empty (batch, classes) array")
     if labels.shape != (logits.shape[0],):
         raise ShapeError("one label per batch row required")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    return _softmax_ce(logits, labels)
+
+
+def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the reductions of logits.max and .sum, called without their wrappers
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
     rows = np.arange(logits.shape[0])
     losses = log_z - shifted[rows, labels]
     dlogits = np.exp(shifted - log_z[:, None])
@@ -280,7 +352,8 @@ class OptimizerState:
     """SGD state for one flat parameter vector: Nesterov velocity plus the schedule.
 
     The learning rate at epoch e is ``base_lr * decay_factor ** k`` where k
-    counts the entries of ``decay_epochs`` with value <= e.
+    counts the entries of ``decay_epochs`` with value <= e. ``scratch``, a
+    vector like the velocity, holds a step's intermediate products.
     """
 
     velocity: np.ndarray
@@ -289,6 +362,10 @@ class OptimizerState:
     weight_decay: float
     decay_epochs: list[int]
     decay_factor: float
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty_like(self.velocity)
 
 
 def init_optimizer(
@@ -317,10 +394,12 @@ def sgd_step(
     """One in-place Nesterov update of a flat vector: v <- mu*v - lr*g; p <- p + mu*v - lr*g.
 
     Weight decay is added to the gradient (g <- g + wd*p) on the first
-    ``decayed`` entries only (all of them when None). ``layout`` (nets whose
+    ``decayed`` entries only (all of them when None). The update ``lr*g`` is
+    computed in ``grads``, which this overwrites. ``layout`` (nets whose
     tensors are views of ``params``) is read only to name the tensor of a
-    non-finite gradient. With zero velocity history, lr=0 or zero gradients
-    and zero decay leave the parameters unchanged.
+    non-finite gradient; such a gradient raises before anything is written.
+    With zero velocity history, lr=0 or zero gradients and zero decay leave
+    the parameters unchanged.
     """
     if grads.shape != params.shape:
         raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
@@ -329,13 +408,13 @@ def sgd_step(
         index = int(np.argmin(finite))
         where = locate(layout, index) if layout else f"entry {index}"
         raise NumericError(f"non-finite gradient in {where}")
-    wd = state.weight_decay
-    update = grads.copy()
-    if wd != 0.0:
-        update[:decayed] += wd * params[:decayed]
+    update, scratch = grads, state.scratch
+    if state.weight_decay != 0.0:
+        decay = np.multiply(params[:decayed], state.weight_decay, out=scratch[:decayed])
+        update[:decayed] += decay
     update *= current_lr(state, epoch)
     v = state.velocity
     v *= state.momentum
     v -= update
-    params += state.momentum * v
+    params += np.multiply(v, state.momentum, out=scratch)
     params -= update

@@ -125,12 +125,12 @@ def evaluate(
     split: str,
     on_labels: str = "noisy",
     head: str = HEAD_COMBINED,
-    out: model_mod.ActivationBuffers | None = None,
+    out: model_mod.Workspace | None = None,
 ) -> float:
     """Fraction of argmax matches of the chosen head on the chosen labels.
 
-    ``out``, the split's ``model_mod.activation_buffers``, takes the hidden
-    activations of the pass."""
+    ``out``, a ``model_mod.Workspace`` of ``model`` for the split's rows,
+    takes the layer outputs of the pass."""
     x, a = ds.eval_inputs(split)
     if on_labels == "noisy":
         labels = ds.noisy_labels_of(split)
@@ -159,11 +159,11 @@ def _train_subset_metrics(
     a: np.ndarray,
     y: np.ndarray,
     wrong: np.ndarray,
-    out: model_mod.ActivationBuffers | None = None,
+    out: model_mod.Workspace | None = None,
 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """The clean/wrong train-subset columns of the record and each row's
-    detection scores, from one forward pass whose hidden activations go into
-    ``out`` when it is given.
+    detection scores, from one forward pass through ``out`` when it is
+    given.
 
     The scores are keyed by detection method: the prediction network's
     confidence on each row's label, and the gate when the model has one. They
@@ -195,11 +195,11 @@ class _EvaluationProcess:
 
     Between requests the child keeps ``template``, which each request
     overwrites, and what ``score`` keeps in its closure: ``train``'s scorer
-    keeps one set of hidden-activation arrays per split, made at the child's
-    first pass over that split, so later epochs allocate only the narrow
-    output layers and the per-row results. Its reply is the epoch's record
-    row together with the per-row detection scores of its train-split pass,
-    so the parent never runs a full-split pass of its own.
+    keeps one ``model_mod.Workspace`` of ``template`` per split, made at the
+    child's first pass over that split, so later epochs allocate only the
+    gate's output column and the per-row results. Its reply is the epoch's
+    record row together with the per-row detection scores of its train-split
+    pass, so the parent never runs a full-split pass of its own.
 
     The start method is fork, not spawn, so that the splits and the scoring
     closure reach the child without being pickled. A fork copies only the
@@ -291,9 +291,17 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     A forked child process scores each epoch's snapshot while the next epoch
     trains; it is reaped before this returns or raises, an exception it raises
     is raised here, and its death raises ``EvaluationError``. Needs the fork
-    start method (Linux). The child writes each split's hidden activations
-    into one set of arrays, made at its first pass over that split and reused
-    every later epoch; this process makes none.
+    start method (Linux). The child passes each split through one
+    ``model_mod.Workspace``, made at its first pass over that split and reused
+    every later epoch.
+
+    Every minibatch step runs through one workspace too, made after the fork
+    for ``min(cfg.batch_size, train rows)`` rows. The train arrays are
+    gathered in each epoch's shuffled order once, so a minibatch, the short
+    last one too, is a row slice of them. A step is the four calls
+    ``forward_train``, ``training_loss``, ``backward_train`` and ``sgd_step``,
+    each looked up on its module at call time, so a wrapper set there sees
+    every step; it allocates only the narrow arrays of the loss and the mix.
 
     With clean labels, the child's train-split pass also returns each row's
     detection scores (``_train_subset_metrics``) with the epoch's row. Those
@@ -320,37 +328,39 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     # the PI components follow the prediction net in the vector (model.COMPONENTS)
     decayed = model.prediction.size if cfg.exempt_pi_nets_from_wd else model.params.size
     nets = model.components()
-    grads = model_mod.gradient_buffer(model)
 
     has_val = ds.split_indices(data_mod.SPLIT_NOISY_VAL).size > 0
     has_clean = ds.has_clean_labels
     has_test = ds.split_indices(data_mod.SPLIT_CLEAN_TEST).size > 0
     wrong_train = ds.wrong_mask_of(data_mod.SPLIT_TRAIN) if has_clean else None
 
+    # the evaluation process's copy of the model, which each epoch overwrites
+    template = model.copy()
+
+    # made by the evaluation process at its first pass over the split, and
+    # overwritten by every later one: the split's row count never changes
     @functools.cache
-    def buffers(split: str) -> model_mod.ActivationBuffers:
-        # made by the evaluation process at its first pass over the split, and
-        # overwritten by every later one: the split's row count never changes
-        return model_mod.activation_buffers(model, ds.split_indices(split).size)
+    def workspace(split: str) -> model_mod.Workspace:
+        return model_mod.Workspace(template, ds.split_indices(split).size)
 
     def epoch_row(snap: PiDualModel) -> tuple[dict[str, float], dict[str, np.ndarray]]:
         row = {c: math.nan for c in RECORD_COLUMNS[1:]}
         scores = {}
         if wrong_train is not None:
-            out = buffers(data_mod.SPLIT_TRAIN)
+            out = workspace(data_mod.SPLIT_TRAIN)
             subset_row, scores = _train_subset_metrics(snap, x_tr, a_tr, y_tr, wrong_train, out)
             row.update(subset_row)
         if has_val:
             split = data_mod.SPLIT_NOISY_VAL
-            row["noisy_val_acc"] = evaluate(snap, ds, split, out=buffers(split))
+            row["noisy_val_acc"] = evaluate(snap, ds, split, out=workspace(split))
         if has_clean and has_test:
             split = data_mod.SPLIT_CLEAN_TEST
             row["clean_test_acc"] = evaluate(
-                snap, ds, split, "clean", HEAD_PREDICTION, out=buffers(split)
+                snap, ds, split, "clean", HEAD_PREDICTION, out=workspace(split)
             )
         return row, scores
 
-    n = x_tr.shape[0]
+    n, batch = x_tr.shape[0], cfg.batch_size
     columns: dict[str, list[float]] = {c: [] for c in RECORD_COLUMNS[1:]}
     best_acc = -math.inf
     best_epoch = cfg.epochs - 1  # without a noisy-val split, the final epoch
@@ -372,19 +382,26 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     # Epoch e is scored on a copy of its parameters in a child process while
     # this one runs the steps of epoch e + 1, so the steps alone are the
     # critical path; the snapshot itself stays here in case the trial keeps it.
-    with _EvaluationProcess(model.copy(), epoch_row) as evaluator:
+    with _EvaluationProcess(template, epoch_row) as evaluator:
+        # made after the fork, so the evaluation process does not hold a copy
+        ws = model_mod.Workspace(model, min(batch, n))
+        # the train split in the epoch's shuffled order
+        x_ep, a_ep, y_ep = shuffled = [np.empty(t.shape, t.dtype) for t in (x_tr, a_tr, y_tr)]
         pending = None
         for epoch in range(cfg.epochs):
-            perm = rng.permutation(n)
-            for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
-                idx = perm[start : start + cfg.batch_size]
-                y = y_tr[idx]
-                _, _, tape = model_mod.forward_train(model, x_tr[idx], a_tr[idx])
-                loss = model_mod.training_loss(tape, y)
+            order = rng.permutation(n)
+            for src, dst in zip((x_tr, a_tr, y_tr), shuffled):
+                # every row index is valid, so "clip" changes none; it spares
+                # the copy that take's default mode makes of ``out``
+                np.take(src, order, axis=0, out=dst, mode="clip")
+            for b_idx, start in enumerate(range(0, n, batch)):
+                stop = start + batch
+                model_mod.forward_train(model, x_ep[start:stop], a_ep[start:stop], out=ws)
+                loss = model_mod.training_loss(ws, y_ep[start:stop])
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-                model_mod.backward_train(model, tape, out=grads)
-                sgd_step(model.params, grads.vector, state, epoch, decayed, layout=nets)
+                model_mod.backward_train(model, ws)
+                sgd_step(model.params, ws.grad, state, epoch, decayed, layout=nets)
 
             if pending is not None:
                 resolve(*pending)
@@ -449,12 +466,16 @@ class TrialOutcome:
     index: int
     params: dict
     seed: int
-    status: str
     error: str = ""
     # What train returned; None for a failed trial.
     result: TrainResult | None = None
     # augment_random_pi(job.ds, random_pi) is the data result.model was trained on.
     random_pi: RandomPiSpec | None = None
+
+    @property
+    def status(self) -> str:
+        """The trial's status: "ok" exactly when it holds a result, else "failed"."""
+        return "failed" if self.result is None else "ok"
 
 
 def apply_grid_point(
@@ -495,10 +516,8 @@ def _run_job(job: TrialJob) -> TrialOutcome:
         cfg = replace(cfg, seed=job.seed)
         result, _ = run_trial(job.ds, model_cfg, cfg)
     except Exception as exc:  # trial failures must not abort siblings
-        return TrialOutcome(job.index, job.params, job.seed, status="failed", error=str(exc))
-    return TrialOutcome(
-        job.index, job.params, job.seed, status="ok", result=result, random_pi=_random_pi(cfg)
-    )
+        return TrialOutcome(job.index, job.params, job.seed, error=str(exc))
+    return TrialOutcome(job.index, job.params, job.seed, result=result, random_pi=_random_pi(cfg))
 
 
 def run_trials(jobs: list[TrialJob], workers: int = 1) -> list[TrialOutcome]:

@@ -149,6 +149,28 @@ def test_train_reports_detection_without_a_forward_pass_of_its_own(tmp_path, mon
         assert (out / f"detection_{method}_hist.svg").read_text().startswith("<svg")
 
 
+def test_train_with_a_score_that_is_not_finite_is_one_numeric_failure_line(
+    tmp_path, monkeypatch, capsys
+):
+    # the evaluation process, forked after this patch, returns one NaN
+    # confidence per epoch; train's report must reject it as detect's does
+    real = detection.label_confidence
+
+    def one_nan(logits, labels):
+        scores = real(logits, labels)
+        scores[1] = math.nan
+        return scores
+
+    monkeypatch.setattr(detection, "label_confidence", one_nan)
+    cfg_path, out = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: the model's confidence scores on the train split are not all finite\n"
+    )
+    assert not (out / "detection_confidence.json").exists()
+
+
 def test_grid_trains_each_point_once_and_saves_the_winner(tmp_path, monkeypatch):
     calls = []
     real_train = training.train

@@ -12,10 +12,11 @@ from pidual.detection import (
     confidence_scores,
     detect,
     gate_scores,
+    report,
     roc_auc,
     score_histogram,
 )
-from pidual.errors import ContractError
+from pidual.errors import ContractError, NumericError
 from pidual.model import ModelConfig
 
 
@@ -214,6 +215,17 @@ def test_detect_report_round_trip(tmp_path):
         assert doc["method"] == method
         assert doc["auc"] == report.auc
         assert len(doc["clean_counts"]) == 20
+
+
+@pytest.mark.parametrize("method", ["confidence", "gate"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_rejects_a_score_that_is_not_finite(method, bad):
+    # an AUC and histograms over the finite scores alone would pass for a result
+    wrong = np.array([False, True, False, True])
+    message = f"the model's {method} scores on the train split are not all finite"
+    with pytest.raises(NumericError, match=message):
+        report(method, np.array([0.1, bad, 0.7, 0.9]), wrong)
+    assert report(method, np.array([0.1, 0.3, 0.7, 0.9]), wrong).clean_counts.sum() == 2
 
 
 def test_detect_unknown_method():

@@ -25,12 +25,12 @@ from pidual.model import (
     forward_infer,
     forward_train,
     gate_values,
-    gradient_buffer,
     load_checkpoint,
     noise_logits,
     prediction_logits,
     save_checkpoint,
     training_loss,
+    Workspace,
 )
 from pidual.nn_core import MlpParams
 from pidual.training import ABLATION_VARIANTS
@@ -445,35 +445,46 @@ def test_backward_with_loss_gradient_and_bound_views_equals_a_fresh_call(flags, 
     jitter_biases(model, seed=18)
     x, a, labels = rng_batch(model, n=9, seed=19)
 
-    _, _, fresh_tape = forward_train(model, x, a)
-    training_loss(fresh_tape, labels)
-    fresh = backward_train(model, fresh_tape)
+    def fresh(rows):
+        _, _, tape = forward_train(model, x[:rows], a[:rows])
+        training_loss(tape, labels[:rows])
+        return grad_bytes(backward_train(model, tape))
 
-    buffer = gradient_buffer(model)
-    buffer.vector.fill(np.nan)  # stale contents must be overwritten or zeroed
-    for _ in range(2):  # the second call reuses the buffer
-        _, _, tape = forward_train(model, x, a)
-        training_loss(tape, labels)
-        lean = backward_train(model, tape, out=buffer)
-        assert lean is buffer.grads
-        assert grad_bytes(lean) == grad_bytes(fresh)
+    expected = {rows: fresh(rows) for rows in (9, 4)}
+    ws = Workspace(model, 9)
+    assert ws.grad is None  # the first backward pass through it makes the gradient arrays
+    for rows in (9, 4, 9):  # a short batch uses the leading rows of every array
+        _, _, tape = forward_train(model, x[:rows], a[:rows], out=ws)
+        assert tape is ws
+        training_loss(tape, labels[:rows])
+        lean = backward_train(model, tape)
+        assert lean is ws.grads
+        assert grad_bytes(lean) == expected[rows]
+        ws.grad.fill(np.nan)  # stale contents must be overwritten or zeroed
 
     # the last loss to score a tape sets its gradient
     other = (labels + 1) % model.num_classes
-    _, _, tape = forward_train(model, x, a)
+    _, _, tape = forward_train(model, x, a, out=ws)
     training_loss(tape, labels)
     training_loss(tape, other)
     _, _, other_tape = forward_train(model, x, a)
     training_loss(other_tape, other)
-    assert grad_bytes(backward_train(model, tape, out=buffer)) == grad_bytes(
+    assert grad_bytes(backward_train(model, tape)) == grad_bytes(
         backward_train(model, other_tape)
     )
 
 
-def test_gradient_buffer_of_another_model_is_rejected():
+def test_workspace_of_another_model_or_too_few_rows_is_rejected():
     model = small_model(seed=1)
-    x, a, labels = rng_batch(model)
-    _, _, tape = forward_train(model, x, a)
-    training_loss(tape, labels)
-    with pytest.raises(ContractError):
-        backward_train(model, tape, out=gradient_buffer(small_model(share=False)))
+    x, a, labels = rng_batch(model, n=6)
+    twin = Workspace(small_model(seed=1), 6)  # equal widths and parameters, another model
+    for run in (
+        lambda ws: forward_train(model, x, a, out=ws),
+        lambda ws: prediction_logits(model, x, out=ws),
+    ):
+        with pytest.raises(ContractError, match="built for a different model"):
+            run(twin)
+        with pytest.raises(ShapeError, match="6 rows does not fit a workspace of 5"):
+            run(Workspace(model, 5))
+    with pytest.raises(ShapeError, match="not a batch of width 3"):
+        prediction_logits(model, x[:, :2], out=Workspace(model, 6))

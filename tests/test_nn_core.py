@@ -142,6 +142,25 @@ def test_backward_matches_finite_differences(seed):
         assert rel_err(a, f).max() < 1e-4
 
 
+def test_backward_through_two_relu_layers_matches_finite_differences():
+    # a batch of rows through two hidden ReLU layers: every layer's mask counts
+    net = init_mlp([4, 6, 5, 3], [nn_core.RELU, nn_core.RELU, nn_core.IDENTITY], seed=7)
+    rng = np.random.default_rng(107)
+    x = rng.standard_normal((3, 4))
+    u = rng.standard_normal((3, 3))
+
+    def value():
+        out, _ = mlp_forward(net, x)
+        return float((out * u).sum())
+
+    _, tape = mlp_forward(net, x)
+    grads, dx = mlp_backward(net, tape, u)
+    assert (tape.outputs[1] == 0).any() and (tape.outputs[2] == 0).any()  # both masks cut
+    fd = finite_difference(value, net.weights + net.biases + [x])
+    for a, f in zip(grads.d_weights + grads.d_biases + [dx], fd):
+        assert rel_err(a, f).max() < 1e-4
+
+
 def test_backward_stale_tape():
     net_a = init_mlp([2, 2], [nn_core.IDENTITY], seed=0)
     net_b = init_mlp([2, 2], [nn_core.IDENTITY], seed=1)
@@ -385,36 +404,34 @@ def test_single_output_input_gradient_is_bitwise_the_matmul():
 @pytest.mark.parametrize("last", [nn_core.RELU, nn_core.IDENTITY, nn_core.SIGMOID])
 @pytest.mark.parametrize("dims", [[5, 7, 6, 3], [8, 128, 128, 4]], ids=["small", "benchmark"])
 def test_forward_into_given_arrays_is_bitwise_the_allocating_pass(dims, last):
+    # a workspace with room for 800 rows runs a 700-row pass in the leading
+    # rows of its arrays, over what an 800-row pass left there
     net = init_mlp(dims, [nn_core.RELU] * (len(dims) - 2) + [last], seed=len(dims))
     rng = np.random.default_rng(12)
     x = rng.standard_normal((700, dims[0]))
     expected, expected_tape = mlp_forward(net, x)
-    out = [np.full((700, w.shape[0]), np.nan) for w in net.weights]
-    mlp_forward(net, rng.standard_normal((700, dims[0])), out)
-    got, tape = mlp_forward(net, x, out)  # overwrites the first pass in every array
+    ws = nn_core.MlpWorkspace(net, 800)
+    ws.forward(rng.standard_normal((800, dims[0])))
+    got = ws.forward(x)
+    tape = ws.tape
     assert got.tobytes() == expected.tobytes()
     assert [h.tobytes() for h in tape.outputs] == [h.tobytes() for h in expected_tape.outputs]
     for k, act in enumerate(net.activations):
-        if act == nn_core.SIGMOID:  # a new array; the given one holds the pre-activation
-            assert not np.shares_memory(tape.outputs[k + 1], out[k])
-            assert nn_core.sigmoid(out[k]).tobytes() == tape.outputs[k + 1].tobytes()
+        if act == nn_core.SIGMOID:  # a new array; the workspace's holds the pre-activation
+            assert not np.shares_memory(tape.outputs[k + 1], ws.buffers[k])
+            pre = ws.buffers[k][:700]
+            assert nn_core.sigmoid(pre).tobytes() == tape.outputs[k + 1].tobytes()
         else:
-            assert np.shares_memory(tape.outputs[k + 1], out[k])
+            assert np.shares_memory(tape.outputs[k + 1], ws.buffers[k])
     upstream = rng.standard_normal(expected.shape)
-    grads, dx = mlp_backward(net, tape, upstream)
     expected_grads, expected_dx = mlp_backward(net, expected_tape, upstream)
-    assert dx.tobytes() == expected_dx.tobytes()
+    grads, dx = mlp_backward(net, tape, upstream)  # leaves the tape and the upstream as they are
+    weights, biases = [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
+    ws.add_gradients(nn_core.Gradients(weights, biases), {})
+    d = upstream.copy()
+    in_place_dx = ws.backward(d)  # writes its input gradients over the pass's hidden outputs
     expected_tensors = expected_grads.d_weights + expected_grads.d_biases
-    for a, b in zip(grads.d_weights + grads.d_biases, expected_tensors):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_forward_allocates_the_layers_given_none():
-    net = init_mlp([4, 6, 3], [nn_core.RELU, nn_core.IDENTITY], seed=13)
-    x = np.random.default_rng(13).standard_normal((10, 4))
-    hidden = np.empty((10, 6))
-    got, tape = mlp_forward(net, x, [hidden, None])
-    assert np.shares_memory(tape.outputs[1], hidden)
-    assert got.tobytes() == mlp_forward(net, x)[0].tobytes()
-    with pytest.raises(ShapeError, match="1 output arrays for 2 layers"):
-        mlp_forward(net, x, [hidden])
+    for got_grads in (grads, ws.grads):
+        for a, b in zip(got_grads.d_weights + got_grads.d_biases, expected_tensors):
+            assert a.tobytes() == b.tobytes()
+    assert dx.tobytes() == in_place_dx.tobytes() == expected_dx.tobytes()

@@ -12,6 +12,8 @@ import pytest
 
 from pidual import data as data_mod
 from pidual import detection
+from pidual import model as model_mod
+from pidual import nn_core
 from pidual import training
 from pidual.data import PiDataset, SynthConfig, generate_synthetic, split_dataset
 from pidual.errors import ContractError, EvaluationError, NumericError
@@ -27,7 +29,8 @@ from pidual.model import (
     prediction_logits,
 )
 from pidual.config import FIELDS, build_dataset, load_experiment_config
-from pidual.model import activation_buffers
+from pidual.model import Workspace
+from pidual.seeding import derive_seed
 from pidual.training import (
     GRID_AXES,
     RECORD_COLUMNS,
@@ -96,6 +99,188 @@ def test_training_deterministic():
         assert np.array_equal(a, b, equal_nan=True)
     for name, net in m1.components().items():
         assert net.equals(m2.components()[name])
+
+
+def reference_step(model, x, a, y):
+    """(loss, gradient vector) of one minibatch, composed from nn_core's
+    checked calls on fresh arrays, as train composed its step before the
+    workspace: the model's wiring written out once more."""
+    flags, shared, b = model.config.flags, model.config.share_first_layer, x.shape[0]
+    tapes = {}
+
+    def forward(name, h):
+        out, tapes[name] = nn_core.mlp_forward(getattr(model, name), h)
+        return out
+
+    pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
+    trunk = g = None
+    if flags.use_noise_net or (flags.use_gate and shared):
+        trunk = forward("pi_trunk", pi_in)
+    eps = forward("noise_head", trunk) if flags.use_noise_net else np.zeros((b, model.num_classes))
+    if flags.use_gate:
+        g = forward("gate_head", trunk if shared else forward("gate_trunk", pi_in))[:, 0]
+    f = forward("prediction", x)
+    probability = flags.use_gate and flags.gate_space == GATE_SPACE_PROBABILITY
+    if not flags.use_gate:
+        mixed = f + eps
+    elif not probability:
+        mixed = (1.0 - g)[:, None] * f + g[:, None] * eps
+    else:
+        p_f, p_e = nn_core.softmax(f), nn_core.softmax(eps)
+        mixed = (1.0 - g)[:, None] * p_f + g[:, None] * p_e
+
+    if probability:
+        rows = np.arange(b)
+        picked = mixed[rows, y]
+        u = np.zeros_like(mixed)
+        u[rows, y] = -1.0 / (b * picked)
+        loss = float(-np.log(picked).mean())
+    else:
+        losses, u = nn_core.softmax_ce_batch(mixed, y)
+        u /= b
+        loss = float(losses.mean())
+
+    def jacobian(p, v):
+        return p * (v - (p * v).sum(axis=1, keepdims=True))
+
+    if not flags.use_gate:
+        d_pred, d_noise, d_gate = u, u, None
+    elif not probability:
+        d_pred, d_noise = (1.0 - g)[:, None] * u, g[:, None] * u
+        d_gate = ((eps - f) * u).sum(axis=1)
+    else:
+        d_pred = jacobian(p_f, (1.0 - g)[:, None] * u)
+        d_noise = jacobian(p_e, g[:, None] * u)
+        d_gate = ((p_e - p_f) * u).sum(axis=1)
+
+    nets = model.components()
+    grads = {
+        name: nn_core.Gradients(
+            [np.zeros_like(w) for w in net.weights], [np.zeros_like(v) for v in net.biases]
+        )
+        for name, net in nets.items()
+    }
+
+    def backward(name, d, input_grad=True):
+        return nn_core.mlp_backward(nets[name], tapes[name], d, grads[name], input_grad)[1]
+
+    backward("prediction", d_pred, input_grad=False)
+    d_trunk = np.zeros((b, model.pi_trunk.out_dim))
+    if "noise_head" in tapes:
+        d_trunk += backward("noise_head", d_noise)
+    if "gate_head" in tapes:
+        d_in = backward("gate_head", d_gate[:, None])
+        if shared:
+            d_trunk += d_in
+        else:
+            backward("gate_trunk", d_in, input_grad=False)
+    if "pi_trunk" in tapes:
+        backward("pi_trunk", d_trunk, input_grad=False)
+    vector = np.concatenate(
+        [t.ravel() for gr in grads.values() for wb in zip(gr.d_weights, gr.d_biases) for t in wb]
+    )
+    return loss, vector
+
+
+def reference_train(model, ds, cfg):
+    """(per-step losses, final velocity) of ``cfg.epochs`` epochs of
+    reference steps on ``model``, which they train in place."""
+    x_tr, a_tr, y_tr = ds.train_arrays()
+    n = x_tr.shape[0]
+    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
+    state = nn_core.init_optimizer(
+        model.params, cfg.base_lr, cfg.momentum, cfg.weight_decay, cfg.decay_epochs,
+        cfg.decay_factor,
+    )
+    decayed = model.prediction.size if cfg.exempt_pi_nets_from_wd else model.params.size
+    losses = []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            loss, grad = reference_step(model, x_tr[idx], a_tr[idx], y_tr[idx])
+            losses.append(loss)
+            nn_core.sgd_step(model.params, grad, state, epoch, decayed)
+    return losses, state.velocity
+
+
+def recorded_train(monkeypatch, model, ds, cfg):
+    """train's result, the loss of each of its steps, and its optimizer state."""
+    losses, states = [], []
+    real_loss, real_step = model_mod.training_loss, training.sgd_step
+
+    def loss(tape, labels):
+        losses.append(real_loss(tape, labels))
+        return losses[-1]
+
+    def step(params, grads, state, *args, **kwargs):
+        states.append(state)
+        return real_step(params, grads, state, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "training_loss", loss)
+    monkeypatch.setattr(training, "sgd_step", step)
+    result = train(model, ds, cfg)
+    monkeypatch.undo()
+    assert all(s is states[0] for s in states)
+    return result, losses, states[0]
+
+
+STEP_VARIANTS = [
+    pytest.param(over, strip, share, id=f"{name}-{'shared' if share else 'own'}")
+    for name, over, strip in training.ABLATION_VARIANTS
+    for share in (True, False)
+]
+
+
+@pytest.mark.parametrize("over,strip,share", STEP_VARIANTS)
+def test_train_steps_are_bitwise_a_reference_composition(monkeypatch, over, strip, share):
+    # 140 train rows in batches of 32: each epoch ends on a batch of 12, which
+    # uses the leading rows of the workspace; the rate decays after epoch 1,
+    # and weight decay reaches the PI components, whose gradients are zero
+    # on an ablated path
+    ds = tiny_dataset(n=200, noise=0.3, seed=31)
+    cfg = tiny_cfg(
+        epochs=3, decay_epochs=[2], weight_decay=1e-2, exempt_pi_nets_from_wd=False,
+        random_pi_length=3,
+    )
+    assert ds.split_indices(data_mod.SPLIT_TRAIN).size % cfg.batch_size == 12
+    data = data_mod.augment_random_pi(
+        data_mod.strip_pi(ds) if strip else ds, training._random_pi(cfg)
+    )
+    _, model_cfg = apply_grid_point(cfg, ModelConfig(pred_hidden=(16, 16), pi_width=8), over)
+    model = replace(model_cfg, share_first_layer=share).build(
+        data.feature_dim, data.pi_dim, data.num_classes, seed=3
+    )
+    reference = model.copy()
+    _, losses, state = recorded_train(monkeypatch, model, data, cfg)
+    expected_losses, expected_velocity = reference_train(reference, data, cfg)
+    assert len(losses) == 3 * 5
+    assert losses == expected_losses
+    assert state.velocity.tobytes() == expected_velocity.tobytes()
+    assert model.params.tobytes() == reference.params.tobytes()
+
+
+def test_a_batch_size_above_the_train_rows_is_one_batch_of_them(monkeypatch):
+    # the config bounds batch_size only from below: the step's workspace must
+    # be sized by the train rows, not by the batch size
+    ds = tiny_dataset(n=100, seed=32)
+    n_train = ds.split_indices(data_mod.SPLIT_TRAIN).size
+    made = []
+
+    class Recording(Workspace):
+        def __init__(self, model, rows):
+            super().__init__(model, rows)
+            made.append(rows)
+
+    monkeypatch.setattr(model_mod, "Workspace", Recording)
+    huge, exact = tiny_model(ds, seed=4), tiny_model(ds, seed=4)
+    r_huge = train(huge, ds, tiny_cfg(epochs=2, batch_size=10**9))
+    assert made == [n_train]  # the evaluation process makes its own in its own memory
+    r_exact = train(exact, ds, tiny_cfg(epochs=2, batch_size=n_train))
+    assert huge.params.tobytes() == exact.params.tobytes()
+    for col in RECORD_COLUMNS[1:]:
+        got, expected = getattr(r_huge.record, col), getattr(r_exact.record, col)
+        assert np.array_equal(got, expected, equal_nan=True), col
 
 
 def test_early_stopping_selects_argmax_val_epoch():
@@ -172,7 +357,7 @@ def test_returned_models_reproduce_their_record_rows(flags):
 
 
 # Every ablation variant's overrides, and the gate on its own first layer, so
-# that gate_trunk and the pi_and_x input get activation buffers too.
+# that gate_trunk and the pi_and_x input go through workspaces too.
 BUFFER_OVERRIDES = [over for _, over, _ in training.ABLATION_VARIANTS] + [
     {"share_first_layer": False}
 ]
@@ -181,8 +366,8 @@ BUFFER_OVERRIDE_IDS = [name for name, _, _ in training.ABLATION_VARIANTS] + ["ga
 
 @pytest.mark.parametrize("over", BUFFER_OVERRIDES, ids=BUFFER_OVERRIDE_IDS)
 def test_scoring_through_reused_buffers_matches_fresh_passes(over):
-    # the evaluation process scores every epoch through one set of buffers
-    # per split; a second parameter vector must leave nothing of the first
+    # the evaluation process scores every epoch through one workspace per
+    # split; a second parameter vector must leave nothing of the first
     ds = tiny_dataset(n=300, noise=0.3, seed=23)
     base = ModelConfig(pred_hidden=(16, 16), pi_width=16)
     _, model_cfg = apply_grid_point(tiny_cfg(), base, over)
@@ -191,7 +376,7 @@ def test_scoring_through_reused_buffers_matches_fresh_passes(over):
     x, a, y = ds.train_arrays()
     wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
     splits = (data_mod.SPLIT_TRAIN, data_mod.SPLIT_NOISY_VAL, data_mod.SPLIT_CLEAN_TEST)
-    buffers = {s: activation_buffers(template, ds.split_indices(s).size) for s in splits}
+    buffers = {s: Workspace(template, ds.split_indices(s).size) for s in splits}
     passes = [
         (data_mod.SPLIT_NOISY_VAL, "noisy", "combined"),
         (data_mod.SPLIT_CLEAN_TEST, "clean", "prediction"),
@@ -222,7 +407,7 @@ def test_second_train_split_pass_through_buffers_allocates_no_hidden_activation(
     model = cfg.model.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed=0)
     x, a, y = ds.train_arrays()
     wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
-    buffers = activation_buffers(model, x.shape[0])
+    buffers = Workspace(model, x.shape[0])
     one_activation = x.shape[0] * model.prediction.weights[0].shape[0] * 8
     assert one_activation == 2800 * 128 * 8
     training._train_subset_metrics(model, x, a, y, wrong, buffers)  # fills the buffers
@@ -556,6 +741,17 @@ def test_grid_reruns_identically_and_failures_are_marked():
     assert "nonsense" in first[1].error and first[1].result is None
     assert first[0].result.scores() == second[0].result.scores()
     assert first[0].seed == second[0].seed
+
+
+def test_an_outcome_status_is_whether_it_holds_a_result():
+    ds = tiny_dataset(n=150, seed=16)
+    result = train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=1))
+    assert training.TrialOutcome(0, {}, 1, result=result).status == "ok"
+    assert training.TrialOutcome(0, {}, 1, error="boom").status == "failed"
+    with pytest.raises(TypeError, match="status"):
+        training.TrialOutcome(0, {}, 1, status="ok")
+    with pytest.raises(AttributeError):
+        training.TrialOutcome(0, {}, 1).status = "ok"
 
 
 @pytest.mark.parametrize("early_stopping", [True, False])
