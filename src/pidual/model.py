@@ -153,15 +153,21 @@ class PiDualModel:
     noise_head: MlpParams = field(init=False, repr=False, compare=False)
     gate_head: MlpParams = field(init=False, repr=False, compare=False)
     gate_trunk: MlpParams | None = field(init=False, repr=False, compare=False)
+    # the vector's layout: each present component's weight shapes, in roster order
+    layout: dict[str, list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.params = np.array(self.params, dtype=np.float64)
         shapes = self.config.shapes(self.feature_dim, self.pi_dim, self.num_classes)
         present = {name: shape for name, shape in shapes.items() if shape is not None}
-        weights = {name: list(zip(sizes[1:], sizes[:-1])) for name, (sizes, _) in present.items()}
-        views = nn_core.shaped_views(self.params, weights)
+        self.layout = {n: list(zip(s[1:], s[:-1])) for n, (s, _) in present.items()}
+        views = self.views(self.params)
         for name, shape in shapes.items():
             setattr(self, name, None if shape is None else MlpParams(*views[name], shape[1]))
+
+    def views(self, vector: np.ndarray) -> dict[str, tuple[list, list]]:
+        """(weights, biases) per present component of a vector laid out like ``params``."""
+        return nn_core.shaped_views(vector, self.layout)
 
     def __reduce__(self):
         dims = (self.feature_dim, self.pi_dim, self.num_classes)
@@ -179,9 +185,13 @@ class PiDualModel:
 
 class Workspace:
     """Arrays for training passes of up to ``rows`` rows through ``model``,
-    made once and reused by every pass; also the tape of the latest pass.
+    each made by the first pass that writes it and reused by every later
+    pass; also the tape of the latest pass.
 
-    Per present component it holds an ``nn_core.MlpWorkspace``. The latest
+    Per present component it holds an ``nn_core.MlpWorkspace``, which makes
+    its arrays at the first pass through that component: a workspace holds
+    none for a path it never runs, such as the PI side in a prediction-only
+    scoring pass, or the prediction network in ``gate_values``. The latest
     ``forward_train`` through it leaves here its ``batch_size`` and the raw
     ``pred_logits``, ``noise_logits`` and ``gate`` (None without a gate), the
     softmaxed ``pred_probs`` and ``noise_probs`` in the probability space, and
@@ -189,32 +199,19 @@ class Workspace:
     loss's gradient with respect to ``mixed``. A batch of m rows uses the first
     m rows of every array, so one workspace serves a last, shorter minibatch.
 
-    The first ``backward_train`` through it adds the backward pass's arrays:
-    ``grad``, a gradient vector laid out like ``model.params``, whose views
-    per component, ``grads``, are what ``backward_train`` returns, and the
-    components' masks and input gradients. A workspace that only scores, as
-    the evaluation process's do, never holds them.
+    The first ``backward_train`` through it adds ``grad``, a gradient vector
+    laid out like ``model.params``, whose views per component, ``grads``, are
+    what ``backward_train`` returns; a workspace that only scores, as the
+    evaluation process's do, never holds it.
     """
 
     def __init__(self, model: PiDualModel, rows: int) -> None:
         self.model, self.rows = model, rows
-        nets = model.components()
-        self.nets = {name: nn_core.MlpWorkspace(net, rows) for name, net in nets.items()}
-        pi_and_x = model.config.flags.noise_input == NOISE_INPUT_PI_AND_X
-        self.pi_in = np.empty((rows, model.pi_trunk.in_dim)) if pi_and_x else None
-        self.grad = self.grads = self.d_trunk = None
+        self.nets = {n: nn_core.MlpWorkspace(net, rows) for n, net in model.components().items()}
+        self.pi_in = self.grad = self.grads = self.d_trunk = None
         self.batch_size = 0
         self.pred_logits = self.noise_logits = self.gate = None
         self.pred_probs = self.noise_probs = self.mixed = self.d_mixed = None
-
-    def _add_gradients(self) -> None:
-        self.grad = np.zeros_like(self.model.params)
-        views = nn_core.tensor_views(self.grad, self.model.components())
-        masks: dict[int, np.ndarray] = {}
-        for name, net in self.nets.items():
-            net.add_gradients(Gradients(*views[name]), masks)
-        self.grads = {name: net.grads for name, net in self.nets.items()}
-        self.d_trunk = np.empty((self.rows, self.model.pi_trunk.out_dim))
 
 
 def _batch(model: PiDualModel, x, a, out: Workspace | None) -> tuple:
@@ -258,6 +255,8 @@ def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray, ws: Works
     ws.batch_size, ws.d_mixed = m, None
     pi_in = a
     if flags.noise_input == NOISE_INPUT_PI_AND_X:
+        if ws.pi_in is None:
+            ws.pi_in = np.empty((ws.rows, model.pi_trunk.in_dim))
         pi_in = np.concatenate((a, x), axis=1, out=ws.pi_in[:m])
 
     trunk_out = nets["pi_trunk"].forward(pi_in) if _trunk_runs(model) else None
@@ -351,8 +350,11 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
         raise ContractError("tape was produced by a different model")
     if tape.d_mixed is None:
         raise ContractError("no loss has scored this tape: call training_loss first")
-    if tape.grad is None:
-        tape._add_gradients()
+    if tape.grad is None:  # the first backward pass through the workspace
+        tape.grad = np.zeros_like(model.params)
+        tape.grads = {name: Gradients(*v) for name, v in model.views(tape.grad).items()}
+        if _trunk_runs(model):
+            tape.d_trunk = np.empty((tape.rows, model.pi_trunk.out_dim))
     flags, shared, m = model.config.flags, model.config.share_first_layer, tape.batch_size
     f, eps, g, u = tape.pred_logits, tape.noise_logits, tape.gate, tape.d_mixed
 
@@ -372,27 +374,28 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
 
     # the first layers of prediction, pi_trunk and gate_trunk read data: no input gradient
     nets, grads = tape.nets, tape.grads
-    nets["prediction"].backward(d_pred, input_grad=False)
-    d_trunk_out = tape.d_trunk[:m]
-    d_trunk_out.fill(0.0)
+    nets["prediction"].backward(d_pred, grads["prediction"], input_grad=False)
+    d_trunk_out = None if tape.d_trunk is None else tape.d_trunk[:m]
+    if d_trunk_out is not None:
+        d_trunk_out.fill(0.0)
     if flags.use_noise_net:
-        d_trunk_out += nets["noise_head"].backward(d_noise_out)
+        d_trunk_out += nets["noise_head"].backward(d_noise_out, grads["noise_head"])
     else:
         _zero(grads["noise_head"])
     if flags.use_gate:
-        d_gate_in = nets["gate_head"].backward(d_gate_out[:, None])
+        d_gate_in = nets["gate_head"].backward(d_gate_out[:, None], grads["gate_head"])
         if shared:
             d_trunk_out += d_gate_in
         else:
-            nets["gate_trunk"].backward(d_gate_in, input_grad=False)
+            nets["gate_trunk"].backward(d_gate_in, grads["gate_trunk"], input_grad=False)
     else:
         _zero(grads["gate_head"])
         if not shared:
             _zero(grads["gate_trunk"])
-    if _trunk_runs(model):
-        nets["pi_trunk"].backward(d_trunk_out, input_grad=False)
-    else:
+    if d_trunk_out is None:
         _zero(grads["pi_trunk"])
+    else:
+        nets["pi_trunk"].backward(d_trunk_out, grads["pi_trunk"], input_grad=False)
     return grads
 
 

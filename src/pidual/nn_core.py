@@ -5,6 +5,9 @@ stacks of affine layers with ReLU hiddens and an identity or sigmoid output.
 Everything is float64 and deterministic. Inputs are batches, one sample per
 row of a 2-D array; a single sample is a batch of one row, ``x[None]``.
 
+One type holds a network's pass: an ``MlpWorkspace``, the tape of its latest
+pass and the arrays its passes reuse; ``mlp_forward`` returns a new one.
+
 Gradient convention: ``mlp_backward`` returns the gradient of
 ``sum(output * upstream)``, so a mean-over-batch loss is obtained by passing
 per-sample upstream gradients already divided by the batch size.
@@ -110,40 +113,27 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
-@dataclass
-class Tape:
-    """Activation cache binding one forward pass to its parameters.
-
-    ``outputs[0]`` is the input batch and ``outputs[k + 1]`` layer k's
-    activated output; backward needs nothing else, because the ReLU mask and
-    the sigmoid derivative are both functions of the output.
-    """
-
-    params: MlpParams = field(repr=False)
-    outputs: list[np.ndarray] = field(repr=False)
-
-
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Forward pass on new arrays; returns (output, tape) where the tape
-    suffices for backward. An ``MlpWorkspace`` runs the same pass on arrays
-    it keeps."""
+def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpWorkspace]:
+    """Checked forward pass on new arrays; returns (output, tape), where the
+    tape is a new ``MlpWorkspace`` for the batch's rows and suffices for
+    backward."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeError(f"expected a batch of vectors (ndim=2), got ndim={h.ndim}")
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input dim {h.shape[1]} != first-layer in-dim {params.in_dim}")
-    ws = MlpWorkspace(params, h.shape[0])
-    return ws.forward(h), ws.tape
+    tape = MlpWorkspace(params, h.shape[0])
+    return tape.forward(h), tape
 
 
 def mlp_backward(
     params: MlpParams,
-    tape: Tape,
+    tape: MlpWorkspace,
     upstream: np.ndarray,
     out: Gradients | None = None,
     input_grad: bool = True,
 ) -> tuple[Gradients, np.ndarray | None]:
-    """Exact reverse-mode gradients of ``sum(output * upstream)``.
+    """Exact reverse-mode gradients of ``sum(output * upstream)`` through ``tape``'s pass.
 
     Returns (parameter gradients, gradient w.r.t. the forward input). The
     parameter gradients are written into ``out`` when it is given. With
@@ -165,44 +155,32 @@ def mlp_backward(
 
 
 class MlpWorkspace:
-    """Arrays for passes of up to ``rows`` rows through one MLP, made once
-    and reused by every pass; a batch of m rows uses their first m rows.
+    """The tape of the latest pass through one MLP, and the arrays its passes
+    reuse: room for up to ``rows`` rows, of which a batch of m rows uses the
+    first m. Each array is made by the first pass that writes it, so a
+    network that never runs holds only its transposed-weight views.
 
-    It holds the transposed-weight views and one output array per layer;
-    ``tape`` is the latest pass. ``add_gradients`` adds what ``backward``
-    needs. ``forward`` and ``backward`` check nothing: ``mlp_forward`` and the
+    ``outputs[0]`` is the latest pass's input batch and ``outputs[k + 1]``
+    layer k's activated output; backward needs nothing else, because the ReLU
+    mask and the sigmoid derivative are both functions of the output.
+    ``forward`` and ``backward`` check nothing: ``mlp_forward`` and the
     model's passes check the batch at entry.
     """
 
-    __slots__ = ("params", "rows", "weights_t", "buffers", "tape", "grads", "masks", "deltas")
+    __slots__ = ("params", "rows", "weights_t", "outputs", "buffers", "masks", "deltas")
 
     def __init__(self, params: MlpParams, rows: int) -> None:
         self.params, self.rows = params, rows
         self.weights_t = [w.T for w in params.weights]
-        self.buffers = [np.empty((rows, w.shape[0])) for w in params.weights]
-        self.tape = Tape(params, [None] * (len(params.weights) + 1))
-        self.grads = self.masks = self.deltas = None
-
-    def add_gradients(self, grads: Gradients, masks: dict[int, np.ndarray]) -> None:
-        """Adds what ``backward`` needs: ``grads``, the arrays the parameter
-        gradients go into; a bool ReLU mask per layer, from ``masks``, one
-        array per width, which several networks can share because their
-        backward passes run one after another; and an input-gradient array
-        for the first layer. The other layers write their input gradients
-        over the hidden outputs, so a pass is backpropagated once."""
-        rows, weights = self.rows, self.params.weights
-        self.grads = grads
-        self.masks = [
-            masks.setdefault(w.shape[0], np.empty((rows, w.shape[0]), dtype=bool))
-            if act == RELU else None
-            for w, act in zip(weights, self.params.activations)
-        ]
-        self.deltas = [np.empty((rows, weights[0].shape[1])), *self.buffers[:-1]]
+        self.outputs = [None] * (len(params.weights) + 1)
+        self.buffers = self.masks = self.deltas = None
 
     def forward(self, h: np.ndarray) -> np.ndarray:
         """Layer k's product goes into ``buffers[k]``, where the bias and the
         ReLU are applied in place; a sigmoid layer makes a new array."""
-        m, params, outputs = h.shape[0], self.params, self.tape.outputs
+        if self.buffers is None:
+            self.buffers = [np.empty((self.rows, w.shape[0])) for w in self.params.weights]
+        m, params, outputs = h.shape[0], self.params, self.outputs
         outputs[0] = h
         for k, (wt, b, act, buf) in enumerate(
             zip(self.weights_t, params.biases, params.activations, self.buffers)
@@ -216,11 +194,22 @@ class MlpWorkspace:
             outputs[k + 1] = h
         return h
 
-    def backward(self, d: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Gradients of ``sum(output * d)`` into ``grads``; ``d``, which
-        this overwrites, has the latest pass's rows."""
+    def backward(
+        self, d: np.ndarray, grads: Gradients, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Gradients of ``sum(output * d)`` through the latest pass into
+        ``grads``; ``d``, which this overwrites, has that pass's rows. The
+        first backward pass makes a bool ReLU mask per layer and the first
+        layer's input-gradient array; the other layers write their input
+        gradients over the hidden outputs, so a pass is backpropagated once."""
+        if self.deltas is None:
+            self.masks = [
+                np.empty(b.shape, dtype=bool) if act == RELU else None
+                for b, act in zip(self.buffers, self.params.activations)
+            ]
+            self.deltas = [np.empty((self.rows, self.params.in_dim)), *self.buffers[:-1]]
         return _backward_layers(
-            self.params, self.tape.outputs, d, self.grads, self.masks, self.deltas, input_grad
+            self.params, self.outputs, d, grads, self.masks, self.deltas, input_grad
         )
 
 
@@ -334,16 +323,9 @@ def shaped_views(
     return views
 
 
-def tensor_views(
-    vector: np.ndarray, nets: dict[str, MlpParams]
-) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """(weights, biases) views of ``vector`` per net, shaped like the tensors of ``nets``."""
-    return shaped_views(vector, {n: [w.shape for w in net.weights] for n, net in nets.items()})
-
-
-def locate(nets: dict[str, MlpParams], index: int) -> str:
-    """Names the tensor of ``nets`` that holds entry ``index`` of their vector."""
-    slots = _slots({n: [w.shape for w in net.weights] for n, net in nets.items()})
+def locate(shapes: dict[str, list[tuple[int, int]]], index: int) -> str:
+    """Names the tensor holding entry ``index`` of a vector laid out as ``shapes``."""
+    slots = _slots(shapes)
     return next(f"{n} layer {k} {kind}" for n, k, kind, _, _, stop in slots if index < stop)
 
 
@@ -389,25 +371,19 @@ def current_lr(state: OptimizerState, epoch: int) -> float:
 
 def sgd_step(
     params: np.ndarray, grads: np.ndarray, state: OptimizerState, epoch: int,
-    decayed: int | None = None, layout: dict[str, MlpParams] | None = None,
+    decayed: int | None = None,
 ) -> None:
     """One in-place Nesterov update of a flat vector: v <- mu*v - lr*g; p <- p + mu*v - lr*g.
 
     Weight decay is added to the gradient (g <- g + wd*p) on the first
     ``decayed`` entries only (all of them when None). The update ``lr*g`` is
-    computed in ``grads``, which this overwrites. ``layout`` (nets whose
-    tensors are views of ``params``) is read only to name the tensor of a
-    non-finite gradient; such a gradient raises before anything is written.
-    With zero velocity history, lr=0 or zero gradients and zero decay leave
-    the parameters unchanged.
+    computed in ``grads``, which this overwrites, and is not checked for
+    non-finite entries (``training.train`` finds them in the parameters). With
+    zero velocity history, lr=0 or zero gradients and zero decay leave the
+    parameters unchanged.
     """
     if grads.shape != params.shape:
         raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        where = locate(layout, index) if layout else f"entry {index}"
-        raise NumericError(f"non-finite gradient in {where}")
     update, scratch = grads, state.scratch
     if state.weight_decay != 0.0:
         decay = np.multiply(params[:decayed], state.weight_decay, out=scratch[:decayed])

@@ -26,7 +26,7 @@ from . import model as model_mod
 from .data import PiDataset, RandomPiSpec, augment_random_pi
 from .errors import ContractError, EvaluationError, NumericError
 from .model import AblationFlags, ModelConfig, PiDualModel
-from .nn_core import init_optimizer, sgd_step
+from .nn_core import init_optimizer, locate, sgd_step
 from .seeding import derive_seed
 
 HEAD_COMBINED = "combined"
@@ -279,6 +279,14 @@ def _sendable(exc: Exception) -> Exception | str:
     return exc
 
 
+def _numeric_error(model: PiDualModel, what: str) -> NumericError:
+    """``what`` as a ``NumericError`` that names the first tensor of
+    ``model`` holding a non-finite parameter, if one does."""
+    bad = np.flatnonzero(~np.isfinite(model.params))
+    where = f" with non-finite parameters in {locate(model.layout, bad[0])}" if bad.size else ""
+    return NumericError(what + where)
+
+
 def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     """Shuffled minibatch SGD over the train split for ``cfg.epochs``.
 
@@ -302,6 +310,9 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     ``forward_train``, ``training_loss``, ``backward_train`` and ``sgd_step``,
     each looked up on its module at call time, so a wrapper set there sees
     every step; it allocates only the narrow arrays of the loss and the mix.
+    A step checks its loss, not its gradient: a non-finite update shows in a
+    later loss or, at the latest, in the epoch's snapshot, before that epoch
+    is scored, and the ``NumericError`` names the first non-finite tensor.
 
     With clean labels, the child's train-split pass also returns each row's
     detection scores (``_train_subset_metrics``) with the epoch's row. Those
@@ -327,7 +338,6 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
     )
     # the PI components follow the prediction net in the vector (model.COMPONENTS)
     decayed = model.prediction.size if cfg.exempt_pi_nets_from_wd else model.params.size
-    nets = model.components()
 
     has_val = ds.split_indices(data_mod.SPLIT_NOISY_VAL).size > 0
     has_clean = ds.has_clean_labels
@@ -399,13 +409,16 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
                 model_mod.forward_train(model, x_ep[start:stop], a_ep[start:stop], out=ws)
                 loss = model_mod.training_loss(ws, y_ep[start:stop])
                 if not math.isfinite(loss):
-                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
+                    raise _numeric_error(model, f"non-finite loss at epoch {epoch}, batch {b_idx}")
                 model_mod.backward_train(model, ws)
-                sgd_step(model.params, ws.grad, state, epoch, decayed, layout=nets)
+                sgd_step(model.params, ws.grad, state, epoch, decayed)
 
             if pending is not None:
                 resolve(*pending)
-            snap = model.copy()
+            try:
+                snap = model.copy()  # its components reject non-finite parameters
+            except NumericError:
+                raise _numeric_error(model, f"epoch {epoch} ends") from None
             evaluator.submit(snap.params)
             pending = (epoch, snap)
         resolve(*pending)

@@ -1,5 +1,9 @@
 import pidual  # noqa: F401  (first: numpy must load under the package's BLAS thread default)
+import itertools
+
 import numpy as np
+
+from pidual import model as model_mod
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -28,3 +32,20 @@ def rel_err(a, b, floor=1e-6):
     a, b = np.asarray(a), np.asarray(b)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+def poison_gradient(monkeypatch, name, layer, kind, at_step):
+    """Patch ``model.backward_train`` so that its call number ``at_step``
+    (from 0) writes NaN into the last entry of the ``kind`` ("weight" or
+    "bias") gradient of layer ``layer`` of component ``name``. Patch before
+    ``train`` forks; only the training process calls it."""
+    real, calls = model_mod.backward_train, itertools.count()
+
+    def poisoned(model, tape):
+        grads = real(model, tape)
+        if next(calls) == at_step:
+            g = grads[name]
+            (g.d_weights if kind == "weight" else g.d_biases)[layer].flat[-1] = np.nan
+        return grads
+
+    monkeypatch.setattr(model_mod, "backward_train", poisoned)

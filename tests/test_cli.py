@@ -29,6 +29,7 @@ from pidual.model import ModelConfig, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError, DataFormatError
 from pidual.linear_risk import MAX_FLOATS
 from pidual.training import GRID_AXES, TrainConfig, TrainRecord, evaluate
+from conftest import poison_gradient
 
 BASE_SECTIONS = {
     "experiment": {"seed": "11"},
@@ -1515,6 +1516,21 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
         "numeric failure: ablation variant cross_entropy failed: "
         "non-finite loss at epoch 0, batch 3\n"
     )
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["mid-epoch", "last-step"])
+def test_nonfinite_update_exits_3_with_one_line(tmp_path, capsys, monkeypatch, last):
+    cfg_path, out = write_config(tmp_path)
+    cfg = load_experiment_config(cfg_path)
+    steps = -(-build_dataset(cfg).split_indices("train").size // cfg.train.batch_size)
+    poison_gradient(monkeypatch, "gate_head", 0, "weight", steps - 1 if last else 1)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    when = "epoch 0 ends" if last else "non-finite loss at epoch 0, batch 2"
+    assert capsys.readouterr().err == (
+        f"numeric failure: {when} with non-finite parameters in gate_head layer 0 weight\n"
+    )
+    assert not (out / "best_checkpoint.json").exists()
 
 
 def test_risk_csv_parses_back(tmp_path):

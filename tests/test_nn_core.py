@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidual import nn_core
-from pidual.errors import ContractError, NumericError, ShapeError
+from pidual.errors import ContractError, ShapeError
 from pidual.model import ModelConfig
 from pidual.nn_core import (
     MlpParams,
@@ -294,16 +294,6 @@ def test_sgd_step_schedule():
     assert abs(nn_core.current_lr(state, 6) - 0.04) < 1e-15
 
 
-def test_sgd_nonfinite_gradient_reports_tensor():
-    net = init_mlp([2, 2], [nn_core.IDENTITY], seed=0)
-    params = nn_core.flatten({"net": net})
-    state = init_optimizer(params, base_lr=0.1)
-    grads = np.zeros_like(params)
-    grads[0] = np.nan
-    with pytest.raises(NumericError, match="net layer 0 weight"):
-        sgd_step(params, grads, state, epoch=0, layout={"net": net})
-
-
 def per_tensor_nesterov(p, g, v, lr, mu, wd):
     """The per-tensor update, one tensor at a time, as the flat step must reproduce it."""
     if wd != 0.0:
@@ -325,7 +315,7 @@ def test_flat_step_matches_per_tensor_nesterov_bitwise():
     rng = np.random.default_rng(4)
     for _ in range(5):
         grads = rng.standard_normal(model.params.shape)
-        views = nn_core.tensor_views(grads, nets)
+        views = model.views(grads)  # cut through the model's layout
         for name, net in nets.items():
             decay = wd if name == "prediction" else 0.0  # the PI components are exempt
             tensors = net.weights + net.biases
@@ -337,20 +327,14 @@ def test_flat_step_matches_per_tensor_nesterov_bitwise():
         assert net.equals(nets[name])
 
 
-@pytest.mark.parametrize(
-    "name,layer,kind",
-    [("prediction", 1, "weight"), ("noise_head", 1, "bias"), ("gate_head", 0, "weight")],
-)
-def test_flat_step_names_the_nonfinite_tensor(name, layer, kind):
+def test_locate_names_the_tensor_of_every_entry():
     model = ModelConfig(pred_hidden=(6, 5), pi_width=5).build(3, 4, 3, seed=2)
-    before = model.params.copy()
-    grads = np.zeros_like(model.params)
-    weights, biases = nn_core.tensor_views(grads, model.components())[name]
-    (weights if kind == "weight" else biases)[layer].flat[-1] = np.nan
-    state = init_optimizer(model.params, base_lr=0.1)
-    with pytest.raises(NumericError, match=f"{name} layer {layer} {kind}"):
-        sgd_step(model.params, grads, state, epoch=0, layout=model.components())
-    assert np.array_equal(model.params, before)
+    indices = np.arange(model.params.size, dtype=np.float64)  # each entry holds its index
+    for name, (weights, biases) in model.views(indices).items():
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            for kind, t in (("weight", w), ("bias", b)):
+                for index in (t.flat[0], t.flat[-1]):
+                    assert nn_core.locate(model.layout, int(index)) == f"{name} layer {k} {kind}"
 
 
 def masked_sigmoid(x):
@@ -413,7 +397,7 @@ def test_forward_into_given_arrays_is_bitwise_the_allocating_pass(dims, last):
     ws = nn_core.MlpWorkspace(net, 800)
     ws.forward(rng.standard_normal((800, dims[0])))
     got = ws.forward(x)
-    tape = ws.tape
+    tape = ws  # the workspace is the tape of its latest pass
     assert got.tobytes() == expected.tobytes()
     assert [h.tobytes() for h in tape.outputs] == [h.tobytes() for h in expected_tape.outputs]
     for k, act in enumerate(net.activations):
@@ -427,11 +411,11 @@ def test_forward_into_given_arrays_is_bitwise_the_allocating_pass(dims, last):
     expected_grads, expected_dx = mlp_backward(net, expected_tape, upstream)
     grads, dx = mlp_backward(net, tape, upstream)  # leaves the tape and the upstream as they are
     weights, biases = [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
-    ws.add_gradients(nn_core.Gradients(weights, biases), {})
+    in_place = nn_core.Gradients(weights, biases)
     d = upstream.copy()
-    in_place_dx = ws.backward(d)  # writes its input gradients over the pass's hidden outputs
+    in_place_dx = ws.backward(d, in_place)  # writes its input gradients over the hidden outputs
     expected_tensors = expected_grads.d_weights + expected_grads.d_biases
-    for got_grads in (grads, ws.grads):
+    for got_grads in (grads, in_place):
         for a, b in zip(got_grads.d_weights + got_grads.d_biases, expected_tensors):
             assert a.tobytes() == b.tobytes()
     assert dx.tobytes() == in_place_dx.tobytes() == expected_dx.tobytes()

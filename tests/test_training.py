@@ -31,6 +31,7 @@ from pidual.model import (
 from pidual.config import FIELDS, build_dataset, load_experiment_config
 from pidual.model import Workspace
 from pidual.seeding import derive_seed
+from conftest import poison_gradient
 from pidual.training import (
     GRID_AXES,
     RECORD_COLUMNS,
@@ -418,6 +419,46 @@ def test_second_train_split_pass_through_buffers_allocates_no_hidden_activation(
     finally:
         tracemalloc.stop()
     assert peak < one_activation, f"{peak} B traced in the second pass"
+
+
+def test_passes_make_arrays_only_for_the_components_they_run():
+    # configs/benchmark.ini's shapes: 2800 train rows and 800 clean-test rows
+    root = Path(__file__).resolve().parents[1]
+    cfg = load_experiment_config(root / "configs" / "benchmark.ini")
+    ds = data_mod.augment_random_pi(build_dataset(cfg), training._random_pi(cfg.train))
+    model = cfg.model.build(ds.feature_dim, ds.pi_dim, ds.num_classes, seed=0)
+
+    def layer_outputs(rows, names):  # bytes of every layer output of these components
+        return 8 * rows * sum(w.shape[0] for n in names for w in getattr(model, n).weights)
+
+    x, a, _ = ds.train_arrays()
+    pi_side = layer_outputs(x.shape[0], ("pi_trunk", "noise_head", "gate_head"))
+    tracemalloc.start()
+    try:
+        gate_values(model, x, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the PI side's layer outputs, at most 16 one-column arrays, the
+    # gate sigmoid's temporaries among them; the prediction network's layer
+    # outputs alone would be 5.8 MB more
+    assert peak < pi_side + 16 * 8 * x.shape[0], f"{peak} B traced, {pi_side} B on the PI side"
+
+    # the evaluation process's clean-test workspace after its first pass
+    split = data_mod.SPLIT_CLEAN_TEST
+    rows = ds.split_indices(split).size
+    x_test, _ = ds.eval_inputs(split)
+    tracemalloc.start()
+    try:
+        ws = Workspace(model, rows)
+        evaluate(model, ds, split, "clean", training.HEAD_PREDICTION, out=ws)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    prediction = layer_outputs(rows, ("prediction",))
+    # the prediction network's layer outputs and the input batch its tape keeps
+    assert held < prediction + x_test.nbytes + 16384, f"{held} B held, {prediction} B predicted"
+    assert [n for n, net in ws.nets.items() if net.buffers is not None] == ["prediction"]
 
 
 def test_clean_labels_do_not_change_fitting_or_selection():
@@ -876,6 +917,38 @@ def test_grid_pool_never_outnumbers_trials(monkeypatch):
     assert [t.status for t in outcomes] == ["ok", "ok"]
     run_grid(GridSpec({"base_lr": [0.1]}), ds, cfg, model_cfg, workers=64)
     assert sizes == [2]  # one trial runs in this process, with no pool
+
+
+@pytest.mark.parametrize(
+    "name,layer,kind",
+    [("prediction", 1, "weight"), ("noise_head", 1, "bias"), ("gate_head", 0, "weight")],
+)
+@pytest.mark.parametrize("last", [False, True], ids=["mid-epoch", "last-step"])
+def test_nonfinite_update_is_named_before_the_evaluation_process_sees_it(
+    monkeypatch, name, layer, kind, last
+):
+    # the step does not scan its gradient: a NaN gradient entry in epoch 1 is
+    # found by the next step's loss check, or, after the epoch's last step, by
+    # its snapshot; either way before its vector is sent to be scored
+    ds = tiny_dataset(seed=19)
+    cfg = tiny_cfg(epochs=3)
+    steps = -(-ds.split_indices(data_mod.SPLIT_TRAIN).size // cfg.batch_size)
+    assert steps >= 3
+    poison_gradient(monkeypatch, name, layer, kind, steps + (steps - 1 if last else 1))
+    sent = []
+    real_submit = training._EvaluationProcess.submit
+
+    def submit(self, params):
+        sent.append(bool(np.isfinite(params).all()))
+        real_submit(self, params)
+
+    monkeypatch.setattr(training._EvaluationProcess, "submit", submit)
+    with pytest.raises(NumericError) as exc_info:
+        train(tiny_model(ds, seed=2), ds, cfg)
+    where = f"with non-finite parameters in {name} layer {layer} {kind}"
+    when = "epoch 1 ends" if last else "non-finite loss at epoch 1, batch 2"
+    assert str(exc_info.value) == f"{when} {where}"
+    assert sent == [True]  # epoch 0's vector; epoch 1's never left this process
 
 
 def test_nonfinite_loss_aborts_with_diagnostics():
