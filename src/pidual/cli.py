@@ -246,7 +246,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     reports = [
         detect_mod.detect(model, ds, method)
         for method in methods
-        if method != "gate" or model.config.flags.use_gate
+        if method != "gate" or model.gate_head is not None
     ]
     aucs = _detection_outputs(out, reports)
     for method, auc in aucs.items():

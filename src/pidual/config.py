@@ -372,12 +372,14 @@ def _check_trial_sizes(
     w_key, w = top("model", "pi_width", model.pi_width)
     n, d, a = (synth.n, synth.feature_dim, synth.annotators) if synth else (0, 0, 0)
     pi = r + (synth.pi_dim if synth else 0)  # the generator's PI, then the random PI
-    with_x = NOISE_INPUT_PI_AND_X in (model.flags.noise_input, *axes.get("noise_input", ()))
+    # the flag values that add parameters, each taken if the section or its axis has it
+    larger = {"use_gate": True, "use_noise_net": True, "noise_input": NOISE_INPUT_PI_AND_X}
+    flags = {k: v for k, v in larger.items() if v in (getattr(model.flags, k), *axes.get(k, ()))}
     largest = replace(  # the grid point with the most parameters
         model,
         pi_width=w,
         share_first_layer=all((model.share_first_layer, *axes.get("share_first_layer", ()))),
-        flags=replace(model.flags, noise_input=NOISE_INPUT_PI_AND_X) if with_x else model.flags,
+        flags=replace(model.flags, **flags),
     )
     layers = [sizes for sizes, _ in filter(None, largest.shapes(d, pi, num_classes).values())]
     params = sum(o * (i + 1) for sizes in layers for i, o in zip(sizes, sizes[1:]))

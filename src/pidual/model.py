@@ -22,7 +22,9 @@ features too.
 
 The switches and the layer widths form a frozen ``ModelConfig``. A
 ``PiDualModel`` is that config, the data's three widths and one parameter
-vector, from which the config cuts every component; a checkpoint and a pickle
+vector, from which the config cuts every component the switches run; a
+component they never run, such as the whole PI side of plain cross-entropy,
+has no parameters, gradient or optimizer update. A checkpoint and a pickle
 hold those same things.
 """
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn_core
-from .errors import ContractError, DataFormatError, PiDualError, ShapeError
+from .errors import ContractError, DataFormatError, NumericError, PiDualError, ShapeError
 from .nn_core import (
     IDENTITY,
     RELU,
@@ -79,10 +81,10 @@ def ce_baseline_flags() -> AblationFlags:
 
 # The component roster: every per-component mapping (parameters, gradients,
 # workspaces) is keyed by these names, and the flat parameter vector
-# is laid out in this order. ``gate_trunk`` exists only when the gate has its
-# own first layer. Everything after ``prediction`` reads the PI and can be
-# exempt from weight decay, so the decayed parameters are one prefix of the
-# vector.
+# is laid out in this order. A model holds only the components its flags run
+# (see ``ModelConfig.shapes``). Everything after ``prediction`` reads the PI
+# and can be exempt from weight decay, so the decayed parameters are one
+# prefix of the vector.
 COMPONENTS = ("prediction", "pi_trunk", "noise_head", "gate_head", "gate_trunk")
 
 
@@ -99,15 +101,16 @@ class ModelConfig:
     flags: AblationFlags = field(default_factory=AblationFlags)
 
     def shapes(self, feature_dim: int, pi_dim: int, num_classes: int) -> dict[str, tuple | None]:
-        """(layer sizes, activations) per roster component, None for an absent one."""
-        hidden, width = tuple(self.pred_hidden), self.pi_width
-        noise_in = pi_dim + feature_dim * (self.flags.noise_input == NOISE_INPUT_PI_AND_X)
+        """(layer sizes, activations) per roster component, None for one the flags never run."""
+        hidden, width, flags = tuple(self.pred_hidden), self.pi_width, self.flags
+        noise_in = pi_dim + feature_dim * (flags.noise_input == NOISE_INPUT_PI_AND_X)
+        shared_gate = flags.use_gate and self.share_first_layer
         shapes = (
             ([feature_dim, *hidden, num_classes], [RELU] * len(hidden) + [IDENTITY]),
-            ([noise_in, width], [RELU]),
-            ([width, width, num_classes], [RELU, IDENTITY]),
-            ([width, width, 1], [RELU, SIGMOID]),
-            None if self.share_first_layer else ([noise_in, width], [RELU]),
+            ([noise_in, width], [RELU]) if flags.use_noise_net or shared_gate else None,
+            ([width, width, num_classes], [RELU, IDENTITY]) if flags.use_noise_net else None,
+            ([width, width, 1], [RELU, SIGMOID]) if flags.use_gate else None,
+            ([noise_in, width], [RELU]) if flags.use_gate and not shared_gate else None,
         )
         return dict(zip(COMPONENTS, shapes))
 
@@ -128,13 +131,15 @@ class PiDualModel:
 
     The noise network is ``noise_head`` stacked on ``pi_trunk``; the gate is
     ``gate_head`` stacked on the shared ``pi_trunk`` (or on its own
-    ``gate_trunk`` when ``config.share_first_layer`` is off). ``params`` holds
-    every parameter, component by component in roster order (see
-    ``nn_core.flatten``). Construction copies it and cuts the components from
-    the copy as ``MlpParams`` views, with the layer widths ``config.shapes``
-    gives for ``feature_dim``, ``pi_dim`` and ``num_classes``, so one
-    optimizer step on ``params`` updates every component, and no component can
-    disagree with the config. A vector of another length is a ``ShapeError``.
+    ``gate_trunk`` when ``config.share_first_layer`` is off). A component the
+    flags never run is None. ``params`` holds every parameter, component by
+    component in roster order (see ``nn_core.flatten``). Construction copies
+    it and cuts the components from the copy as ``MlpParams`` views, with the
+    layer widths ``config.shapes`` gives for ``feature_dim``, ``pi_dim`` and
+    ``num_classes``, so one optimizer step on ``params`` updates every
+    component, and no component can disagree with the config. A vector of
+    another length is a ``ShapeError``; one with a non-finite entry is a
+    ``NumericError`` that names the first tensor holding one.
 
     To craft a model, build one from a config of the wanted widths and write
     into its components' tensors. A pickle, like a checkpoint, holds the
@@ -149,9 +154,9 @@ class PiDualModel:
     params: np.ndarray = field(repr=False, compare=False)
     # the components, in roster order: views of params, cut by __post_init__
     prediction: MlpParams = field(init=False, repr=False, compare=False)
-    pi_trunk: MlpParams = field(init=False, repr=False, compare=False)
-    noise_head: MlpParams = field(init=False, repr=False, compare=False)
-    gate_head: MlpParams = field(init=False, repr=False, compare=False)
+    pi_trunk: MlpParams | None = field(init=False, repr=False, compare=False)
+    noise_head: MlpParams | None = field(init=False, repr=False, compare=False)
+    gate_head: MlpParams | None = field(init=False, repr=False, compare=False)
     gate_trunk: MlpParams | None = field(init=False, repr=False, compare=False)
     # the vector's layout: each present component's weight shapes, in roster order
     layout: dict[str, list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
@@ -162,12 +167,21 @@ class PiDualModel:
         present = {name: shape for name, shape in shapes.items() if shape is not None}
         self.layout = {n: list(zip(s[1:], s[:-1])) for n, (s, _) in present.items()}
         views = self.views(self.params)
+        where = self.nonfinite_tensor()
+        if where is not None:
+            raise NumericError(f"non-finite parameters in {where}")
         for name, shape in shapes.items():
             setattr(self, name, None if shape is None else MlpParams(*views[name], shape[1]))
 
     def views(self, vector: np.ndarray) -> dict[str, tuple[list, list]]:
         """(weights, biases) per present component of a vector laid out like ``params``."""
         return nn_core.shaped_views(vector, self.layout)
+
+    def nonfinite_tensor(self) -> str | None:
+        """The first tensor holding a non-finite parameter, named by
+        ``nn_core.locate``; None when every parameter is finite."""
+        bad = np.flatnonzero(~np.isfinite(self.params))
+        return nn_core.locate(self.layout, int(bad[0])) if bad.size else None
 
     def __reduce__(self):
         dims = (self.feature_dim, self.pi_dim, self.num_classes)
@@ -179,8 +193,7 @@ class PiDualModel:
 
     def components(self) -> dict[str, MlpParams]:
         """The present components by roster name, in roster order."""
-        nets = {name: getattr(self, name) for name in COMPONENTS}
-        return {name: net for name, net in nets.items() if net is not None}
+        return {name: getattr(self, name) for name in self.layout}
 
 
 class Workspace:
@@ -239,36 +252,31 @@ def _fitting(model: PiDualModel, rows: int, out: Workspace | None) -> Workspace:
     return out
 
 
-def _trunk_runs(model: PiDualModel) -> bool:
-    flags = model.config.flags
-    return flags.use_noise_net or (flags.use_gate and model.config.share_first_layer)
-
-
 def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray, ws: Workspace) -> None:
     """Noise and gate paths of the training forward pass, through ``ws``.
 
     The only code that wires the PI side: trunk sharing, the ``pi_and_x``
-    input and the ablation zeros. ``forward_train`` adds the prediction
-    network and the mix; ``noise_logits`` and ``gate_values`` read it alone.
+    input and the ablation zeros. It runs the components the model holds.
+    ``forward_train`` adds the prediction network and the mix;
+    ``noise_logits`` and ``gate_values`` read it alone.
     """
-    flags, nets, m = model.config.flags, ws.nets, x.shape[0]
+    nets, m = ws.nets, x.shape[0]
     ws.batch_size, ws.d_mixed = m, None
     pi_in = a
-    if flags.noise_input == NOISE_INPUT_PI_AND_X:
+    if model.config.flags.noise_input == NOISE_INPUT_PI_AND_X:
         if ws.pi_in is None:
-            ws.pi_in = np.empty((ws.rows, model.pi_trunk.in_dim))
+            ws.pi_in = np.empty((ws.rows, model.pi_dim + model.feature_dim))
         pi_in = np.concatenate((a, x), axis=1, out=ws.pi_in[:m])
 
-    trunk_out = nets["pi_trunk"].forward(pi_in) if _trunk_runs(model) else None
-    if flags.use_noise_net:
+    trunk_out = nets["pi_trunk"].forward(pi_in) if "pi_trunk" in nets else None
+    if "noise_head" in nets:
         ws.noise_logits = nets["noise_head"].forward(trunk_out)
     else:
         ws.noise_logits = np.zeros((m, model.num_classes))
 
     ws.gate = None
-    if flags.use_gate:
-        shared = model.config.share_first_layer
-        gate_in = trunk_out if shared else nets["gate_trunk"].forward(pi_in)
+    if "gate_head" in nets:
+        gate_in = nets["gate_trunk"].forward(pi_in) if "gate_trunk" in nets else trunk_out
         ws.gate = nets["gate_head"].forward(gate_in)[:, 0]
 
 
@@ -342,9 +350,9 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
     d/dg[(1-g)f + g*eps] = eps - f, and accumulates the shared first layer's
     gradient from both the noise and gate paths. Returns ``tape.grads``, one
     ``Gradients`` per component, keyed like ``model.components()`` and views
-    of ``tape.grad``; components on an ablated path get zero gradients. The
-    next backward pass through ``tape`` overwrites them, and this one
-    overwrites the pass's hidden outputs.
+    of ``tape.grad``; the model holds only components that run, so the pass
+    writes every entry. The next backward pass through ``tape`` overwrites
+    them, and this one overwrites the pass's hidden outputs.
     """
     if tape.model is not model:
         raise ContractError("tape was produced by a different model")
@@ -353,9 +361,9 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
     if tape.grad is None:  # the first backward pass through the workspace
         tape.grad = np.zeros_like(model.params)
         tape.grads = {name: Gradients(*v) for name, v in model.views(tape.grad).items()}
-        if _trunk_runs(model):
+        if model.pi_trunk is not None:
             tape.d_trunk = np.empty((tape.rows, model.pi_trunk.out_dim))
-    flags, shared, m = model.config.flags, model.config.share_first_layer, tape.batch_size
+    flags, m = model.config.flags, tape.batch_size
     f, eps, g, u = tape.pred_logits, tape.noise_logits, tape.gate, tape.d_mixed
 
     if not flags.use_gate:
@@ -378,30 +386,17 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
     d_trunk_out = None if tape.d_trunk is None else tape.d_trunk[:m]
     if d_trunk_out is not None:
         d_trunk_out.fill(0.0)
-    if flags.use_noise_net:
+    if "noise_head" in nets:
         d_trunk_out += nets["noise_head"].backward(d_noise_out, grads["noise_head"])
-    else:
-        _zero(grads["noise_head"])
-    if flags.use_gate:
+    if "gate_head" in nets:
         d_gate_in = nets["gate_head"].backward(d_gate_out[:, None], grads["gate_head"])
-        if shared:
-            d_trunk_out += d_gate_in
-        else:
+        if "gate_trunk" in nets:
             nets["gate_trunk"].backward(d_gate_in, grads["gate_trunk"], input_grad=False)
-    else:
-        _zero(grads["gate_head"])
-        if not shared:
-            _zero(grads["gate_trunk"])
-    if d_trunk_out is None:
-        _zero(grads["pi_trunk"])
-    else:
+        else:
+            d_trunk_out += d_gate_in
+    if d_trunk_out is not None:
         nets["pi_trunk"].backward(d_trunk_out, grads["pi_trunk"], input_grad=False)
     return grads
-
-
-def _zero(grads: Gradients) -> None:
-    for t in (*grads.d_weights, *grads.d_biases):
-        t.fill(0.0)
 
 
 def prediction_logits(
@@ -430,7 +425,7 @@ def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray
 
 def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-sample gate outputs in (0, 1)."""
-    if not model.config.flags.use_gate:
+    if model.gate_head is None:
         raise ContractError("this model variant has no gating network")
     x, a, ws = _batch(model, x, a, None)
     _forward_pi_side(model, x, a, ws)
@@ -440,10 +435,10 @@ def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # A checkpoint is one JSON document: the widths, the config's fields and the
 # vector as base64 of little-endian float64. ``PiDualModel`` cuts the
-# components from the vector, so the file holds no layer layout.
+# components its flags run from the vector, so the file holds no layer layout.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "pidual-checkpoint-v3"
+_CHECKPOINT_FORMAT = "pidual-checkpoint-v4"
 
 
 def save_checkpoint(model: PiDualModel, path: str | Path) -> None:
@@ -462,10 +457,9 @@ def load_checkpoint(path: str | Path) -> PiDualModel:
     """The model ``save_checkpoint`` wrote; a malformed file raises ``DataFormatError``.
 
     Every entry must have its JSON type, each layer width must be a positive
-    integer and the flags must name every flag; the model's construction
-    then checks the vector's
-    length against the widths before it cuts any view, and the finiteness of
-    every parameter."""
+    integer and the flags must name every flag; the model's construction then
+    checks the vector's length against the widths and flags before it cuts
+    any view, and then the finiteness of every parameter."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, ShapeError
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -54,8 +54,6 @@ class MlpParams:
                     f"layer {k} input dim {w.shape[1]} != layer {k - 1} output dim "
                     f"{self.weights[k - 1].shape[0]}"
                 )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NumericError(f"layer {k}: non-finite parameter entries")
 
     @property
     def in_dim(self) -> int:
@@ -142,6 +140,8 @@ def mlp_backward(
     """
     if tape.params is not params:
         raise ContractError("tape was produced by a different parameter set")
+    if tape.outputs[0] is None:
+        raise ContractError("no forward pass has run through this workspace")
     d = np.array(upstream, dtype=np.float64)  # a copy: the layer loop works in it
     if d.shape != (tape.outputs[0].shape[0], params.out_dim):
         raise ShapeError(f"upstream shape {d.shape} does not match network output")

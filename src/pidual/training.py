@@ -26,7 +26,7 @@ from . import model as model_mod
 from .data import PiDataset, RandomPiSpec, augment_random_pi
 from .errors import ContractError, EvaluationError, NumericError
 from .model import AblationFlags, ModelConfig, PiDualModel
-from .nn_core import init_optimizer, locate, sgd_step
+from .nn_core import init_optimizer, sgd_step
 from .seeding import derive_seed
 
 HEAD_COMBINED = "combined"
@@ -282,9 +282,8 @@ def _sendable(exc: Exception) -> Exception | str:
 def _numeric_error(model: PiDualModel, what: str) -> NumericError:
     """``what`` as a ``NumericError`` that names the first tensor of
     ``model`` holding a non-finite parameter, if one does."""
-    bad = np.flatnonzero(~np.isfinite(model.params))
-    where = f" with non-finite parameters in {locate(model.layout, bad[0])}" if bad.size else ""
-    return NumericError(what + where)
+    where = model.nonfinite_tensor()
+    return NumericError(what + (f" with non-finite parameters in {where}" if where else ""))
 
 
 def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
@@ -416,7 +415,7 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
             if pending is not None:
                 resolve(*pending)
             try:
-                snap = model.copy()  # its components reject non-finite parameters
+                snap = model.copy()  # a model rejects non-finite parameters
             except NumericError:
                 raise _numeric_error(model, f"epoch {epoch} ends") from None
             evaluator.submit(snap.params)

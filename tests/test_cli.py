@@ -413,7 +413,7 @@ def test_detect_rejects_checkpoint_missing_a_key(tmp_path, missing):
 
 @pytest.fixture(scope="module")
 def detect_inputs(tmp_path_factory):
-    """gen's dataset and a v3 checkpoint document of a model that fits it."""
+    """gen's dataset and a v4 checkpoint document of a model that fits it."""
     tmp = tmp_path_factory.mktemp("detect_inputs")
     cfg_path, out = write_config(tmp)
     assert main(["gen", "--config", str(cfg_path)]) == 0
@@ -431,7 +431,7 @@ def detect_args(ckpt, data, out):
 
 
 def model_of(doc):
-    """The model a valid v3 checkpoint document describes."""
+    """The model a valid v4 checkpoint document describes."""
     flags = model_mod.AblationFlags(**doc["flags"])
     cfg = ModelConfig(tuple(doc["pred_hidden"]), doc["pi_width"], doc["share_first_layer"], flags)
     params = np.frombuffer(base64.b64decode(doc["params"]), "<f8")
@@ -439,7 +439,7 @@ def model_of(doc):
 
 
 def v1_document(doc):
-    """The model of a v3 document in a pidual-checkpoint-v1 document: every
+    """The model of a v4 document in a pidual-checkpoint-v1 document: every
     tensor as nested lists next to the flags."""
     model = model_of(doc)
     v1 = {key: doc[key] for key in ("feature_dim", "pi_dim", "num_classes", "share_first_layer")}
@@ -454,7 +454,7 @@ def v1_document(doc):
 
 
 def v2_document(doc):
-    """The model of a v3 document in a pidual-checkpoint-v2 document: the
+    """The model of a v4 document in a pidual-checkpoint-v2 document: the
     vector with each component's layers as [out, in, activation]."""
     model = model_of(doc)
     v2 = {key: doc[key] for key in ("feature_dim", "pi_dim", "num_classes", "share_first_layer")}
@@ -465,6 +465,12 @@ def v2_document(doc):
             [*w.shape, act] for w, act in zip(net.weights, net.activations)
         ]
     return v2
+
+
+def v3_document(doc):
+    """A v4 document labelled pidual-checkpoint-v3: the same fields, but a v3
+    vector held every component, whichever the flags ran."""
+    return {**doc, "format": "pidual-checkpoint-v3"}
 
 
 def with_param(doc, index, value):
@@ -505,6 +511,7 @@ MALFORMED_CHECKPOINTS = {  # each corrupts a valid document, or returns the file
     ),
     "v1-document": v1_document,
     "v2-document": v2_document,
+    "v3-document": v3_document,
 }
 
 
@@ -520,8 +527,8 @@ def test_detect_rejects_a_malformed_checkpoint_in_one_line(
     assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: ") and err.count("\n") == 1, err
-    if corrupt in (v1_document, v2_document):
-        assert "not a pidual-checkpoint-v3 file" in err, err
+    if corrupt in (v1_document, v2_document, v3_document):
+        assert "not a pidual-checkpoint-v4 file" in err, err
 
 
 def json_paths(node, path=()):
@@ -594,8 +601,8 @@ def test_detect_answers_a_hostile_checkpoint_with_a_result_or_one_line(
 
 
 @st.composite
-def broken_v3_documents(draw, valid):
-    """A v3 document with one entry dropped, retyped or mutated so that no
+def broken_documents(draw, valid):
+    """A v4 document with one entry dropped, retyped or mutated so that no
     model fits it: a missing entry, a value of another JSON type, a width
     that is not positive or is too large for the vector, a dimension or
     flag that changes the vector's length, an unknown or a missing flag, or
@@ -639,13 +646,13 @@ def broken_v3_documents(draw, valid):
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(data=st.data())
-def test_a_broken_v3_checkpoint_is_a_data_format_error_and_exit_4(
+def test_a_broken_checkpoint_is_a_data_format_error_and_exit_4(
     tmp_path, detect_inputs, capsys, data
 ):
     dataset, valid = detect_inputs
     assert valid["share_first_layer"] and valid["flags"]["noise_input"] == "pi_only"
     ckpt = tmp_path / "ckpt.json"
-    ckpt.write_text(json.dumps(data.draw(broken_v3_documents(valid))))
+    ckpt.write_text(json.dumps(data.draw(broken_documents(valid))))
     with pytest.raises(DataFormatError):
         load_checkpoint(ckpt)
     assert main(detect_args(ckpt, dataset, tmp_path / "det")) == 4
@@ -688,6 +695,23 @@ def test_detect_names_the_malformed_entry(tmp_path, detect_inputs, capsys, key, 
     assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and where in err, err
+
+
+@pytest.mark.parametrize(
+    "index, value, tensor",
+    [(0, math.nan, "prediction layer 0 weight"), (-1, -math.inf, "gate_head layer 1 bias")],
+    ids=["first-entry", "last-entry"],
+)
+def test_detect_names_the_tensor_of_a_nonfinite_parameter(
+    tmp_path, detect_inputs, capsys, index, value, tensor
+):
+    data, valid = detect_inputs
+    doc = copy.deepcopy(valid)
+    with_param(doc, index, value)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    assert main(detect_args(ckpt, data, tmp_path / "det")) == 4
+    assert capsys.readouterr().err == f"i/o failure: {ckpt}: non-finite parameters in {tensor}\n"
 
 
 def test_detect_rejects_huge_widths_under_a_memory_cap(tmp_path, detect_inputs):
@@ -1107,6 +1131,19 @@ def test_gen_rejects_a_data_or_model_size_above_the_cap_before_allocating(
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {where}: ")
     assert f"above the cap of {MAX_FLOATS}" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["use_gate", "use_noise_net"])
+def test_the_size_cap_counts_the_pi_components_a_grid_point_runs(tmp_path, axis):
+    # at PI width 10^4 the gate head or the noise head alone holds 10^8 parameters
+    ablated = {"model": {"use_gate": "false", "use_noise_net": "false", "pi_width": "10000"}}
+    cfg_path, _ = write_config(tmp_path, overrides=ablated)
+    assert load_experiment_config(cfg_path).model.pi_width == 10000  # no PI component runs
+    cfg_path, _ = write_config(tmp_path, overrides={**ablated, "grid": {axis: "false,true"}})
+    with pytest.raises(
+        ConfigError, match=rf"^model\.pi_width: the model's parameters = \d+ floats, above the cap"
+    ):
+        load_experiment_config(cfg_path)
 
 
 def _limit_address_space():

@@ -212,8 +212,9 @@ def test_shared_first_layer_sums_both_paths():
     training_loss(tape, labels)
     full = backward_train(model, tape)["pi_trunk"].d_weights[0].copy()
 
-    gateless = replace(model.config, flags=AblationFlags(use_gate=False))
-    model = PiDualModel(gateless, model.feature_dim, model.pi_dim, model.num_classes, model.params)
+    # each component is drawn from its own seed: the gateless model holds
+    # the full model's other components
+    model = small_model(flags=AblationFlags(use_gate=False), seed=11)
     _, _, tape_n = forward_train(model, x, a)
     training_loss(tape_n, labels)
     noise_only = backward_train(model, tape_n)["pi_trunk"].d_weights[0].copy()
@@ -327,7 +328,7 @@ def test_checkpoint_holds_the_vector_as_little_endian_base64(tmp_path):
     doc = json.loads(path.read_text())
     assert base64.b64decode(doc.pop("params")) == model.params.astype("<f8").tobytes()
     assert doc == {  # the widths and the config, no layer layout
-        "format": "pidual-checkpoint-v3", "feature_dim": 3, "pi_dim": 4, "num_classes": 3,
+        "format": "pidual-checkpoint-v4", "feature_dim": 3, "pi_dim": 4, "num_classes": 3,
         "pred_hidden": [5], "pi_width": 5, "share_first_layer": False,
         "flags": asdict(AblationFlags()),
     }
@@ -431,6 +432,35 @@ def ablation_models():
         for share in (True, False):
             flags = AblationFlags(**overrides)
             yield pytest.param(flags, share, id=f"{name}-{'shared' if share else 'own'}")
+
+
+@pytest.mark.parametrize("flags,share", ablation_models())
+def test_a_model_holds_exactly_the_components_its_flags_run(flags, share, tmp_path):
+    full = small_model(flags=replace(flags, use_gate=True, use_noise_net=True), share=share, seed=4)
+    model = small_model(flags=flags, share=share, seed=4)
+    shared_gate = flags.use_gate and share
+    runs = {
+        "prediction": True,
+        "pi_trunk": flags.use_noise_net or shared_gate,
+        "noise_head": flags.use_noise_net,
+        "gate_head": flags.use_gate,
+        "gate_trunk": flags.use_gate and not shared_gate,
+    }
+    assert list(model.components()) == [name for name, run in runs.items() if run]
+    for name, run in runs.items():
+        assert (getattr(model, name) is None) == (not run), name
+        if run:  # drawn from the component's own seed, as in the full model
+            assert getattr(model, name).equals(getattr(full, name)), name
+    assert model.params.size == sum(net.size for net in model.components().values())
+    x, a, labels = rng_batch(model)
+    _, _, tape = forward_train(model, x, a)
+    training_loss(tape, labels)
+    assert backward_train(model, tape).keys() == model.components().keys()
+    assert tape.grad.size == model.params.size
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    stored = base64.b64decode(json.loads(path.read_text())["params"])
+    assert stored == model.params.astype("<f8").tobytes()
 
 
 def grad_bytes(grads):

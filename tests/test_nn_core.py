@@ -169,6 +169,12 @@ def test_backward_stale_tape():
         mlp_backward(net_b, tape, np.ones((1, 2)))
 
 
+def test_backward_through_a_workspace_no_pass_has_run_through_is_rejected():
+    net = init_mlp([2, 2], [nn_core.IDENTITY], seed=0)
+    with pytest.raises(ContractError, match="no forward pass has run through this workspace"):
+        mlp_backward(net, nn_core.MlpWorkspace(net, 4), np.ones((4, 2)))
+
+
 def test_backward_takes_an_upstream_batch_like_the_output():
     net = init_mlp([2, 3], [nn_core.IDENTITY], seed=0)
     _, tape = mlp_forward(net, np.ones((4, 2)))
