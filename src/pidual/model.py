@@ -13,12 +13,12 @@ test-time outputs are provably independent of PI and of the noise/gate
 parameters.
 
 Ablation switches: ``use_gate=False`` drops the gate and adds the logits;
-``use_noise_net=False`` zeroes the noise logits so only the gate can damp a
-sample's loss; ``gate_space="probability"`` mixes softmax outputs instead of
-logits (the loss becomes -log of the mixed probability); and
-``noise_input="pi_and_x"`` feeds the concatenation [pi, features] to the
-noise path, in which case the shared trunk (and therefore the gate) sees the
-features too.
+``use_noise_net=False`` drops the noise network, whose logits count as
+zeros, so only the gate can damp a sample's loss; ``gate_space="probability"``
+mixes softmax outputs instead of logits (the loss becomes -log of the mixed
+probability); and ``noise_input="pi_and_x"`` feeds the concatenation [pi,
+features] to the noise path, in which case the shared trunk (and therefore
+the gate) sees the features too.
 
 The switches and the layer widths form a frozen ``ModelConfig``. A
 ``PiDualModel`` is that config, the data's three widths and one parameter
@@ -206,11 +206,12 @@ class Workspace:
     none for a path it never runs, such as the PI side in a prediction-only
     scoring pass, or the prediction network in ``gate_values``. The latest
     ``forward_train`` through it leaves here its ``batch_size`` and the raw
-    ``pred_logits``, ``noise_logits`` and ``gate`` (None without a gate), the
-    softmaxed ``pred_probs`` and ``noise_probs`` in the probability space, and
-    ``mixed``, its combined output; ``training_loss`` adds ``d_mixed``, the
-    loss's gradient with respect to ``mixed``. A batch of m rows uses the first
-    m rows of every array, so one workspace serves a last, shorter minibatch.
+    ``pred_logits``, ``noise_logits`` and ``gate`` (None for an absent
+    network), the softmaxed ``pred_probs`` and ``noise_probs`` in the
+    probability space, and ``mixed``, its combined output; ``training_loss``
+    adds ``d_mixed``, the loss's gradient with respect to ``mixed``. A batch
+    of m rows uses the first m rows of every array, so one workspace serves a
+    last, shorter minibatch.
 
     The first ``backward_train`` through it adds ``grad``, a gradient vector
     laid out like ``model.params``, whose views per component, ``grads``, are
@@ -255,15 +256,18 @@ def _fitting(model: PiDualModel, rows: int, out: Workspace | None) -> Workspace:
 def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray, ws: Workspace) -> None:
     """Noise and gate paths of the training forward pass, through ``ws``.
 
-    The only code that wires the PI side: trunk sharing, the ``pi_and_x``
-    input and the ablation zeros. It runs the components the model holds.
-    ``forward_train`` adds the prediction network and the mix;
+    The only code that wires the PI side: trunk sharing and the ``pi_and_x``
+    input, built only when a PI component (any but ``prediction``) runs. It
+    runs the components the model holds and leaves ``ws.noise_logits`` and
+    ``ws.gate`` None for the rest. ``forward_train`` adds the prediction
+    network and the mix;
     ``noise_logits`` and ``gate_values`` read it alone.
     """
     nets, m = ws.nets, x.shape[0]
     ws.batch_size, ws.d_mixed = m, None
+    ws.noise_logits = ws.gate = None
     pi_in = a
-    if model.config.flags.noise_input == NOISE_INPUT_PI_AND_X:
+    if model.config.flags.noise_input == NOISE_INPUT_PI_AND_X and len(nets) > 1:
         if ws.pi_in is None:
             ws.pi_in = np.empty((ws.rows, model.pi_dim + model.feature_dim))
         pi_in = np.concatenate((a, x), axis=1, out=ws.pi_in[:m])
@@ -271,10 +275,6 @@ def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray, ws: Works
     trunk_out = nets["pi_trunk"].forward(pi_in) if "pi_trunk" in nets else None
     if "noise_head" in nets:
         ws.noise_logits = nets["noise_head"].forward(trunk_out)
-    else:
-        ws.noise_logits = np.zeros((m, model.num_classes))
-
-    ws.gate = None
     if "gate_head" in nets:
         gate_in = nets["gate_trunk"].forward(pi_in) if "gate_trunk" in nets else trunk_out
         ws.gate = nets["gate_head"].forward(gate_in)[:, 0]
@@ -296,16 +296,17 @@ def forward_train(
     x, a, ws = _batch(model, x, a, out)
     _forward_pi_side(model, x, a, ws)
     ws.pred_logits = ws.nets["prediction"].forward(x)
-    flags = model.config.flags
     f, eps, g = ws.pred_logits, ws.noise_logits, ws.gate
 
-    if not flags.use_gate:
-        combined = f + eps
-    elif flags.gate_space == GATE_SPACE_LOGIT:
-        combined = (1.0 - g)[:, None] * f + g[:, None] * eps
+    if g is None:
+        combined = f.copy() if eps is None else f + eps
+    elif model.config.flags.gate_space == GATE_SPACE_LOGIT:
+        combined = (1.0 - g)[:, None] * f
+        if eps is not None:
+            combined += g[:, None] * eps
     else:
         ws.pred_probs = softmax(f)
-        ws.noise_probs = softmax(eps)
+        ws.noise_probs = np.full_like(f, 1.0 / model.num_classes) if eps is None else softmax(eps)
         combined = (1.0 - g)[:, None] * ws.pred_probs + g[:, None] * ws.noise_probs
     ws.mixed = combined
     return combined, g, ws
@@ -321,8 +322,7 @@ def training_loss(tape: Workspace, labels: np.ndarray) -> float:
     b = tape.batch_size
     if labels.shape != (b,):
         raise ShapeError("one label per batch row required")
-    flags = tape.model.config.flags
-    if flags.use_gate and flags.gate_space == GATE_SPACE_PROBABILITY:
+    if tape.gate is not None and tape.model.config.flags.gate_space == GATE_SPACE_PROBABILITY:
         rows = np.arange(b)
         picked = tape.mixed[rows, labels]  # the mixed probability of each row's label
         tape.d_mixed = np.zeros_like(tape.mixed)
@@ -351,8 +351,9 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
     gradient from both the noise and gate paths. Returns ``tape.grads``, one
     ``Gradients`` per component, keyed like ``model.components()`` and views
     of ``tape.grad``; the model holds only components that run, so the pass
-    writes every entry. The next backward pass through ``tape`` overwrites
-    them, and this one overwrites the pass's hidden outputs.
+    writes every entry and forms none for a component the model lacks. The
+    next backward pass through ``tape`` overwrites them, and this one
+    overwrites the pass's hidden outputs.
     """
     if tape.model is not model:
         raise ContractError("tape was produced by a different model")
@@ -363,21 +364,21 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
         tape.grads = {name: Gradients(*v) for name, v in model.views(tape.grad).items()}
         if model.pi_trunk is not None:
             tape.d_trunk = np.empty((tape.rows, model.pi_trunk.out_dim))
-    flags, m = model.config.flags, tape.batch_size
+    m = tape.batch_size
     f, eps, g, u = tape.pred_logits, tape.noise_logits, tape.gate, tape.d_mixed
 
-    if not flags.use_gate:
+    if g is None:
         # the prediction and noise output layers are identity layers, which
         # leave their upstream gradient as it is
         d_pred, d_noise_out, d_gate_out = u, u, None
-    elif flags.gate_space == GATE_SPACE_LOGIT:
+    elif model.config.flags.gate_space == GATE_SPACE_LOGIT:
         d_pred = (1.0 - g)[:, None] * u
-        d_noise_out = g[:, None] * u
-        d_gate_out = np.add.reduce((eps - f) * u, axis=1)
+        d_noise_out = None if eps is None else g[:, None] * u
+        d_gate_out = np.add.reduce((-f if eps is None else eps - f) * u, axis=1)
     else:
         p_f, p_e = tape.pred_probs, tape.noise_probs
         d_pred = _through_softmax(p_f, (1.0 - g)[:, None] * u)
-        d_noise_out = _through_softmax(p_e, g[:, None] * u)
+        d_noise_out = None if eps is None else _through_softmax(p_e, g[:, None] * u)
         d_gate_out = np.add.reduce((p_e - p_f) * u, axis=1)
 
     # the first layers of prediction, pi_trunk and gate_trunk read data: no input gradient
@@ -420,7 +421,7 @@ def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray
     """Raw (un-gated) noise-network logits; zeros when that path is ablated."""
     x, a, ws = _batch(model, x, a, None)
     _forward_pi_side(model, x, a, ws)
-    return ws.noise_logits
+    return np.zeros((x.shape[0], model.num_classes)) if ws.noise_logits is None else ws.noise_logits
 
 
 def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -171,7 +171,9 @@ def _train_subset_metrics(
     ``detection.gate_scores``, so the same bits.
     """
     combined, gate, tape = model_mod.forward_train(model, x, a, out)
-    heads = {"train": combined, "pred": tape.pred_logits, "noise": tape.noise_logits}
+    # a model without a noise network scores zero noise logits: class 0 on every row
+    noise = np.zeros_like(combined) if tape.noise_logits is None else tape.noise_logits
+    heads = {"train": combined, "pred": tape.pred_logits, "noise": noise}
     hits = {head: scores.argmax(axis=1) == y for head, scores in heads.items()}
     row = {}
     for subset, mask in (("clean", ~wrong), ("wrong", wrong)):
