@@ -40,7 +40,6 @@ from .model import (
     ModelConfig,
     PiDualModel,
     backward_train,
-    ce_baseline_flags,
     forward_infer,
     forward_train,
     load_checkpoint,
@@ -51,6 +50,7 @@ from .training import (
     TrainConfig,
     TrainRecord,
     TrainResult,
+    TrialJob,
     evaluate,
     run_grid,
     run_trial,

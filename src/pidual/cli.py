@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,13 @@ from . import detection as detect_mod
 from . import linear_risk as risk_mod
 from . import model as model_mod
 from . import svgplot
-from .config import ExperimentConfig, build_dataset, load_experiment_config, parse_methods
+from .config import (
+    ExperimentConfig,
+    build_dataset,
+    check_trial_sizes,
+    load_experiment_config,
+    parse_methods,
+)
 from .errors import (
     ConfigError,
     ContractError,
@@ -324,6 +331,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = load_experiment_config(args.config, args.seed)
+    check_trial_sizes(cfg, [asdict(flags) for _, flags, _ in ABLATION_VARIANTS])
     ds = build_dataset(cfg)
     out = _out_dir(cfg, args.out)
     outcomes = run_trials(ablation_jobs(ds, cfg.train, cfg.model))
@@ -419,7 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_risk)
     p_risk.set_defaults(func=cmd_risk)
 
-    p_ablate = sub.add_parser("ablate", help="train all architecture ablations")
+    p_ablate = sub.add_parser(
+        "ablate",
+        help="train all architecture ablations",
+        description="Train the seven ablation rows, each a fixed architecture, on the "
+        "config's data under its [train] settings and [model] widths. [model]'s four "
+        "ablation flags (use_gate, use_noise_net, gate_space, noise_input) and [grid] do "
+        "not apply. The size cap counts every row.",
+    )
     common(p_ablate)
     p_ablate.set_defaults(func=cmd_ablate)
     return parser

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import data as data_mod
@@ -28,7 +28,7 @@ from .data import ERROR_MODES, SynthConfig
 from .detection import METHODS
 from .errors import ConfigError
 from .linear_risk import MAX_FLOATS, MC_CHUNK
-from .model import GATE_SPACES, NOISE_INPUT_PI_AND_X, NOISE_INPUTS, ModelConfig
+from .model import GATE_SPACES, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
 from .training import GRID_AXES, MAX_GRID_POINTS, GridSpec, TrainConfig, apply_grid_point
 
@@ -352,49 +352,40 @@ def _check_risk_sizes(risk: dict) -> None:
     ),))
 
 
-def _check_trial_sizes(
-    synth: SynthConfig | None, num_classes: int, model: ModelConfig, train: TrainConfig,
-    grid: GridSpec | None,
-) -> None:
-    """Reject [data], [model] and [grid] sizes whose largest arrays would pass
-    ``MAX_FLOATS`` floats, before any is allocated. Each factor is its largest
-    value over its section and any [grid] axis. A CSV source's rows and widths
-    are known only once the file is read: for one, only the model's layers are
-    counted, with the data's own columns taken as 0."""
-    axes = grid.axes if grid is not None else {}
-
-    def top(section: str, key: str, value: int) -> tuple[str, int]:
-        # the field path and value of the largest of the section's and the axis's values
-        most = max(axes.get(key, ()), default=value)
-        return (f"grid.{key}", most) if most > value else (f"{section}.{key}", value)
-
-    r_key, r = top("train", "random_pi_length", train.random_pi_length)
-    w_key, w = top("model", "pi_width", model.pi_width)
+def check_trial_sizes(cfg: ExperimentConfig, points: list[dict]) -> None:
+    """Reject a command whose trials' largest arrays would pass ``MAX_FLOATS``
+    floats, before any is allocated: the generator's distance array, then at
+    each of ``points``, taken through ``apply_grid_point``, the dataset with
+    its random PI, the model's parameters and ``n`` times its widest layer,
+    both from ``ModelConfig.shapes``. A factor the point sets is named as its
+    [grid] axis. A CSV source's rows and widths are known only once the file
+    is read: for one, only the model's layers are counted, with the data's own
+    columns taken as 0."""
+    synth, classes = cfg.data.synth, cfg.data.num_classes
     n, d, a = (synth.n, synth.feature_dim, synth.annotators) if synth else (0, 0, 0)
-    pi = r + (synth.pi_dim if synth else 0)  # the generator's PI, then the random PI
-    # the flag values that add parameters, each taken if the section or its axis has it
-    larger = {"use_gate": True, "use_noise_net": True, "noise_input": NOISE_INPUT_PI_AND_X}
-    flags = {k: v for k, v in larger.items() if v in (getattr(model.flags, k), *axes.get(k, ()))}
-    largest = replace(  # the grid point with the most parameters
-        model,
-        pi_width=w,
-        share_first_layer=all((model.share_first_layer, *axes.get("share_first_layer", ()))),
-        flags=replace(model.flags, **flags),
-    )
-    layers = [sizes for sizes, _ in filter(None, largest.shapes(d, pi, num_classes).values())]
-    params = sum(o * (i + 1) for sizes in layers for i, o in zip(sizes, sizes[1:]))
-    widest = max(max(sizes) for sizes in layers)
-    widths = {"model.pred_hidden": max(model.pred_hidden, default=0), w_key: w,
-              "data.feature_dim": d, "data.annotators": a, r_key: r, "data.classes": num_classes}
-    _check_sizes((
-        ("the generator's distances need n*classes*feature_dim", n * num_classes * d,
-         {"data.n": n, "data.classes": num_classes, "data.feature_dim": d}),
-        (f"the dataset with its random PI needs n*(feature_dim+annotators+"
-         f"{len(data_mod.PI_CHANNELS)}+random_pi_length)",
-         n * (d + pi), {"data.n": n, "data.feature_dim": d, "data.annotators": a, r_key: r}),
-        ("the model's parameters", params, widths),
-        ("a pass over the data needs n*(widest layer)", n * widest, {"data.n": n, **widths}),
-    ))
+    _check_sizes(((
+        "the generator's distances need n*classes*feature_dim", n * classes * d,
+        {"data.n": n, "data.classes": classes, "data.feature_dim": d},
+    ),))
+    dataset = (f"the dataset with its random PI needs n*(feature_dim+annotators+"
+               f"{len(data_mod.PI_CHANNELS)}+random_pi_length)")
+    for point in points:
+        train, model = apply_grid_point(cfg.train, cfg.model, point)
+        r_key = ("grid." if "random_pi_length" in point else "train.") + "random_pi_length"
+        w_key = ("grid." if "pi_width" in point else "model.") + "pi_width"
+        r = train.random_pi_length
+        pi = r + (synth.pi_dim if synth else 0)  # the generator's PI, then the random PI
+        layers = [sizes for sizes, _ in filter(None, model.shapes(d, pi, classes).values())]
+        params = sum(o * (i + 1) for sizes in layers for i, o in zip(sizes, sizes[1:]))
+        widths = {"model.pred_hidden": max(model.pred_hidden, default=0), w_key: model.pi_width,
+                  "data.feature_dim": d, "data.annotators": a, r_key: r, "data.classes": classes}
+        _check_sizes((
+            (dataset, n * (d + pi),
+             {"data.n": n, "data.feature_dim": d, "data.annotators": a, r_key: r}),
+            ("the model's parameters", params, widths),
+            ("a pass over the data needs n*(widest layer)", n * max(map(max, layers)),
+             {"data.n": n, **widths}),
+        ))
 
 
 def load_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -433,13 +424,12 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
     )
 
     grid = _grid(merged["grid"]) if any(merged.get("grid", {})) else None
-    _check_trial_sizes(synth, data_section.num_classes, model_cfg, train_cfg, grid)
 
     risk = _section(merged, "risk")
     _check_risk_ranges(risk, merged["risk"]["sweep_values"].strip())
     _check_risk_sizes(risk)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         seed=seed,
         data=data_section,
         model=model_cfg,
@@ -450,6 +440,8 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         output_dir=_section(merged, "output")["directory"],
         effective=merged,
     )
+    check_trial_sizes(cfg, grid.points() if grid is not None else [{}])
+    return cfg
 
 
 def build_dataset(cfg: ExperimentConfig):

@@ -74,11 +74,6 @@ class AblationFlags:
             raise ContractError(f"unknown noise input {self.noise_input!r}")
 
 
-def ce_baseline_flags() -> AblationFlags:
-    """Plain cross-entropy on the prediction network: no gate, no noise path."""
-    return AblationFlags(use_gate=False, use_noise_net=False)
-
-
 # The component roster: every per-component mapping (parameters, gradients,
 # workspaces) is keyed by these names, and the flat parameter vector
 # is laid out in this order. A model holds only the components its flags run

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import pickle
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,10 +171,9 @@ def _train_subset_metrics(
     ``detection.gate_scores``, so the same bits.
     """
     combined, gate, tape = model_mod.forward_train(model, x, a, out)
-    # a model without a noise network scores zero noise logits: class 0 on every row
-    noise = np.zeros_like(combined) if tape.noise_logits is None else tape.noise_logits
-    heads = {"train": combined, "pred": tape.pred_logits, "noise": noise}
-    hits = {head: scores.argmax(axis=1) == y for head, scores in heads.items()}
+    # a model without a noise network has no noise columns: they stay NaN
+    heads = {"train": combined, "pred": tape.pred_logits, "noise": tape.noise_logits}
+    hits = {head: s.argmax(axis=1) == y for head, s in heads.items() if s is not None}
     row = {}
     for subset, mask in (("clean", ~wrong), ("wrong", wrong)):
         for head, hit in hits.items():
@@ -508,30 +507,25 @@ def _random_pi(cfg: TrainConfig) -> RandomPiSpec:
     return RandomPiSpec(cfg.random_pi_length, derive_seed(cfg.seed, "random_pi"))
 
 
-def run_trial(
-    ds: PiDataset, model_cfg: ModelConfig, cfg: TrainConfig
-) -> tuple[TrainResult, PiDataset]:
-    """Augment the PI with the trial's random identifiers, build, train.
+def run_trial(job: TrialJob) -> TrialOutcome:
+    """Apply the job's point, append its random-PI identifiers, build, train.
 
-    Returns the result together with the augmented dataset (detection needs
-    the same PI the model was trained on).
+    ``augment_random_pi(job.ds, outcome.random_pi)`` is the data the model
+    trained on, which detection needs. A failure is recorded in the outcome,
+    not raised, so that the job's siblings run on.
     """
-    ds_aug = augment_random_pi(ds, _random_pi(cfg))
-    model = model_cfg.build(
-        ds_aug.feature_dim, ds_aug.pi_dim, ds_aug.num_classes, derive_seed(cfg.seed, "init")
-    )
-    return train(model, ds_aug, cfg), ds_aug
-
-
-def _run_job(job: TrialJob) -> TrialOutcome:
-    """Train one job; a failure is recorded in the outcome, not raised."""
     try:
         cfg, model_cfg = apply_grid_point(job.cfg, job.model_cfg, job.params)
         cfg = replace(cfg, seed=job.seed)
-        result, _ = run_trial(job.ds, model_cfg, cfg)
+        random_pi = _random_pi(cfg)
+        ds = augment_random_pi(job.ds, random_pi)
+        model = model_cfg.build(
+            ds.feature_dim, ds.pi_dim, ds.num_classes, derive_seed(cfg.seed, "init")
+        )
+        result = train(model, ds, cfg)
     except Exception as exc:  # trial failures must not abort siblings
         return TrialOutcome(job.index, job.params, job.seed, error=str(exc))
-    return TrialOutcome(job.index, job.params, job.seed, result=result, random_pi=_random_pi(cfg))
+    return TrialOutcome(job.index, job.params, job.seed, result=result, random_pi=random_pi)
 
 
 def run_trials(jobs: list[TrialJob], workers: int = 1) -> list[TrialOutcome]:
@@ -544,8 +538,8 @@ def run_trials(jobs: list[TrialJob], workers: int = 1) -> list[TrialOutcome]:
     pool_size = min(workers, len(jobs))
     if pool_size > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            return list(pool.map(_run_job, jobs))
-    return [_run_job(job) for job in jobs]
+            return list(pool.map(run_trial, jobs))
+    return [run_trial(job) for job in jobs]
 
 
 def run_grid(
@@ -572,23 +566,24 @@ def run_grid(
     return sorted(run_trials(jobs, workers), key=rank)
 
 
-# The ablation table: (variant, overrides, train on the random PI alone). The
-# overrides are grid axes, so apply_grid_point routes them to AblationFlags.
+# The ablation table: (variant, architecture, train on the random PI alone).
+# Each row is a whole AblationFlags, so a config's [model] flags do not apply.
 ABLATION_VARIANTS = (
-    ("cross_entropy", {"use_gate": False, "use_noise_net": False}, False),
-    ("pidual_full", {}, False),
-    ("no_gating", {"use_gate": False}, False),
-    ("no_noise_net", {"use_noise_net": False}, False),
-    ("gate_prob_space", {"gate_space": model_mod.GATE_SPACE_PROBABILITY}, False),
-    ("only_random_pi", {}, True),
-    ("noise_with_features", {"noise_input": model_mod.NOISE_INPUT_PI_AND_X}, False),
+    ("cross_entropy", AblationFlags(use_gate=False, use_noise_net=False), False),
+    ("pidual_full", AblationFlags(), False),
+    ("no_gating", AblationFlags(use_gate=False), False),
+    ("no_noise_net", AblationFlags(use_noise_net=False), False),
+    ("gate_prob_space", AblationFlags(gate_space=model_mod.GATE_SPACE_PROBABILITY), False),
+    ("only_random_pi", AblationFlags(), True),
+    ("noise_with_features", AblationFlags(noise_input=model_mod.NOISE_INPUT_PI_AND_X), False),
 )
 
 
 def ablation_jobs(ds: PiDataset, cfg: TrainConfig, model_cfg: ModelConfig) -> list[TrialJob]:
-    """One job per ABLATION_VARIANTS row, in table order, all under ``cfg.seed``."""
+    """One job per ABLATION_VARIANTS row, in table order, all under ``cfg.seed``;
+    a job's params are its row's flags, each a grid axis."""
     stripped = data_mod.strip_pi(ds)
     return [
-        TrialJob(i, over, cfg.seed, stripped if strip else ds, cfg, model_cfg)
-        for i, (_, over, strip) in enumerate(ABLATION_VARIANTS)
+        TrialJob(i, asdict(flags), cfg.seed, stripped if strip else ds, cfg, model_cfg)
+        for i, (_, flags, strip) in enumerate(ABLATION_VARIANTS)
     ]

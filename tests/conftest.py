@@ -4,6 +4,11 @@ import itertools
 import numpy as np
 
 from pidual import model as model_mod
+from pidual.data import augment_random_pi
+from pidual.training import ABLATION_VARIANTS, TrialJob, run_trial
+
+# plain cross-entropy: the architecture of ablate's cross_entropy row
+CE_FLAGS = {name: flags for name, flags, _ in ABLATION_VARIANTS}["cross_entropy"]
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -26,6 +31,13 @@ def finite_difference(fn, arrays, h=1e-5):
             gflat[i] = (f_plus - f_minus) / (2.0 * h)
         grads.append(grad)
     return grads
+
+
+def trained(ds, model_cfg, cfg):
+    """One trial's result, and ``ds`` with the random PI it trained on."""
+    outcome = run_trial(TrialJob(0, {}, cfg.seed, ds, cfg, model_cfg))
+    assert outcome.status == "ok", outcome.error
+    return outcome.result, augment_random_pi(ds, outcome.random_pi)
 
 
 def rel_err(a, b, floor=1e-6):

@@ -35,13 +35,12 @@ from pidual.model import (
     NOISE_INPUT_PI_AND_X,
     ModelConfig,
     backward_train,
-    ce_baseline_flags,
     forward_train,
     training_loss,
 )
-from pidual.training import ABLATION_VARIANTS, TrainConfig, ablation_jobs, run_trial, run_trials
+from pidual.training import ABLATION_VARIANTS, TrainConfig, ablation_jobs, run_trials
 
-from conftest import finite_difference, rel_err
+from conftest import CE_FLAGS, finite_difference, rel_err, trained
 
 
 def report(name, detail):
@@ -89,9 +88,9 @@ def bench_dataset(informativeness):
 def benchmark_runs():
     started = time.monotonic()
     ds = bench_dataset(1.0)
-    ce_cfg = replace(BENCH_MODEL, flags=ce_baseline_flags())
-    ce_result, _ = run_trial(ds, ce_cfg, BENCH_TRAIN)
-    pidual_result, ds_aug = run_trial(ds, BENCH_MODEL, BENCH_TRAIN)
+    ce_cfg = replace(BENCH_MODEL, flags=CE_FLAGS)
+    ce_result, _ = trained(ds, ce_cfg, BENCH_TRAIN)
+    pidual_result, ds_aug = trained(ds, BENCH_MODEL, BENCH_TRAIN)
     return {
         "ds": ds,
         "ds_aug": ds_aug,
@@ -104,7 +103,7 @@ def benchmark_runs():
 @pytest.fixture(scope="module")
 def low_pi_run():
     ds = bench_dataset(0.0)
-    result, ds_aug = run_trial(ds, BENCH_MODEL, BENCH_TRAIN)
+    result, ds_aug = trained(ds, BENCH_MODEL, BENCH_TRAIN)
     return {"result": result, "ds_aug": ds_aug}
 
 
@@ -370,8 +369,8 @@ def test_ablation_equality_without_informative_pi():
     # identifier-only variant should coincide (frozen config, length 32)
     ds = bench_dataset(0.0)
     cfg = replace(BENCH_TRAIN, random_pi_length=32)
-    full, _ = run_trial(ds, BENCH_MODEL, cfg)
-    only, _ = run_trial(strip_pi(ds), BENCH_MODEL, cfg)
+    full, _ = trained(ds, BENCH_MODEL, cfg)
+    only, _ = trained(strip_pi(ds), BENCH_MODEL, cfg)
     full_acc = full.record.clean_test_acc[full.best_epoch]
     only_acc = only.record.clean_test_acc[only.best_epoch]
     assert abs(full_acc - only_acc) <= 0.02

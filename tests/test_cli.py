@@ -277,6 +277,28 @@ def test_ablate_summary_is_strict_json_when_the_scores_are_nan(tmp_path, capsys)
     assert [line.split(":")[0] for line in printed] == names
 
 
+def test_ablate_trains_its_rows_whatever_the_model_flags_say(tmp_path, capsys):
+    # each row is a whole architecture: [model]'s four ablation flags change no
+    # record, and only a model with a noise network fills the noise columns
+    records = {}
+    for name, flags in (("default", {}), ("pi_and_x", {"noise_input": "pi_and_x"}),
+                        ("ce", {"use_gate": "false", "use_noise_net": "false"})):
+        cfg_path, out = write_config(tmp_path, overrides={"model": flags}, name=f"{name}.ini",
+                                     out=tmp_path / name)
+        assert main(["ablate", "--config", str(cfg_path)]) == 0
+        records[name] = {
+            variant: (out / f"ablation_{variant}_record.csv").read_bytes()
+            for variant, _, _ in training.ABLATION_VARIANTS
+        }
+    capsys.readouterr()
+    assert records["pi_and_x"] == records["default"] == records["ce"]
+    assert records["pi_and_x"]["pidual_full"] != records["pi_and_x"]["noise_with_features"]
+    for variant, flags, _ in training.ABLATION_VARIANTS:
+        record = TrainRecord.from_csv(tmp_path / "default" / f"ablation_{variant}_record.csv")
+        noise = np.concatenate((record.noise_acc_clean, record.noise_acc_wrong))
+        assert (np.isfinite(noise) if flags.use_noise_net else np.isnan(noise)).all(), variant
+
+
 def test_ablate_ranks_the_scored_variants_before_the_unscored(tmp_path, monkeypatch, capsys):
     unscored = {1: math.nan, 4: math.inf}  # pidual_full and gate_prob_space
 
@@ -1133,12 +1155,23 @@ def test_gen_rejects_a_data_or_model_size_above_the_cap_before_allocating(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("axis", ["use_gate", "use_noise_net"])
+@pytest.mark.parametrize("axis", ["use_gate", "use_noise_net", "ablate"])
 def test_the_size_cap_counts_the_pi_components_a_grid_point_runs(tmp_path, axis):
     # at PI width 10^4 the gate head or the noise head alone holds 10^8 parameters
     ablated = {"model": {"use_gate": "false", "use_noise_net": "false", "pi_width": "10000"}}
-    cfg_path, _ = write_config(tmp_path, overrides=ablated)
+    cfg_path, out = write_config(tmp_path, overrides=ablated)
     assert load_experiment_config(cfg_path).model.pi_width == 10000  # no PI component runs
+    if axis == "ablate":  # its rows run the PI components whatever [model] says
+        proc = run_module(
+            ["-m", "pidual", "ablate", "--config", str(cfg_path)],
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("config error: model.pi_width: ")
+        assert f"above the cap of {MAX_FLOATS}" in proc.stderr
+        assert not out.exists()
+        return
     cfg_path, _ = write_config(tmp_path, overrides={**ablated, "grid": {axis: "false,true"}})
     with pytest.raises(
         ConfigError, match=rf"^model\.pi_width: the model's parameters = \d+ floats, above the cap"

@@ -21,7 +21,6 @@ from pidual.model import (
     ModelConfig,
     PiDualModel,
     backward_train,
-    ce_baseline_flags,
     forward_infer,
     forward_train,
     gate_values,
@@ -35,7 +34,7 @@ from pidual.model import (
 from pidual.nn_core import MlpParams
 from pidual.training import ABLATION_VARIANTS
 
-from conftest import finite_difference, rel_err
+from conftest import CE_FLAGS, finite_difference, rel_err
 
 
 def small_model(flags=None, share=True, seed=0, d=3, p=4, k=3, width=5):
@@ -134,7 +133,7 @@ def test_frozen_gate_gradients_match_plain_ce():
     training_loss(tape, labels)
     grads = backward_train(gated, tape)
 
-    ce = small_model(flags=ce_baseline_flags(), seed=2)
+    ce = small_model(flags=CE_FLAGS, seed=2)
     _, _, ce_tape = forward_train(ce, x, a)
     training_loss(ce_tape, labels)
     baseline_grads = backward_train(ce, ce_tape)
@@ -236,7 +235,7 @@ def test_gate_range_and_monotonicity():
 
 
 def test_gate_values_requires_gate():
-    model = small_model(flags=ce_baseline_flags())
+    model = small_model(flags=CE_FLAGS)
     with pytest.raises(ContractError):
         gate_values(model, np.zeros((1, 3)), np.zeros((1, 4)))
 
@@ -428,9 +427,8 @@ def test_restored_model_equals_the_original(restore, share):
 
 
 def ablation_models():
-    for name, overrides, _ in ABLATION_VARIANTS:
+    for name, flags, _ in ABLATION_VARIANTS:
         for share in (True, False):
-            flags = AblationFlags(**overrides)
             yield pytest.param(flags, share, id=f"{name}-{'shared' if share else 'own'}")
 
 

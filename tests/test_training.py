@@ -4,7 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from pidual.model import (
     NOISE_INPUT_PI_AND_X,
     AblationFlags,
     ModelConfig,
-    ce_baseline_flags,
     forward_train,
     gate_values,
     noise_logits,
@@ -31,7 +30,7 @@ from pidual.model import (
 from pidual.config import FIELDS, build_dataset, load_experiment_config
 from pidual.model import Workspace
 from pidual.seeding import derive_seed
-from conftest import poison_gradient
+from conftest import CE_FLAGS, poison_gradient, trained
 from pidual.training import (
     GRID_AXES,
     RECORD_COLUMNS,
@@ -82,7 +81,7 @@ def test_zero_lr_leaves_parameters_unchanged():
 def test_ce_sanity_run_on_separable_data():
     # clean labels equal the nearest-center rule, so the accuracy ceiling is 1
     ds = tiny_dataset(n=600, noise=0.0, seed=3)
-    model = tiny_model(ds, flags=ce_baseline_flags(), seed=3)
+    model = tiny_model(ds, flags=CE_FLAGS, seed=3)
     result = train(model, ds, tiny_cfg(epochs=30, batch_size=64))
     assert result.record.clean_test_acc[result.best_epoch] > 0.95
 
@@ -227,14 +226,14 @@ def recorded_train(monkeypatch, model, ds, cfg):
 
 
 STEP_VARIANTS = [
-    pytest.param(over, strip, share, id=f"{name}-{'shared' if share else 'own'}")
-    for name, over, strip in training.ABLATION_VARIANTS
+    pytest.param(flags, strip, share, id=f"{name}-{'shared' if share else 'own'}")
+    for name, flags, strip in training.ABLATION_VARIANTS
     for share in (True, False)
 ]
 
 
-@pytest.mark.parametrize("over,strip,share", STEP_VARIANTS)
-def test_train_steps_are_bitwise_a_reference_composition(monkeypatch, over, strip, share):
+@pytest.mark.parametrize("flags,strip,share", STEP_VARIANTS)
+def test_train_steps_are_bitwise_a_reference_composition(monkeypatch, flags, strip, share):
     # 140 train rows in batches of 32: each epoch ends on a batch of 12, which
     # uses the leading rows of the workspace; the rate decays after epoch 1,
     # and weight decay reaches the PI components
@@ -247,10 +246,8 @@ def test_train_steps_are_bitwise_a_reference_composition(monkeypatch, over, stri
     data = data_mod.augment_random_pi(
         data_mod.strip_pi(ds) if strip else ds, training._random_pi(cfg)
     )
-    _, model_cfg = apply_grid_point(cfg, ModelConfig(pred_hidden=(16, 16), pi_width=8), over)
-    model = replace(model_cfg, share_first_layer=share).build(
-        data.feature_dim, data.pi_dim, data.num_classes, seed=3
-    )
+    model_cfg = ModelConfig(pred_hidden=(16, 16), pi_width=8, share_first_layer=share, flags=flags)
+    model = model_cfg.build(data.feature_dim, data.pi_dim, data.num_classes, seed=3)
     reference = model.copy()
     _, losses, state = recorded_train(monkeypatch, model, data, cfg)
     expected_losses, expected_velocity = reference_train(reference, data, cfg)
@@ -314,12 +311,10 @@ def test_record_train_columns_match_separate_heads(flags):
     x, a, y = ds.train_arrays()
     wrong = ds.wrong_mask_of(data_mod.SPLIT_TRAIN)
     combined, _, _ = forward_train(model, x, a)
-    heads = {
-        "train": combined,
-        "pred": prediction_logits(model, x),
-        "noise": noise_logits(model, x, a),
-    }
-    expected = {}
+    heads = {"train": combined, "pred": prediction_logits(model, x)}
+    if flags.use_noise_net:  # without a noise network the noise columns are NaN
+        heads["noise"] = noise_logits(model, x, a)
+    expected = {"noise_acc_clean": np.nan, "noise_acc_wrong": np.nan}
     for head, scores in heads.items():
         hits = scores.argmax(axis=1) == y
         expected[f"{head}_acc_clean"] = hits[~wrong].mean()
@@ -358,7 +353,7 @@ def test_returned_models_reproduce_their_record_rows(flags):
 
 # Every ablation variant's overrides, and the gate on its own first layer, so
 # that gate_trunk and the pi_and_x input go through workspaces too.
-BUFFER_OVERRIDES = [over for _, over, _ in training.ABLATION_VARIANTS] + [
+BUFFER_OVERRIDES = [asdict(flags) for _, flags, _ in training.ABLATION_VARIANTS] + [
     {"share_first_layer": False}
 ]
 BUFFER_OVERRIDE_IDS = [name for name, _, _ in training.ABLATION_VARIANTS] + ["gate_trunk"]
@@ -657,7 +652,7 @@ def test_ce_reduction_bit_identical():
 
     frozen = tiny_model(ds, flags=AblationFlags(use_noise_net=False), seed=4)
     frozen.gate_head.biases[-1][0] = -1e9
-    ce = tiny_model(ds, flags=ce_baseline_flags(), seed=4)
+    ce = tiny_model(ds, flags=CE_FLAGS, seed=4)
 
     train(frozen, ds, cfg)
     train(ce, ds, cfg)
@@ -742,9 +737,11 @@ def test_record_csv_round_trip(tmp_path):
 
 def test_run_trial_applies_random_pi():
     ds = tiny_dataset(seed=13)
-    result, ds_aug = run_trial(ds, ModelConfig(pred_hidden=(8,), pi_width=8), tiny_cfg(random_pi_length=5))
-    assert ds_aug.pi_dim == ds.pi_dim + 5
-    assert len(result.record) == 3
+    cfg, model_cfg = tiny_cfg(random_pi_length=5), ModelConfig(pred_hidden=(8,), pi_width=8)
+    outcome = run_trial(training.TrialJob(0, {}, cfg.seed, ds, cfg, model_cfg))
+    assert outcome.random_pi == data_mod.RandomPiSpec(5, derive_seed(cfg.seed, "random_pi"))
+    assert outcome.result.model.pi_dim == ds.pi_dim + 5
+    assert len(outcome.result.record) == 3
 
 
 def test_single_point_grid_equals_single_train():
@@ -759,7 +756,7 @@ def test_single_point_grid_equals_single_train():
     from pidual.seeding import derive_seed
 
     direct_cfg = replace(base_cfg, base_lr=0.1, seed=derive_seed(base_cfg.seed, "trial", 0))
-    direct, _ = run_trial(ds, model_cfg, direct_cfg)
+    direct, _ = trained(ds, model_cfg, direct_cfg)
     assert np.array_equal(outcomes[0].result.record.noisy_val_acc, direct.record.noisy_val_acc)
 
 
@@ -815,7 +812,7 @@ def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
     assert result.model_epoch == (result.best_epoch if early_stopping else cfg.epochs - 1)
     # the spec rebuilds the very PI the trial trained on
     ds_aug = data_mod.augment_random_pi(ds, ok.random_pi)
-    _, trained_on = run_trial(ds, model_cfg, replace(cfg, seed=8))
+    _, trained_on = trained(ds, model_cfg, replace(cfg, seed=8))
     assert np.array_equal(ds_aug.pi, trained_on.pi)
     rec, row = result.record, result.model_epoch
     assert evaluate(result.model, ds_aug, data_mod.SPLIT_NOISY_VAL) == rec.noisy_val_acc[row]
