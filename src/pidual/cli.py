@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +23,7 @@ from . import detection as detect_mod
 from . import linear_risk as risk_mod
 from . import model as model_mod
 from . import svgplot
-from .config import (
-    ExperimentConfig,
-    build_dataset,
-    check_trial_sizes,
-    load_experiment_config,
-    parse_methods,
-)
+from .config import ExperimentConfig, build_dataset, load_experiment_config, parse_methods
 from .errors import (
     ConfigError,
     ContractError,
@@ -43,10 +36,10 @@ from .seeding import derive_seed
 from .training import (
     ABLATION_VARIANTS,
     SCORE_FIELDS,
+    GridSpec,
     TrainResult,
     TrialJob,
     TrialOutcome,
-    ablation_jobs,
     run_grid,
     run_trial,  # noqa: F401  (perfbench/trace_main.py wraps cli.run_trial by name)
     run_trials,
@@ -98,18 +91,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dynamics_plot(out: Path, name: str, record) -> None:
-    epochs = list(range(len(record)))
+def _dynamics_plot(out: Path, result: TrainResult) -> None:
+    """The kept trial's accuracy curves; the noise net's only when its model has one."""
+    record, epochs = result.record, list(range(len(result.record)))
+    heads = ["pred"] + (["noise"] if result.model.noise_head is not None else [])
     svgplot.line_chart(
-        out / f"{name}_dynamics.svg",
+        out / "selected_dynamics.svg",
         "training dynamics",
         "epoch",
         "accuracy",
         [
-            ("pred net, clean labels", epochs, record.pred_acc_clean),
-            ("pred net, wrong labels", epochs, record.pred_acc_wrong),
-            ("noise net, clean labels", epochs, record.noise_acc_clean),
-            ("noise net, wrong labels", epochs, record.noise_acc_wrong),
+            *((f"{head} net, {subset} labels", epochs, getattr(record, f"{head}_acc_{subset}"))
+              for head in heads for subset in ("clean", "wrong")),
             ("clean test", epochs, record.clean_test_acc),
             ("noisy val", epochs, record.noisy_val_acc),
         ],
@@ -184,7 +177,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     record, epoch = result.record, result.model_epoch
 
     model_mod.save_checkpoint(result.model, out / "best_checkpoint.json")
-    _dynamics_plot(out, "selected", record)
+    _dynamics_plot(out, result)
     aucs: dict[str, float] = {}
     if ds.has_clean_labels:
         # the scores come from the evaluation pass of the saved model's epoch;
@@ -330,16 +323,15 @@ def cmd_risk(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    cfg = load_experiment_config(args.config, args.seed)
-    check_trial_sizes(cfg, [asdict(flags) for _, flags, _ in ABLATION_VARIANTS])
+    variants = GridSpec({"variant": list(ABLATION_VARIANTS)})
+    cfg = load_experiment_config(args.config, args.seed, variants)
     ds = build_dataset(cfg)
     out = _out_dir(cfg, args.out)
-    outcomes = run_trials(ablation_jobs(ds, cfg.train, cfg.model))
-    failed = [t for t in outcomes if t.result is None]
-    if failed:
-        name = ABLATION_VARIANTS[failed[0].index][0]
-        raise NumericError(f"ablation variant {name} failed: {failed[0].error}")
-    results = {ABLATION_VARIANTS[t.index][0]: t.result for t in outcomes}
+    outcomes = run_grid(variants, ds, cfg.train, cfg.model, shared_seed=True)
+    failed = [(t.params["variant"], t.error) for t in outcomes if t.result is None]
+    if failed:  # run_grid ranks the failed trials last, in table order
+        raise NumericError("ablation variant {} failed: {}".format(*failed[0]))
+    results = {t.params["variant"]: t.result for t in outcomes}
     scores = {name: result.scores() for name, result in results.items()}
 
     def order(name: str) -> tuple:
@@ -431,9 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate",
         help="train all architecture ablations",
         description="Train the seven ablation rows, each a fixed architecture, on the "
-        "config's data under its [train] settings and [model] widths. [model]'s four "
-        "ablation flags (use_gate, use_noise_net, gate_space, noise_input) and [grid] do "
-        "not apply. The size cap counts every row.",
+        "config's data under its [train] settings, one shared seed and [model] widths: "
+        "the rows are the points of a variant axis, run as one grid. [model]'s four "
+        "ablation flags (use_gate, use_noise_net, gate_space, noise_input) do not apply, "
+        "and [grid] is neither run nor size-checked. The size cap counts every row.",
     )
     common(p_ablate)
     p_ablate.set_defaults(func=cmd_ablate)

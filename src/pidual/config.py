@@ -352,7 +352,7 @@ def _check_risk_sizes(risk: dict) -> None:
     ),))
 
 
-def check_trial_sizes(cfg: ExperimentConfig, points: list[dict]) -> None:
+def _check_trial_sizes(cfg: ExperimentConfig, points: list[dict]) -> None:
     """Reject a command whose trials' largest arrays would pass ``MAX_FLOATS``
     floats, before any is allocated: the generator's distance array, then at
     each of ``points``, taken through ``apply_grid_point``, the dataset with
@@ -388,7 +388,11 @@ def check_trial_sizes(cfg: ExperimentConfig, points: list[dict]) -> None:
         ))
 
 
-def load_experiment_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
+def load_experiment_config(
+    path: str | Path, seed_override: int | None = None, trials: GridSpec | None = None
+) -> ExperimentConfig:
+    """The config at ``path``; the size cap counts the trials the command runs:
+    ``trials`` (``ablate``'s rows), else the [grid] or the config's own trial."""
     path = Path(path)
     merged = _merged_sections(path)
     seed = seed_override if seed_override is not None else _section(merged, "experiment")["seed"]
@@ -440,7 +444,7 @@ def load_experiment_config(path: str | Path, seed_override: int | None = None) -
         output_dir=_section(merged, "output")["directory"],
         effective=merged,
     )
-    check_trial_sizes(cfg, grid.points() if grid is not None else [{}])
+    _check_trial_sizes(cfg, (trials or grid or GridSpec({})).points())
     return cfg
 
 

@@ -1,7 +1,7 @@
 """Training protocol: minibatch SGD with step decay, per-epoch metric
 capture on the clean/wrong train subsets, early stopping at the best
 noisy-validation epoch, and one trial runner for single trials, grids and
-ablations.
+ablations, whose rows are the points of a grid over a ``variant`` axis.
 
 Model selection never touches clean labels: the noisy validation accuracy is
 the combined training-time output scored against the held-out noisy labels.
@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import pickle
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -434,7 +434,8 @@ def train(model: PiDualModel, ds: PiDataset, cfg: TrainConfig) -> TrainResult:
 
 # The grid axes. Each names a field of exactly one of TrainConfig, ModelConfig
 # and AblationFlags, which apply_grid_point overrides; a config's [grid] parses
-# an axis's values as its [train] or [model] field.
+# an axis's values as its [train] or [model] field. A point may also name an
+# ABLATION_VARIANTS row as its "variant", which ablate does and a [grid] cannot.
 GRID_AXES = (
     "base_lr", "weight_decay", "momentum", "decay_factor", "epochs", "batch_size",
     "random_pi_length", "exempt_pi_nets_from_wd", "pi_width", "share_first_layer",
@@ -443,6 +444,18 @@ GRID_AXES = (
 # The most points a grid may have: run_grid makes every point's job before
 # the first trial runs, and the config loader rejects a larger [grid].
 MAX_GRID_POINTS = 4096
+
+# The ablation table: variant -> (architecture, train on the random PI alone).
+# Each row is a whole AblationFlags, so a config's [model] flags do not apply.
+ABLATION_VARIANTS = {
+    "cross_entropy": (AblationFlags(use_gate=False, use_noise_net=False), False),
+    "pidual_full": (AblationFlags(), False),
+    "no_gating": (AblationFlags(use_gate=False), False),
+    "no_noise_net": (AblationFlags(use_noise_net=False), False),
+    "gate_prob_space": (AblationFlags(gate_space=model_mod.GATE_SPACE_PROBABILITY), False),
+    "only_random_pi": (AblationFlags(), True),
+    "noise_with_features": (AblationFlags(noise_input=model_mod.NOISE_INPUT_PI_AND_X), False),
+}
 
 
 @dataclass
@@ -482,7 +495,8 @@ class TrialOutcome:
     error: str = ""
     # What train returned; None for a failed trial.
     result: TrainResult | None = None
-    # augment_random_pi(job.ds, random_pi) is the data result.model was trained on.
+    # result.model trained on augment_random_pi(job.ds, random_pi), job.ds put
+    # through data.strip_pi first for a variant on the random PI alone.
     random_pi: RandomPiSpec | None = None
 
     @property
@@ -499,7 +513,10 @@ def apply_grid_point(
         return {k: v for k, v in params.items() if k in names}
 
     cfg = replace(base_cfg, **over(TrainConfig))
-    flags = replace(model_cfg.flags, **over(AblationFlags))
+    # a "variant" brings its ABLATION_VARIANTS row's whole flags, which the
+    # point's own flag keys then override like every other key
+    flags = ABLATION_VARIANTS[params["variant"]][0] if "variant" in params else model_cfg.flags
+    flags = replace(flags, **over(AblationFlags))
     return cfg, replace(model_cfg, flags=flags, **over(ModelConfig))
 
 
@@ -508,17 +525,19 @@ def _random_pi(cfg: TrainConfig) -> RandomPiSpec:
 
 
 def run_trial(job: TrialJob) -> TrialOutcome:
-    """Apply the job's point, append its random-PI identifiers, build, train.
+    """Apply the job's point, prepare its data, build, train.
 
-    ``augment_random_pi(job.ds, outcome.random_pi)`` is the data the model
-    trained on, which detection needs. A failure is recorded in the outcome,
-    not raised, so that the job's siblings run on.
+    The data is ``job.ds`` with the trial's random-PI identifiers appended
+    (``outcome.random_pi``), its own PI stripped first for a variant that
+    trains on the random PI alone. A failure is recorded in the outcome, not
+    raised, so that the job's siblings run on.
     """
     try:
         cfg, model_cfg = apply_grid_point(job.cfg, job.model_cfg, job.params)
         cfg = replace(cfg, seed=job.seed)
         random_pi = _random_pi(cfg)
-        ds = augment_random_pi(job.ds, random_pi)
+        strip = "variant" in job.params and ABLATION_VARIANTS[job.params["variant"]][1]
+        ds = augment_random_pi(data_mod.strip_pi(job.ds) if strip else job.ds, random_pi)
         model = model_cfg.build(
             ds.feature_dim, ds.pi_dim, ds.num_classes, derive_seed(cfg.seed, "init")
         )
@@ -548,14 +567,19 @@ def run_grid(
     base_cfg: TrainConfig,
     model_cfg: ModelConfig,
     workers: int = 1,
+    shared_seed: bool = False,
 ) -> list[TrialOutcome]:
-    """One trial per grid point with a derived per-trial seed.
+    """One trial per grid point, trial ``i`` under ``derive_seed(base_cfg.seed,
+    "trial", i)``, or every trial under ``base_cfg.seed`` with ``shared_seed``.
 
     Returns outcomes ranked by best noisy-validation accuracy (failed trials
-    last).
+    last, in point order).
     """
     jobs = [
-        TrialJob(i, params, derive_seed(base_cfg.seed, "trial", i), ds, base_cfg, model_cfg)
+        TrialJob(
+            i, params, base_cfg.seed if shared_seed else derive_seed(base_cfg.seed, "trial", i),
+            ds, base_cfg, model_cfg,
+        )
         for i, params in enumerate(grid.points())
     ]
 
@@ -564,26 +588,3 @@ def run_grid(
         return (t.result is None, -acc if math.isfinite(acc) else math.inf, t.index)
 
     return sorted(run_trials(jobs, workers), key=rank)
-
-
-# The ablation table: (variant, architecture, train on the random PI alone).
-# Each row is a whole AblationFlags, so a config's [model] flags do not apply.
-ABLATION_VARIANTS = (
-    ("cross_entropy", AblationFlags(use_gate=False, use_noise_net=False), False),
-    ("pidual_full", AblationFlags(), False),
-    ("no_gating", AblationFlags(use_gate=False), False),
-    ("no_noise_net", AblationFlags(use_noise_net=False), False),
-    ("gate_prob_space", AblationFlags(gate_space=model_mod.GATE_SPACE_PROBABILITY), False),
-    ("only_random_pi", AblationFlags(), True),
-    ("noise_with_features", AblationFlags(noise_input=model_mod.NOISE_INPUT_PI_AND_X), False),
-)
-
-
-def ablation_jobs(ds: PiDataset, cfg: TrainConfig, model_cfg: ModelConfig) -> list[TrialJob]:
-    """One job per ABLATION_VARIANTS row, in table order, all under ``cfg.seed``;
-    a job's params are its row's flags, each a grid axis."""
-    stripped = data_mod.strip_pi(ds)
-    return [
-        TrialJob(i, asdict(flags), cfg.seed, stripped if strip else ds, cfg, model_cfg)
-        for i, (_, flags, strip) in enumerate(ABLATION_VARIANTS)
-    ]

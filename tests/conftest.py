@@ -8,7 +8,7 @@ from pidual.data import augment_random_pi
 from pidual.training import ABLATION_VARIANTS, TrialJob, run_trial
 
 # plain cross-entropy: the architecture of ablate's cross_entropy row
-CE_FLAGS = {name: flags for name, flags, _ in ABLATION_VARIANTS}["cross_entropy"]
+CE_FLAGS = ABLATION_VARIANTS["cross_entropy"][0]
 
 
 def finite_difference(fn, arrays, h=1e-5):

@@ -38,7 +38,7 @@ from pidual.model import (
     forward_train,
     training_loss,
 )
-from pidual.training import ABLATION_VARIANTS, TrainConfig, ablation_jobs, run_trials
+from pidual.training import ABLATION_VARIANTS, GridSpec, TrainConfig, run_grid
 
 from conftest import CE_FLAGS, finite_difference, rel_err, trained
 
@@ -340,14 +340,10 @@ def test_criterion_ablation_ordering(benchmark_runs):
     # benchmark_runs trained these two variants with the same configs already
     reused = {"pidual_full": benchmark_runs["pidual"], "cross_entropy": benchmark_runs["ce"]}
     rows = {name: float(r.record.clean_test_acc[r.best_epoch]) for name, r in reused.items()}
-    jobs = [
-        job
-        for job in ablation_jobs(benchmark_runs["ds"], BENCH_TRAIN, BENCH_MODEL)
-        if ABLATION_VARIANTS[job.index][0] not in rows
-    ]
-    for t in run_trials(jobs):
+    missing = GridSpec({"variant": [name for name in ABLATION_VARIANTS if name not in rows]})
+    for t in run_grid(missing, benchmark_runs["ds"], BENCH_TRAIN, BENCH_MODEL, shared_seed=True):
         assert t.status == "ok", t.error
-        rows[ABLATION_VARIANTS[t.index][0]] = t.result.scores()["clean_test_at_best"]
+        rows[t.params["variant"]] = t.result.scores()["clean_test_at_best"]
 
     full, ce = rows["pidual_full"], rows["cross_entropy"]
     for name, acc in rows.items():

@@ -252,7 +252,18 @@ def test_train_without_clean_labels_or_eval_splits_writes_every_artifact(tmp_pat
     artifacts = ["best_checkpoint.json", "selected_dynamics.svg", "summary.json"]
     assert sorted(p.name for p in out.iterdir()) == [*artifacts, "trial_000_record.csv"]
     assert strict_json(out / "summary.json")["trials"][0]["clean_test_final"] is None
-    assert "nan" not in (out / "selected_dynamics.svg").read_text()
+    svg = (out / "selected_dynamics.svg").read_text()
+    assert "nan" not in svg
+    # every series is NaN, and the legend still lists the model's six
+    assert svg.count("noise net, ") == 2 and "<polyline" not in svg
+
+
+def test_train_without_a_noise_net_plots_no_noise_net_series(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path, overrides={"model": {"use_noise_net": "false"}})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    svg = (out / "selected_dynamics.svg").read_text()
+    assert "noise net" not in svg
+    assert svg.count("pred net, ") == 2 and svg.count("<polyline") == 4
 
 
 def read_ablation(out):
@@ -270,7 +281,7 @@ def test_ablate_summary_is_strict_json_when_the_scores_are_nan(tmp_path, capsys)
             assert variant[key] is None, (variant["variant"], key)
     # no variant has a score to rank by: all are unranked, listed by name
     rows = read_ablation(out)
-    names = sorted(name for name, _, _ in training.ABLATION_VARIANTS)
+    names = sorted(training.ABLATION_VARIANTS)
     assert [row["variant"] for row in rows] == names
     assert all(row["rank"] == "" for row in rows)
     printed = capsys.readouterr().out.splitlines()
@@ -288,28 +299,35 @@ def test_ablate_trains_its_rows_whatever_the_model_flags_say(tmp_path, capsys):
         assert main(["ablate", "--config", str(cfg_path)]) == 0
         records[name] = {
             variant: (out / f"ablation_{variant}_record.csv").read_bytes()
-            for variant, _, _ in training.ABLATION_VARIANTS
+            for variant in training.ABLATION_VARIANTS
         }
+    # every row trains under the config's one seed: the default flags are
+    # pidual_full's, so train's single trial is that row
+    assert main(["train", "--config", str(tmp_path / "default.ini"), "--out",
+                 str(tmp_path / "train")]) == 0
     capsys.readouterr()
+    assert (tmp_path / "train" / "trial_000_record.csv").read_bytes() == (
+        records["default"]["pidual_full"]
+    )
     assert records["pi_and_x"] == records["default"] == records["ce"]
     assert records["pi_and_x"]["pidual_full"] != records["pi_and_x"]["noise_with_features"]
-    for variant, flags, _ in training.ABLATION_VARIANTS:
+    for variant, (flags, _) in training.ABLATION_VARIANTS.items():
         record = TrainRecord.from_csv(tmp_path / "default" / f"ablation_{variant}_record.csv")
         noise = np.concatenate((record.noise_acc_clean, record.noise_acc_wrong))
         assert (np.isfinite(noise) if flags.use_noise_net else np.isnan(noise)).all(), variant
 
 
 def test_ablate_ranks_the_scored_variants_before_the_unscored(tmp_path, monkeypatch, capsys):
-    unscored = {1: math.nan, 4: math.inf}  # pidual_full and gate_prob_space
+    unscored = {"pidual_full": math.nan, "gate_prob_space": math.inf}
 
-    def run_trials(jobs, workers=1):
-        outcomes = training.run_trials(jobs, workers)
-        for index, value in unscored.items():
-            result = outcomes[index].result
-            result.record.clean_test_acc[result.best_epoch] = value
+    def run_grid(*args, **kwargs):
+        outcomes = training.run_grid(*args, **kwargs)
+        for t in outcomes:
+            if t.params["variant"] in unscored:
+                t.result.record.clean_test_acc[t.result.best_epoch] = unscored[t.params["variant"]]
         return outcomes
 
-    monkeypatch.setattr(cli, "run_trials", run_trials)
+    monkeypatch.setattr(cli, "run_grid", run_grid)
     cfg_path, out = write_config(tmp_path)
     capsys.readouterr()
     assert main(["ablate", "--config", str(cfg_path)]) == 0
@@ -1177,6 +1195,21 @@ def test_the_size_cap_counts_the_pi_components_a_grid_point_runs(tmp_path, axis)
         ConfigError, match=rf"^model\.pi_width: the model's parameters = \d+ floats, above the cap"
     ):
         load_experiment_config(cfg_path)
+
+
+def test_ablate_neither_runs_nor_size_checks_the_grid(tmp_path, capsys):
+    # at PI width 10^4 the grid's second point is above the cap; ablate's rows
+    # take [model]'s width, so only the commands that read [grid] reject it
+    cfg_path, out = write_config(
+        tmp_path, overrides={"data": {"n": "200"}, "grid": {"pi_width": "8,10000"}}
+    )
+    for command in ("gen", "train"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid.pi_width: ")
+        assert not out.exists()
+    assert main(["ablate", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_ablation(out)) == len(training.ABLATION_VARIANTS)
 
 
 def _limit_address_space():

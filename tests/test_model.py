@@ -427,7 +427,7 @@ def test_restored_model_equals_the_original(restore, share):
 
 
 def ablation_models():
-    for name, flags, _ in ABLATION_VARIANTS:
+    for name, (flags, _) in ABLATION_VARIANTS.items():
         for share in (True, False):
             yield pytest.param(flags, share, id=f"{name}-{'shared' if share else 'own'}")
 

@@ -227,7 +227,7 @@ def recorded_train(monkeypatch, model, ds, cfg):
 
 STEP_VARIANTS = [
     pytest.param(flags, strip, share, id=f"{name}-{'shared' if share else 'own'}")
-    for name, flags, strip in training.ABLATION_VARIANTS
+    for name, (flags, strip) in training.ABLATION_VARIANTS.items()
     for share in (True, False)
 ]
 
@@ -353,10 +353,10 @@ def test_returned_models_reproduce_their_record_rows(flags):
 
 # Every ablation variant's overrides, and the gate on its own first layer, so
 # that gate_trunk and the pi_and_x input go through workspaces too.
-BUFFER_OVERRIDES = [asdict(flags) for _, flags, _ in training.ABLATION_VARIANTS] + [
+BUFFER_OVERRIDES = [asdict(flags) for flags, _ in training.ABLATION_VARIANTS.values()] + [
     {"share_first_layer": False}
 ]
-BUFFER_OVERRIDE_IDS = [name for name, _, _ in training.ABLATION_VARIANTS] + ["gate_trunk"]
+BUFFER_OVERRIDE_IDS = [*training.ABLATION_VARIANTS, "gate_trunk"]
 
 
 @pytest.mark.parametrize("over", BUFFER_OVERRIDES, ids=BUFFER_OVERRIDE_IDS)
@@ -782,6 +782,45 @@ def test_grid_reruns_identically_and_failures_are_marked():
     assert "nonsense" in first[1].error and first[1].result is None
     assert first[0].result.scores() == second[0].result.scores()
     assert first[0].seed == second[0].seed
+
+
+@pytest.mark.parametrize("name", list(training.ABLATION_VARIANTS))
+def test_a_variant_point_trains_as_its_row_written_out(name):
+    # the row's four flags over a base whose flags differ from every row's,
+    # the base seed, and for only_random_pi the data without its own PI
+    flags, strip = training.ABLATION_VARIANTS[name]
+    ds = tiny_dataset(n=150, seed=17)
+    cfg = tiny_cfg(epochs=1, random_pi_length=3)
+    base = ModelConfig(pred_hidden=(8,), pi_width=8, flags=AblationFlags(
+        use_gate=False, gate_space=GATE_SPACE_PROBABILITY, noise_input=NOISE_INPUT_PI_AND_X
+    ))
+    (point,) = run_grid(GridSpec({"variant": [name]}), ds, cfg, base, shared_seed=True)
+    written = run_trial(training.TrialJob(
+        0, asdict(flags), cfg.seed, data_mod.strip_pi(ds) if strip else ds, cfg, base
+    ))
+    assert point.status == written.status == "ok", (point.error, written.error)
+    assert point.params == {"variant": name} and point.seed == cfg.seed
+    assert point.random_pi == written.random_pi
+    assert point.result.model.config.flags == flags
+    assert point.result.model.pi_dim == (0 if strip else ds.pi_dim) + 3
+    assert point.result.model.params.tobytes() == written.result.model.params.tobytes()
+    for col in RECORD_COLUMNS[1:]:
+        a, b = getattr(point.result.record, col), getattr(written.result.record, col)
+        assert a.tobytes() == b.tobytes(), col
+
+
+def test_a_shared_seed_grid_runs_every_trial_under_the_base_seed():
+    ds = tiny_dataset(n=150, seed=18)
+    grid = GridSpec({"base_lr": [0.1, 0.05], "random_pi_length": [0, 2]})
+    cfg, model_cfg = tiny_cfg(epochs=1), ModelConfig(pred_hidden=(8,), pi_width=8)
+    shared = run_grid(grid, ds, cfg, model_cfg, shared_seed=True)
+    derived = run_grid(grid, ds, cfg, model_cfg)
+    assert sorted(t.index for t in shared) == [0, 1, 2, 3]
+    assert all(t.status == "ok" for t in shared + derived)
+    assert [t.seed for t in shared] == [cfg.seed] * 4
+    assert sorted(t.seed for t in derived) == sorted(
+        derive_seed(cfg.seed, "trial", i) for i in range(4)
+    )
 
 
 def test_an_outcome_status_is_whether_it_holds_a_result():
