@@ -26,7 +26,7 @@ from .data import (
     save_csv,
     split_dataset,
 )
-from .detection import DetectionReport, confidence_scores, detect, gate_scores, roc_auc
+from .detection import DetectionReport, detect, roc_auc
 from .linear_risk import (
     LinearRiskSetup,
     RiskBreakdown,

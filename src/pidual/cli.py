@@ -111,7 +111,7 @@ def _dynamics_plot(out: Path, result: TrainResult) -> None:
 
 
 def _detection_outputs(out: Path, reports: list[detect_mod.DetectionReport]) -> dict[str, float]:
-    """Write each report's JSON and histogram; returns the AUCs by method."""
+    """Write each report's JSON and histogram; returns the AUCs (NaN for none) by method."""
     aucs: dict[str, float] = {}
     for report in reports:
         method = report.method
@@ -203,7 +203,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "selected_trial": selected.index,
         "selected_epoch": epoch,
         "early_stopping": cfg.train.early_stopping,
-        "detection_auc": aucs,
+        "detection_auc": {method: _float_or_none(auc) for method, auc in aucs.items()},
         "wall_clock_seconds": round(time.monotonic() - started, 3),
     }
     _write_json(out / "summary.json", summary)
@@ -225,6 +225,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         methods = parse_methods(args.methods)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # a model without a gate has no gate scores; the data is checked for the methods left
+    gateless = "gate" in methods and model.gate_head is None
+    methods = [m for m in methods if m != "gate" or not gateless]
+    if not methods:
+        why = "the checkpoint's model has no gate, so " if gateless else ""
+        raise ConfigError(f"--methods {args.methods!r}: {why}there is nothing to score")
     if ds.feature_dim != model.feature_dim:
         raise DataFormatError(
             f"dataset has {ds.feature_dim} feature columns, the checkpoint expects "
@@ -243,12 +249,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = [
-        detect_mod.detect(model, ds, method)
-        for method in methods
-        if method != "gate" or model.gate_head is not None
-    ]
-    aucs = _detection_outputs(out, reports)
+    aucs = _detection_outputs(out, [detect_mod.detect(model, ds, m) for m in methods])
     for method, auc in aucs.items():
         print(f"{method} AUC: {auc:.4f}")
     return EXIT_OK

@@ -7,12 +7,13 @@ that higher means more likely wrong before computing the ROC-AUC, with ties
 contributing one half per pair.
 
 ``report`` turns one method's scores into its report. ``detect`` scores a
-model by a forward pass over the split first; ``train`` hands ``report`` the
-scores its evaluation pass of the kept epoch already computed.
+model by one of its passes over the split first; ``train`` hands ``report``
+the scores its evaluation pass of the kept epoch already computed.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +41,7 @@ class DetectionReport:
     def to_json(self, path: str | Path) -> None:
         doc = {
             "method": self.method,
-            "auc": self.auc,
+            "auc": None if math.isnan(self.auc) else self.auc,
             "bin_edges": self.bin_edges.tolist(),
             "clean_counts": self.clean_counts.tolist(),
             "wrong_counts": self.wrong_counts.tolist(),
@@ -52,18 +53,6 @@ class DetectionReport:
 def label_confidence(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The softmax probability of each row's label under the prediction logits."""
     return softmax(logits)[np.arange(labels.shape[0]), labels]
-
-
-def confidence_scores(model: PiDualModel, ds: PiDataset) -> np.ndarray:
-    """Probability the prediction head assigns to each observed train label."""
-    x, _ = ds.eval_inputs(SPLIT_TRAIN)
-    return label_confidence(model_mod.prediction_logits(model, x), ds.noisy_labels_of(SPLIT_TRAIN))
-
-
-def gate_scores(model: PiDualModel, ds: PiDataset) -> np.ndarray:
-    """Gate output per train sample; higher means more likely wrong."""
-    x, a = ds.eval_inputs(SPLIT_TRAIN)
-    return model_mod.gate_values(model, x, a)
 
 
 def roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -109,20 +98,30 @@ def score_histogram(
 
 def report(method: str, scores: np.ndarray, wrong: np.ndarray) -> DetectionReport:
     """``method``'s report on per-row ``scores`` against the wrong-label mask
-    ``wrong``; a score that is not finite raises ``NumericError``."""
+    ``wrong``; a score that is not finite raises ``NumericError``. The AUC is
+    NaN when the mask lacks clean or wrong rows, for which it does not exist."""
     if method not in METHODS:
         raise ContractError(f"unknown detection method {method!r}")
     if not np.isfinite(scores).all():
         raise NumericError(f"the model's {method} scores on the train split are not all finite")
     wrongness = 1.0 - scores if method == "confidence" else scores
-    auc = roc_auc(wrongness, wrong)
+    auc = roc_auc(wrongness, wrong) if 0 < wrong.sum() < wrong.size else math.nan
     edges, clean_counts, wrong_counts = score_histogram(scores, wrong)
     return DetectionReport(method, scores, auc, edges, clean_counts, wrong_counts)
 
 
 def detect(model: PiDualModel, ds: PiDataset, method: str) -> DetectionReport:
-    """Score the train split and report AUC against the wrong-label ground truth."""
-    if method not in METHODS:
+    """Score the train split by one pass of the model and report AUC against
+    the wrong-label ground truth: ``confidence`` is the probability the
+    prediction network gives each row's observed label, ``gate`` the gate's
+    output, which a model without a gate cannot score (``ContractError``)."""
+    x, a = ds.eval_inputs(SPLIT_TRAIN)
+    if method == "confidence":
+        scores = label_confidence(
+            model_mod.prediction_logits(model, x), ds.noisy_labels_of(SPLIT_TRAIN)
+        )
+    elif method == "gate":
+        scores = model_mod.gate_values(model, x, a)
+    else:
         raise ContractError(f"unknown detection method {method!r}")
-    scores = (confidence_scores if method == "confidence" else gate_scores)(model, ds)
     return report(method, scores, ds.wrong_mask_of(SPLIT_TRAIN))

@@ -45,7 +45,6 @@ from .nn_core import (
     Gradients,
     MlpParams,
     init_mlp,
-    mlp_forward,
     softmax,
 )
 from .seeding import derive_seed
@@ -226,26 +225,24 @@ class Workspace:
 def _batch(model: PiDualModel, x, a, out: Workspace | None) -> tuple:
     """(x, a, workspace) of a pass: the inputs as float64 batches of the
     model's widths, and ``out`` if it is ``model``'s and has room for them,
-    else a new workspace for their rows. These are the pass's only checks."""
-    x, a = np.asarray(x, dtype=np.float64), np.asarray(a, dtype=np.float64)
-    if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
-        raise ShapeError(f"features {x.shape} and PI {a.shape} are not batches of one length")
-    if (x.shape[1], a.shape[1]) != (model.feature_dim, model.pi_dim):
-        raise ShapeError(
-            f"features {x.shape} and PI {a.shape} do not have the model's widths "
-            f"{model.feature_dim} and {model.pi_dim}"
-        )
-    return x, a, _fitting(model, x.shape[0], out)
-
-
-def _fitting(model: PiDualModel, rows: int, out: Workspace | None) -> Workspace:
+    else a new workspace for their rows. ``a`` is None for a pass of the
+    prediction network alone. Every pass checks its inputs here and nowhere
+    else."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+        raise ShapeError(f"features {x.shape} are not a batch of width {model.feature_dim}")
+    rows = x.shape[0]
+    if a is not None:
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != (rows, model.pi_dim):
+            raise ShapeError(f"PI {a.shape} is not a batch of {rows} rows of width {model.pi_dim}")
     if out is None:
-        return Workspace(model, rows)
+        return x, a, Workspace(model, rows)
     if out.model is not model:
         raise ContractError("workspace was built for a different model")
     if rows > out.rows:
         raise ShapeError(f"a batch of {rows} rows does not fit a workspace of {out.rows}")
-    return out
+    return x, a, out
 
 
 def _forward_pi_side(model: PiDualModel, x: np.ndarray, a: np.ndarray, ws: Workspace) -> None:
@@ -398,13 +395,9 @@ def backward_train(model: PiDualModel, tape: Workspace) -> dict[str, Gradients]:
 def prediction_logits(
     model: PiDualModel, x: np.ndarray, out: Workspace | None = None
 ) -> np.ndarray:
-    """The prediction network's logits; its layers write into ``out``'s, if given."""
-    if out is None:
-        return mlp_forward(model.prediction, x)[0]
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
-        raise ShapeError(f"features {x.shape} are not a batch of width {model.feature_dim}")
-    return _fitting(model, x.shape[0], out).nets["prediction"].forward(x)
+    """The prediction network's logits, through ``out`` if given: the PI-free pass."""
+    x, _, ws = _batch(model, x, None, out)
+    return ws.nets["prediction"].forward(x)
 
 
 def forward_infer(model: PiDualModel, x: np.ndarray) -> np.ndarray:
@@ -412,20 +405,23 @@ def forward_infer(model: PiDualModel, x: np.ndarray) -> np.ndarray:
     return softmax(prediction_logits(model, x))
 
 
-def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Raw (un-gated) noise-network logits; zeros when that path is ablated."""
+def _pi_pass(model: PiDualModel, x, a, head: str, network: str) -> Workspace:
+    """The PI side's pass on a batch, for ``head``: ``ContractError`` if the model lacks it."""
+    if getattr(model, head) is None:
+        raise ContractError(f"this model variant has no {network}")
     x, a, ws = _batch(model, x, a, None)
     _forward_pi_side(model, x, a, ws)
-    return np.zeros((x.shape[0], model.num_classes)) if ws.noise_logits is None else ws.noise_logits
+    return ws
+
+
+def noise_logits(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Raw (un-gated) noise-network logits; a model without one raises ``ContractError``."""
+    return _pi_pass(model, x, a, "noise_head", "noise network").noise_logits
 
 
 def gate_values(model: PiDualModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Per-sample gate outputs in (0, 1)."""
-    if model.gate_head is None:
-        raise ContractError("this model variant has no gating network")
-    x, a, ws = _batch(model, x, a, None)
-    _forward_pi_side(model, x, a, ws)
-    return ws.gate
+    """Per-sample gate outputs in (0, 1); a model without a gate raises ``ContractError``."""
+    return _pi_pass(model, x, a, "gate_head", "gating network").gate
 
 
 # ---------------------------------------------------------------------------

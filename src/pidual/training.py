@@ -167,8 +167,8 @@ def _train_subset_metrics(
 
     The scores are keyed by detection method: the prediction network's
     confidence on each row's label, and the gate when the model has one. They
-    are the arithmetic of ``detection.confidence_scores`` and
-    ``detection.gate_scores``, so the same bits.
+    are the arithmetic of ``detection.detect``'s, which reads them from the
+    ``prediction_logits`` and ``gate_values`` passes, so the same bits.
     """
     combined, gate, tape = model_mod.forward_train(model, x, a, out)
     # a model without a noise network has no noise columns: they stay NaN

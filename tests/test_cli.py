@@ -122,6 +122,21 @@ def test_train_smoke_artifacts(tmp_path):
         assert 0.0 <= doc["auc"] <= 1.0
 
 
+def test_train_on_a_split_without_wrong_labels_writes_null_aucs(tmp_path, capsys):
+    # no wrong label in the train split: the AUCs do not exist, which is null
+    # in summary.json and in the detection JSON, not a failure after training
+    cfg_path, out = write_config(tmp_path, overrides={"data": {"noise_rate": "0"}})
+    assert main(["train", "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    summary = json.loads(
+        (out / "summary.json").read_text(), parse_constant=lambda c: pytest.fail(f"{c} in JSON")
+    )
+    assert summary["detection_auc"] == {"confidence": None, "gate": None}
+    for method in ("confidence", "gate"):
+        doc = json.loads((out / f"detection_{method}.json").read_text())
+        assert doc["auc"] is None and sum(doc["wrong_counts"]) == 0
+        assert (out / f"detection_{method}_hist.svg").read_text().startswith("<svg")
+
+
 def test_train_grid_and_summary_winner(tmp_path):
     grid = {"grid": {"base_lr": "0.1,0.02", "random_pi_length": "0,2"}}
     cfg_path, out = write_config(tmp_path, overrides=grid)
@@ -885,6 +900,52 @@ def test_detect_on_overflowing_inputs_is_one_numeric_failure_line(csv_fuzz_input
     assert proc.stderr == (
         f"numeric failure: the model's {method} scores on the train split are not all finite\n"
     )
+
+
+@pytest.fixture(scope="module")
+def ce_run(tmp_path_factory):
+    """gen's dataset and train's output directory for plain cross-entropy,
+    trained with the random-PI block appended."""
+    tmp = tmp_path_factory.mktemp("ce_run")
+    ce = {"model": {"use_gate": "false", "use_noise_net": "false"}}
+    cfg_path, out = write_config(tmp, overrides=ce)
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "train")]) == 0
+    return out / "dataset.csv", tmp / "train"
+
+
+def test_detect_scores_a_model_without_a_gate_on_data_without_the_random_pi_block(
+    tmp_path, ce_run, capsys
+):
+    # the default methods drop the gate, which the model lacks, before the
+    # PI width is checked: the confidence reads no PI and replays train's
+    dataset, trained = ce_run
+    replay = tmp_path / "replay"
+    capsys.readouterr()
+    assert main(detect_args(trained / "best_checkpoint.json", dataset, replay)) == 0
+    assert capsys.readouterr().out.startswith("confidence AUC: ")
+    assert sorted(p.name for p in replay.iterdir()) == [
+        "detection_confidence.json", "detection_confidence_hist.svg"
+    ]
+    for name in ("detection_confidence.json", "detection_confidence_hist.svg"):
+        assert read(replay / name) == read(trained / name), name
+
+
+@pytest.mark.parametrize("methods, why", [
+    ("gate", "the checkpoint's model has no gate, so "),
+    ("", ""),
+])
+def test_detect_with_nothing_to_score_is_one_config_error_line(
+    tmp_path, ce_run, capsys, methods, why
+):
+    dataset, trained = ce_run
+    det = tmp_path / "det"
+    capsys.readouterr()
+    args = [*detect_args(trained / "best_checkpoint.json", dataset, det), "--methods", methods]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --methods {methods!r}: {why}there is nothing to score\n"
+    assert not det.exists()
 
 
 def test_detect_rejects_dataset_without_the_random_pi_block(tmp_path):

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from pidual import nn_core
 from pidual.data import SynthConfig, generate_synthetic
-from pidual.detection import (
-    confidence_scores,
-    detect,
-    gate_scores,
-    report,
-    roc_auc,
-    score_histogram,
-)
+from pidual.detection import detect, report, roc_auc, score_histogram
 from pidual.errors import ContractError, NumericError
 from pidual.model import ModelConfig
 
@@ -41,7 +34,7 @@ def constant_logits(ds, bias):
 def test_confidence_uniform_logits():
     ds = dataset()
     model = constant_logits(ds, 0.0)
-    scores = confidence_scores(model, ds)
+    scores = detect(model, ds, "confidence").scores
     assert np.allclose(scores, 1.0 / ds.num_classes)
 
 
@@ -50,7 +43,7 @@ def test_confidence_saturated_on_observed_label():
     # a huge logit on whatever label is observed: route features through zero
     # weights and put mass on class 0, then restrict to samples labeled 0
     model = constant_logits(ds, [60.0, 0.0, 0.0, 0.0])
-    scores = confidence_scores(model, ds)
+    scores = detect(model, ds, "confidence").scores
     observed = ds.noisy_labels_of("train")
     assert np.all(scores[observed == 0] > 1.0 - 1e-12)
 
@@ -58,7 +51,7 @@ def test_confidence_saturated_on_observed_label():
 def test_confidence_matches_scalar_recomputation():
     ds = dataset(n=4, seed=3)
     model = model_for(ds, seed=3)
-    scores = confidence_scores(model, ds)
+    scores = detect(model, ds, "confidence").scores
     x, _ = ds.eval_inputs("train")
     labels = ds.noisy_labels_of("train")
     for i in range(4):
@@ -73,16 +66,16 @@ def test_gate_scores_forced_low_and_symmetric():
     ds = dataset(n=30)
     model = model_for(ds)
     model.gate_head.biases[-1][0] = -20.0
-    assert np.all(gate_scores(model, ds) < 1e-6)
+    assert np.all(detect(model, ds, "gate").scores < 1e-6)
     model.gate_head.weights[-1][...] = 0.0  # the gate's output layer reads nothing
     model.gate_head.biases[-1][...] = 0.0
-    assert np.allclose(gate_scores(model, ds), 0.5)
+    assert np.allclose(detect(model, ds, "gate").scores, 0.5)
 
 
 def test_gate_scores_match_scalar_sigmoid():
     ds = dataset(n=5, seed=7)
     model = model_for(ds, seed=7)
-    scores = gate_scores(model, ds)
+    scores = detect(model, ds, "gate").scores
     x, a = ds.eval_inputs("train")
     for i in range(5):
         h, _ = nn_core.mlp_forward(model.pi_trunk, a[i][None])
@@ -226,6 +219,19 @@ def test_report_rejects_a_score_that_is_not_finite(method, bad):
     with pytest.raises(NumericError, match=message):
         report(method, np.array([0.1, bad, 0.7, 0.9]), wrong)
     assert report(method, np.array([0.1, 0.3, 0.7, 0.9]), wrong).clean_counts.sum() == 2
+
+
+@pytest.mark.parametrize("wrong_rows", [0, 4])
+def test_report_without_clean_or_wrong_rows_has_a_null_auc(tmp_path, wrong_rows):
+    # the AUC of a mask with one class does not exist: NaN in the report, null in its JSON
+    wrong = np.arange(4) < wrong_rows
+    for method in ("confidence", "gate"):
+        got = report(method, np.array([0.1, 0.3, 0.7, 0.9]), wrong)
+        assert math.isnan(got.auc)
+        assert (got.clean_counts.sum(), got.wrong_counts.sum()) == (4 - wrong_rows, wrong_rows)
+        got.to_json(tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["auc"] is None and doc["num_scores"] == 4
 
 
 def test_detect_unknown_method():

@@ -234,10 +234,12 @@ def test_gate_range_and_monotonicity():
         previous = g
 
 
-def test_gate_values_requires_gate():
+@pytest.mark.parametrize("pass_", [gate_values, noise_logits])
+def test_gate_values_requires_gate(pass_):
+    # a PI-side pass of a head the model lacks is an error, not made-up outputs
     model = small_model(flags=CE_FLAGS)
-    with pytest.raises(ContractError):
-        gate_values(model, np.zeros((1, 3)), np.zeros((1, 4)))
+    with pytest.raises(ContractError, match="this model variant has no"):
+        pass_(model, np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 def test_dimension_mismatch_raises():
@@ -516,3 +518,18 @@ def test_workspace_of_another_model_or_too_few_rows_is_rejected():
             run(Workspace(model, 5))
     with pytest.raises(ShapeError, match="not a batch of width 3"):
         prediction_logits(model, x[:, :2], out=Workspace(model, 6))
+
+
+def test_the_inference_pass_checks_its_batch_in_one_place():
+    # with or without a workspace, a batch of the wrong width is the same error
+    model = small_model(seed=1)
+    wide = np.zeros((2, model.feature_dim + 1))
+    messages = []
+    for out in (None, Workspace(model, 2)):
+        with pytest.raises(ShapeError) as caught:
+            prediction_logits(model, wide, out=out)
+        messages.append(str(caught.value))
+    with pytest.raises(ShapeError) as caught:
+        forward_infer(model, wide)
+    messages.append(str(caught.value))
+    assert messages == ["features (2, 4) are not a batch of width 3"] * 3
