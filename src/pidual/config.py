@@ -27,7 +27,7 @@ from . import data as data_mod
 from .data import ERROR_MODES, SynthConfig
 from .detection import METHODS
 from .errors import ConfigError
-from .linear_risk import MAX_FLOATS, MC_CHUNK
+from .linear_risk import MAX_FLOATS, MC_CHUNK, MC_ROWS
 from .model import GATE_SPACES, NOISE_INPUTS, ModelConfig
 from .seeding import derive_seed
 from .training import GRID_AXES, MAX_GRID_POINTS, GridSpec, TrainConfig, apply_grid_point
@@ -114,7 +114,11 @@ def _bounded(cast, low, high=math.inf, ends="[)"):
 
 
 # the cast of [detection] methods and of `detect --methods`
-parse_methods = _list(_choice(METHODS, "detection method"))
+parse_methods = _checked(
+    _list(_choice(METHODS, "detection method")),
+    lambda v: len(set(v)) == len(v),
+    "name each detection method once",
+)
 
 # section -> key -> (default, cast). A default is the raw text a file would
 # give, because the effective config, and so its hash, holds raw text.
@@ -336,16 +340,19 @@ def _check_risk_sizes(risk: dict) -> None:
     ``MAX_FLOATS`` floats, before any is allocated: the designs (one per
     point of an n2 or sigma sweep, else one), with ``resamples > 0`` a (d, n)
     Monte-Carlo map per distinct fit (OLS once on a corruption sweep's one
-    design), one chunk of draws and the per-draw sums."""
+    design), one block of ``MC_ROWS`` rows of draws, a (d, chunk) residual per
+    fit and the per-draw sums, where a chunk is min(resamples, ``MC_CHUNK``)
+    draws."""
     n, d, m, resamples, sweep = (risk[key] for key in ("n", "d", "m", "resamples", "sweep"))
     points = len(risk["sweep_values"]) or 1
     designs = points if sweep in ("n2", "sigma") else 1
     fits = (points + 1 if sweep == "corruption" else 2 * points) if resamples else 0
-    total = (designs * n * (d + m) + fits * d * n + n * min(resamples, MC_CHUNK)
+    chunk = min(resamples, MC_CHUNK)
+    total = (designs * n * (d + m) + fits * d * n + (MC_ROWS + fits * d) * chunk
              + fits * resamples)
     _check_sizes(((
-        f"a risk run holds {designs}*n*(d+m) + {fits}*d*n + n*min(resamples, {MC_CHUNK}) "
-        f"+ {fits}*resamples",
+        f"a risk run holds {designs}*n*(d+m) + {fits}*d*n + ({MC_ROWS} + {fits}*d)"
+        f"*min(resamples, {MC_CHUNK}) + {fits}*resamples",
         total,
         {"risk.n": n, "risk.d": d, "risk.m": m, "risk.resamples": resamples,
          "risk.sweep_values": points},

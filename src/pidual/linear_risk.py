@@ -25,10 +25,11 @@ squares / dense solve) behind a condition guard of 1e10 on the Gram matrices.
 
 A risk run holds at once its designs, n x (d + m) floats each: one per
 point of an n2 or sigma sweep, else one. With Monte-Carlo draws it also
-holds a (d, n) map per distinct fit (up to two per sweep point), one chunk of
-draws, n x min(resamples, ``MC_CHUNK``), and the per-draw sums, fits times
-resamples. ``pidual risk`` rejects at config load a run whose sum of these
-exceeds ``MAX_FLOATS``.
+holds a (d, n) map per distinct fit (up to two per sweep point), one block of
+draws, ``MC_ROWS`` x chunk, a (d, chunk) residual per fit, where a chunk is
+min(resamples, ``MC_CHUNK``) draws, and the per-draw sums, fits times
+resamples. Only the designs and maps grow with n. ``pidual risk`` rejects at
+config load a run whose sum of these exceeds ``MAX_FLOATS``.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
 MC_CHUNK = 4096  # Monte-Carlo draws per chunk
+MC_ROWS = 16  # rows of a chunk's standard normals drawn at a time
 MAX_FLOATS = 2**26  # in floats (512 MiB): the cap on a risk run's arrays, summed
 
 
@@ -281,14 +283,17 @@ def monte_carlo_risks(
     c = R @ S @ noiseless_targets - R @ feature_coef; a draw's standard normals
     xi score ||M @ xi + c||^2 / n1 + sigma^2. Chunks of ``MC_CHUNK`` draws
     come from substreams derived from the chunk index. A chunk draws its
-    standard normals once and every fit reuses them (common random numbers),
-    so every setup must have the same number of rows. A fit's result depends
-    only on its setup, its mask, ``resamples`` and ``seed``, never on the
-    other fits listed.
+    (n, width) standard normals once and every fit reuses them (common random
+    numbers), so every setup must have the same number of rows. A fit's
+    result depends only on its setup, its mask, ``resamples`` and ``seed``,
+    never on the other fits listed.
 
-    A call holds one chunk of draws (n x ``MC_CHUNK`` floats) at a time:
-    each chunk's standard normals overwrite the last ones in one buffer, and
-    each fit's per-draw sums are written into one (fits, resamples) array.
+    A chunk's standard normals are drawn ``MC_ROWS`` rows at a time into one
+    block buffer, continuing the chunk's one stream, and each fit adds its
+    map's columns for those rows times the block into its own (d, chunk)
+    residual. So a call holds ``MC_ROWS`` x chunk floats of draws, a residual
+    per fit and one (fits, resamples) array of per-draw sums, however large
+    n is, besides the fits' maps.
     """
     if resamples < 1:
         raise ConfigError("resamples must be >= 1")
@@ -309,15 +314,25 @@ def monte_carlo_risks(
         scored = clean_r @ solver
         offset = scored @ setup.noiseless_targets() - clean_r @ setup.feature_coef
         maps.append((setup.noise_std * scored, offset[:, None]))
-    n = sizes[0]
-    draws = np.empty(n * min(MC_CHUNK, resamples))  # every chunk's standard normals, in turn
+    n, chunk = sizes[0], min(MC_CHUNK, resamples)
+    block_buffer = np.empty(MC_ROWS * chunk)  # each block of a chunk's standard normals, in turn
+    residual_buffers = [np.empty(offset.size * chunk) for _, offset in maps]
     risks = np.empty((len(fits), resamples))  # each fit's per-draw residual sums
     for index, start in enumerate(range(0, resamples, MC_CHUNK)):
         width = min(MC_CHUNK, resamples - start)
-        noise = draws[: n * width].reshape(n, width)
-        np.random.default_rng(derive_seed(seed, "chunk", index)).standard_normal(out=noise)
-        for f, (noise_map, offset) in enumerate(maps):
-            residual = noise_map @ noise
+        residuals = [buffer[: offset.size * width].reshape(offset.size, width)
+                     for (_, offset), buffer in zip(maps, residual_buffers)]
+        rng = np.random.default_rng(derive_seed(seed, "chunk", index))
+        for first in range(0, n, MC_ROWS):
+            rows = slice(first, min(first + MC_ROWS, n))
+            block = block_buffer[: (rows.stop - first) * width].reshape(-1, width)
+            rng.standard_normal(out=block)  # the chunk's one stream, continued row by row
+            for (noise_map, _), residual in zip(maps, residuals):
+                if first:
+                    residual += noise_map[:, rows] @ block
+                else:
+                    np.matmul(noise_map[:, rows], block, out=residual)
+        for f, ((_, offset), residual) in enumerate(zip(maps, residuals)):
             residual += offset
             np.square(residual, out=residual)
             residual.sum(axis=0, out=risks[f, start : start + width])

@@ -948,6 +948,22 @@ def test_detect_with_nothing_to_score_is_one_config_error_line(
     assert not det.exists()
 
 
+@pytest.mark.parametrize("methods", ["confidence,confidence", "gate,confidence,GATE"])
+def test_detect_with_a_repeated_method_is_one_config_error_line(
+    tmp_path, ce_run, capsys, methods
+):
+    # a repeat is rejected as given, before the gate this model lacks is dropped
+    dataset, trained = ce_run
+    det = tmp_path / "det"
+    capsys.readouterr()
+    args = [*detect_args(trained / "best_checkpoint.json", dataset, det), "--methods", methods]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: must name each detection method once, got [")
+    assert err.count("\n") == 1
+    assert not det.exists()
+
+
 def test_detect_rejects_dataset_without_the_random_pi_block(tmp_path):
     # gen's dataset lacks the random-PI columns that train appended before fitting
     cfg_path, out = write_config(tmp_path)
@@ -1294,6 +1310,23 @@ def test_risk_rejects_a_size_above_the_cap_before_allocating(tmp_path, key, valu
     assert not out.exists()
 
 
+def test_risk_with_many_rows_holds_a_block_of_draws_not_a_chunk(tmp_path):
+    # at d = m = 8 a whole chunk of draws, 20000 x 4096 floats, would put the run
+    # above the cap; a block of MC_ROWS rows at a time keeps it far below
+    overrides = {"risk": {"n": "20000", "d": "8", "m": "8", "n_clean": "12000",
+                          "resamples": "4096"}}
+    cfg_path, out = write_config(tmp_path, overrides=overrides)
+    proc = run_module(
+        ["-m", "pidual", "risk", "--config", str(cfg_path)], preexec_fn=_limit_address_space
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = list(csv.DictReader((out / "risk.csv").open(encoding="utf-8")))
+    # the Monte-Carlo standard errors here are about 1.7e-4 (OLS, bias 0.56) and
+    # 5e-6 (the gated fit on the true mask, no bias)
+    assert float(row["mc_ols"]) == pytest.approx(float(row["ols_total"]), abs=1e-3)
+    assert float(row["mc_pidual"]) == pytest.approx(float(row["pidual_total"]), abs=5e-5)
+
+
 @pytest.mark.parametrize(
     "overrides,field",
     [
@@ -1363,6 +1396,11 @@ def test_risk_rejects_a_size_above_the_cap_before_allocating(tmp_path, key, valu
             {"detection": {"methods": "confidence,entropy"}},
             "detection.methods",
             id="detection-method",
+        ),
+        pytest.param(
+            {"detection": {"methods": "confidence,gate,Confidence"}},
+            "detection.methods",
+            id="detection-methods-repeated",
         ),
         # ranges of single fields
         pytest.param({"data": {"classes": "1"}}, "data.classes", id="one-class"),

@@ -5,6 +5,8 @@ import pytest
 
 from pidual.errors import NumericError, SetupError
 from pidual.linear_risk import (
+    MC_CHUNK,
+    MC_ROWS,
     LinearRiskSetup,
     closed_form_risk,
     corrupt_mask,
@@ -241,17 +243,24 @@ def test_monte_carlo_propagates_estimator_failure_with_draw_range():
         monte_carlo_risks([(s, s.clean_mask)], resamples=10, seed=0)
 
 
-def shared_draw_fits():
+# (n, d, m) of the shared-draw setups: n = 60, and setups at the edges of a
+# block of MC_ROWS rows, one with fewer rows than a block (so small d and m keep
+# n > d + m) and one whose last block is partial
+SIZES = {"n-60": (60, 4, 4), "n-below-block": (MC_ROWS - 3, 2, 2),
+         "n-not-a-multiple": (3 * MC_ROWS + 5, 4, 4)}
+
+
+def shared_draw_fits(n=60, d=4, m=4):
     """Several masks on one setup, plus setups that differ in noise_std and in n_clean."""
-    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
-    noisier = make_setup(60, 4, 4, 40, 2.5, seed=21, pi_coef_scale=3.0)
-    fewer_clean = make_setup(60, 4, 4, 30, 1.0, seed=23, pi_coef_scale=3.0)
+    s = make_setup(n, d, m, 2 * n // 3, 1.0, seed=21, pi_coef_scale=3.0)
+    noisier = make_setup(n, d, m, 2 * n // 3, 2.5, seed=21, pi_coef_scale=3.0)
+    fewer_clean = make_setup(n, d, m, n // 2, 1.0, seed=23, pi_coef_scale=3.0)
     return [
         (s, s.all_rows),
         (s, s.clean_mask),
-        (s, corrupt_mask(s.clean_mask, 5, seed=4)),
+        (s, corrupt_mask(s.clean_mask, 5 * n // 60 or 1, seed=4)),
         (noisier, noisier.all_rows),
-        (noisier, corrupt_mask(noisier.clean_mask, 3, seed=5)),
+        (noisier, corrupt_mask(noisier.clean_mask, 3 * n // 60 or 1, seed=5)),
         (fewer_clean, fewer_clean.clean_mask),
     ]
 
@@ -272,12 +281,18 @@ def chunkwise_lstsq_refit(setup, fit_mask, resamples, seed):
     return np.concatenate(risks) + setup.noise_std**2
 
 
-@pytest.mark.parametrize("which", ["ols", "corrupted", "every-shared-fit"])
-def test_monte_carlo_matches_chunkwise_lstsq_refit(which):
+@pytest.mark.parametrize("which, size", [
+    pytest.param("ols", "n-60", id="ols"),
+    pytest.param("corrupted", "n-60", id="corrupted"),
+    pytest.param("every-shared-fit", "n-60", id="every-shared-fit"),
+    pytest.param("every-shared-fit", "n-below-block", id="every-shared-fit-n-below-block"),
+    pytest.param("every-shared-fit", "n-not-a-multiple", id="every-shared-fit-n-not-a-multiple"),
+])
+def test_monte_carlo_matches_chunkwise_lstsq_refit(which, size):
     resamples, seed = 5000, 9  # a full 4096-draw chunk and a partial one
     if which == "every-shared-fit":
         # one call over fits that differ in mask, noise_std and n_clean
-        fits = shared_draw_fits()
+        fits = shared_draw_fits(*SIZES[size])
     else:
         s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
         mask = s.all_rows if which == "ols" else corrupt_mask(s.clean_mask, 5, seed=4)
@@ -299,29 +314,41 @@ def test_monte_carlo_rejects_ill_conditioned_design_with_draw_range():
     assert "draws [0, 10)" in str(exc.value)
 
 
-# a full chunk and a 513-draw one; one draw; a full chunk and a width-1 one
-@pytest.mark.parametrize("resamples", [4609, 1, 4097])
-def test_monte_carlo_risks_equal_each_single_fit(resamples):
-    fits = shared_draw_fits()
+# a full chunk and a 513-draw one; one draw; a full chunk and a width-1 one,
+# also on setups at the edges of a block of rows
+@pytest.mark.parametrize("resamples, size", [
+    pytest.param(4609, "n-60", id="4609"),
+    pytest.param(1, "n-60", id="1"),
+    pytest.param(4097, "n-60", id="4097"),
+    pytest.param(4097, "n-below-block", id="4097-n-below-block"),
+    pytest.param(4097, "n-not-a-multiple", id="4097-n-not-a-multiple"),
+])
+def test_monte_carlo_risks_equal_each_single_fit(resamples, size):
+    fits = shared_draw_fits(*SIZES[size])
     stats = monte_carlo_risks(fits, resamples, seed=9)
     assert stats == [monte_carlo_risks([(s, mask)], resamples, seed=9)[0] for s, mask in fits]
     # a fit's result does not depend on the other fits listed
     assert monte_carlo_risks(fits[::-1], resamples, seed=9) == stats[::-1]
 
 
-def test_monte_carlo_risks_hold_one_chunk_of_draws_at_a_time():
-    s = make_setup(60, 4, 4, 40, 1.0, seed=21, pi_coef_scale=3.0)
+@pytest.mark.parametrize("n", [60, 2000])
+def test_monte_carlo_risks_hold_a_block_of_draws_however_large_n_is(n):
+    s = make_setup(n, 4, 4, 2 * n // 3, 1.0, seed=21, pi_coef_scale=3.0)
     fits = [(s, s.all_rows), (s, corrupt_mask(s.clean_mask, 5, seed=4))]
-    chunk_bytes = s.n * 4096 * 8
-    monte_carlo_risks(fits, 3 * 4096 + 7, seed=9)  # numpy's first-call caches stay out of the peak
+    resamples = MC_CHUNK + 7  # a full chunk and a partial one
+    monte_carlo_risks(fits, resamples, seed=9)  # numpy's first-call caches stay out of the peak
     tracemalloc.start()
     try:
-        monte_carlo_risks(fits, 3 * 4096 + 7, seed=9)
+        monte_carlo_risks(fits, resamples, seed=9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one chunk of standard normals, plus the per-draw sums and one residual
-    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
+    # a block of draws, a residual per fit and the per-draw sums are
+    # (MC_ROWS + 2 * 4) * MC_CHUNK + 2 * resamples floats at any n (0.85 MB);
+    # one block's (4, MC_CHUNK) product adds 0.13 MB, and the fits' (4, n)
+    # maps and their set-up about 0.25 MB at n = 2000, where a whole chunk of
+    # draws would be 65 MB
+    assert peak < 2 * (MC_ROWS + 2 * 4) * MC_CHUNK * 8, peak
 
 
 def test_monte_carlo_risks_reject_setups_of_different_sizes():
