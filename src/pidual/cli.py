@@ -41,8 +41,7 @@ from .training import (
     TrialJob,
     TrialOutcome,
     run_grid,
-    run_trial,  # noqa: F401  (perfbench/trace_main.py wraps cli.run_trial by name)
-    run_trials,
+    run_trial,
 )
 
 EXIT_OK = 0
@@ -82,10 +81,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         },
     }
     if ds.has_clean_labels:
-        train_size = ds.split_indices(data_mod.SPLIT_TRAIN).size
-        meta["realized_noise_rate"] = (
-            ds.realized_noise_rate() if train_size else float(ds.is_wrong.mean())
-        )
+        meta["realized_noise_rate"] = ds.realized_noise_rate()
     data_mod.save_metadata(out / "dataset_meta.json", meta)
     print(f"wrote {out / 'dataset.csv'} ({ds.n} rows)")
     return EXIT_OK
@@ -165,13 +161,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.grid is not None:
         trials = run_grid(cfg.grid, ds, cfg.train, cfg.model, workers=args.workers)
     else:
-        trials = run_trials([TrialJob(0, {}, cfg.train.seed, ds, cfg.train, cfg.model)])
+        trials = [run_trial(TrialJob(0, {}, cfg.train.seed, ds, cfg.train, cfg.model))]
     for t in trials:
         if t.result is not None:
             t.result.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
     winners = [t for t in trials if t.result is not None]
-    if not winners:
-        raise NumericError("every grid trial failed" if cfg.grid is not None else trials[0].error)
+    if not winners:  # run_grid ranks the failed trials last, in point order
+        first = trials[0]
+        if cfg.grid is None:
+            raise NumericError(first.error)
+        point = ", ".join(f"{k} = {v}" for k, v in first.params.items())
+        raise NumericError(f"every grid trial failed; trial {first.index} ({point}): {first.error}")
     selected = winners[0]
     result = selected.result
     record, epoch = result.record, result.model_epoch

@@ -456,17 +456,21 @@ def load_experiment_config(
 
 
 def build_dataset(cfg: ExperimentConfig):
-    """Generate or load the dataset described by the config and apply splits."""
+    """Generate or load the dataset described by the config and apply splits.
+
+    The dataset has a train row: ``load_csv`` rejects a CSV split column
+    without one, and this rejects split fractions that round it away."""
     if cfg.data.source == "synthetic":
         ds = data_mod.generate_synthetic(cfg.data.synth)
     else:
         ds = data_mod.load_csv(cfg.data.csv_path, num_classes=cfg.data.num_classes)
+    val, test = cfg.data.noisy_val_fraction, cfg.data.test_fraction
     already_split = (ds.split != 0).any()
-    if not already_split and (cfg.data.noisy_val_fraction > 0 or cfg.data.test_fraction > 0):
-        ds = data_mod.split_dataset(
-            ds,
-            cfg.data.noisy_val_fraction,
-            cfg.data.test_fraction,
-            derive_seed(cfg.seed, "split"),
-        )
+    if not already_split and (val > 0 or test > 0):
+        ds = data_mod.split_dataset(ds, val, test, derive_seed(cfg.seed, "split"))
+        if not ds.split_indices(data_mod.SPLIT_TRAIN).size:
+            raise ConfigError(
+                f"data.test_fraction: {test} with noisy_val_fraction {val} leaves no "
+                f"train row of {ds.n} after rounding"
+            )
     return ds

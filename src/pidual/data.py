@@ -316,7 +316,8 @@ def _checked_rows(path: Path, reader):
 
 
 def load_csv(path: str | Path, num_classes: int | None = None) -> PiDataset:
-    """Parse a dataset CSV; raises DataFormatError with the offending row/column."""
+    """Parse a dataset CSV; raises DataFormatError with the offending row/column,
+    and for a split column without a train row, which no command can use."""
     path = Path(path)
     try:
         fh = path.open("r", encoding="utf-8", newline="")
@@ -359,6 +360,8 @@ def load_csv(path: str | Path, num_classes: int | None = None) -> PiDataset:
                 split.append(_SPLIT_CODE[name])
     if not feats:
         raise DataFormatError(f"{path}: no data rows")
+    if with_split and _SPLIT_CODE[SPLIT_TRAIN] not in split:
+        raise DataFormatError(f"{path}: the split column holds no {SPLIT_TRAIN!r} row")
     noisy_arr = np.asarray(noisy, dtype=np.int64)
     clean_arr = np.asarray(clean, dtype=np.int64) if with_clean else None
     observed_max = int(noisy_arr.max())

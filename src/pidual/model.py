@@ -320,7 +320,7 @@ def training_loss(tape: Workspace, labels: np.ndarray) -> float:
         tape.d_mixed = np.zeros_like(tape.mixed)
         tape.d_mixed[rows, labels] = -1.0 / (b * picked)
         return -_mean(np.log(picked))
-    losses, tape.d_mixed = nn_core._softmax_ce(tape.mixed, labels)
+    losses, tape.d_mixed = nn_core.softmax_ce(tape.mixed, labels)
     tape.d_mixed /= b
     return _mean(losses)
 

@@ -5,10 +5,10 @@ stacks of affine layers with ReLU hiddens and an identity or sigmoid output.
 Everything is float64 and deterministic. Inputs are batches, one sample per
 row of a 2-D array; a single sample is a batch of one row, ``x[None]``.
 
-One type holds a network's pass: an ``MlpWorkspace``, the tape of its latest
-pass and the arrays its passes reuse; ``mlp_forward`` returns a new one.
+One type runs a network: an ``MlpWorkspace``, the tape of its latest pass
+and the arrays its passes reuse.
 
-Gradient convention: ``mlp_backward`` returns the gradient of
+Gradient convention: ``MlpWorkspace.backward`` writes the gradient of
 ``sum(output * upstream)``, so a mean-over-batch loss is obtained by passing
 per-sample upstream gradients already divided by the batch size.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -111,49 +111,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpWorkspace]:
-    """Checked forward pass on new arrays; returns (output, tape), where the
-    tape is a new ``MlpWorkspace`` for the batch's rows and suffices for
-    backward."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2:
-        raise ShapeError(f"expected a batch of vectors (ndim=2), got ndim={h.ndim}")
-    if h.shape[1] != params.in_dim:
-        raise ShapeError(f"input dim {h.shape[1]} != first-layer in-dim {params.in_dim}")
-    tape = MlpWorkspace(params, h.shape[0])
-    return tape.forward(h), tape
-
-
-def mlp_backward(
-    params: MlpParams,
-    tape: MlpWorkspace,
-    upstream: np.ndarray,
-    out: Gradients | None = None,
-    input_grad: bool = True,
-) -> tuple[Gradients, np.ndarray | None]:
-    """Exact reverse-mode gradients of ``sum(output * upstream)`` through ``tape``'s pass.
-
-    Returns (parameter gradients, gradient w.r.t. the forward input). The
-    parameter gradients are written into ``out`` when it is given. With
-    ``input_grad=False`` the input gradient is not computed and is None.
-    Neither the tape nor ``upstream`` is changed.
-    """
-    if tape.params is not params:
-        raise ContractError("tape was produced by a different parameter set")
-    if tape.outputs[0] is None:
-        raise ContractError("no forward pass has run through this workspace")
-    d = np.array(upstream, dtype=np.float64)  # a copy: the layer loop works in it
-    if d.shape != (tape.outputs[0].shape[0], params.out_dim):
-        raise ShapeError(f"upstream shape {d.shape} does not match network output")
-    if out is None:
-        out = Gradients(
-            [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
-        )
-    masks = [np.empty(h.shape, dtype=bool) for h in tape.outputs[1:]]
-    deltas = [np.empty(h.shape) for h in tape.outputs[:-1]]
-    return out, _backward_layers(params, tape.outputs, d, out, masks, deltas, input_grad)
-
-
 class MlpWorkspace:
     """The tape of the latest pass through one MLP, and the arrays its passes
     reuse: room for up to ``rows`` rows, of which a batch of m rows uses the
@@ -163,8 +120,8 @@ class MlpWorkspace:
     ``outputs[0]`` is the latest pass's input batch and ``outputs[k + 1]``
     layer k's activated output; backward needs nothing else, because the ReLU
     mask and the sigmoid derivative are both functions of the output.
-    ``forward`` and ``backward`` check nothing: ``mlp_forward`` and the
-    model's passes check the batch at entry.
+    ``forward`` and ``backward`` check nothing: the model's passes check the
+    batch at entry.
     """
 
     __slots__ = ("params", "rows", "weights_t", "outputs", "buffers", "masks", "deltas")
@@ -197,56 +154,46 @@ class MlpWorkspace:
     def backward(
         self, d: np.ndarray, grads: Gradients, input_grad: bool = True
     ) -> np.ndarray | None:
-        """Gradients of ``sum(output * d)`` through the latest pass into
-        ``grads``; ``d``, which this overwrites, has that pass's rows. The
-        first backward pass makes a bool ReLU mask per layer and the first
-        layer's input-gradient array; the other layers write their input
-        gradients over the hidden outputs, so a pass is backpropagated once."""
+        """Gradients of ``sum(output * d)`` through the latest pass, written
+        into ``grads``; returns the gradient with respect to the pass's input,
+        or None with ``input_grad=False``.
+
+        Works in place: ``d``, which has the pass's m rows, becomes the top
+        layer's pre-activation gradient, and each array's first m rows are
+        used. The first backward pass makes a bool ReLU mask per layer and the
+        first layer's input-gradient array. Layer k > 0 writes its input
+        gradient over ``outputs[k]``, whose values are spent once layer k's
+        weight gradient and layer k - 1's mask are taken; the mask is taken
+        first. So a pass is backpropagated once.
+        """
+        params, outputs, acts = self.params, self.outputs, self.params.activations
         if self.deltas is None:
             self.masks = [
                 np.empty(b.shape, dtype=bool) if act == RELU else None
-                for b, act in zip(self.buffers, self.params.activations)
+                for b, act in zip(self.buffers, acts)
             ]
-            self.deltas = [np.empty((self.rows, self.params.in_dim)), *self.buffers[:-1]]
-        return _backward_layers(
-            self.params, self.outputs, d, grads, self.masks, self.deltas, input_grad
-        )
-
-
-def _backward_layers(params, outputs, d, grads, masks, deltas, input_grad):
-    """The layer loop of ``mlp_backward`` and ``MlpWorkspace.backward``:
-    backpropagates ``d`` through the pass ``outputs`` into ``grads``, and
-    checks nothing. A batch of m rows uses the first m rows of each array.
-
-    Works in place: ``d`` becomes the top layer's pre-activation gradient,
-    layer k's ReLU mask goes into ``masks[k]`` and its input gradient into
-    ``deltas[k]``. ``deltas[k]`` may be the array that holds ``outputs[k]``,
-    whose values are spent once layer k's weight gradient and layer k - 1's
-    mask are taken; the mask is taken first.
-    """
-    m = d.shape[0]
-    acts = params.activations
-    top = len(acts) - 1
-    if acts[top] == RELU:
-        np.greater(outputs[top + 1], 0.0, out=masks[top][:m])
-    for k in range(top, -1, -1):
-        act = acts[k]
-        if act == RELU:
-            np.multiply(d, masks[k][:m], out=d)
-        elif act == SIGMOID:
-            h = outputs[k + 1]
-            np.multiply(d, h, out=d)
-            np.multiply(d, 1.0 - h, out=d)
-        np.matmul(d.T, outputs[k], out=grads.d_weights[k])
-        np.add.reduce(d, axis=0, out=grads.d_biases[k])
-        if k == 0 and not input_grad:
-            return None
-        if k > 0 and acts[k - 1] == RELU:
-            np.greater(outputs[k], 0.0, out=masks[k - 1][:m])
-        w = params.weights[k]
-        # one output unit: the product has a single term, so broadcasting is exact
-        d = (np.multiply if w.shape[0] == 1 else np.matmul)(d, w, out=deltas[k][:m])
-    return d
+            self.deltas = [np.empty((self.rows, params.in_dim)), *self.buffers[:-1]]
+        masks, deltas, m, top = self.masks, self.deltas, d.shape[0], len(acts) - 1
+        if acts[top] == RELU:
+            np.greater(outputs[top + 1], 0.0, out=masks[top][:m])
+        for k in range(top, -1, -1):
+            act = acts[k]
+            if act == RELU:
+                np.multiply(d, masks[k][:m], out=d)
+            elif act == SIGMOID:
+                h = outputs[k + 1]
+                np.multiply(d, h, out=d)
+                np.multiply(d, 1.0 - h, out=d)
+            np.matmul(d.T, outputs[k], out=grads.d_weights[k])
+            np.add.reduce(d, axis=0, out=grads.d_biases[k])
+            if k == 0 and not input_grad:
+                return None
+            if k > 0 and acts[k - 1] == RELU:
+                np.greater(outputs[k], 0.0, out=masks[k - 1][:m])
+            w = params.weights[k]
+            # one output unit: the product has a single term, so broadcasting is exact
+            d = (np.multiply if w.shape[0] == 1 else np.matmul)(d, w, out=deltas[k][:m])
+        return d
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -259,18 +206,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise cross-entropy; returns unreduced (losses, dlogits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or logits.shape[1] == 0:
-        raise ShapeError("logits must be a non-empty (batch, classes) array")
-    if labels.shape != (logits.shape[0],):
-        raise ShapeError("one label per batch row required")
-    return _softmax_ce(logits, labels)
-
-
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise cross-entropy of a (batch, classes) array against one class
+    index per row; returns unreduced (losses, dlogits) and checks nothing."""
     # the reductions of logits.max and .sum, called without their wrappers
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))

@@ -547,20 +547,6 @@ def run_trial(job: TrialJob) -> TrialOutcome:
     return TrialOutcome(job.index, job.params, job.seed, result=result, random_pi=random_pi)
 
 
-def run_trials(jobs: list[TrialJob], workers: int = 1) -> list[TrialOutcome]:
-    """One outcome per job, in job order.
-
-    Jobs are independent and run in a process pool when ``workers > 1``. The
-    pool never outnumbers the jobs: a process pool forks every worker at its
-    first submit, whether or not a job is left for it.
-    """
-    pool_size = min(workers, len(jobs))
-    if pool_size > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            return list(pool.map(run_trial, jobs))
-    return [run_trial(job) for job in jobs]
-
-
 def run_grid(
     grid: GridSpec,
     ds: PiDataset,
@@ -571,6 +557,10 @@ def run_grid(
 ) -> list[TrialOutcome]:
     """One trial per grid point, trial ``i`` under ``derive_seed(base_cfg.seed,
     "trial", i)``, or every trial under ``base_cfg.seed`` with ``shared_seed``.
+
+    Trials are independent and run in a process pool when ``workers > 1``. The
+    pool never outnumbers the trials: a process pool forks every worker at its
+    first submit, whether or not a trial is left for it.
 
     Returns outcomes ranked by best noisy-validation accuracy (failed trials
     last, in point order).
@@ -587,4 +577,8 @@ def run_grid(
         acc = t.result.scores()["best_noisy_val_acc"] if t.result else math.nan
         return (t.result is None, -acc if math.isfinite(acc) else math.inf, t.index)
 
-    return sorted(run_trials(jobs, workers), key=rank)
+    pool_size = min(workers, len(jobs))
+    if pool_size > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+            return sorted(pool.map(run_trial, jobs), key=rank)
+    return sorted(map(run_trial, jobs), key=rank)

@@ -24,7 +24,7 @@ from pidual import model as model_mod
 from pidual import training
 from pidual.cli import main
 from pidual.config import FIELDS, build_dataset, load_experiment_config
-from pidual.data import SPLIT_CLEAN_TEST, load_csv
+from pidual.data import SPLIT_CLEAN_TEST, SPLIT_NOISY_VAL, SPLIT_TRAIN, load_csv
 from pidual.model import ModelConfig, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError, DataFormatError
 from pidual.linear_risk import MAX_FLOATS
@@ -1718,6 +1718,87 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
         "numeric failure: ablation variant cross_entropy failed: "
         "non-finite loss at epoch 0, batch 3\n"
     )
+
+
+def test_a_grid_whose_every_trial_fails_names_the_first_failure(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, overrides={"grid": {"base_lr": "1e300,1e301"}})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: every grid trial failed; trial 0 (base_lr = 1e+300): "
+        "non-finite loss at epoch 0, batch 1\n"
+    )
+
+
+ROUNDED_AWAY = {"n": "2", "test_fraction": "0.75", "noisy_val_fraction": "0.2"}
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "ablate"])
+def test_fractions_that_round_the_train_split_away_are_one_config_error_line(
+    tmp_path, capsys, command
+):
+    # val + test < 1, but 2 rows round to 2 test rows and 0 noisy-validation rows
+    cfg_path, out = write_config(tmp_path, overrides={"data": ROUNDED_AWAY})
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: data.test_fraction: 0.75 with noisy_val_fraction 0.2 leaves no "
+        "train row of 2 after rounding\n"
+    )
+    assert not out.exists()
+
+
+def test_fractions_that_leave_one_train_row_build_a_dataset(tmp_path):
+    # 4 rows round to 2 test rows and 1 noisy-validation row: one train row is enough
+    data = {"n": "4", "test_fraction": "0.5", "noisy_val_fraction": "0.2"}
+    cfg_path, _ = write_config(tmp_path, overrides={"data": data})
+    ds = build_dataset(load_experiment_config(cfg_path))
+    names = (SPLIT_TRAIN, SPLIT_NOISY_VAL, SPLIT_CLEAN_TEST)
+    sizes = {name: ds.split_indices(name).size for name in names}
+    assert sizes == {SPLIT_TRAIN: 1, SPLIT_NOISY_VAL: 1, SPLIT_CLEAN_TEST: 2}
+
+
+def _csv_without_a_train_row(tmp_path):
+    """A generated dataset CSV whose split column moves every train row to
+    clean_test, and the one line every command gives for it."""
+    cfg_path, out = write_config(tmp_path)
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    header, *rows = (out / "dataset.csv").read_text().splitlines()
+    no_train = tmp_path / "no_train.csv"
+    no_train.write_text(
+        "\n".join([header] + [row.replace(",train", ",clean_test") for row in rows]) + "\n"
+    )
+    return no_train, f"i/o failure: {no_train}: the split column holds no 'train' row\n"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_csv_split_column_without_a_train_row_is_one_io_failure_line(
+    tmp_path, capsys, command
+):
+    no_train, why = _csv_without_a_train_row(tmp_path)
+    csv_data = {"source": "csv", "path": str(no_train), "n": "", "feature_dim": "",
+                "annotators": "", "noise_rate": ""}
+    csv_cfg, csv_out = write_config(
+        tmp_path, overrides={"data": csv_data}, name="csv.ini", out=tmp_path / "csv_run"
+    )
+    capsys.readouterr()
+    assert main([command, "--config", str(csv_cfg)]) == 4
+    assert capsys.readouterr().err == why
+    assert not csv_out.exists()
+
+
+def test_detect_on_a_csv_without_a_train_row_fails_before_making_its_out_directory(
+    tmp_path, capsys
+):
+    no_train, why = _csv_without_a_train_row(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ModelConfig(pred_hidden=(4,), pi_width=4).build(4, 3, 3, seed=0), ckpt)
+    det_out = tmp_path / "det"
+    args = ["--checkpoint", str(ckpt), "--data", str(no_train), "--out", str(det_out)]
+    capsys.readouterr()
+    assert main(["detect", "--methods", "confidence", *args]) == 4
+    assert capsys.readouterr().err == why
+    assert not det_out.exists()
 
 
 @pytest.mark.parametrize("last", [False, True], ids=["mid-epoch", "last-step"])

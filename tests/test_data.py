@@ -179,6 +179,15 @@ def test_csv_unreadable_text_or_huge_label_reports_where(tmp_path, body, match):
         load_csv(path)
 
 
+def test_csv_split_column_needs_a_train_row(tmp_path):
+    path = tmp_path / "split.csv"
+    path.write_text("x0,a0,noisy_label,split\n1.0,1.0,0,clean_test\n2.0,1.0,1,noisy_val\n")
+    with pytest.raises(DataFormatError, match=f"{path}: the split column holds no 'train' row"):
+        load_csv(path)
+    path.write_text("x0,a0,noisy_label,split\n1.0,1.0,0,clean_test\n2.0,1.0,1,train\n")
+    assert load_csv(path).split_indices(data_mod.SPLIT_TRAIN).tolist() == [1]
+
+
 def test_csv_label_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,a0,noisy_label\n1.0,1.0,5\n", encoding="utf-8")

@@ -55,8 +55,7 @@ def test_confidence_matches_scalar_recomputation():
     x, _ = ds.eval_inputs("train")
     labels = ds.noisy_labels_of("train")
     for i in range(4):
-        out, _ = nn_core.mlp_forward(model.prediction, x[i][None])
-        logits = out[0]
+        logits = nn_core.MlpWorkspace(model.prediction, 1).forward(x[i][None])[0]
         exps = [math.exp(v - max(logits)) for v in logits]
         expected = exps[labels[i]] / sum(exps)
         assert abs(scores[i] - expected) < 1e-12
@@ -78,8 +77,8 @@ def test_gate_scores_match_scalar_sigmoid():
     scores = detect(model, ds, "gate").scores
     x, a = ds.eval_inputs("train")
     for i in range(5):
-        h, _ = nn_core.mlp_forward(model.pi_trunk, a[i][None])
-        out, _ = nn_core.mlp_forward(model.gate_head, h)
+        h = nn_core.MlpWorkspace(model.pi_trunk, 1).forward(a[i][None])
+        out = nn_core.MlpWorkspace(model.gate_head, 1).forward(h)
         assert abs(scores[i] - out[0, 0]) < 1e-12
 
 

@@ -68,7 +68,7 @@ def test_gate_zero_reduces_to_prediction_logits():
     force_gate(model, -1e9)
     x, a, _ = rng_batch(model)
     combined, g, _ = forward_train(model, x, a)
-    pred, _ = nn_core.mlp_forward(model.prediction, x)
+    pred = nn_core.MlpWorkspace(model.prediction, x.shape[0]).forward(x)
     assert np.all(g == 0.0)
     assert np.array_equal(combined, pred)
 

@@ -102,15 +102,15 @@ def test_training_deterministic():
 
 
 def reference_step(model, x, a, y):
-    """(loss, gradient vector) of one minibatch, composed from nn_core's
-    checked calls on fresh arrays, as train composed its step before the
-    workspace: the model's wiring written out once more."""
+    """(loss, gradient vector) of one minibatch, composed from passes through
+    new ``nn_core.MlpWorkspace``s of the batch's rows and new gradient arrays:
+    the model's wiring written out once more."""
     flags, shared, b = model.config.flags, model.config.share_first_layer, x.shape[0]
     tapes = {}
 
     def forward(name, h):
-        out, tapes[name] = nn_core.mlp_forward(getattr(model, name), h)
-        return out
+        tapes[name] = nn_core.MlpWorkspace(getattr(model, name), b)
+        return tapes[name].forward(h)
 
     pi_in = np.hstack([a, x]) if flags.noise_input == NOISE_INPUT_PI_AND_X else a
     trunk = g = None
@@ -136,7 +136,7 @@ def reference_step(model, x, a, y):
         u[rows, y] = -1.0 / (b * picked)
         loss = float(-np.log(picked).mean())
     else:
-        losses, u = nn_core.softmax_ce_batch(mixed, y)
+        losses, u = nn_core.softmax_ce(mixed, y)
         u /= b
         loss = float(losses.mean())
 
@@ -162,7 +162,7 @@ def reference_step(model, x, a, y):
     }
 
     def backward(name, d, input_grad=True):
-        return nn_core.mlp_backward(nets[name], tapes[name], d, grads[name], input_grad)[1]
+        return tapes[name].backward(d.copy(), grads[name], input_grad)
 
     backward("prediction", d_pred, input_grad=False)
     d_trunk = np.zeros((b, model.config.pi_width))
@@ -835,7 +835,7 @@ def test_an_outcome_status_is_whether_it_holds_a_result():
 
 
 @pytest.mark.parametrize("early_stopping", [True, False])
-def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
+def test_outcomes_keep_their_job_and_the_model_of_their_epoch(early_stopping):
     ds = tiny_dataset(n=300, seed=19)
     cfg = tiny_cfg(epochs=4, random_pi_length=3, early_stopping=early_stopping)
     model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8)
@@ -843,7 +843,7 @@ def test_outcomes_keep_job_order_and_the_model_of_their_epoch(early_stopping):
         training.TrialJob(i, params, 7 + i, ds, cfg, model_cfg)
         for i, params in enumerate(({"gate_space": "nonsense"}, {}))
     ]
-    failed, ok = training.run_trials(jobs)
+    failed, ok = map(training.run_trial, jobs)
     assert (failed.index, failed.status, failed.result) == (0, "failed", None)
     assert "nonsense" in failed.error
     assert (ok.index, ok.seed, ok.status) == (1, 8, "ok")
@@ -875,7 +875,7 @@ def test_trial_detection_scores_equal_a_forward_pass_of_the_kept_model(
     ds = split_dataset(ds, val_fraction, 0.2, seed=22)
     cfg = tiny_cfg(epochs=5, random_pi_length=3, early_stopping=early_stopping)
     model_cfg = ModelConfig(pred_hidden=(8,), pi_width=8, flags=AblationFlags(use_gate=use_gate))
-    (outcome,) = training.run_trials([training.TrialJob(0, {}, 11, ds, cfg, model_cfg)])
+    outcome = training.run_trial(training.TrialJob(0, {}, 11, ds, cfg, model_cfg))
     assert outcome.status == "ok", outcome.error
     result = outcome.result
     if early_stopping and val_fraction > 0:
