@@ -29,7 +29,6 @@ from .errors import (
     ContractError,
     DataFormatError,
     NumericError,
-    SetupError,
     ShapeError,
 )
 from .seeding import derive_seed
@@ -156,15 +155,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"--workers {args.workers} runs grid trials in parallel, but the config has no [grid]"
         )
     ds = build_dataset(cfg)
-    out = _out_dir(cfg, args.out)
 
     if cfg.grid is not None:
         trials = run_grid(cfg.grid, ds, cfg.train, cfg.model, workers=args.workers)
     else:
         trials = [run_trial(TrialJob(0, {}, cfg.train.seed, ds, cfg.train, cfg.model))]
-    for t in trials:
-        if t.result is not None:
-            t.result.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
     winners = [t for t in trials if t.result is not None]
     if not winners:  # run_grid ranks the failed trials last, in point order
         first = trials[0]
@@ -175,10 +170,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     selected = winners[0]
     result = selected.result
     record, epoch = result.record, result.model_epoch
-
-    model_mod.save_checkpoint(result.model, out / "best_checkpoint.json")
-    _dynamics_plot(out, result)
-    aucs: dict[str, float] = {}
+    reports = []
     if ds.has_clean_labels:
         # the scores come from the evaluation pass of the saved model's epoch;
         # a model without a gate has no gate scores
@@ -189,7 +181,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             for method in cfg.detection_methods
             if method in scores
         ]
-        aucs = _detection_outputs(out, reports)
+
+    # a run that fails above leaves no output directory
+    out = _out_dir(cfg, args.out)
+    for t in winners:
+        t.result.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
+    model_mod.save_checkpoint(result.model, out / "best_checkpoint.json")
+    _dynamics_plot(out, result)
+    aucs = _detection_outputs(out, reports)
 
     summary = {
         "config_hash": cfg.config_hash(),
@@ -247,9 +246,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
             "the random-PI block that `train` appends is not in the dataset, and the "
             "checkpoint does not record it"
         )
+    reports = [detect_mod.detect(model, ds, m) for m in methods]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    aucs = _detection_outputs(out, [detect_mod.detect(model, ds, m) for m in methods])
+    aucs = _detection_outputs(out, reports)
     for method, auc in aucs.items():
         print(f"{method} AUC: {auc:.4f}")
     return EXIT_OK
@@ -257,7 +257,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_risk(args: argparse.Namespace) -> int:
     cfg = load_experiment_config(args.config, args.seed)
-    out = _out_dir(cfg, args.out)
     r = cfg.risk
     base_seed = derive_seed(cfg.seed, "risk")
 
@@ -312,6 +311,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
             ys.append(y)
     sweep_points = [value for _, value, _, _ in points]
 
+    out = _out_dir(cfg, args.out)
     risk_mod.write_risk_csv(out / "risk.csv", rows)
     # the Monte-Carlo means are None when resamples = 0, and those curves are left out
     series = [(label, sweep_points, ys) for label, ys in curves.items() if None not in ys]
@@ -327,7 +327,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants = GridSpec({"variant": list(ABLATION_VARIANTS)})
     cfg = load_experiment_config(args.config, args.seed, variants)
     ds = build_dataset(cfg)
-    out = _out_dir(cfg, args.out)
     outcomes = run_grid(variants, ds, cfg.train, cfg.model, shared_seed=True)
     failed = [(t.params["variant"], t.error) for t in outcomes if t.result is None]
     if failed:  # run_grid ranks the failed trials last, in table order
@@ -347,6 +346,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         for i, name in enumerate(names, start=1)
     ]
 
+    out = _out_dir(cfg, args.out)
     with (out / "ablation.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("rank", "variant", *SCORE_FIELDS))
@@ -443,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SetupError as exc:
-        print(f"setup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, ShapeError, ContractError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -41,9 +41,9 @@ PI_CHANNELS = ("reliability", "switch")
 
 @dataclass
 class SynthConfig:
-    """Knobs of the synthetic generator; ``reliabilities=None`` derives a
-    per-annotator spread whose mean error rate equals ``noise_rate``. Their
-    ranges are checked where a config file is loaded, not here."""
+    """Knobs of the synthetic generator; ``reliabilities=None`` gives every
+    annotator the same reliability, 1 - ``noise_rate``. Their ranges are
+    checked where a config file is loaded, not here."""
 
     n: int
     feature_dim: int = 8

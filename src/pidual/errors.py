@@ -3,10 +3,10 @@
 ``cli.main`` maps these onto stable exit codes, each with a one-line message:
 
 - ConfigError -> 2 (``config error: ...``);
-- SetupError -> 2 (``setup error: ...``). Only library callers of
-  ``linear_risk.monte_carlo_risks`` can raise it now: the config loader checks
-  ``[risk]``, so every setup the ``risk`` command builds has the same rows;
-- NumericError, ShapeError and ContractError -> 3 (``numeric failure: ...``);
+- NumericError, ShapeError and ContractError -> 3 (``numeric failure: ...``).
+  A ContractError is a library caller's broken precondition, such as
+  ``linear_risk.monte_carlo_risks`` on setups of different row counts, which
+  the ``risk`` command's config checks rule out;
 - DataFormatError and OSError -> 4 (``i/o failure: ...``).
 
 EvaluationError has no code of its own: ``train`` raises it inside a trial,
@@ -36,10 +36,6 @@ class ConfigError(PiDualError):
 
 class DataFormatError(PiDualError):
     """Malformed dataset file; message carries the offending row or column."""
-
-
-class SetupError(PiDualError):
-    """The setups one Monte-Carlo call shares have different numbers of rows."""
 
 
 class EvaluationError(PiDualError):

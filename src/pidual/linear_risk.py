@@ -20,8 +20,8 @@ X@feature_coef - A@pi_coef, a variance trace term and the irreducible
 sigma^2. ``monte_carlo_risks(fits, resamples, seed)`` is the independent
 oracle it is checked against: the (mean risk, standard error) of each
 ``(setup, fit_mask)`` pair over resampled training noise, with every pair
-scored on the same draws. Both solve through factorizations (SVD least
-squares / dense solve) behind a condition guard of 1e10 on the Gram matrices.
+scored on the same draws. Both read one map per fit, from one guarded SVD per
+fit: full rank, and a condition of at most 1e10 on the Gram matrix.
 
 A risk run holds at once its designs, n x (d + m) floats each: one per
 point of an n2 or sigma sweep, else one. With Monte-Carlo draws it also
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, SetupError
+from .errors import ContractError, NumericError
 from .seeding import derive_seed
 
 COND_LIMIT = 1e10  # on Gram matrices, i.e. squared design condition
@@ -160,28 +160,15 @@ def _check_singular_values(svals: np.ndarray, shape: tuple[int, int], what: str)
         raise NumericError(f"{what} Gram matrix condition {cond_gram:.2e} exceeds {COND_LIMIT:.0e}")
 
 
-def _lstsq_guarded(design: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Least-squares solve with full-rank and condition checks."""
-    sol, _, _, svals = np.linalg.lstsq(design, rhs, rcond=None)
-    _check_singular_values(svals, design.shape, what)
-    return sol
-
-
-def _pinv_guarded(design: np.ndarray, what: str) -> np.ndarray:
-    """The (d, n) pseudo-inverse of a full-column-rank design, from one SVD,
-    with the checks of ``_lstsq_guarded``."""
-    u, svals, vt = np.linalg.svd(design, full_matrices=False)
-    _check_singular_values(svals, design.shape, what)
-    return (vt.T / svals) @ u.T
-
-
 def masked_designs(
     setup: LinearRiskSetup, fit_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-masked designs: features on selected rows, PI on the complement."""
     fit_mask = np.asarray(fit_mask, dtype=bool)
     if fit_mask.shape != (setup.n,):
-        raise ConfigError("fit mask must have one entry per row")
+        raise ContractError(
+            f"fit mask must have one entry per row: shape {fit_mask.shape} for {setup.n} rows"
+        )
     x_bar = setup.features * fit_mask[:, None]
     a_bar = setup.pi * (~fit_mask)[:, None]
     return x_bar, a_bar
@@ -192,14 +179,8 @@ def pi_projector_basis(a_bar: np.ndarray) -> np.ndarray:
     if not a_bar.any():
         return np.zeros((a_bar.shape[0], 0))
     u, svals, _ = np.linalg.svd(a_bar, full_matrices=False)
-    rank = int((svals > svals[0] * 1e-12).sum())
-    if rank < a_bar.shape[1]:
-        raise NumericError(
-            f"masked PI block is rank-deficient (rank {rank} < {a_bar.shape[1]})"
-        )
-    if (svals[0] / svals[rank - 1]) ** 2 > COND_LIMIT:
-        raise NumericError("masked PI Gram matrix is ill-conditioned")
-    return u[:, :rank]
+    _check_singular_values(svals, a_bar.shape, "masked PI block")
+    return u
 
 
 def pi_projector(setup: LinearRiskSetup, fit_mask: np.ndarray) -> np.ndarray:
@@ -228,7 +209,23 @@ def masked_fit(setup: LinearRiskSetup, y: np.ndarray, fit_mask: np.ndarray) -> n
     path; the feature block is solved after projecting out the masked PI span.
     """
     x_proj = projected_features(setup, fit_mask)
-    return _lstsq_guarded(x_proj, np.asarray(y, dtype=np.float64), "projected feature design")
+    sol, _, _, svals = np.linalg.lstsq(x_proj, np.asarray(y, dtype=np.float64), rcond=None)
+    _check_singular_values(svals, x_proj.shape, "projected feature design")
+    return sol
+
+
+def _fit_map(setup: LinearRiskSetup, fit_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A fit's clean-row triangular factor R and its (d, n) scored map R @ S.
+
+    S is the pseudo-inverse of the projected design, from one guarded SVD, so
+    the fit of targets y is S @ y; R is the QR factor of the clean rows'
+    features, so ||R @ v|| = ||clean_mask * X @ v|| for every v.
+    """
+    design = projected_features(setup, fit_mask)
+    u, svals, vt = np.linalg.svd(design, full_matrices=False)
+    _check_singular_values(svals, design.shape, "projected feature design")
+    clean_r = np.linalg.qr(setup.features[setup.clean_mask], mode="r")
+    return clean_r, clean_r @ ((vt.T / svals) @ u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +233,21 @@ def masked_fit(setup: LinearRiskSetup, y: np.ndarray, fit_mask: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 
-def _trace_solve(gram: np.ndarray, gram_clean: np.ndarray, what: str) -> float:
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericError(f"{what} condition {cond:.2e} exceeds {COND_LIMIT:.0e}")
-    return float(np.trace(np.linalg.solve(gram, gram_clean)))
-
-
 def closed_form_risk(setup: LinearRiskSetup, fit_mask: np.ndarray) -> RiskBreakdown:
     """Expected risk of the masked estimator: bias + variance trace + sigma^2.
 
     The bias scales only with the disagreements between the fit mask and the
     true clean mask; with ``setup.all_rows`` it is the OLS projection leakage
-    of the noisy rows' gap.
+    of the noisy rows' gap. Both terms read the fit's scored map R @ S: the
+    bias is ||R @ S @ gap_term||^2 / n1, and since S @ S^T is the inverse
+    projected Gram matrix, the variance trace is ||R @ S||_F^2.
     """
-    x = setup.features
+    _, scored = _fit_map(setup, fit_mask)
     n1 = setup.n_clean
-    x_proj = projected_features(setup, fit_mask)
-    gram_proj = x_proj.T @ x_proj
-    x_clean = x * setup.clean_mask[:, None]
-    gram_clean = x_clean.T @ x_clean
     disagreement = setup.clean_mask.astype(np.float64) - np.asarray(fit_mask, dtype=np.float64)
-    gap_term = disagreement * setup.contribution_gap
-    bias_vec = setup.clean_mask * (x @ _lstsq_guarded(x_proj, gap_term, "projected design"))
+    bias_vec = scored @ (disagreement * setup.contribution_gap)
     bias = float(bias_vec @ bias_vec) / n1
-    variance = setup.noise_std**2 / n1 * _trace_solve(gram_proj, gram_clean, "projected Gram")
+    variance = setup.noise_std**2 / n1 * float(np.square(scored).sum())
     return RiskBreakdown(bias, variance, setup.noise_std**2)
 
 
@@ -296,22 +283,20 @@ def monte_carlo_risks(
     n is, besides the fits' maps.
     """
     if resamples < 1:
-        raise ConfigError("resamples must be >= 1")
+        raise ContractError(f"resamples must be >= 1, got {resamples}")
     if not fits:
         return []
     sizes = sorted({setup.n for setup, _ in fits})
     if len(sizes) > 1:
-        raise SetupError(
+        raise ContractError(
             f"Monte-Carlo fits share their draws, so their setups need one n, got {sizes}"
         )
     maps = []
     for setup, fit_mask in fits:
         try:
-            solver = _pinv_guarded(projected_features(setup, fit_mask), "projected feature design")
+            clean_r, scored = _fit_map(setup, fit_mask)
         except NumericError as exc:
             raise NumericError(f"estimator failed on draws [0, {resamples}): {exc}") from exc
-        clean_r = np.linalg.qr(setup.features[setup.clean_mask], mode="r")
-        scored = clean_r @ solver
         offset = scored @ setup.noiseless_targets() - clean_r @ setup.feature_coef
         maps.append((setup.noise_std * scored, offset[:, None]))
     n, chunk = sizes[0], min(MC_CHUNK, resamples)

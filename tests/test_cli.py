@@ -184,7 +184,7 @@ def test_train_with_a_score_that_is_not_finite_is_one_numeric_failure_line(
     assert capsys.readouterr().err == (
         "numeric failure: the model's confidence scores on the train split are not all finite\n"
     )
-    assert not (out / "detection_confidence.json").exists()
+    assert not out.exists()
 
 
 def test_grid_trains_each_point_once_and_saves_the_winner(tmp_path, monkeypatch):
@@ -900,6 +900,7 @@ def test_detect_on_overflowing_inputs_is_one_numeric_failure_line(csv_fuzz_input
     assert proc.stderr == (
         f"numeric failure: the model's {method} scores on the train split are not all finite\n"
     )
+    assert not det.exists()
 
 
 @pytest.fixture(scope="module")
@@ -1728,6 +1729,31 @@ def test_a_grid_whose_every_trial_fails_names_the_first_failure(tmp_path, capsys
         "numeric failure: every grid trial failed; trial 0 (base_lr = 1e+300): "
         "non-finite loss at epoch 0, batch 1\n"
     )
+
+
+DIVERGING = {"train": {"base_lr": "1e300"}}
+RANK_DEFICIENT_RISK = {"risk": {"n": "200", "d": "8", "m": "8", "n_clean": "195",
+                                "resamples": "0"}}
+
+
+@pytest.mark.parametrize("command, overrides, why", [
+    pytest.param("train", DIVERGING, "non-finite loss at epoch 0, batch 1", id="train"),
+    pytest.param("train", {**DIVERGING, "grid": {"base_lr": "1e300,1e301"}},
+                 "every grid trial failed; trial 0 (base_lr = 1e+300): "
+                 "non-finite loss at epoch 0, batch 1", id="train-grid"),
+    pytest.param("ablate", DIVERGING, "ablation variant cross_entropy failed: "
+                 "non-finite loss at epoch 0, batch 1", id="ablate"),
+    pytest.param("risk", RANK_DEFICIENT_RISK,
+                 "masked PI block is rank-deficient (rank 5 < 8)", id="risk"),
+])
+def test_a_failed_run_is_one_numeric_failure_line_and_leaves_no_directory(
+    tmp_path, capsys, command, overrides, why
+):
+    cfg_path, out = write_config(tmp_path, overrides=overrides)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {why}\n"
+    assert not out.exists()
 
 
 ROUNDED_AWAY = {"n": "2", "test_fraction": "0.75", "noisy_val_fraction": "0.2"}

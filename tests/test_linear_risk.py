@@ -1,9 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pidual.errors import NumericError, SetupError
+from pidual.config import load_experiment_config
+from pidual.errors import ContractError, NumericError
 from pidual.linear_risk import (
     MC_CHUNK,
     MC_ROWS,
@@ -354,9 +356,21 @@ def test_monte_carlo_risks_hold_a_block_of_draws_however_large_n_is(n):
 def test_monte_carlo_risks_reject_setups_of_different_sizes():
     s = make_setup(60, 4, 4, 40, 1.0, seed=21)
     other = make_setup(61, 4, 4, 40, 1.0, seed=21)
-    with pytest.raises(SetupError, match=r"one n, got \[60, 61\]") as exc:
+    with pytest.raises(ContractError, match=r"one n, got \[60, 61\]") as exc:
         monte_carlo_risks([(s, s.all_rows), (other, other.all_rows)], resamples=10, seed=0)
     assert "\n" not in str(exc.value)
+
+
+def test_a_fit_mask_of_the_wrong_length_and_no_resamples_break_preconditions():
+    s = make_setup(60, 4, 4, 40, 1.0, seed=21)
+    short = s.clean_mask[:-1]
+    for call in (lambda: closed_form_risk(s, short), lambda: masked_fit(s, np.zeros(60), short),
+                 lambda: monte_carlo_risks([(s, short)], resamples=10, seed=0)):
+        with pytest.raises(ContractError, match=r"one entry per row: shape \(59,\) for 60 rows"):
+            call()
+    for resamples in (0, -1):
+        with pytest.raises(ContractError, match=rf"resamples must be >= 1, got {resamples}"):
+            monte_carlo_risks([(s, s.all_rows)], resamples=resamples, seed=0)
 
 
 def test_monte_carlo_risks_name_the_draw_range_of_an_unsolvable_fit():
@@ -364,3 +378,61 @@ def test_monte_carlo_risks_name_the_draw_range_of_an_unsolvable_fit():
     # OLS is solvable; the gated fit has 2 noisy rows for 5 PI columns
     with pytest.raises(NumericError, match=r"draws \[0, 10\): masked PI block is rank-deficient"):
         monte_carlo_risks([(s, s.all_rows), (s, s.clean_mask)], resamples=10, seed=0)
+
+
+def textbook_closed_form(setup, fit_mask):
+    """The closed form by its textbook route: the bias from a least-squares
+    solve of the disagreement-weighted gap, the variance from the trace of a
+    dense solve against the clean rows' Gram matrix."""
+    x_proj = projected_features(setup, fit_mask)
+    x_clean = setup.features * setup.clean_mask[:, None]
+    gap_term = (setup.clean_mask.astype(float) - fit_mask) * setup.contribution_gap
+    bias_vec = x_clean @ np.linalg.lstsq(x_proj, gap_term, rcond=None)[0]
+    trace = np.trace(np.linalg.solve(x_proj.T @ x_proj, x_clean.T @ x_clean))
+    n1 = setup.n_clean
+    return float(bias_vec @ bias_vec) / n1, setup.noise_std**2 * trace / n1
+
+
+SIGMA_SWEEP = """[risk]
+n = 200
+d = 8
+m = 8
+n_clean = 120
+pi_coef_scale = 3.0
+resamples = 20000
+sweep = sigma
+sweep_values = 0.5,1,2
+"""
+
+
+def sweep_fits(config_path):
+    """The distinct (setup, fit mask) pairs of a corruption or sigma sweep,
+    built from the config as ``pidual risk`` builds them."""
+    cfg = load_experiment_config(config_path)
+    r, base_seed = cfg.risk, derive_seed(cfg.seed, "risk")
+
+    def setup(sigma):
+        return make_setup(r.n, r.d, r.m, r.n_clean, sigma, base_seed, r.coef_scale,
+                          r.pi_coef_scale)
+
+    if r.sweep == "corruption":
+        s = setup(r.sigma)
+        return [(s, s.all_rows)] + [
+            (s, corrupt_mask(s.clean_mask, flips, derive_seed(base_seed, "corrupt", flips)))
+            for flips in r.sweep_values
+        ]
+    return [(s, mask) for s in map(setup, r.sweep_values) for mask in (s.all_rows, s.clean_mask)]
+
+
+def test_closed_form_matches_the_textbook_route_on_the_shipped_sweeps(tmp_path):
+    sigma_config = tmp_path / "risk_sigma.ini"
+    sigma_config.write_text(SIGMA_SWEEP)
+    corruption = sweep_fits(Path(__file__).parents[1] / "configs" / "risk_sweep.ini")
+    sigma = sweep_fits(sigma_config)
+    assert (len(corruption), len(sigma)) == (7, 6)
+    for setup, mask in corruption + sigma:
+        risk = closed_form_risk(setup, mask)
+        bias, variance = textbook_closed_form(setup, mask)
+        # a true-mask fit has no bias, which both routes give as a numerical zero
+        assert risk.bias_term == pytest.approx(bias, rel=1e-12, abs=1e-30)
+        assert risk.variance_term == pytest.approx(variance, rel=1e-12)
