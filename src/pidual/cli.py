@@ -2,7 +2,11 @@
 
 Every subcommand reads a sectioned config file (see config.py), writes its
 artifacts into a per-run output directory, and is idempotent in output
-content for a fixed config + seed. Exit codes: 0 success, 2 config error,
+content for a fixed config + seed. The artifacts the package never reads
+back (the JSON documents, ``risk.csv`` and ``ablation.csv``) go through this
+module's one JSON writer and one CSV writer; the formats it reads back
+(dataset CSV, training record, checkpoint) stay with their readers, and
+``svgplot`` writes the plots. Exit codes: 0 success, 2 config error,
 3 numeric failure, 4 I/O failure. The only nondeterministic field anywhere
 is ``wall_clock_seconds`` inside summary.json.
 """
@@ -53,6 +57,14 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """A header of the first row's keys, then one line per row; every row has those keys."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
     out = Path(override) if override else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -81,7 +93,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     }
     if ds.has_clean_labels:
         meta["realized_noise_rate"] = ds.realized_noise_rate()
-    data_mod.save_metadata(out / "dataset_meta.json", meta)
+    _write_json(out / "dataset_meta.json", meta)
     print(f"wrote {out / 'dataset.csv'} ({ds.n} rows)")
     return EXIT_OK
 
@@ -110,7 +122,15 @@ def _detection_outputs(out: Path, reports: list[detect_mod.DetectionReport]) -> 
     aucs: dict[str, float] = {}
     for report in reports:
         method = report.method
-        report.to_json(out / f"detection_{method}.json")
+        doc = {
+            "method": method,
+            "auc": _float_or_none(report.auc),
+            "bin_edges": report.bin_edges.tolist(),
+            "clean_counts": report.clean_counts.tolist(),
+            "wrong_counts": report.wrong_counts.tolist(),
+            "num_scores": int(report.scores.shape[0]),
+        }
+        _write_json(out / f"detection_{method}.json", doc)
         svgplot.paired_histogram(
             out / f"detection_{method}_hist.svg",
             f"{method} score distribution (train split)",
@@ -299,6 +319,11 @@ def cmd_risk(args: argparse.Namespace) -> int:
         )
         mc_means = {key: mean for key, (mean, _) in zip(pairs, stats)}
     closed = {key: risk_mod.closed_form_risk(*pair) for key, pair in pairs.items()}
+
+    def cell(value: float | None) -> str:
+        # lossless; a Monte-Carlo mean is None, an empty cell, when resamples = 0
+        return "" if value is None else repr(float(value))
+
     rows = []
     labels = ("OLS closed form", "gated closed form", "OLS Monte Carlo", "gated Monte Carlo")
     curves = {label: [] for label in labels}
@@ -306,13 +331,29 @@ def cmd_risk(args: argparse.Namespace) -> int:
         keys = [(id(setup), mask.tobytes()) for mask in (setup.all_rows, fit_mask)]
         ols, gated = (closed[key] for key in keys)
         mc_ols, mc_gated = (mc_means.get(key) for key in keys)
-        rows.append(risk_mod.risk_row(setup_id, setup, ols, gated, mc_ols, mc_gated))
+        rows.append({
+            "setup_id": setup_id,
+            "n": setup.n,
+            "n1": setup.n_clean,
+            "n2": setup.n_noisy,
+            "d": setup.features.shape[1],
+            "m": setup.pi.shape[1],
+            "sigma": cell(setup.noise_std),
+            "ols_bias": cell(ols.bias_term),
+            "ols_var": cell(ols.variance_term),
+            "pidual_bias": cell(gated.bias_term),
+            "pidual_var": cell(gated.variance_term),
+            "ols_total": cell(ols.total),
+            "pidual_total": cell(gated.total),
+            "mc_ols": cell(mc_ols),
+            "mc_pidual": cell(mc_gated),
+        })
         for ys, y in zip(curves.values(), (ols.total, gated.total, mc_ols, mc_gated)):
             ys.append(y)
     sweep_points = [value for _, value, _, _ in points]
 
     out = _out_dir(cfg, args.out)
-    risk_mod.write_risk_csv(out / "risk.csv", rows)
+    _write_csv(out / "risk.csv", rows)
     # the Monte-Carlo means are None when resamples = 0, and those curves are left out
     series = [(label, sweep_points, ys) for label, ys in curves.items() if None not in ys]
     svgplot.line_chart(
@@ -347,11 +388,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     ]
 
     out = _out_dir(cfg, args.out)
-    with (out / "ablation.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("rank", "variant", *SCORE_FIELDS))
-        for rank, name in zip(ranks, names):
-            writer.writerow((rank, name, *map(repr, scores[name].values())))
+    _write_csv(
+        out / "ablation.csv",
+        [
+            {"rank": rank, "variant": name, **{k: repr(v) for k, v in scores[name].items()}}
+            for rank, name in zip(ranks, names)
+        ],
+    )
     for name in names:
         results[name].record.to_csv(out / f"ablation_{name}_record.csv")
     summary = {

@@ -458,15 +458,16 @@ def load_experiment_config(
 def build_dataset(cfg: ExperimentConfig):
     """Generate or load the dataset described by the config and apply splits.
 
-    The dataset has a train row: ``load_csv`` rejects a CSV split column
-    without one, and this rejects split fractions that round it away."""
+    A CSV's own split column is kept, whatever it holds; the split fractions
+    split generated data and a CSV without that column. The dataset has a
+    train row: ``load_csv`` rejects a CSV split column without one, and this
+    rejects split fractions that round it away."""
     if cfg.data.source == "synthetic":
         ds = data_mod.generate_synthetic(cfg.data.synth)
     else:
         ds = data_mod.load_csv(cfg.data.csv_path, num_classes=cfg.data.num_classes)
     val, test = cfg.data.noisy_val_fraction, cfg.data.test_fraction
-    already_split = (ds.split != 0).any()
-    if not already_split and (val > 0 or test > 0):
+    if not ds.split_given and (val > 0 or test > 0):
         ds = data_mod.split_dataset(ds, val, test, derive_seed(cfg.seed, "split"))
         if not ds.split_indices(data_mod.SPLIT_TRAIN).size:
             raise ConfigError(

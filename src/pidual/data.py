@@ -15,7 +15,6 @@ go through ``train_arrays`` / ``noisy_labels_of`` and never touch
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -75,8 +74,10 @@ class RandomPiSpec:
 class PiDataset:
     """Features, PI, noisy labels and (evaluation-only) clean labels.
 
-    ``split`` holds int8 codes indexing SPLIT_NAMES. Instances are treated
-    as immutable; augmentation and splitting return new datasets.
+    ``split`` holds int8 codes indexing SPLIT_NAMES; ``split_given`` is True
+    when they were read from a CSV's split column, which ``build_dataset``
+    keeps as it is. Instances are treated as immutable; augmentation and
+    splitting return new datasets.
     """
 
     features: np.ndarray
@@ -86,6 +87,7 @@ class PiDataset:
     split: np.ndarray
     num_classes: int
     annotator_ids: np.ndarray | None = field(default=None, repr=False)
+    split_given: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.features.shape[0]
@@ -149,12 +151,6 @@ class PiDataset:
             raise ContractError("wrongness requires clean labels")
         idx = self.split_indices(split)
         return self.noisy_labels[idx] != self.clean_labels[idx]
-
-    @property
-    def is_wrong(self) -> np.ndarray:
-        if self.clean_labels is None:
-            raise ContractError("wrongness requires clean labels")
-        return self.noisy_labels != self.clean_labels
 
     def realized_noise_rate(self, split: str = SPLIT_TRAIN) -> float:
         mask = self.wrong_mask_of(split)
@@ -387,8 +383,5 @@ def load_csv(path: str | Path, num_classes: int | None = None) -> PiDataset:
         clean_labels=clean_arr,
         split=split_arr,
         num_classes=k,
+        split_given=with_split,
     )
-
-
-def save_metadata(path: str | Path, meta: dict) -> None:
-    Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -8,14 +8,13 @@ contributing one half per pair.
 
 ``report`` turns one method's scores into its report. ``detect`` scores a
 model by one of its passes over the split first; ``train`` hands ``report``
-the scores its evaluation pass of the kept epoch already computed.
+the scores its evaluation pass of the kept epoch already computed. The
+module does no file I/O: ``pidual.cli`` writes a report's JSON and histogram.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,17 +36,6 @@ class DetectionReport:
     bin_edges: np.ndarray
     clean_counts: np.ndarray
     wrong_counts: np.ndarray
-
-    def to_json(self, path: str | Path) -> None:
-        doc = {
-            "method": self.method,
-            "auc": None if math.isnan(self.auc) else self.auc,
-            "bin_edges": self.bin_edges.tolist(),
-            "clean_counts": self.clean_counts.tolist(),
-            "wrong_counts": self.wrong_counts.tolist(),
-            "num_scores": int(self.scores.shape[0]),
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def label_confidence(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

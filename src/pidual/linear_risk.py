@@ -30,12 +30,12 @@ draws, ``MC_ROWS`` x chunk, a (d, chunk) residual per fit, where a chunk is
 min(resamples, ``MC_CHUNK``) draws, and the per-draw sums, fits times
 resamples. Only the designs and maps grow with n. ``pidual risk`` rejects at
 config load a run whose sum of these exceeds ``MAX_FLOATS``.
+
+The module does no file I/O: ``pidual.cli`` formats and writes ``risk.csv``.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -343,62 +343,3 @@ def monte_carlo_risk(
     setup: LinearRiskSetup, fit_mask: np.ndarray, resamples: int, seed: int
 ) -> float:
     return monte_carlo_risks([(setup, fit_mask)], resamples, seed)[0][0]
-
-
-RISK_CSV_COLUMNS = (
-    "setup_id",
-    "n",
-    "n1",
-    "n2",
-    "d",
-    "m",
-    "sigma",
-    "ols_bias",
-    "ols_var",
-    "pidual_bias",
-    "pidual_var",
-    "ols_total",
-    "pidual_total",
-    "mc_ols",
-    "mc_pidual",
-)
-
-
-def risk_row(
-    setup_id: str,
-    setup: LinearRiskSetup,
-    ols: RiskBreakdown,
-    gated: RiskBreakdown,
-    mc_ols: float | None,
-    mc_pidual: float | None,
-) -> list[str]:
-    """One CSV row of the risk-comparison export: the closed forms of OLS and
-    of the gated fit, then their Monte-Carlo means."""
-
-    def fmt(v: float | None) -> str:
-        return "" if v is None else repr(float(v))
-
-    return [
-        setup_id,
-        str(setup.n),
-        str(setup.n_clean),
-        str(setup.n_noisy),
-        str(setup.features.shape[1]),
-        str(setup.pi.shape[1]),
-        repr(float(setup.noise_std)),
-        fmt(ols.bias_term),
-        fmt(ols.variance_term),
-        fmt(gated.bias_term),
-        fmt(gated.variance_term),
-        fmt(ols.total),
-        fmt(gated.total),
-        fmt(mc_ols),
-        fmt(mc_pidual),
-    ]
-
-
-def write_risk_csv(path: str | Path, rows: list[list[str]]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RISK_CSV_COLUMNS)
-        writer.writerows(rows)

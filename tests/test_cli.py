@@ -1852,3 +1852,48 @@ def test_risk_csv_parses_back(tmp_path):
     assert int(row["n"]) == 60 and int(row["n1"]) == 40
     total = float(row["ols_bias"]) + float(row["ols_var"]) + float(row["sigma"]) ** 2
     assert total == pytest.approx(float(row["ols_total"]), rel=1e-12)
+
+
+# README's "Risk CSV" and "Detection JSON" sections
+RISK_CSV_HEADER = [
+    "setup_id", "n", "n1", "n2", "d", "m", "sigma", "ols_bias", "ols_var",
+    "pidual_bias", "pidual_var", "ols_total", "pidual_total", "mc_ols", "mc_pidual",
+]
+DETECTION_KEYS = {"method", "auc", "bin_edges", "clean_counts", "wrong_counts", "num_scores"}
+
+
+def test_risk_csv_header_and_detection_json_keys_are_the_documented_ones(tmp_path):
+    # without a random-PI block detect scores the gate on gen's dataset too
+    cfg_path, out = write_config(tmp_path, overrides={"train": {"random_pi_length": "0"}})
+    assert main(["risk", "--config", str(cfg_path)]) == 0
+    with (out / "risk.csv").open(encoding="utf-8", newline="") as fh:
+        assert next(csv.reader(fh)) == RISK_CSV_HEADER
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    replay = tmp_path / "replay"
+    assert main(["detect", "--checkpoint", str(out / "best_checkpoint.json"),
+                 "--data", str(out / "dataset.csv"), "--out", str(replay)]) == 0
+    for run in (out, replay):
+        for method in detection.METHODS:
+            doc = json.loads((run / f"detection_{method}.json").read_text(encoding="utf-8"))
+            assert set(doc) == DETECTION_KEYS, (run.name, method)
+
+
+def test_a_csv_split_column_is_kept_whatever_it_holds(tmp_path):
+    # gen with both fractions at 0 writes a split column of train rows alone;
+    # the config's fractions keep it, and split the same rows without the column
+    cfg_path, out = write_config(
+        tmp_path, overrides={"data": {"noisy_val_fraction": "0", "test_fraction": "0"}}
+    )
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    all_train = out / "dataset.csv"
+    no_split = tmp_path / "no_split.csv"
+    no_split.write_text(
+        "".join(line.rsplit(",", 1)[0] + "\n" for line in all_train.read_text().splitlines()),
+        encoding="utf-8",
+    )
+    for path, train_rows in ((all_train, 240), (no_split, 240 - 24 - 48)):
+        data = {"source": "csv", "path": str(path), "classes": "3"}
+        csv_cfg, _ = write_config(tmp_path, overrides={"data": data}, name="csv.ini")
+        ds = build_dataset(load_experiment_config(csv_cfg))
+        assert ds.split_indices(SPLIT_TRAIN).size == train_rows, path.name

@@ -19,7 +19,7 @@ from pidual.errors import ContractError, DataFormatError
 def test_zero_noise_rate_gives_clean_labels():
     ds = generate_synthetic(SynthConfig(n=500, noise_rate=0.0, seed=1))
     assert np.array_equal(ds.noisy_labels, ds.clean_labels)
-    assert not ds.is_wrong.any()
+    assert not ds.wrong_mask_of("train").any()
 
 
 def test_informativeness_zero_channels_constant():
@@ -36,14 +36,14 @@ def test_informativeness_zero_channels_constant():
 def test_realized_noise_rate_within_binomial_interval():
     # 99% interval for n=2000, p=0.4 is about +-0.028; the asserted band is wider
     ds = generate_synthetic(SynthConfig(n=2000, num_classes=4, noise_rate=0.4, seed=7))
-    rate = float(ds.is_wrong.mean())
+    rate = float(ds.wrong_mask_of("train").mean())
     assert 0.36 <= rate <= 0.44
 
 
 def test_wrong_labels_are_genuinely_wrong():
     for mode in (data_mod.ERROR_MODE_UNIFORM, data_mod.ERROR_MODE_PERMUTATION):
         ds = generate_synthetic(SynthConfig(n=800, noise_rate=0.5, error_mode=mode, seed=3))
-        wrong = ds.is_wrong
+        wrong = ds.wrong_mask_of("train")
         assert wrong.any()
         assert np.all(ds.noisy_labels[wrong] != ds.clean_labels[wrong])
 
@@ -59,7 +59,7 @@ def test_permutation_mode_noise_is_function_of_annotator_and_label():
     cfg = SynthConfig(n=1000, noise_rate=0.4, error_mode=data_mod.ERROR_MODE_PERMUTATION, seed=9)
     ds = generate_synthetic(cfg)
     perms = annotator_permutations(cfg)
-    wrong = ds.is_wrong
+    wrong = ds.wrong_mask_of("train")
     recomputed = perms[ds.annotator_ids[wrong], ds.clean_labels[wrong]]
     assert np.array_equal(recomputed, ds.noisy_labels[wrong])
 
@@ -75,7 +75,7 @@ def test_generator_deterministic():
 def test_explicit_reliabilities_accepted_when_consistent():
     cfg = SynthConfig(n=4000, annotators=2, reliabilities=[0.9, 0.5], noise_rate=0.3, seed=5)
     ds = generate_synthetic(cfg)
-    assert abs(ds.is_wrong.mean() - 0.3) < 0.05
+    assert abs(ds.wrong_mask_of("train").mean() - 0.3) < 0.05
 
 
 def test_augment_length_zero_is_identity():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidual import nn_core
+from pidual.cli import _detection_outputs
 from pidual.data import SynthConfig, generate_synthetic
 from pidual.detection import detect, report, roc_auc, score_histogram
 from pidual.errors import ContractError, NumericError
@@ -201,9 +202,8 @@ def test_detect_report_round_trip(tmp_path):
         report = detect(model, ds, method)
         assert 0.0 <= report.auc <= 1.0
         assert report.scores.shape[0] == ds.split_indices("train").size
-        path = tmp_path / f"{method}.json"
-        report.to_json(path)
-        doc = json.loads(path.read_text())
+        _detection_outputs(tmp_path, [report])
+        doc = json.loads((tmp_path / f"detection_{method}.json").read_text())
         assert doc["method"] == method
         assert doc["auc"] == report.auc
         assert len(doc["clean_counts"]) == 20
@@ -228,8 +228,8 @@ def test_report_without_clean_or_wrong_rows_has_a_null_auc(tmp_path, wrong_rows)
         got = report(method, np.array([0.1, 0.3, 0.7, 0.9]), wrong)
         assert math.isnan(got.auc)
         assert (got.clean_counts.sum(), got.wrong_counts.sum()) == (4 - wrong_rows, wrong_rows)
-        got.to_json(tmp_path / "report.json")
-        doc = json.loads((tmp_path / "report.json").read_text())
+        _detection_outputs(tmp_path, [got])
+        doc = json.loads((tmp_path / f"detection_{method}.json").read_text())
         assert doc["auc"] is None and doc["num_scores"] == 4
 
 
