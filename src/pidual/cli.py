@@ -3,10 +3,10 @@
 Every subcommand reads a sectioned config file (see config.py), writes its
 artifacts into a per-run output directory, and is idempotent in output
 content for a fixed config + seed. The artifacts the package never reads
-back (the JSON documents, ``risk.csv`` and ``ablation.csv``) go through this
-module's one JSON writer and one CSV writer; the formats it reads back
-(dataset CSV, training record, checkpoint) stay with their readers, and
-``svgplot`` writes the plots. Exit codes: 0 success, 2 config error,
+back (the JSON documents, the training records, ``risk.csv`` and
+``ablation.csv``) go through this module's one JSON writer and one CSV writer;
+the formats it reads back (dataset CSV, checkpoint) stay with their readers,
+and ``svgplot`` writes the plots. Exit codes: 0 success, 2 config error,
 3 numeric failure, 4 I/O failure. The only nondeterministic field anywhere
 is ``wall_clock_seconds`` inside summary.json.
 """
@@ -38,8 +38,10 @@ from .errors import (
 from .seeding import derive_seed
 from .training import (
     ABLATION_VARIANTS,
+    RECORD_COLUMNS,
     SCORE_FIELDS,
     GridSpec,
+    TrainRecord,
     TrainResult,
     TrialJob,
     TrialOutcome,
@@ -63,6 +65,15 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
+
+
+def _record_rows(record: TrainRecord) -> list[dict]:
+    """One row per epoch, keyed by ``RECORD_COLUMNS``: the epoch, then each
+    field as its float's repr, which parses back bitwise."""
+    return [
+        {"epoch": str(e), **{c: repr(float(getattr(record, c)[e])) for c in RECORD_COLUMNS[1:]}}
+        for e in range(len(record))
+    ]
 
 
 def _out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
@@ -205,7 +216,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # a run that fails above leaves no output directory
     out = _out_dir(cfg, args.out)
     for t in winners:
-        t.result.record.to_csv(out / f"trial_{t.index:03d}_record.csv")
+        _write_csv(out / f"trial_{t.index:03d}_record.csv", _record_rows(t.result.record))
     model_mod.save_checkpoint(result.model, out / "best_checkpoint.json")
     _dynamics_plot(out, result)
     aucs = _detection_outputs(out, reports)
@@ -396,7 +407,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         ],
     )
     for name in names:
-        results[name].record.to_csv(out / f"ablation_{name}_record.csv")
+        _write_csv(out / f"ablation_{name}_record.csv", _record_rows(results[name].record))
     summary = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,

@@ -228,8 +228,14 @@ def _merged_sections(path: Path) -> dict[str, dict[str, str]]:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    # configparser copies [DEFAULT]'s keys into every other section and lists
+    # it in none of sections(), so the checks below would not see it
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     merged = {
         sec: {key: default for key, (default, _) in keys.items()} for sec, keys in FIELDS.items()
     }

@@ -86,7 +86,6 @@ class PiDataset:
     clean_labels: np.ndarray | None
     split: np.ndarray
     num_classes: int
-    annotator_ids: np.ndarray | None = field(default=None, repr=False)
     split_given: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -219,20 +218,7 @@ def generate_synthetic(cfg: SynthConfig) -> PiDataset:
         clean_labels=clean,
         split=np.zeros(n, dtype=np.int8),
         num_classes=k,
-        annotator_ids=annot,
     )
-
-
-def annotator_permutations(cfg: SynthConfig) -> np.ndarray:
-    """Recompute the per-annotator wrong-label permutations of a config.
-
-    Only valid for error_mode=annotator-permutation; lets callers verify that
-    wrong labels are a pure function of (clean label, annotator id).
-    """
-    if cfg.error_mode != ERROR_MODE_PERMUTATION:
-        raise ContractError("permutations exist only in annotator-permutation mode")
-    rng = np.random.default_rng(derive_seed(cfg.seed, "errors"))
-    return np.stack([_derangement(rng, cfg.num_classes) for _ in range(cfg.annotators)])
 
 
 def augment_random_pi(ds: PiDataset, spec: RandomPiSpec) -> PiDataset:

@@ -10,13 +10,11 @@ Clean-label metrics are recorded alongside for analysis only.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import functools
 import itertools
 import math
 import pickle
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -66,31 +64,9 @@ class TrainRecord:
     def __len__(self) -> int:
         return self.noisy_val_acc.shape[0]
 
-    def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RECORD_COLUMNS)
-            for e in range(len(self)):
-                row = [str(e)] + [
-                    repr(float(getattr(self, col)[e])) for col in RECORD_COLUMNS[1:]
-                ]
-                writer.writerow(row)
 
-    @staticmethod
-    def from_csv(path: str | Path) -> "TrainRecord":
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != RECORD_COLUMNS:
-                raise ContractError(f"{path}: unexpected training-record header")
-            rows = [[float(v) for v in row] for row in reader]
-        arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(RECORD_COLUMNS))
-        cols = {name: arr[:, i] for i, name in enumerate(RECORD_COLUMNS)}
-        cols.pop("epoch")
-        return TrainRecord(**cols)
-
-
-# The record CSV's header: the epoch, then the TrainRecord fields in order.
+# The header of the record CSV that cli writes: the epoch, then the TrainRecord
+# fields in order.
 RECORD_COLUMNS = ("epoch", *(f.name for f in fields(TrainRecord)))
 
 

@@ -28,7 +28,7 @@ from pidual.data import SPLIT_CLEAN_TEST, SPLIT_NOISY_VAL, SPLIT_TRAIN, load_csv
 from pidual.model import ModelConfig, load_checkpoint, save_checkpoint
 from pidual.errors import ConfigError, DataFormatError
 from pidual.linear_risk import MAX_FLOATS
-from pidual.training import GRID_AXES, TrainConfig, TrainRecord, evaluate
+from pidual.training import GRID_AXES, TrainConfig, evaluate
 from conftest import poison_gradient
 
 BASE_SECTIONS = {
@@ -81,6 +81,13 @@ def read(path):
     return Path(path).read_bytes()
 
 
+def read_record(path):
+    """A training-record CSV's columns by header name, each a float array."""
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {col: np.array([float(row[col]) for row in rows]) for col in rows[0]}
+
+
 def test_gen_writes_dataset_and_sidecar(tmp_path):
     cfg_path, out = write_config(tmp_path)
     assert main(["gen", "--config", str(cfg_path)]) == 0
@@ -110,8 +117,8 @@ def test_gen_zero_noise_sidecar(tmp_path):
 def test_train_smoke_artifacts(tmp_path):
     cfg_path, out = write_config(tmp_path)
     assert main(["train", "--config", str(cfg_path)]) == 0
-    record = TrainRecord.from_csv(out / "trial_000_record.csv")
-    assert len(record) == 2
+    record = read_record(out / "trial_000_record.csv")
+    assert len(record["epoch"]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["selected_trial"] == 0
     assert set(summary["detection_auc"]) == {"confidence", "gate"}
@@ -219,7 +226,7 @@ def test_train_without_early_stopping_reports_the_saved_model(tmp_path, capsys):
     model = load_checkpoint(out / "best_checkpoint.json")
     acc = evaluate(model, ds, SPLIT_CLEAN_TEST, "clean", "prediction")
     assert f"clean_test={acc:.4f} " in printed
-    assert acc == TrainRecord.from_csv(out / "trial_000_record.csv").clean_test_acc[3]
+    assert acc == read_record(out / "trial_000_record.csv")["clean_test_acc"][3]
 
 
 def test_train_rerun_metrics_identical(tmp_path):
@@ -327,8 +334,8 @@ def test_ablate_trains_its_rows_whatever_the_model_flags_say(tmp_path, capsys):
     assert records["pi_and_x"] == records["default"] == records["ce"]
     assert records["pi_and_x"]["pidual_full"] != records["pi_and_x"]["noise_with_features"]
     for variant, (flags, _) in training.ABLATION_VARIANTS.items():
-        record = TrainRecord.from_csv(tmp_path / "default" / f"ablation_{variant}_record.csv")
-        noise = np.concatenate((record.noise_acc_clean, record.noise_acc_wrong))
+        record = read_record(tmp_path / "default" / f"ablation_{variant}_record.csv")
+        noise = np.concatenate((record["noise_acc_clean"], record["noise_acc_wrong"]))
         assert (np.isfinite(noise) if flags.use_noise_net else np.isnan(noise)).all(), variant
 
 
@@ -1688,10 +1695,16 @@ def test_config_hash_and_defaults_are_pinned(tmp_path):
     assert cfg.model == ModelConfig()
 
 
-def test_unknown_config_key_rejected(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    (b"[train]\nnum_epochs = 5\n", r"unknown config field train\.num_epochs"),
+    (b"[DEFAULT]\nepochs = 5\n", r"unknown config section \[DEFAULT\]"),
+    (b"[DEFAULT]\nepochs = 5\n[train]\n", r"unknown config section \[DEFAULT\]"),
+    (b"[data]\nn = 200\n# caf\xe9\n", r"x\.ini: not UTF-8 text \("),
+], ids=["unknown_key", "default_alone", "default_beside_train", "not_utf8"])
+def test_unknown_config_key_rejected(tmp_path, text, message):
     path = tmp_path / "x.ini"
-    path.write_text("[train]\nnum_epochs = 5\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="train.num_epochs"):
+    path.write_bytes(text)
+    with pytest.raises(ConfigError, match=message):
         load_experiment_config(path)
 
 
@@ -1859,16 +1872,29 @@ RISK_CSV_HEADER = [
     "setup_id", "n", "n1", "n2", "d", "m", "sigma", "ols_bias", "ols_var",
     "pidual_bias", "pidual_var", "ols_total", "pidual_total", "mc_ols", "mc_pidual",
 ]
+RECORD_CSV_HEADER = [
+    "epoch", "train_acc_clean", "train_acc_wrong", "pred_acc_clean", "pred_acc_wrong",
+    "noise_acc_clean", "noise_acc_wrong", "noisy_val_acc", "clean_test_acc",
+    "mean_gate_clean", "mean_gate_wrong",
+]
 DETECTION_KEYS = {"method", "auc", "bin_edges", "clean_counts", "wrong_counts", "num_scores"}
+
+
+def csv_header(path):
+    with path.open(encoding="utf-8", newline="") as fh:
+        return next(csv.reader(fh))
 
 
 def test_risk_csv_header_and_detection_json_keys_are_the_documented_ones(tmp_path):
     # without a random-PI block detect scores the gate on gen's dataset too
     cfg_path, out = write_config(tmp_path, overrides={"train": {"random_pi_length": "0"}})
     assert main(["risk", "--config", str(cfg_path)]) == 0
-    with (out / "risk.csv").open(encoding="utf-8", newline="") as fh:
-        assert next(csv.reader(fh)) == RISK_CSV_HEADER
+    assert csv_header(out / "risk.csv") == RISK_CSV_HEADER
     assert main(["train", "--config", str(cfg_path)]) == 0
+    assert csv_header(out / "trial_000_record.csv") == RECORD_CSV_HEADER
+    assert main(["ablate", "--config", str(cfg_path)]) == 0
+    for variant in training.ABLATION_VARIANTS:
+        assert csv_header(out / f"ablation_{variant}_record.csv") == RECORD_CSV_HEADER, variant
     assert main(["gen", "--config", str(cfg_path)]) == 0
     replay = tmp_path / "replay"
     assert main(["detect", "--checkpoint", str(out / "best_checkpoint.json"),

@@ -6,7 +6,6 @@ from pidual.data import (
     PiDataset,
     RandomPiSpec,
     SynthConfig,
-    annotator_permutations,
     augment_random_pi,
     generate_synthetic,
     load_csv,
@@ -58,10 +57,14 @@ def test_generated_pi_width_is_the_configs():
 def test_permutation_mode_noise_is_function_of_annotator_and_label():
     cfg = SynthConfig(n=1000, noise_rate=0.4, error_mode=data_mod.ERROR_MODE_PERMUTATION, seed=9)
     ds = generate_synthetic(cfg)
-    perms = annotator_permutations(cfg)
     wrong = ds.wrong_mask_of("train")
-    recomputed = perms[ds.annotator_ids[wrong], ds.clean_labels[wrong]]
-    assert np.array_equal(recomputed, ds.noisy_labels[wrong])
+    annotator = ds.pi[:, :cfg.annotators].argmax(1)
+    triples = np.unique(
+        np.column_stack((annotator, ds.clean_labels, ds.noisy_labels))[wrong], axis=0
+    )
+    # every (annotator, clean label) pair occurs, and maps to one noisy label
+    pairs = np.unique(triples[:, :2], axis=0)
+    assert len(pairs) == len(triples) == cfg.annotators * cfg.num_classes
 
 
 def test_generator_deterministic():

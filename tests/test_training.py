@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pidual import cli
 from pidual import data as data_mod
 from pidual import detection
 from pidual import model as model_mod
@@ -36,7 +37,6 @@ from pidual.training import (
     RECORD_COLUMNS,
     GridSpec,
     TrainConfig,
-    TrainRecord,
     apply_grid_point,
     evaluate,
     run_grid,
@@ -723,16 +723,23 @@ def test_clean_information_cannot_influence_fitting():
         assert net.equals(m2.components()[name])
 
 
-def test_record_csv_round_trip(tmp_path):
+@pytest.mark.parametrize("flags", [None, CE_FLAGS], ids=["pidual", "no_noise_net"])
+def test_record_rows_parse_back_bitwise(flags):
+    # the rows cli writes a record CSV from: every cell parses back to its
+    # value's bits, and a model without a noise net has NaN noise columns
     ds = tiny_dataset(seed=12)
-    result = train(tiny_model(ds, seed=1), ds, tiny_cfg(epochs=2))
-    path = tmp_path / "record.csv"
-    result.record.to_csv(path)
-    loaded = TrainRecord.from_csv(path)
-    for col in ("train_acc_clean", "noisy_val_acc", "mean_gate_wrong"):
-        assert np.array_equal(
-            getattr(result.record, col), getattr(loaded, col), equal_nan=True
-        )
+    record = train(tiny_model(ds, flags=flags, seed=1), ds, tiny_cfg(epochs=2)).record
+    rows = cli._record_rows(record)
+    assert [tuple(row) for row in rows] == [RECORD_COLUMNS] * len(record)
+    assert [row["epoch"] for row in rows] == [str(e) for e in range(len(record))]
+    for col in RECORD_COLUMNS[1:]:
+        want = getattr(record, col)
+        got = np.array([float(row[col]) for row in rows])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), col
+        assert got[~nan].tobytes() == want[~nan].tobytes(), col
+    noise = np.concatenate((record.noise_acc_clean, record.noise_acc_wrong))
+    assert (np.isnan(noise) if flags else np.isfinite(noise)).all()
 
 
 def test_run_trial_applies_random_pi():
