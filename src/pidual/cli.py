@@ -83,7 +83,7 @@ def _out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
 
 
 def _float_or_none(value: float) -> float | None:
-    return None if value is None or not math.isfinite(value) else float(value)
+    return float(value) if math.isfinite(value) else None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -149,8 +149,6 @@ def _detection_outputs(out: Path, reports: list[detect_mod.DetectionReport]) -> 
             report.bin_edges,
             report.clean_counts.tolist(),
             report.wrong_counts.tolist(),
-            "clean labels",
-            "wrong labels",
         )
         aucs[method] = report.auc
     return aucs

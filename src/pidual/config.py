@@ -225,9 +225,10 @@ class ExperimentConfig:
 def _merged_sections(path: Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # utf-8-sig skips a leading byte-order mark; a str path reads better in the messages
+        read = parser.read(str(path), encoding="utf-8-sig")
+    except configparser.Error as exc:  # its message spans lines; the line number stays
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     if not read:

@@ -1,7 +1,10 @@
 """Minimal SVG charts (polylines, axes, histogram rects), no plotting deps.
 
 Diagnostic output only: layout is fixed-size, colors cycle through a small
-palette, and nothing here is part of a numeric contract.
+palette, and nothing here is part of a numeric contract. Each chart builds
+only its body; ``_write`` adds the frame every chart shares (background,
+title, axes and axis labels) and writes the file, and each kind of element
+is written by one helper or at one site.
 """
 from __future__ import annotations
 
@@ -12,53 +15,56 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#1
 
 _WIDTH = 860
 _HEIGHT = 520
-_MARGIN = {"left": 70, "right": 190, "top": 50, "bottom": 60}
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+# the plot's edges, and the x where the legend starts to the right of it
+_LEFT, _RIGHT, _TOP, _BOTTOM = 70, _WIDTH - 190, 50, _HEIGHT - 60
+_LEGEND_X = _RIGHT + 14
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _open_svg(title: str) -> list[str]:
+def _text(x, y, text: str, size: int, anchor: str = "", transform: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    for raw, entity in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")):
+        text = text.replace(raw, entity)
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+        f'font-family="Helvetica,Arial,sans-serif"{transform}>{text}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+        f'stroke-width="{width}"/>'
+    )
+
+
+def _bar(x, y, width, height, color: str) -> str:
+    return (
+        f'<rect x="{x}" y="{y}" width="{width}" height="{height}" fill="{color}" '
+        f'fill-opacity="0.8"/>'
+    )
+
+
+def _write(path: str | Path, title: str, x_label: str, y_label: str, body: list[str]) -> None:
+    """Write one chart: the shared frame around ``body``."""
+    mid_y = f"{(_TOP + _BOTTOM) / 2:.1f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="28" text-anchor="middle" font-size="18" '
-        f'font-family="Helvetica,Arial,sans-serif">{_escape(title)}</text>',
+        _text(f"{_WIDTH / 2:.1f}", 28, title, 18, "middle"),
+        _line(_LEFT, _BOTTOM, _RIGHT, _BOTTOM, "#000", 1.5),
+        _line(_LEFT, _TOP, _LEFT, _BOTTOM, "#000", 1.5),
+        _text(f"{(_LEFT + _RIGHT) / 2:.1f}", _HEIGHT - 16, x_label, 13, "middle"),
+        _text(20, mid_y, y_label, 13, "middle", f"rotate(-90 20 {mid_y})"),
+        *body,
+        "</svg>",
     ]
-    return parts
-
-
-def _axes(parts: list[str], x_label: str, y_label: str) -> tuple[float, float, float, float]:
-    left, right = _MARGIN["left"], _WIDTH - _MARGIN["right"]
-    top, bottom = _MARGIN["top"], _HEIGHT - _MARGIN["bottom"]
-    parts.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" '
-        f'font-size="13" font-family="Helvetica,Arial,sans-serif">{_escape(x_label)}</text>'
-    )
-    mid_y = (top + bottom) / 2
-    parts.append(
-        f'<text x="20" y="{mid_y:.1f}" text-anchor="middle" font-size="13" '
-        f'font-family="Helvetica,Arial,sans-serif" transform="rotate(-90 20 {mid_y:.1f})">'
-        f"{_escape(y_label)}</text>"
-    )
-    return left, right, top, bottom
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
 def _share(v: float, lo: float, hi: float) -> float:
@@ -75,9 +81,11 @@ def line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     y_range: tuple[float, float] | None = None,
 ) -> None:
-    """Multi-series line chart; each series is (label, xs, ys). NaNs break lines.
+    """Multi-series line chart; each series is (label, xs, ys).
 
-    With a ``y_range``, series whose ys are all NaN still get axes and a legend.
+    NaNs split a series into runs: a run of two or more points is a polyline,
+    and a lone point is a dot wherever it falls. With a ``y_range``, series
+    whose ys are all NaN still get axes and a legend.
     """
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if y == y]
@@ -93,67 +101,42 @@ def line_chart(
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
-    parts = _open_svg(title)
-    left, right, top, bottom = _axes(parts, x_label, y_label)
-
     def px(x: float) -> float:
-        return left + _share(x, x_lo, x_hi) * (right - left)
+        return _LEFT + _share(x, x_lo, x_hi) * (_RIGHT - _LEFT)
 
     def py(y: float) -> float:
-        return bottom - _share(y, y_lo, y_hi) * (bottom - top)
+        return _BOTTOM - _share(y, y_lo, y_hi) * (_BOTTOM - _TOP)
 
+    body: list[str] = []
     for i in range(5):
         yv = y_lo + (y_hi - y_lo) * i / 4
-        parts.append(
-            f'<line x1="{left}" y1="{_fmt(py(yv))}" x2="{right}" y2="{_fmt(py(yv))}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{_fmt(py(yv) + 4)}" text-anchor="end" font-size="11" '
-            f'font-family="Helvetica,Arial,sans-serif">{yv:.3g}</text>'
-        )
+        body.append(_line(_LEFT, _fmt(py(yv)), _RIGHT, _fmt(py(yv)), "#dddddd", 1))
+        body.append(_text(_LEFT - 8, _fmt(py(yv) + 4), f"{yv:.3g}", 11, "end"))
     for i in range(5):
         xv = x_lo + (x_hi - x_lo) * i / 4
-        parts.append(
-            f'<text x="{_fmt(px(xv))}" y="{bottom + 18}" text-anchor="middle" font-size="11" '
-            f'font-family="Helvetica,Arial,sans-serif">{xv:.3g}</text>'
-        )
+        body.append(_text(_fmt(px(xv)), _BOTTOM + 18, f"{xv:.3g}", 11, "middle"))
 
-    legend_y = top + 10
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        segment: list[str] = []
+        runs: list[list[str]] = [[]]
         for x, y in zip(xs, ys):
-            if y != y:  # NaN splits the polyline
-                if len(segment) > 1:
-                    parts.append(
-                        f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-                        f'points="{" ".join(segment)}"/>'
-                    )
-                segment = []
-                continue
-            segment.append(f"{_fmt(px(x))},{_fmt(py(y))}")
-        if len(segment) > 1:
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-                f'points="{" ".join(segment)}"/>'
-            )
-        elif len(segment) == 1:
-            cx, cy = segment[0].split(",")
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')
-        lx = right + 14
-        parts.append(
-            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="3"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{legend_y + 4}" font-size="12" '
-            f'font-family="Helvetica,Arial,sans-serif">{_escape(label)}</text>'
-        )
-        legend_y += 20
-
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+            if y != y:  # NaN ends the run
+                runs.append([])
+            else:
+                runs[-1].append(f"{_fmt(px(x))},{_fmt(py(y))}")
+        for run in runs:
+            if len(run) > 1:
+                body.append(
+                    f'<polyline fill="none" stroke="{color}" stroke-width="2" '
+                    f'points="{" ".join(run)}"/>'
+                )
+            elif run:
+                cx, cy = run[0].split(",")
+                body.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')
+        legend_y = _TOP + 10 + 20 * idx
+        body.append(_line(_LEGEND_X, legend_y, _LEGEND_X + 22, legend_y, color, 3))
+        body.append(_text(_LEGEND_X + 28, legend_y + 4, label, 12))
+    _write(path, title, x_label, y_label, body)
 
 
 def paired_histogram(
@@ -161,51 +144,29 @@ def paired_histogram(
     title: str,
     x_label: str,
     bin_edges: Sequence[float],
-    counts_a: Sequence[int],
-    counts_b: Sequence[int],
-    label_a: str,
-    label_b: str,
+    clean_counts: Sequence[int],
+    wrong_counts: Sequence[int],
 ) -> None:
-    """Two interleaved bar sets over shared bins (e.g. clean vs wrong counts)."""
+    """Clean and wrong label counts as two interleaved bar sets over shared bins."""
     bins = len(bin_edges) - 1
-    if len(counts_a) != bins or len(counts_b) != bins:
+    if len(clean_counts) != bins or len(wrong_counts) != bins:
         raise ValueError("counts must match the number of bins")
-    top_count = max(max(counts_a, default=0), max(counts_b, default=0), 1)
+    top_count = max(max(clean_counts, default=0), max(wrong_counts, default=0), 1)
+    bin_w = (_RIGHT - _LEFT) / bins
+    sets = ((0.05, clean_counts, PALETTE[0]), (0.53, wrong_counts, PALETTE[1]))
 
-    parts = _open_svg(title)
-    left, right, top, bottom = _axes(parts, x_label, "count")
-    bin_w = (right - left) / bins
-    bar_w = bin_w * 0.42
-
-    def bar_height(c: int) -> float:
-        return (bottom - top) * c / top_count
-
+    body: list[str] = []
     for i in range(bins):
-        x0 = left + i * bin_w
-        ha, hb = bar_height(counts_a[i]), bar_height(counts_b[i])
-        parts.append(
-            f'<rect x="{_fmt(x0 + 0.05 * bin_w)}" y="{_fmt(bottom - ha)}" '
-            f'width="{_fmt(bar_w)}" height="{_fmt(ha)}" fill="{PALETTE[0]}" fill-opacity="0.8"/>'
-        )
-        parts.append(
-            f'<rect x="{_fmt(x0 + 0.53 * bin_w)}" y="{_fmt(bottom - hb)}" '
-            f'width="{_fmt(bar_w)}" height="{_fmt(hb)}" fill="{PALETTE[1]}" fill-opacity="0.8"/>'
-        )
+        x0 = _LEFT + i * bin_w
+        for offset, counts, color in sets:
+            h = (_BOTTOM - _TOP) * counts[i] / top_count
+            x = _fmt(x0 + offset * bin_w)
+            body.append(_bar(x, _fmt(_BOTTOM - h), _fmt(bin_w * 0.42), _fmt(h), color))
     for i in range(0, bins + 1, max(1, bins // 5)):
-        xv = left + i * bin_w
-        parts.append(
-            f'<text x="{_fmt(xv)}" y="{bottom + 18}" text-anchor="middle" font-size="11" '
-            f'font-family="Helvetica,Arial,sans-serif">{bin_edges[i]:.2f}</text>'
-        )
-    for idx, label in enumerate((label_a, label_b)):
-        lx, ly = right + 14, top + 10 + idx * 20
-        parts.append(
-            f'<rect x="{lx}" y="{ly - 9}" width="14" height="12" fill="{PALETTE[idx]}" '
-            f'fill-opacity="0.8"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 20}" y="{ly + 2}" font-size="12" '
-            f'font-family="Helvetica,Arial,sans-serif">{_escape(label)}</text>'
-        )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        tick = f"{bin_edges[i]:.2f}"
+        body.append(_text(_fmt(_LEFT + i * bin_w), _BOTTOM + 18, tick, 11, "middle"))
+    for idx, label in enumerate(("clean labels", "wrong labels")):
+        ly = _TOP + 10 + idx * 20
+        body.append(_bar(_LEGEND_X, ly - 9, 14, 12, PALETTE[idx]))
+        body.append(_text(_LEGEND_X + 20, ly + 2, label, 12))
+    _write(path, title, x_label, "count", body)

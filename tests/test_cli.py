@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -1706,6 +1707,33 @@ def test_unknown_config_key_rejected(tmp_path, text, message):
     path.write_bytes(text)
     with pytest.raises(ConfigError, match=message):
         load_experiment_config(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"[data]\ngarbage\n", 2),
+    (b"[data]\n= 5\n", 2),
+    (b"[data\nn = 200\n", 1),
+    (b"[data]\nn = 200\nn = 300\n", 3),
+], ids=["bare_line", "no_key", "no_closing_bracket", "repeated_key"])
+def test_a_config_configparser_cannot_read_is_one_config_error_line(
+    tmp_path, capsys, text, line
+):
+    path, out = tmp_path / "x.ini", tmp_path / "out"
+    path.write_bytes(text)
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
+    assert re.search(rf"\bline:? {line}\b", err), err
+    assert not out.exists()
+
+
+def test_a_config_that_starts_with_a_byte_order_mark_loads(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + (configs / "benchmark.ini").read_bytes())
+    assert load_experiment_config(path).config_hash() == (
+        "48267c0707f8d73fe84e870136e4fe72c85e762159c50a3525bec4e6a07d682b"
+    )
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):
